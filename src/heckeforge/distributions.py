@@ -141,16 +141,41 @@ class Distribution:
     @classmethod
     def from_json(cls, obj):
         """Rebuild a rational-model distribution from its serialization."""
-        def scal(v):
-            return Cyclo.from_json(v) if isinstance(v, dict) else Fraction(v)
+        def scal(v, where):
+            try:
+                return Cyclo.from_json(v) if isinstance(v, dict) else Fraction(v)
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{where}: not a scalar: {v!r}") from exc
 
+        _require(obj, "p", int, "distribution")
+        _require(obj, "nus", list, "distribution")
+        _require(obj, "levels", list, "distribution")
         tower = QTower(obj["p"])
         values = {}
-        for level in obj["levels"]:
-            values[level["m"]] = {
-                c["x"]: tuple(scal(v) for v in c["value"])
-                for c in level["cosets"]}
+        for i, level in enumerate(obj["levels"]):
+            where = f"levels[{i}]"
+            _require(level, "m", int, where)
+            _require(level, "cosets", list, where)
+            cosets = {}
+            for j, c in enumerate(level["cosets"]):
+                at = f"{where}.cosets[{j}]"
+                _require(c, "x", int, at)
+                _require(c, "value", list, at)
+                cosets[c["x"]] = tuple(scal(v, f"{at}.value")
+                                       for v in c["value"])
+            values[level["m"]] = cosets
         return cls(tower, obj["nus"], values)
+
+
+def _require(obj, key, kind, where):
+    """Check that the JSON object `obj` has field `key` of type `kind`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+        raise ValueError(f"{where}: field {key!r} must be {kind.__name__}, "
+                         f"not {type(obj[key]).__name__}")
 
 
 class EigenSymbol:

@@ -3,14 +3,19 @@
 Rationals are fractions.Fraction throughout.  A Cyclo is an element of
 Q(zeta_m) stored as its canonical representative in the power basis
 zeta^0..zeta^{phi(m)-1}, i.e. reduced modulo the m-th cyclotomic
-polynomial.  Cross-conductor arithmetic lifts both operands to the lcm
-conductor, so equality is literal equality of reduced coefficient vectors
-at a common conductor.  No floating point anywhere.
+polynomial: a tuple of integer numerators over one positive denominator,
+with no common factor among them (the idiom of RatMat, and of FLINT/Antic
+number-field elements).  Products are taken in Z[x]/(x^m - 1) over the
+nonzero terms and reduced once; the reduction folds each high term down
+through the nonzero coefficients of Phi_m only (Phi_27 = x^18 + x^9 + 1
+has 3 of 19).  Cross-conductor arithmetic lifts both operands to the lcm
+conductor, so equality is literal equality of reduced integer vectors and
+denominators at a common conductor.  No floating point anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 PADIC_INFINITY = inf
@@ -82,15 +87,6 @@ def euler_phi(m):
     return result
 
 
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _int_poly_div_exact(a, b):
     """Exact division of integer polynomials (b monic up to leading 1/-1)."""
     a = list(a)
@@ -118,47 +114,83 @@ def cyclotomic_poly(m):
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_tail(m):
+    """The nonzero terms of x^phi(m) - Phi_m as (exponent, coefficient)
+    pairs: the rule that rewrites zeta_m^phi(m) in the power basis."""
+    return tuple((j, -a) for j, a in enumerate(cyclotomic_poly(m)[:-1]) if a)
+
+
 def _reduce_mod_cyclotomic(m, coeffs):
-    """Reduce Fraction coefficients of a poly in zeta_m (any degree < m or
-    given with exponents already folded mod m) modulo Phi_m."""
-    phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
+    """Reduce the integer coefficients of a polynomial in zeta_m (low to
+    high, any length) modulo Phi_m to its phi(m) power-basis coefficients.
+
+    Each leading term is folded down through Phi_m's nonzero coefficients
+    only."""
+    deg = euler_phi(m)
     c = list(coeffs)
+    if len(c) < deg:
+        c.extend([0] * (deg - len(c)))
+    tail = _cyclotomic_tail(m)
     for i in range(len(c) - 1, deg - 1, -1):
         lead = c[i]
         if lead:
-            for j in range(deg + 1):
-                c[i - deg + j] -= lead * Fraction(phi[j])
-        c.pop()
-    while len(c) < deg:
-        c.append(Fraction(0))
+            base = i - deg
+            for j, a in tail:
+                c[base + j] += lead * a
     return tuple(c[:deg])
 
 
-class Cyclo:
-    """Element of Q(zeta_m) in the reduced power basis."""
+def _cyclo(m, num, den=1):
+    """The Cyclo num/den at conductor m, from a phi(m)-tuple of ints and a
+    positive denominator; divides out their common factor."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    x = object.__new__(Cyclo)
+    x.m, x.num, x.den = m, num, den
+    return x
 
-    __slots__ = ("m", "c")
+
+class Cyclo:
+    """Element of Q(zeta_m) in the reduced power basis.
+
+    Stored as integer numerators `num` (the phi(m) power-basis coefficients
+    times `den`) over one positive denominator `den`, with no common factor
+    among them, so equal elements at one conductor have equal fields."""
+
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m, coeffs):
-        self.m = m
         phi = euler_phi(m)
         c = [Fraction(x) for x in coeffs]
         if len(c) != phi:
             raise ValueError(f"need {phi} coefficients for conductor {m}")
-        self.c = tuple(c)
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = lcm(*(x.denominator for x in c))
+        self.m = m
+        self.num = tuple(x.numerator * (den // x.denominator) for x in c)
+        self.den = den
+
+    @property
+    def c(self):
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
     def rational(cls, x):
-        return cls(1, [Fraction(x)])
+        x = Fraction(x)
+        return _cyclo(1, (x.numerator,), x.denominator)
 
     @classmethod
     def zeta(cls, m, k=1):
         """zeta_m^k."""
         k %= m
-        coeffs = [Fraction(0)] * m
-        coeffs[k] = Fraction(1)
-        return cls(m, _reduce_mod_cyclotomic(m, coeffs))
+        coeffs = [0] * (k + 1)
+        coeffs[k] = 1
+        return _cyclo(m, _reduce_mod_cyclotomic(m, coeffs))
 
     @classmethod
     def _coerce(cls, x):
@@ -175,11 +207,9 @@ class Cyclo:
         if big_m % self.m != 0:
             raise ValueError("conductor must be a multiple")
         step = big_m // self.m
-        coeffs = [Fraction(0)] * big_m
-        for i, x in enumerate(self.c):
-            if x:
-                coeffs[i * step] += x
-        return Cyclo(big_m, _reduce_mod_cyclotomic(big_m, coeffs))
+        coeffs = [0] * ((len(self.num) - 1) * step + 1)
+        coeffs[::step] = self.num
+        return _cyclo(big_m, _reduce_mod_cyclotomic(big_m, coeffs), self.den)
 
     def _common(self, other):
         m = self.m * other.m // gcd(self.m, other.m)
@@ -190,12 +220,15 @@ class Cyclo:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return Cyclo(a.m, [x + y for x, y in zip(a.c, b.c)])
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _cyclo(a.m, tuple(x * fa + y * fb for x, y in zip(a.num, b.num)),
+                      den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.m, [-x for x in self.c])
+        return _cyclo(self.m, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = Cyclo._coerce(other)
@@ -212,36 +245,49 @@ class Cyclo:
             return NotImplemented
         a, b = self._common(other)
         m = a.m
-        prod = [Fraction(0)] * m
-        for i, x in enumerate(a.c):
+        # the product in Z[x]/(x^m - 1) over the nonzero terms, reduced once
+        terms = [(j, y) for j, y in enumerate(b.num) if y]
+        prod = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        prod[(i + j) % m] += x * y
-        return Cyclo(m, _reduce_mod_cyclotomic(m, prod))
+                for j, y in terms:
+                    prod[i + j] += x * y
+        for k in range(m, len(prod)):
+            prod[k - m] += prod[k]
+        del prod[m:]
+        return _cyclo(m, _reduce_mod_cyclotomic(m, prod), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended gcd with Phi_m."""
+        """Multiplicative inverse via extended gcd with Phi_m over Z."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return Cyclo.rational(1 / self.as_rational())
-        phi = [Fraction(x) for x in cyclotomic_poly(self.m)]
-        a = list(self.c)
-        # extended Euclid in Q[x]: find s with s*a = 1 (mod Phi_m)
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _deg(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _int_free_mul(q, s1))
-        if _deg(r1) < 0:
+        # rows (r, s) with s * num = r mod Phi_m, low to high; pseudo-division
+        # keeps them integral, and each row is divided by its content
+        r0, s0 = list(cyclotomic_poly(self.m)), [0]
+        r1, s1 = _trim(list(self.num)), [1]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                g = gcd(r0[-1], r1[-1])
+                l0, l1 = r0[-1] // g, r1[-1] // g
+                shift = len(r0) - len(r1)
+                r0 = _trim(_scaled_sub(r0, l1, r1, l0, shift))
+                s0 = _scaled_sub(s0, l1, s1, l0, shift)
+                content = gcd(*r0, *s0)
+                if content > 1:
+                    r0 = [x // content for x in r0]
+                    s0 = [x // content for x in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = r1[0]
+        if not c:
             raise ZeroDivisionError("not invertible (zero divisor?)")
-        lead = r1[0]
-        inv_coeffs = [x / lead for x in s1]
-        return Cyclo(self.m, _reduce_mod_cyclotomic(self.m, inv_coeffs))
+        if c < 0:
+            c, s1 = -c, [-x for x in s1]
+        num = _reduce_mod_cyclotomic(self.m, s1)
+        return _cyclo(self.m, tuple(x * self.den for x in num), c)
 
     def __truediv__(self, other):
         other = Cyclo._coerce(other)
@@ -267,24 +313,23 @@ class Cyclo:
     def conj(self):
         """Complex conjugation zeta -> zeta^{-1}."""
         m = self.m
-        coeffs = [Fraction(0)] * m
-        for i, x in enumerate(self.c):
-            if x:
-                coeffs[(m - i) % m] += x
-        return Cyclo(m, _reduce_mod_cyclotomic(m, coeffs))
+        coeffs = [0] * m
+        for i, x in enumerate(self.num):
+            coeffs[(m - i) % m] = x
+        return _cyclo(m, _reduce_mod_cyclotomic(m, coeffs), self.den)
 
     def is_rational(self):
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def reduced(self):
         """Canonical representative at the smallest conductor d | m."""
         if self.is_rational():
-            return Cyclo(1, [self.c[0]]) if self.m != 1 else self
+            return Cyclo.rational(self.as_rational()) if self.m != 1 else self
         best = self
         for d in sorted(_divisors(self.m)):
             if d == self.m:
@@ -296,14 +341,14 @@ class Cyclo:
         return best
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.num)
 
     def __eq__(self, other):
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return a.c == b.c
+        return a.num == b.num and a.den == b.den
 
     def __repr__(self):
         if self.is_rational():
@@ -365,45 +410,16 @@ def _descend(x, d):
     return Cyclo(d, coeffs)
 
 
+def _scaled_sub(a, ka, b, kb, shift):
+    """ka * a - kb * x^shift * b for integer polynomials (low to high)."""
+    out = [ka * x for x in a] + [0] * (len(b) + shift - len(a))
+    for i, y in enumerate(b):
+        out[i + shift] -= kb * y
+    return out
+
+
 def _trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
+    """Drop the zero leading coefficients of a polynomial, keeping one."""
+    while len(p) > 1 and not p[-1]:
         p.pop()
     return p
-
-
-def _deg(p):
-    p = _trim(p)
-    if len(p) == 1 and p[0] == 0:
-        return -1
-    return len(p) - 1
-
-
-def _poly_divmod(a, b):
-    a, b = _trim(a), _trim(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _deg(r) >= _deg(b):
-        d = _deg(r) - _deg(b)
-        coef = r[_deg(r)] / b[_deg(b)]
-        q[d] += coef
-        for i in range(len(_trim(b))):
-            r[i + d] -= coef * b[i]
-        r = _trim(r)
-    return q, r
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _int_free_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out

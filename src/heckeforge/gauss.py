@@ -14,7 +14,11 @@ from heckeforge.exact import Cyclo, is_prime, vp
 
 
 def unit_group_generators(p, s):
-    """Generators (g, order) of (Z/p^s)^*."""
+    """Generators (g, order) of (Z/p^s)^*, for a prime p and s >= 1."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if s < 1:
+        raise ValueError(f"s = {s} must be at least 1")
     mod = p ** s
     if p == 2:
         if s == 1:
@@ -58,8 +62,6 @@ class MultChar:
     """Character of (Z/p^s)^* extended to Q_p^* by a value at p."""
 
     def __init__(self, p, s, gen_exponents, chi_p=None):
-        if not is_prime(p):
-            raise ValueError("p must be prime")
         self.p = p
         self.s = s
         self.gens, self._dlog = _dlog_table(p, s)

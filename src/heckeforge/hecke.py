@@ -44,10 +44,6 @@ class Coset:
         return f"Coset({self.rep.rows()})"
 
 
-def coset_equal(a, b):
-    return a == b
-
-
 class CosetSum:
     """Formal integer (or rational) combination of right cosets, folded."""
 

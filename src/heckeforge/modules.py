@@ -38,10 +38,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
 def mat_eye(d):
     return [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
 

@@ -139,10 +139,3 @@ def j_embed(g):
             rows[i][j] = gr[i][j]
     rows[n - 1][n - 1] = Fraction(1)
     return RatMat.from_rows(rows)
-
-
-def coset_equal(a, b, p, r):
-    """gK = hK for the level-p^r Iwahori (exact; r=0 gives spherical K)."""
-    inv = a.inv()
-    return kernels.mul_is_iwahori(list(inv.num), inv.den, list(b.num), b.den,
-                                  a.n, p, r)

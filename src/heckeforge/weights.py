@@ -26,11 +26,6 @@ def _as_embeddings(mu):
     return out
 
 
-def is_regular(mu):
-    embs = _as_embeddings(mu)
-    return all(all(w[i] > w[i + 1] for i in range(len(w) - 1)) for w in embs)
-
-
 def check_purity(mu):
     """(pure, w): w = mu_i + mu_{n+1-i} must not depend on i or the
     embedding.  A GL_1 weight is pure of weight 2*mu_1."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,3 +209,42 @@ def test_verify_with_jobs(capsys, tmp_path):
                 for line in path.read_text().splitlines()]
 
     assert strip_ms(p1) == strip_ms(p2)
+
+
+def test_gauss_sum_rejects_non_prime_p():
+    # run in a child process so that a hang fails the test instead of
+    # stalling the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckeforge.cli", "compute", "gauss-sum",
+         "--p", "4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "not prime" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_gauss_sum_rejects_s_below_one(capsys):
+    code, _, err = run_cli(capsys, "compute", "gauss-sum", "--p", "5",
+                           "--s", "0")
+    assert code == 2
+    assert "s = 0" in err
+
+
+@pytest.mark.parametrize("blob, field", [
+    ({"p": 3, "nus": [0]}, "'levels'"),
+    ({"p": 3, "nus": [0], "levels": {"m": 1}}, "'levels' must be list"),
+    ({"p": 3, "nus": [0], "levels": [{"m": "1", "cosets": []}]},
+     "'m' must be int"),
+    ({"p": 3, "nus": [0],
+      "levels": [{"m": 1, "cosets": [{"x": 1, "value": [None]}]}]},
+     "levels[0].cosets[0].value"),
+])
+def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, _, err = run_cli(capsys, "compute", "integrate",
+                           "--from-json", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and field in err

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckeforge.exact import (Cyclo, PadicVal, cyclotomic_poly, euler_phi,
-                              padic_valuation, vp)
+from heckeforge.exact import (Cyclo, PadicVal, _divisors, cyclotomic_poly,
+                              euler_phi, padic_valuation, vp)
 
 
 def test_root_of_unity_inverse():
@@ -103,3 +105,123 @@ def test_serialization_roundtrip():
     blob = x.to_json()
     assert blob["m"] == 5 and blob["coeffs"][0] == "1/2"
     assert Cyclo.from_json(blob) == x
+
+
+# Property tests for the integer-numerator Cyclo.  The reference below is
+# the plain dense reduction over Fractions; the program's sparse integer
+# path must give the same coefficient vectors.
+
+PROPERTY = settings(max_examples=60, deadline=None)
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def _dense_reduce(m, coeffs):
+    """Reduce Fraction coefficients modulo Phi_m by dense long division."""
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    c = [Fraction(x) for x in coeffs]
+    c += [Fraction(0)] * max(0, deg - len(c))
+    for i in range(len(c) - 1, deg - 1, -1):
+        lead = c[i]
+        for j in range(deg + 1):
+            c[i - deg + j] -= lead * phi[j]
+    return tuple(c[:deg])
+
+
+def _dense_lift(x, big_m):
+    step = big_m // x.m
+    coeffs = [Fraction(0)] * big_m
+    for i, a in enumerate(x.c):
+        coeffs[i * step] += a
+    return _dense_reduce(big_m, coeffs)
+
+
+def _dense_mul(a, b, m):
+    """a * b at a common multiple m of both conductors."""
+    prod = [Fraction(0)] * m
+    for i, x in enumerate(_dense_lift(a, m)):
+        for j, y in enumerate(_dense_lift(b, m)):
+            prod[(i + j) % m] += x * y
+    return _dense_reduce(m, prod)
+
+
+@st.composite
+def cyclos(draw, m=None):
+    m = draw(st.integers(1, 60)) if m is None else m
+    phi = euler_phi(m)
+    return Cyclo(m, draw(st.lists(RATIONALS, min_size=phi, max_size=phi)))
+
+
+@st.composite
+def related(draw, count):
+    """A conductor M <= 60 and `count` elements at divisors of M, at M
+    itself half of the time."""
+    big_m = draw(st.integers(1, 60))
+    divs = st.sampled_from(_divisors(big_m))
+    return big_m, [draw(cyclos(draw(st.one_of(st.just(big_m), divs))))
+                   for _ in range(count)]
+
+
+@st.composite
+def same_conductor(draw, count):
+    m = draw(st.integers(1, 60))
+    return [draw(cyclos(m)) for _ in range(count)]
+
+
+@PROPERTY
+@given(cyclos())
+def test_cyclo_is_normalised(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert x.c == tuple(Fraction(n, x.den) for n in x.num)
+
+
+@PROPERTY
+@given(same_conductor(3))
+def test_cyclo_field_axioms(xs):
+    a, b, c = xs
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert a - a == 0 and a * 1 == a and a + 0 == a
+
+
+@PROPERTY
+@given(cyclos())
+def test_cyclo_inverse(x):
+    if x:
+        assert x * x.inverse() == 1
+        assert x / x == 1
+
+
+@PROPERTY
+@given(related(2))
+def test_cyclo_arithmetic_matches_dense_reference(case):
+    big_m, (a, b) = case
+    assert a.lift(big_m).c == _dense_lift(a, big_m)
+    assert (a * b).lift(big_m).c == _dense_mul(a, b, big_m)
+    assert (a + b).lift(big_m).c == tuple(
+        x + y for x, y in zip(_dense_lift(a, big_m), _dense_lift(b, big_m)))
+    assert (a == b) == (_dense_lift(a, big_m) == _dense_lift(b, big_m))
+
+
+@PROPERTY
+@given(related(1))
+def test_cyclo_equal_across_conductors(case):
+    big_m, (x,) = case
+    up = x.lift(big_m)
+    assert up == x and x == up
+    assert up - x == 0
+    assert up.conj() == x.conj()
+    assert up * up == x * x
+
+
+@PROPERTY
+@given(related(1))
+def test_cyclo_json_roundtrip(case):
+    big_m, (x,) = case
+    up = x.lift(big_m)
+    back = Cyclo.from_json(up.to_json())
+    assert back == x
+    assert back.to_json() == up.to_json()
