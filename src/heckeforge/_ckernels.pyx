@@ -1,10 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled kernels for exact integer matrix work.
 
-Same contract as _pykernels: flat row-major lists of Python ints (arbitrary
-precision), rational matrices as (num, den) with den > 0.  Arithmetic stays
-on Python ints for exactness; the win over the pure backend is C-level loop
-and indexing overhead.
+Same contract as _pykernels: flat row-major sequences (lists or tuples) of
+Python ints (arbitrary precision), results as lists, rational matrices as
+(num, den) with den > 0.  Arithmetic stays on Python ints for exactness;
+the win over the pure backend is C-level loop and indexing overhead.
 """
 
 BACKEND = "cython"
@@ -20,10 +20,10 @@ cpdef int vp_int(x, p):
     return v
 
 
-cpdef list mat_mul(list a, list b, Py_ssize_t n):
+cpdef list mat_mul(a, b, Py_ssize_t n):
     cdef Py_ssize_t i, j, k, ia, kb
     cdef list out = [0] * (n * n)
-    cdef object aik, acc
+    cdef object aik
     for i in range(n):
         ia = i * n
         for k in range(n):
@@ -35,7 +35,7 @@ cpdef list mat_mul(list a, list b, Py_ssize_t n):
     return out
 
 
-cpdef object bareiss_det(list a, Py_ssize_t n):
+cpdef object bareiss_det(a, Py_ssize_t n):
     cdef Py_ssize_t i, j, k, piv
     cdef int sign = 1
     cdef object prev, pkk, rk
@@ -69,7 +69,7 @@ cpdef object bareiss_det(list a, Py_ssize_t n):
     return -m[n - 1][n - 1]
 
 
-cpdef list adjugate(list a, Py_ssize_t n):
+cpdef list adjugate(a, Py_ssize_t n):
     cdef Py_ssize_t i, j, r, c, t
     cdef list out, sub
     cdef object minor
@@ -96,7 +96,7 @@ cpdef list adjugate(list a, Py_ssize_t n):
     return out
 
 
-cpdef bint is_iwahori_scaled(list num, den, Py_ssize_t n, p, int r):
+cpdef bint is_iwahori_scaled(num, den, Py_ssize_t n, p, int r):
     cdef Py_ssize_t i, j
     cdef int vd, need
     cdef object x, d
@@ -115,5 +115,29 @@ cpdef bint is_iwahori_scaled(list num, den, Py_ssize_t n, p, int r):
     return vp_int(d, p) == n * vd
 
 
-cpdef bint mul_is_iwahori(list anum, aden, list bnum, bden, Py_ssize_t n, p, int r):
-    return is_iwahori_scaled(mat_mul(anum, bnum, n), aden * bden, n, p, r)
+cpdef bint mul_is_iwahori(anum, aden, bnum, bden, Py_ssize_t n, p, int r):
+    """Is (anum/aden)*(bnum/bden) in the level-p^r Iwahori subgroup?
+
+    Fused as in _pykernels: each entry of the product is tested against
+    p^need as it is formed, the first failing entry returns False, and the
+    Bareiss determinant is taken only once every entry has passed.
+    """
+    cdef Py_ssize_t i, j, k, ia
+    cdef int vd
+    cdef object den, upper, lower, x, d
+    cdef list out = []
+    den = aden * bden
+    vd = vp_int(den, p) if den != 1 else 0
+    upper = p ** vd
+    lower = upper * p ** r
+    for i in range(n):
+        ia = i * n
+        for j in range(n):
+            x = 0
+            for k in range(n):
+                x = x + anum[ia + k] * bnum[k * n + j]
+            if x % (lower if i > j else upper):
+                return False
+            out.append(x)
+    d = bareiss_det(out, n)
+    return d != 0 and vp_int(d, p) == n * vd

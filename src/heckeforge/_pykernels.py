@@ -1,9 +1,13 @@
 """Pure-Python kernels for exact integer matrix work.
 
-Matrices are flat row-major lists of Python ints of length n*n.  A rational
-matrix is a pair (num, den) representing num/den with den a positive int.
-These functions are the hot path of the coset engine; a compiled twin lives
-in _ckernels.pyx and is picked at import time by heckeforge.kernels.
+Matrices are flat row-major sequences (lists or tuples) of Python ints of
+length n*n; results are lists.  A rational matrix is a pair (num, den)
+representing num/den with den a positive int.  No Fraction is formed
+anywhere: valuations of entries x/den are read off x and den.  The coset
+fold's test mul_is_iwahori checks each entry of a product as it forms it
+and stops at the first failure.  These functions are the hot path of the
+coset engine; a compiled twin lives in _ckernels.pyx and is picked at
+import time by heckeforge.kernels.
 """
 
 BACKEND = "python"
@@ -109,5 +113,27 @@ def is_iwahori_scaled(num, den, n, p, r):
 
 
 def mul_is_iwahori(anum, aden, bnum, bden, n, p, r):
-    """Membership test for (anum/aden)*(bnum/bden) without normalizing."""
-    return is_iwahori_scaled(mat_mul(anum, bnum, n), aden * bden, n, p, r)
+    """Is (anum/aden)*(bnum/bden) in the level-p^r Iwahori subgroup?
+
+    The same test as is_iwahori_scaled on the product, fused with forming
+    it: each entry x of anum*bnum is tested as it is formed, by
+    x % p^need with need = v_p(aden*bden), plus r below the diagonal, and
+    the first entry that fails returns False.  The Bareiss determinant is
+    taken only once every entry has passed.
+    """
+    den = aden * bden
+    vd = vp_int(den, p) if den != 1 else 0
+    upper = p ** vd
+    lower = upper * p ** r
+    out = []
+    for i in range(n):
+        ia = i * n
+        for j in range(n):
+            x = 0
+            for k in range(n):
+                x += anum[ia + k] * bnum[k * n + j]
+            if x % (lower if i > j else upper):
+                return False
+            out.append(x)
+    d = bareiss_det(out, n)
+    return d != 0 and vp_int(d, p) == n * vd

@@ -97,10 +97,7 @@ def cmd_verify(args):
 
 
 def cmd_gauss_sum(args):
-    chars = gauss.all_characters(args.p, args.s)
-    chi = next((c for c in chars
-                if c.order() == args.order and c.conductor_exponent() == args.s),
-               None)
+    chi = gauss.primitive_character(args.p, args.s, args.order)
     if chi is None:
         print("no character of that order and conductor", file=sys.stderr)
         return EXIT_USAGE

@@ -327,18 +327,20 @@ class Cyclo:
         return Fraction(self.num[0], self.den)
 
     def reduced(self):
-        """Canonical representative at the smallest conductor d | m."""
+        """Canonical representative at the smallest conductor d | m.
+
+        Each d is screened exactly by Galois theory: x lies in Q(zeta_d) if
+        and only if sigma_a(x) = x for every a prime to m with a = 1 mod d.
+        The first d that passes is the conductor, and _descend reads the
+        coordinates of x over Q(zeta_d) off in integers."""
         if self.is_rational():
             return Cyclo.rational(self.as_rational()) if self.m != 1 else self
-        best = self
         for d in sorted(_divisors(self.m)):
             if d == self.m:
                 break
-            down = _descend(self, d)
-            if down is not None:
-                best = down
-                break
-        return best
+            if _fixed_by_units_mod(self, d):
+                return _descend(self, d)
+        return self
 
     def __bool__(self):
         return any(self.num)
@@ -376,38 +378,55 @@ def _divisors(m):
     return out
 
 
-def _descend(x, d):
-    """Rewrite x in Q(zeta_d) if possible (d | m), else None: solve the
-    linear system expressing x in the lifted power basis of zeta_d."""
+def _fixed_by_units_mod(x, d):
+    """Is x fixed by every sigma_a: zeta_m -> zeta_m^a with a prime to m
+    and a = 1 mod d (d | m), i.e. does x lie in Q(zeta_d)?"""
     m = x.m
-    phi_d = euler_phi(d)
-    basis = [Cyclo.zeta(d, j).lift(m).c for j in range(phi_d)]
-    # solve sum_j c_j basis[j] = x.c by Gaussian elimination (phi(m) rows)
-    rows = len(x.c)
-    aug = [[basis[j][i] for j in range(phi_d)] + [x.c[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for col in range(phi_d):
-        piv = next((k for k in range(r, rows) if aug[k][col] != 0), None)
-        if piv is None:
+    for a in range(1 + d, m, d):
+        if gcd(a, m) != 1:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for k in range(rows):
-            if k != r and aug[k][col] != 0:
-                c = aug[k][col]
-                aug[k] = [v - c * w for v, w in zip(aug[k], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    # consistency: rows beyond the pivots must have zero RHS
-    for k in range(r, rows):
-        if aug[k][phi_d] != 0:
-            return None
-    coeffs = [Fraction(0)] * phi_d
-    for row_idx, col in enumerate(piv_cols):
-        coeffs[col] = aug[row_idx][phi_d]
-    return Cyclo(d, coeffs)
+        coeffs = [0] * m
+        for i, c in enumerate(x.num):
+            if c:
+                coeffs[i * a % m] = c
+        if _reduce_mod_cyclotomic(m, coeffs) != x.num:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _constant_terms(m):
+    """The zeta^0 coefficient of the reduced zeta_m^k, for k < m."""
+    return tuple(_reduce_mod_cyclotomic(m, [0] * k + [1])[0] for k in range(m))
+
+
+def _descend(x, d):
+    """Rewrite x, which lies in Q(zeta_d) (d | m), at conductor d.
+
+    Split m = n1 n2 with d | n1, every prime of n1 / d dividing d, and
+    n2 prime to n1.  Then zeta_m^i = zeta_{n1}^{i e1} zeta_{n2}^{i e2} with
+    n2 e1 + n1 e2 = 1 mod m, and the zeta_{n2}^j (j < phi(n2)) are a basis
+    over Q(zeta_{n1}), so an x in Q(zeta_{n1}) is its zeta_{n2}^0 coordinate.
+    Since Phi_{n1}(y) = Phi_d(y^(n1/d)), an x in Q(zeta_d) has its
+    zeta_{n1} power-basis coefficients at the multiples of n1/d.  The
+    result must lift back to x."""
+    m = x.m
+    n2 = m // d
+    g = gcd(n2, d)
+    while g > 1:
+        n2 //= g
+        g = gcd(n2, d)
+    n1 = m // n2
+    e1, e2 = pow(n2, -1, n1), pow(n1, -1, n2)
+    const = _constant_terms(n2)
+    coeffs = [0] * n1
+    for i, c in enumerate(x.num):
+        if c:
+            coeffs[i * e1 % n1] += c * const[i * e2 % n2]
+    down = _cyclo(d, _reduce_mod_cyclotomic(n1, coeffs)[::n1 // d], x.den)
+    if down.lift(m) != x:
+        raise ArithmeticError(f"{x!r} does not lie in Q(zeta_{d})")
+    return down
 
 
 def _scaled_sub(a, ka, b, kb, shift):

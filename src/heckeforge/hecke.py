@@ -8,7 +8,6 @@ attempted, the sizes are desk scale.
 
 import itertools
 import random
-from fractions import Fraction
 
 from heckeforge import kernels
 from heckeforge.exact import Cyclo, vp
@@ -36,8 +35,7 @@ class Coset:
         if self.ctx != other.ctx:
             raise ValueError("cosets from different contexts")
         return kernels.mul_is_iwahori(
-            list(self._inv.num), self._inv.den,
-            list(other.rep.num), other.rep.den,
+            self._inv.num, self._inv.den, other.rep.num, other.rep.den,
             self.ctx.n, self.ctx.p, self.ctx.r)
 
     def __repr__(self):
@@ -61,10 +59,10 @@ class CosetSum:
 
     def _accumulate(self, rep, coeff):
         n, p, r = self.ctx.n, self.ctx.p, self.ctx.r
-        repn, repd = list(rep.num), rep.den
+        repn, repd = rep.num, rep.den
         for item in self.terms:
             inv = item[1]
-            if kernels.mul_is_iwahori(list(inv.num), inv.den, repn, repd, n, p, r):
+            if kernels.mul_is_iwahori(inv.num, inv.den, repn, repd, n, p, r):
                 item[2] += coeff
                 return
         self.terms.append([rep, rep.inv(), coeff])
@@ -115,8 +113,8 @@ class CosetSum:
             for idx, (orep, ocoeff) in enumerate(theirs):
                 if used[idx] or coeff != ocoeff:
                     continue
-                if kernels.mul_is_iwahori(list(inv.num), inv.den,
-                                          list(orep.num), orep.den, n, p, r):
+                if kernels.mul_is_iwahori(inv.num, inv.den,
+                                          orep.num, orep.den, n, p, r):
                     used[idx] = True
                     break
             else:
@@ -129,7 +127,7 @@ class CosetSum:
         for rep, coeff in self.pairs():
             inv = rep.inv()
             if not any(coeff == oc and kernels.mul_is_iwahori(
-                    list(inv.num), inv.den, list(orep.num), orep.den,
+                    inv.num, inv.den, orep.num, orep.den,
                     self.ctx.n, self.ctx.p, self.ctx.r)
                     for orep, oc in other.pairs()):
                 left.append((rep, coeff))
@@ -137,7 +135,7 @@ class CosetSum:
         for orep, oc in other.pairs():
             oinv = orep.inv()
             if not any(oc == c and kernels.mul_is_iwahori(
-                    list(oinv.num), oinv.den, list(rep.num), rep.den,
+                    oinv.num, oinv.den, rep.num, rep.den,
                     self.ctx.n, self.ctx.p, self.ctx.r)
                     for rep, c in self.pairs()):
                 right.append((orep, oc))
@@ -164,15 +162,15 @@ def expand_V(ctx, nu):
     pairs = []
     cols = n - nu
     for vals in itertools.product(range(p), repeat=nu * cols):
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(nu):
-            rows[i][i] = Fraction(p)
+            rows[i][i] = p
         for i in range(nu, n):
-            rows[i][i] = Fraction(1)
+            rows[i][i] = 1
         it = iter(vals)
         for i in range(nu):
             for j in range(nu, n):
-                rows[i][j] = Fraction(next(it))
+                rows[i][j] = next(it)
         pairs.append((RatMat.from_rows(rows), 1))
     return CosetSum(ctx, pairs, folded=True)
 
@@ -183,9 +181,9 @@ def _unipotent_quotient_reps(n, p, scale=1):
     positions = [(i, j) for i in range(n) for j in range(n) if i < j]
     ranges = [range(p ** (scale * (j - i))) for (i, j) in positions]
     for vals in itertools.product(*ranges):
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), v in zip(positions, vals):
-            rows[i][j] = Fraction(v)
+            rows[i][j] = v
         yield RatMat.from_rows(rows)
 
 
@@ -208,14 +206,13 @@ def expand_U(ctx, i):
     n, p = ctx.n, ctx.p
     if not 1 <= i <= n:
         raise ValueError("1 <= i <= n required")
-    pi_i = RatMat.diagonal([Fraction(p) if j == i - 1 else Fraction(1)
-                            for j in range(n)])
+    pi_i = RatMat.diagonal([p if j == i - 1 else 1 for j in range(n)])
     positions = [(a, b) for a in range(n) for b in range(n) if a < b]
     out = CosetSum(ctx)
     for vals in itertools.product(range(p * p), repeat=len(positions)):
-        rows = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
+        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         for (a, b), v in zip(positions, vals):
-            rows[a][b] = Fraction(v)
+            rows[a][b] = v
         out._accumulate(RatMat.from_rows(rows) * pi_i, 1)
     return CosetSum(ctx, [(rep, 1) for rep, _ in out.pairs()], folded=True)
 
@@ -251,13 +248,13 @@ def spherical_T_reps(n, p, nu):
         es = [1 if i in ones else 0 for i in range(n)]
         positions = [(a, b) for a in range(n) for b in range(a + 1, n) if es[a] == 1]
         for vals in itertools.product(range(p), repeat=len(positions)):
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
             for i in range(n):
-                rows[i][i] = Fraction(p ** es[i])
+                rows[i][i] = p ** es[i]
             for (a, b), v in zip(positions, vals):
-                rows[a][b] = Fraction(v)
+                rows[a][b] = v
             m = RatMat.from_rows(rows)
-            if _rank_mod_p(list(m.num), n, p) == n - nu:
+            if _rank_mod_p(m.num, n, p) == n - nu:
                 reps.append(m)
     return reps
 
@@ -269,8 +266,8 @@ def restrict_spherical(ctx, pairs):
     K_I-equality implies K-equality.
     """
     for rep, _ in pairs:
-        rows = rep.rows()
-        if any(rows[i][j] != 0 for i in range(rep.n) for j in range(i)):
+        n = rep.n
+        if any(rep.num[i * n + j] for i in range(n) for j in range(i)):
             raise ValueError("representative is not upper triangular")
     return CosetSum(ctx, list(pairs), folded=True)
 
@@ -388,17 +385,17 @@ def _random_iwahori(ctx, rng, depth=3):
     """Random element of K_I as unipotent * diagonal-unit * lower-congruent."""
     n, p, r = ctx.n, ctx.p, ctx.r
     mod = p ** depth
-    up = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    lo = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    dg = [[Fraction(0)] * n for _ in range(n)]
+    up = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    lo = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    dg = [[0] * n for _ in range(n)]
     for i in range(n):
         u = rng.randrange(mod)
         while u % p == 0:
             u = rng.randrange(mod)
-        dg[i][i] = Fraction(u)
+        dg[i][i] = u
         for j in range(i + 1, n):
-            up[i][j] = Fraction(rng.randrange(mod))
-            lo[j][i] = Fraction(p ** r * rng.randrange(mod))
+            up[i][j] = rng.randrange(mod)
+            lo[j][i] = p ** r * rng.randrange(mod)
     return RatMat.from_rows(up) * RatMat.from_rows(dg) * RatMat.from_rows(lo)
 
 
@@ -406,24 +403,24 @@ def _random_triangular_unit(ctx, rng, depth=3):
     """Random element of K_B (integral upper triangular, unit diagonal)."""
     n, p = ctx.n, ctx.p
     mod = p ** depth
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         u = rng.randrange(mod)
         while u % p == 0:
             u = rng.randrange(mod)
-        rows[i][i] = Fraction(u)
+        rows[i][i] = u
         for j in range(i + 1, n):
-            rows[i][j] = Fraction(rng.randrange(mod))
+            rows[i][j] = rng.randrange(mod)
     return RatMat.from_rows(rows)
 
 
 _GENERATOR_REP = {
     "V": lambda ctx, nu: RatMat.diagonal(
-        [Fraction(ctx.p) if i < nu else Fraction(1) for i in range(ctx.n)]),
+        [ctx.p if i < nu else 1 for i in range(ctx.n)]),
     "U": lambda ctx, i: RatMat.diagonal(
-        [Fraction(ctx.p) if j == i - 1 else Fraction(1) for j in range(ctx.n)]),
+        [ctx.p if j == i - 1 else 1 for j in range(ctx.n)]),
     "T": lambda ctx, nu: RatMat.diagonal(
-        [Fraction(1) if i < ctx.n - nu else Fraction(ctx.p) for i in range(ctx.n)]),
+        [1 if i < ctx.n - nu else ctx.p for i in range(ctx.n)]),
     "Vp": lambda ctx, _=None: t_matrix(ctx.n, lconst(ctx.pi)).to_ratmat(),
     "Vp'": lambda ctx, _=None: t_matrix(
         ctx.n, lconst(ctx.pi)).to_ratmat().scale(ctx.pi),
@@ -437,8 +434,8 @@ def check_disjoint(cs):
     for i in range(len(pairs)):
         inv = pairs[i][0].inv()
         for j in range(i + 1, len(pairs)):
-            if kernels.mul_is_iwahori(list(inv.num), inv.den,
-                                      list(pairs[j][0].num), pairs[j][0].den,
+            if kernels.mul_is_iwahori(inv.num, inv.den,
+                                      pairs[j][0].num, pairs[j][0].den,
                                       n, p, r):
                 return False, (i, j)
     return True, None
@@ -472,8 +469,8 @@ def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
         inv = probe.inv()
         hits = sum(
             1 for rep, _ in cs.pairs()
-            if kernels.mul_is_iwahori(list(inv.num), inv.den,
-                                      list(rep.num), rep.den, n, p, r))
+            if kernels.mul_is_iwahori(inv.num, inv.den,
+                                      rep.num, rep.den, n, p, r))
         if hits != 1:
             failures += 1
             if witness is None:
@@ -529,8 +526,8 @@ def spherical_convolve(reps_a, reps_b, n, p):
         for b in reps_b:
             m = a * b
             for item in out:
-                if kernels.mul_is_iwahori(list(item[1].num), item[1].den,
-                                          list(m.num), m.den, n, p, 0):
+                if kernels.mul_is_iwahori(item[1].num, item[1].den,
+                                          m.num, m.den, n, p, 0):
                     item[2] += 1
                     break
             else:
@@ -598,23 +595,29 @@ def shintani_lfactor(alphas, betas, var="T"):
 # index formulas
 
 def count_unipotent_index(ctx):
-    """Brute-force [U_n(O) : t_(f) U_n(O) t_(f)^{-1}] with f = p^r."""
+    """Brute-force [U_n(O) : t_(f) U_n(O) t_(f)^{-1}] with f = p^r.
+
+    u and s lie in one coset when every entry (i, j) above the diagonal of
+    s^{-1} u has valuation at least r (j - i): for an entry x/den that is
+    x % p^(r (j - i) + v_p(den)) == 0.  Each kept s is inverted once."""
     n, p, r = ctx.n, ctx.p, ctx.r
     positions = [(i, j) for i in range(n) for j in range(n) if i < j]
+    checks = [(i * n + j, p ** (r * (j - i))) for (i, j) in positions]
     maxmod = p ** (r * (n - 1))
-    reps = []
+    inverses = []
     for vals in itertools.product(range(maxmod), repeat=len(positions)):
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), v in zip(positions, vals):
-            rows[i][j] = Fraction(v)
+            rows[i][j] = v
         u = RatMat.from_rows(rows)
-        for s in reps:
-            d = s.inv() * u
-            if all(vp(d.entry(i, j), p) >= r * (j - i) for (i, j) in positions):
+        for s_inv in inverses:
+            d = s_inv * u
+            scale = p ** kernels.vp_int(d.den, p)
+            if all(d.num[k] % (mod * scale) == 0 for k, mod in checks):
                 break
         else:
-            reps.append(u)
-    return len(reps)
+            inverses.append(u.inv())
+    return len(inverses)
 
 
 def _units(mod, p):
@@ -636,7 +639,7 @@ def count_gamma_index(ctx):
     m = n - 1
     count_i = count_k = 0
     if m == 1:
-        candidates = ([[Fraction(a)]] for a in _units(mod, p))
+        candidates = ([[a]] for a in _units(mod, p))
     elif m == 2:
         def gen2():
             units = _units(mod, p)
@@ -645,8 +648,7 @@ def count_gamma_index(ctx):
                 for d in units:
                     for c in lowers:
                         for b in range(mod):
-                            yield [[Fraction(a), Fraction(b)],
-                                   [Fraction(c), Fraction(d)]]
+                            yield [[a, b], [c, d]]
         candidates = gen2()
     else:
         raise ValueError("enumeration supported for n <= 3")

@@ -1,13 +1,17 @@
 """Exact rational matrices on top of the integer kernels.
 
-A RatMat stores an n x n integer matrix `num` (flat, row-major) together
-with a positive denominator `den`; the represented matrix is num/den.  The
-pair is kept normalized (gcd of all entries and den is 1) so equality is
-literal.  All arithmetic is exact.
+A RatMat stores an n x n integer matrix `num` (a flat row-major tuple)
+together with a positive denominator `den`; the represented matrix is
+num/den.  The pair is kept normalized (gcd of all entries and den is 1) so
+equality is literal.  All arithmetic is exact and integer-only: from_rows
+reads each entry's numerator and denominator (ints and Fractions both have
+them) without forming a Fraction, and the kernels take the `num` tuples
+as they are.  Fractions appear only at the edges: rows, entry and det
+return them, and scale accepts one.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from heckeforge import kernels
 
@@ -47,19 +51,23 @@ class RatMat:
 
     @classmethod
     def from_rows(cls, rows):
-        """Build from nested lists of ints / Fractions."""
+        """Build from nested lists of ints / Fractions.
+
+        Over the lcm of the entries' reduced denominators the numerators
+        have no common factor with it, so the result is normalized as
+        built; an all-int matrix gets den = 1 directly."""
         n = len(rows)
-        den = 1
-        flat = []
+        num, dens = [], []
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for x in row:
-                f = Fraction(x)
-                flat.append(f)
-                den = den * f.denominator // gcd(den, f.denominator)
-        num = [int(f * den) for f in flat]
-        return cls(n, num, den)
+                num.append(x.numerator)
+                dens.append(x.denominator)
+        den = lcm(*dens)
+        if den != 1:
+            num = [x * (den // d) for x, d in zip(num, dens)]
+        return cls(n, num, den, normalized=True)
 
     @classmethod
     def identity(cls, n):
@@ -85,7 +93,7 @@ class RatMat:
         if isinstance(other, RatMat):
             if other.n != self.n:
                 raise ValueError("size mismatch")
-            return RatMat(self.n, kernels.mat_mul(list(self.num), list(other.num), self.n),
+            return RatMat(self.n, kernels.mat_mul(self.num, other.num, self.n),
                           self.den * other.den)
         return NotImplemented
 
@@ -95,14 +103,14 @@ class RatMat:
         return RatMat(self.n, num, self.den * c.denominator)
 
     def inv(self):
-        det = kernels.bareiss_det(list(self.num), self.n)
+        det = kernels.bareiss_det(self.num, self.n)
         if det == 0:
             raise SingularMatrixError("matrix is singular")
-        adj = kernels.adjugate(list(self.num), self.n)
+        adj = kernels.adjugate(self.num, self.n)
         return RatMat(self.n, [x * self.den for x in adj], det)
 
     def det(self):
-        return Fraction(kernels.bareiss_det(list(self.num), self.n),
+        return Fraction(kernels.bareiss_det(self.num, self.n),
                         self.den ** self.n)
 
     def transpose(self):
@@ -112,10 +120,10 @@ class RatMat:
 
     def is_iwahori(self, p, r):
         """Membership in the Iwahori subgroup of level p^r (r=0: GL_n(Z_p))."""
-        return kernels.is_iwahori_scaled(list(self.num), self.den, self.n, p, r)
+        return kernels.is_iwahori_scaled(self.num, self.den, self.n, p, r)
 
     def is_integral(self, p):
-        return kernels.is_iwahori_scaled(list(self.num), self.den, self.n, p, 0)
+        return kernels.is_iwahori_scaled(self.num, self.den, self.n, p, 0)
 
     def __eq__(self, other):
         if not isinstance(other, RatMat):
@@ -130,12 +138,15 @@ class RatMat:
 
 
 def j_embed(g):
-    """Diagonal embedding GL_{n-1} -> GL_n, block diag(g, 1)."""
-    n = g.n + 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    gr = g.rows()
-    for i in range(n - 1):
-        for j in range(n - 1):
-            rows[i][j] = gr[i][j]
-    rows[n - 1][n - 1] = Fraction(1)
-    return RatMat.from_rows(rows)
+    """Diagonal embedding GL_{n-1} -> GL_n, block diag(g, 1).
+
+    Built from g.num and g.den: the new corner entry is den/den, which
+    leaves the pair normalized."""
+    m = g.n
+    num = []
+    for i in range(m):
+        num.extend(g.num[i * m:(i + 1) * m])
+        num.append(0)
+    num.extend([0] * m)
+    num.append(g.den)
+    return RatMat(m + 1, num, g.den, normalized=True)

@@ -211,18 +211,54 @@ def test_verify_with_jobs(capsys, tmp_path):
     assert strip_ms(p1) == strip_ms(p2)
 
 
-def test_gauss_sum_rejects_non_prime_p():
-    # run in a child process so that a hang fails the test instead of
-    # stalling the suite
+def _run_child(*argv, timeout):
+    """Run the CLI in a child process, so that a hang fails the test
+    instead of stalling the suite."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "heckeforge.cli", "compute", "gauss-sum",
-         "--p", "4"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "heckeforge.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_gauss_sum_rejects_non_prime_p():
+    proc = _run_child("compute", "gauss-sum", "--p", "4", timeout=60)
     assert proc.returncode == 2
     assert "not prime" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_gauss_sum_filters_by_order_before_building_characters():
+    # 625 has 500 characters; none of order 2 has conductor 5^4
+    proc = _run_child("compute", "gauss-sum", "--p", "5", "--s", "4",
+                      timeout=10)
+    assert proc.returncode == 2
+    assert "no character" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_gauss_sum_rejects_modulus_above_bound():
+    proc = _run_child("compute", "gauss-sum", "--p", "5", "--s", "9",
+                      timeout=10)
+    assert proc.returncode == 2
+    assert "MAX_MODULUS" in proc.stderr and "1953125" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_gauss_sum_rejects_conductor_above_bound(capsys):
+    code, _, err = run_cli(capsys, "compute", "gauss-sum", "--p", "101",
+                           "--order", "100")
+    assert code == 2
+    assert "conductor 10100" in err and "MAX_MODULUS" in err
+
+
+def test_gauss_sum_reduces_to_the_smallest_conductor(capsys):
+    # the sum is formed at conductor 506 and printed at 253
+    code, out, _ = run_cli(capsys, "compute", "gauss-sum", "--p", "23",
+                           "--order", "22")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["gauss_sum"]["m"] == 253 and blob["abs_square_is_ps"]
 
 
 def test_gauss_sum_rejects_s_below_one(capsys):

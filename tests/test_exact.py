@@ -225,3 +225,63 @@ def test_cyclo_json_roundtrip(case):
     back = Cyclo.from_json(up.to_json())
     assert back == x
     assert back.to_json() == up.to_json()
+
+
+def _reference_descend(x, d):
+    """The former descent: solve for the coordinates of x over the lifted
+    power basis of zeta_d by Fraction Gaussian elimination, or None."""
+    phi_d = euler_phi(d)
+    basis = [Cyclo.zeta(d, j).lift(x.m).c for j in range(phi_d)]
+    rows = len(x.c)
+    aug = [[basis[j][i] for j in range(phi_d)] + [x.c[i]] for i in range(rows)]
+    piv_cols, r = [], 0
+    for col in range(phi_d):
+        piv = next((k for k in range(r, rows) if aug[k][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [v / aug[r][col] for v in aug[r]]
+        for k in range(rows):
+            if k != r and aug[k][col] != 0:
+                c = aug[k][col]
+                aug[k] = [v - c * w for v, w in zip(aug[k], aug[r])]
+        piv_cols.append(col)
+        r += 1
+    if any(aug[k][phi_d] != 0 for k in range(r, rows)):
+        return None
+    coeffs = [Fraction(0)] * phi_d
+    for row_idx, col in enumerate(piv_cols):
+        coeffs[col] = aug[row_idx][phi_d]
+    return Cyclo(d, coeffs)
+
+
+def _reference_to_json(x):
+    if x.is_rational():
+        small = Cyclo.rational(x.as_rational())
+    else:
+        small = next((down for d in sorted(_divisors(x.m))[:-1]
+                      if (down := _reference_descend(x, d)) is not None), x)
+    return {"m": small.m, "coeffs": [str(c) for c in small.c]}
+
+
+def test_reduced_finds_the_smallest_conductor():
+    x = Cyclo.zeta(11, 3) + Fraction(1, 2) * Cyclo.zeta(11, 7) - 4
+    up = x.lift(253)
+    assert up.m == 253 and up.reduced().m == 11
+    assert up.to_json() == x.to_json() == _reference_to_json(up)
+    genuine = Cyclo.zeta(253) + Cyclo.zeta(11) * Cyclo.zeta(23, 5)
+    assert genuine.reduced().m == 253
+    assert genuine.to_json() == _reference_to_json(genuine)
+    # Q(zeta_506) = Q(zeta_253): the minimal conductor is never 2 mod 4
+    assert genuine.lift(506).reduced().m == 253
+    assert genuine.lift(506).to_json() == genuine.to_json()
+    assert Cyclo.zeta(22).reduced() == Cyclo.zeta(11, 6) * -1
+    assert Cyclo.zeta(22).reduced().m == 11
+
+
+@PROPERTY
+@given(related(2))
+def test_to_json_matches_former_reduction(case):
+    big_m, (a, b) = case
+    for x in (a.lift(big_m), (a + b).lift(big_m), (a * b).lift(big_m)):
+        assert x.to_json() == _reference_to_json(x)

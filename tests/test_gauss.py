@@ -181,3 +181,33 @@ def test_additive_character():
         x = Fraction(rng.randrange(-40, 40), rng.choice([1, 3, 9, 5]))
         y = Fraction(rng.randrange(-40, 40), rng.choice([1, 3, 27, 7]))
         assert psi.value(x + y) == psi.value(x) * psi.value(y)
+
+
+def test_primitive_character_builds_only_characters_of_that_order(monkeypatch):
+    built = []
+    real = gauss.MultChar
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gauss, "MultChar", counting)
+    # of the 500 characters mod 5^4 one has order 2, of conductor 5
+    assert gauss.primitive_character(5, 4, 2) is None
+    assert len(built) == 1
+    chi = gauss.primitive_character(5, 2, 20)
+    monkeypatch.undo()
+    first = next(c for c in gauss.all_characters(5, 2)
+                 if c.order() == 20 and c.conductor_exponent() == 2)
+    assert chi.exps == first.exps
+
+
+def test_character_values_live_at_the_conductor_of_their_order():
+    for p, s in ((7, 2), (2, 4), (3, 3)):
+        mod = p ** s
+        for chi in gauss.all_characters(p, s):
+            for a in range(1, mod):
+                if a % p:
+                    v = chi.value(a)
+                    assert chi.order() % v.m == 0
+                    assert v ** chi.order() == 1

@@ -217,6 +217,18 @@ def test_index_counts():
     assert out2["gamma_ratio_ok"]
 
 
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_enumerated_index_closed_forms(n, p):
+    """The enumerated [I : K(f)] at r = 1 is p - 1 at n = 2 and
+    p^{4r-2} (p-1)^2 = p^2 (p-1)^2 at n = 3; the unipotent index matches
+    its stated formula.  Criterion 03 compares the gamma index with the
+    stated absolute formula instead, and stays red."""
+    ctx = GlnContext(n, p, 1)
+    want = p - 1 if n == 2 else p ** (4 * ctx.r - 2) * (p - 1) ** 2
+    assert hecke.count_gamma_index(ctx)[0] == want
+    assert hecke.count_unipotent_index(ctx) == hecke.index_formulas(ctx)["unipotent"]
+
 def test_smith_type():
     assert hecke.smith_type(RatMat.diagonal([Fraction(4), Fraction(1)]), 2) == (0, 2)
     assert hecke.smith_type(RatMat.from_rows([[2, 1], [0, 2]]), 2) == (0, 2)
