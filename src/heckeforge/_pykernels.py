@@ -6,8 +6,8 @@ representing num/den with den a positive int.  No Fraction is formed
 anywhere: valuations of entries x/den are read off x and den.  The coset
 fold's test mul_is_iwahori checks each entry of a product as it forms it
 and stops at the first failure.  These functions are the hot path of the
-coset engine; a compiled twin lives in _ckernels.pyx and is picked at
-import time by heckeforge.kernels.
+coset engine and its only implementation; the rest of the package calls
+them through heckeforge.kernels.
 """
 
 BACKEND = "python"

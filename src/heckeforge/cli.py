@@ -1,8 +1,8 @@
 """Command-line driver: verification suites and one-shot computations.
 
-`heckeforge verify` streams one JSON object per case (JSON Lines) and exits
-0 on all-pass, 1 on any failure, 2 on usage errors.  `heckeforge compute`
-exposes the individual calculators with JSON output.
+`heckeforge verify` writes one JSON object per case (JSON Lines) once the
+run ends, and exits 0 on all-pass, 1 on any failure, 2 on usage errors.
+`heckeforge compute` exposes the individual calculators with JSON output.
 """
 
 import argparse
@@ -289,7 +289,15 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed early.  As the signal module's docs advise for
+        # SIGPIPE, point stdout at devnull so that the flush at exit does
+        # not raise again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -624,11 +624,32 @@ def _units(mod, p):
     return [a for a in range(mod) if a % p != 0]
 
 
+def iwahori_residues(m, p, r, mod):
+    """Integer rows of every level-p^r Iwahori matrix of GL_m mod `mod`,
+    for m in {1, 2}: unit diagonal and lower-left entry 0 mod p^r.  Each
+    lies in the Iwahori subgroup by construction, since its determinant
+    is a unit mod p."""
+    units = _units(mod, p)
+    if m == 1:
+        for a in units:
+            yield [[a]]
+    elif m == 2:
+        lowers = range(0, mod, p ** r)
+        for a in units:
+            for d in units:
+                for c in lowers:
+                    for b in range(mod):
+                        yield [[a, b], [c, d]]
+    else:
+        raise ValueError("enumeration supported for n <= 3")
+
+
 def count_gamma_index(ctx):
     """Brute-force [I_{n-1}^{(r)} : K(f)] over Z/p^{nr}, where K(f) is the
     pullback j^{-1}(h^(f) K h^(f)^{-1}) intersected with the level-r
     Iwahori of GL_{n-1}.  Returns (index, |I|, |K(f)|).  Supported for
-    n in {2, 3}."""
+    n in {2, 3}; |I| counts the iwahori_residues mod p^{nr}, which need
+    no membership test."""
     from heckeforge.matrices import h_matrix
     from heckeforge.ratmat import j_embed
 
@@ -636,28 +657,10 @@ def count_gamma_index(ctx):
     mod = p ** (n * r)
     hf = h_matrix(n, lconst(ctx.f)).to_ratmat()
     hfi = hf.inv()
-    m = n - 1
     count_i = count_k = 0
-    if m == 1:
-        candidates = ([[a]] for a in _units(mod, p))
-    elif m == 2:
-        def gen2():
-            units = _units(mod, p)
-            lowers = [c for c in range(mod) if c % (p ** r) == 0]
-            for a in units:
-                for d in units:
-                    for c in lowers:
-                        for b in range(mod):
-                            yield [[a, b], [c, d]]
-        candidates = gen2()
-    else:
-        raise ValueError("enumeration supported for n <= 3")
-    for rows in candidates:
-        g = RatMat.from_rows(rows)
-        if not g.is_iwahori(p, r):
-            continue
+    for rows in iwahori_residues(n - 1, p, r, mod):
         count_i += 1
-        if (hfi * j_embed(g) * hf).is_iwahori(p, r):
+        if (hfi * j_embed(RatMat.from_rows(rows)) * hf).is_iwahori(p, r):
             count_k += 1
     if count_i % count_k:
         raise ArithmeticError("index is not integral; enumeration bug")
@@ -690,11 +693,15 @@ def count_indices(ctx):
     """Brute-force indices next to the closed formulas.
 
     The unipotent index matches its formula exactly.  The enumerated
-    gamma index differs from the stated absolute formula by a bounded
-    torsion factor independent of the level; the formula is exact as a
-    ratio between consecutive levels, which is what the distribution
-    relation consumes.  Both the honest count and the formula are
-    returned so callers can compare either way.
+    gamma index falls short of the stated absolute formula by a factor
+    that depends on p and on the level: 1/8 at (n, p, r) = (3, 2, 1),
+    4/27 at (3, 3, 1) and 1/16 at (3, 2, 2), and (p-1)/p at n = 2,
+    r = 1.  These factors are enumerated, not proved.  `gamma_ratio_ok`
+    checks something else: at n = 3 it compares the closed-form |K(f)|
+    at levels r and r + 1, both counted over the one modulus
+    p^{3(r+1)}, with p^5; at n = 2 it compares the enumerated indices at
+    levels r and r + 1 with p.  Both the honest count and the formula
+    are returned so callers can compare either way.
     """
     formulas = index_formulas(ctx)
     uni = count_unipotent_index(ctx)

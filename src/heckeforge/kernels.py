@@ -1,24 +1,12 @@
-"""Kernel backend selection.
+"""The integer kernels of the coset engine, as the rest of the package
+calls them.  They are implemented once, in _pykernels.py."""
 
-Prefers the compiled extension, falls back to the pure-Python twin.  Force
-the fallback with HECKEFORGE_PURE=1 (useful for the benchmark and for
-debugging).
-"""
-
-import os
-
-if os.environ.get("HECKEFORGE_PURE") == "1":
-    from heckeforge import _pykernels as _impl
-else:
-    try:
-        from heckeforge import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from heckeforge import _pykernels as _impl
-
-BACKEND = _impl.BACKEND
-vp_int = _impl.vp_int
-mat_mul = _impl.mat_mul
-bareiss_det = _impl.bareiss_det
-adjugate = _impl.adjugate
-is_iwahori_scaled = _impl.is_iwahori_scaled
-mul_is_iwahori = _impl.mul_is_iwahori
+from heckeforge._pykernels import (
+    BACKEND,
+    adjugate,
+    bareiss_det,
+    is_iwahori_scaled,
+    mat_mul,
+    mul_is_iwahori,
+    vp_int,
+)

@@ -202,11 +202,6 @@ def iwahori_member(g, p, r):
 # ---------------------------------------------------------------------------
 # the family of matrices behind the distribution relation
 
-def _entry_val(x, p):
-    """Valuation for Fraction entries."""
-    return vp(x, p)
-
-
 def build_distribution_family(ctx, u_sup, w_sup):
     """Exact construction of h(u,w), u^-, w^-, d, d', the correction matrix
     and the Iwahori pair (k, k'), over the rationals with f = p^r.
@@ -258,10 +253,10 @@ def build_distribution_family(ctx, u_sup, w_sup):
 
     fp_val = r + 1  # valuation of f*p
     corr_ok = all(
-        _entry_val(n_corr.entry(i, j) - (1 if i == j else 0), p) >= fp_val
+        vp(n_corr.entry(i, j) - (1 if i == j else 0), p) >= fp_val
         for i in range(n) for j in range(n))
     block_ok = all(
-        _entry_val(probe.entry(i, j) - th.entry(i, j), p) >= fp_val
+        vp(probe.entry(i, j) - th.entry(i, j), p) >= fp_val
         for i in range(n) for j in range(n - 1))
     det_pair = d.det() * d_prime.det()
     det_k = k_mat.det()
@@ -278,7 +273,7 @@ def build_distribution_family(ctx, u_sup, w_sup):
         "det_pair_ok": det_pair == 1,
         "k_iwahori": k_mat.is_iwahori(p, r),
         "k'_iwahori": k_prime.is_iwahori(p, r),
-        "det_relation_ok": _entry_val(det_k - det_kp, p) >= fp_val,
+        "det_relation_ok": vp(det_k - det_kp, p) >= fp_val,
         "det_k": det_k,
     }
 

@@ -122,9 +122,6 @@ class RatMat:
         """Membership in the Iwahori subgroup of level p^r (r=0: GL_n(Z_p))."""
         return kernels.is_iwahori_scaled(self.num, self.den, self.n, p, r)
 
-    def is_integral(self, p):
-        return kernels.is_iwahori_scaled(self.num, self.den, self.n, p, 0)
-
     def __eq__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented

@@ -65,12 +65,13 @@ def test_criterion_03_index_formulas():
     _report(3, "index-formulas", ok)
     assert uni_ok
     assert took < 120
-    # The enumerated pullback-subgroup index differs from the stated
-    # absolute gamma formula by the unit-group torsion factor
-    # ((p-1)^2 p^{2r-3} at n=3, (p-1)/p at n=2): e.g. 4 enumerated vs 32
-    # stated at (n,p,r)=(3,2,1).  The level-to-level ratio, which is the
-    # quantity the distribution relation consumes, does match the formula
-    # and is verified in the hecke suite.  Kept as stated, hence red:
+    # The enumerated pullback-subgroup index falls short of the stated
+    # absolute gamma formula by a factor that depends on p and on r:
+    # 1/8 at (n,p,r)=(3,2,1) (4 enumerated vs 32 stated), 4/27 at
+    # (3,3,1) and 1/16 at (3,2,2); (p-1)/p at n=2, r=1.  These factors
+    # are enumerated, not proved.  The hecke suite's gamma_ratio_ok
+    # compares |K(f)| at two levels over one fixed modulus, not this
+    # index.  Kept as stated, hence red:
     assert gamma_ok, {
         key: (r["gamma_index"], r["gamma_formula"]) for key, r in results.items()
     }

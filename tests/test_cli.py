@@ -211,14 +211,34 @@ def test_verify_with_jobs(capsys, tmp_path):
     assert strip_ms(p1) == strip_ms(p2)
 
 
+def _child(*argv):
+    """The command and environment that run the CLI in a child process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return ([sys.executable, "-m", "heckeforge.cli", *argv],
+            dict(os.environ, PYTHONPATH=src))
+
+
 def _run_child(*argv, timeout):
     """Run the CLI in a child process, so that a hang fails the test
     instead of stalling the suite."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "heckeforge.cli", *argv],
-                          capture_output=True, text=True, env=env,
+    cmd, env = _child(*argv)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
                           timeout=timeout)
+
+
+def test_closed_reader_exits_without_traceback(tmp_path):
+    """The reader of stdout is gone before the CLI prints its result."""
+    cmd, env = _child("compute", "gauss-sum", "--p", "5", "--s", "4",
+                      "--order", "500")
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err,
+                                env=env)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    stderr = err_path.read_text()
+    assert code == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 def test_gauss_sum_rejects_non_prime_p():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckeforge import hecke
+from heckeforge import hecke, kernels
 from heckeforge.laurent import lvar
 from heckeforge.matrices import GlnContext
 from heckeforge.ratmat import RatMat
@@ -204,9 +204,9 @@ def test_index_counts():
     out = hecke.count_indices(GlnContext(3, 2, 1))
     assert out["unipotent_index"] == 16
     assert out["unipotent_match"]
-    # honest enumeration of the pullback subgroup index; the stated
-    # absolute formula overshoots by the unit-group torsion, but the
-    # level-ratio it feeds into the distribution relation is exact
+    # honest enumeration of the pullback subgroup index, which the
+    # stated absolute formula overshoots (4 against 32); gamma_ratio_ok
+    # compares the closed-form |K(f)| at two levels over one modulus
     assert out["gamma_index"] == 4
     assert not out["gamma_match"]
     assert out["gamma_ratio_ok"]
@@ -217,17 +217,48 @@ def test_index_counts():
     assert out2["gamma_ratio_ok"]
 
 
+def _iwahori_count(n, p, r):
+    """|I| mod p^{nr}: phi(p^{2r}) at n = 2 and phi(p^{3r})^2 p^{3r-r}
+    p^{3r} at n = 3, from units on the diagonal and a lower-left entry
+    0 mod p^r."""
+    q = p ** (n * r)
+    phi = q - q // p
+    return phi if n == 2 else phi ** 2 * (q // p ** r) * q
+
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
 def test_enumerated_index_closed_forms(n, p):
     """The enumerated [I : K(f)] at r = 1 is p - 1 at n = 2 and
-    p^{4r-2} (p-1)^2 = p^2 (p-1)^2 at n = 3; the unipotent index matches
-    its stated formula.  Criterion 03 compares the gamma index with the
-    stated absolute formula instead, and stays red."""
+    p^{4r-2} (p-1)^2 = p^2 (p-1)^2 at n = 3, and |I| is the count of
+    its candidates; the unipotent index matches its stated formula.
+    Criterion 03 compares the gamma index with the stated absolute
+    formula instead, and stays red."""
     ctx = GlnContext(n, p, 1)
     want = p - 1 if n == 2 else p ** (4 * ctx.r - 2) * (p - 1) ** 2
-    assert hecke.count_gamma_index(ctx)[0] == want
+    index, size_i, _ = hecke.count_gamma_index(ctx)
+    assert index == want
+    assert size_i == _iwahori_count(n, p, 1)
     assert hecke.count_unipotent_index(ctx) == hecke.index_formulas(ctx)["unipotent"]
+
+
+@pytest.mark.parametrize("n,p,r", [(2, 5, 1), (3, 2, 1), (3, 2, 2)])
+def test_gamma_candidates_are_iwahori(n, p, r):
+    """count_gamma_index counts every candidate towards |I| without a
+    membership test, so each must be in the Iwahori subgroup."""
+    m = n - 1
+    seen = 0
+    for rows in hecke.iwahori_residues(m, p, r, p ** (n * r)):
+        assert kernels.is_iwahori_scaled(sum(rows, []), 1, m, p, r), rows
+        seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("n,p,r", [(2, 2, 2), (2, 2, 3), (2, 3, 2),
+                                   (2, 5, 2)])
+def test_gamma_iwahori_count_above_level_one(n, p, r):
+    assert hecke.count_gamma_index(GlnContext(n, p, r))[1] == \
+        _iwahori_count(n, p, r)
+
 
 def test_smith_type():
     assert hecke.smith_type(RatMat.diagonal([Fraction(4), Fraction(1)]), 2) == (0, 2)

@@ -1,33 +1,99 @@
-"""The compiled and pure kernels must agree everywhere."""
+"""The integer kernels against references kept here: a row-by-column
+product, a Leibniz determinant and the entrywise definition of Iwahori
+membership; the fused kernel against the product-then-test composition."""
 
+import itertools
 import random
+from fractions import Fraction
 
 from heckeforge import _pykernels, kernels
+from heckeforge.exact import vp
+
+KERNELS = ("vp_int", "mat_mul", "bareiss_det", "adjugate",
+           "is_iwahori_scaled", "mul_is_iwahori")
 
 
 def _rand_mat(rng, n, lo=-50, hi=50):
     return [rng.randrange(lo, hi) for _ in range(n * n)]
 
 
+def _ref_mul(a, b, n):
+    return [sum(a[i * n + k] * b[k * n + j] for k in range(n))
+            for i in range(n) for j in range(n)]
+
+
+def _sign(perm):
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def _ref_det(a, n):
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = _sign(perm)
+        for i in range(n):
+            term *= a[i * n + perm[i]]
+        total += term
+    return total
+
+
+def _ref_adjugate(a, n):
+    if n == 1:
+        return [1]
+    out = [0] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            minor = [a[r * n + c] for r in range(n) if r != i
+                     for c in range(n) if c != j]
+            out[j * n + i] = (-1) ** (i + j) * _ref_det(minor, n - 1)
+    return out
+
+
+def _ref_is_iwahori(num, den, n, p, r):
+    """Every entry of num/den p-integral, those below the diagonal of
+    valuation >= r, and the determinant a p-unit."""
+    g = [Fraction(x, den) for x in num]
+    for i in range(n):
+        for j in range(n):
+            if vp(g[i * n + j], p) < (r if i > j else 0):
+                return False
+    det = _ref_det(g, n)
+    return det != 0 and vp(det, p) == 0
+
+
 def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "python")
+    assert kernels.BACKEND == "python"
+    for name in KERNELS:
+        assert getattr(kernels, name) is getattr(_pykernels, name)
 
 
 def test_mat_mul_agrees():
+    """mat_mul against the row-by-column product."""
     rng = random.Random(1)
     for _ in range(50):
-        n = rng.choice([2, 3, 4, 5])
-        a, b = _rand_mat(rng, n), _rand_mat(rng, n)
-        assert kernels.mat_mul(a, b, n) == _pykernels.mat_mul(a, b, n)
+        n = rng.choice([1, 2, 3, 4, 5])
+        lo, hi = rng.choice([(-50, 50), (-2, 3)])
+        a, b = _rand_mat(rng, n, lo, hi), _rand_mat(rng, n, lo, hi)
+        assert kernels.mat_mul(a, b, n) == _ref_mul(a, b, n)
 
 
 def test_det_and_adjugate_agree():
+    """Bareiss against Leibniz, and the adjugate against Leibniz minors.
+    Small entries put zeros on the pivots, so Bareiss must swap rows,
+    and make some matrices singular."""
     rng = random.Random(2)
-    for _ in range(50):
-        n = rng.choice([2, 3, 4])
-        a = _rand_mat(rng, n)
-        assert kernels.bareiss_det(a, n) == _pykernels.bareiss_det(a, n)
-        assert kernels.adjugate(a, n) == _pykernels.adjugate(a, n)
+    singular = swapped = 0
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 4])
+        lo, hi = rng.choice([(-50, 50), (-1, 2)])
+        a = _rand_mat(rng, n, lo, hi)
+        det = _ref_det(a, n)
+        assert kernels.bareiss_det(a, n) == det
+        assert kernels.adjugate(a, n) == _ref_adjugate(a, n)
+        singular += det == 0
+        swapped += det != 0 and n > 1 and a[0] == 0
+    assert singular and swapped
 
 
 def test_adjugate_identity():
@@ -52,15 +118,28 @@ def test_big_integers_stay_exact():
 
 
 def test_iwahori_membership_agrees():
+    """is_iwahori_scaled against the entrywise definition, on random
+    matrices, mostly outside the subgroup, and boundary targets
+    (the least divisibility each entry needs, sometimes one power of p
+    short in the last entry) over denominators with powers of p."""
     rng = random.Random(4)
-    for _ in range(200):
+    outcomes = set()
+    for _ in range(400):
         n = rng.choice([2, 3])
         p = rng.choice([2, 3])
         r = rng.choice([0, 1, 2])
-        num = _rand_mat(rng, n, -12, 13)
-        den = rng.choice([1, p, p * p, 3])
-        assert (kernels.is_iwahori_scaled(num, den, n, p, r)
-                == _pykernels.is_iwahori_scaled(num, den, n, p, r))
+        if rng.random() < 0.5:
+            num = _rand_mat(rng, n, -12, 13)
+            den = rng.choice([1, p, p * p, 3])
+        else:
+            vd = rng.randrange(3)
+            fail_last = vd > 0 and rng.random() < 0.3
+            num = _boundary_target(rng, n, p, r, vd, fail_last)
+            den = p ** vd * rng.choice([q for q in (1, 5, 7) if q % p])
+        want = _ref_is_iwahori(num, den, n, p, r)
+        assert kernels.is_iwahori_scaled(num, den, n, p, r) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_vp_int():
