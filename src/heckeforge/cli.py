@@ -17,14 +17,17 @@ from heckeforge.exact import Cyclo
 from heckeforge.matrices import GlnContext
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+_CONFIG_KEYS = ("suites", "n", "p", "r", "seed", "jobs",
+               "corrupted_distribution_fixture")
 
 
 def parse_config(path):
     """Flat key-value config: one `key = value` per line, '#' comments.
 
-    Known keys: suites (comma separated), n / p / r (comma-separated
-    ranges restricting the parameter-grid cases), seed (int), jobs (int),
-    corrupted_distribution_fixture (true/false).
+    The keys are _CONFIG_KEYS: suites (comma separated), n / p / r
+    (comma-separated values restricting the parameter-grid cases), seed
+    (int), jobs (int), corrupted_distribution_fixture (true/false).  Any
+    other key is a ValueError naming it.
     """
     out = {}
     with open(path) as fh:
@@ -35,6 +38,8 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = val
     return out
 
@@ -133,7 +138,7 @@ def cmd_hecke_expand(args):
 
 def cmd_satake(args):
     poly = hecke.satake(args.n, args.nu)
-    terms = [{"monomial": dict(k), "coefficient": _scalar_json(v.as_rational())}
+    terms = [{"monomial": dict(k), "coefficient": _scalar_json(v)}
              for k, v in sorted(poly.terms.items())]
     print(json.dumps({"n": args.n, "nu": args.nu, "terms": terms}))
     return EXIT_PASS
@@ -298,6 +303,10 @@ def main(argv=None):
         # not raise again, and exit 1 without a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
+    except OSError as exc:
+        # a --config, --json-out or --from-json path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -101,13 +101,6 @@ class MultChar:
         den = a.denominator % mod
         return self._values[num * pow(den, -1, mod) % mod]
 
-    def value_quasi(self, x):
-        """chi extended to Q_p^*: chi(p)^{v_p(x)} times the unit-part value."""
-        x = Fraction(x)
-        v = vp(x, self.p)
-        unit = x / Fraction(self.p) ** v
-        return self.chi_p ** v * self.value(unit)
-
     def conductor_exponent(self):
         """Smallest t with chi trivial on units congruent to 1 mod p^t."""
         mod = self.p ** self.s

@@ -1,9 +1,11 @@
 """Coset-sum engine for the Iwahori-level Hecke algebra.
 
-Right cosets g K are held by exact rational representatives; coset equality
-is the exact membership test g^{-1} h in K (Iwahori of level p^r, or the
-maximal compact for r = 0).  Sums fold pairwise -- no canonical form is
-attempted, the sizes are desk scale.
+Right cosets g K_I are held by exact rational representatives; sums fold
+pairwise with no canonical form, the sizes are desk scale.  `CosetSum`
+alone decides coset equality: its lookup tests g^{-1} h in K_I (level
+p^r) on the stored inverse g^{-1}, for folds, sum equality, disjointness
+and coverage.  `spherical_convolve` folds modulo GL_n(Z_p), level r = 0,
+which a `GlnContext` rejects on purpose, so it keeps its own loop.
 """
 
 import itertools
@@ -13,89 +15,87 @@ from heckeforge import kernels
 from heckeforge.exact import Cyclo, vp
 from heckeforge.laurent import LaurentPoly, lconst, lvar
 from heckeforge.matrices import GlnContext, t_matrix
-from heckeforge.ratmat import RatMat, SingularMatrixError
-
-
-class Coset:
-    """A right coset rep g K_I^{(r)} with decidable equality."""
-
-    __slots__ = ("rep", "ctx", "_inv")
-
-    def __init__(self, rep, ctx):
-        self.rep = rep
-        self.ctx = ctx
-        try:
-            self._inv = rep.inv()
-        except SingularMatrixError:
-            raise ValueError("coset representative is singular")
-
-    def __eq__(self, other):
-        if not isinstance(other, Coset):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise ValueError("cosets from different contexts")
-        return kernels.mul_is_iwahori(
-            self._inv.num, self._inv.den, other.rep.num, other.rep.den,
-            self.ctx.n, self.ctx.p, self.ctx.r)
-
-    def __repr__(self):
-        return f"Coset({self.rep.rows()})"
+from heckeforge.ratmat import RatMat
 
 
 class CosetSum:
-    """Formal integer (or rational) combination of right cosets, folded."""
+    """Formal integer (or rational) combination of right cosets, folded.
+
+    Each term is [rep, rep^{-1}, coeff] with coeff nonzero; a
+    representative is inverted once, when it first enters a sum, and
+    sums built from stored terms copy the inverse along."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, pairs=(), folded=False):
         self.ctx = ctx
         self.terms = []  # list of [rep, inv, coeff]
-        if folded:
-            for rep, coeff in pairs:
-                self.terms.append([rep, rep.inv(), coeff])
-        else:
-            for rep, coeff in pairs:
+        for rep, coeff in pairs:
+            if not folded:
                 self._accumulate(rep, coeff)
+            elif coeff:
+                self.terms.append([rep, rep.inv(), coeff])
 
-    def _accumulate(self, rep, coeff):
+    def _find(self, rep, start=0, coeff=None, used=()):
+        """Index of the first stored term from `start` on whose coset
+        contains rep, or None.
+
+        rep lies in g K_I exactly when g^{-1} rep lies in K_I, tested on
+        the stored inverse.  With `coeff`, a term whose coefficient
+        differs is passed over before that test, and so is every index
+        in `used`."""
         n, p, r = self.ctx.n, self.ctx.p, self.ctx.r
         repn, repd = rep.num, rep.den
-        for item in self.terms:
-            inv = item[1]
+        terms = self.terms
+        for idx in range(start, len(terms)):
+            _, inv, c = terms[idx]
+            if (coeff is not None and c != coeff) or idx in used:
+                continue
             if kernels.mul_is_iwahori(inv.num, inv.den, repn, repd, n, p, r):
-                item[2] += coeff
-                return
-        self.terms.append([rep, rep.inv(), coeff])
+                return idx
+        return None
 
-    def _cleaned(self):
-        self.terms = [t for t in self.terms if t[2] != 0]
-        return self
+    def _accumulate(self, rep, coeff, inv=None):
+        """Add coeff * rep K_I, into the term of that coset if there is
+        one; a term whose coefficient cancels is dropped.  `inv` is rep's
+        inverse when the caller already holds it."""
+        idx = self._find(rep)
+        if idx is not None:
+            term = self.terms[idx]
+            term[2] += coeff
+            if not term[2]:
+                del self.terms[idx]
+        elif coeff:
+            self.terms.append([rep, inv or rep.inv(), coeff])
 
     def pairs(self):
-        return [(t[0], t[2]) for t in self.terms if t[2] != 0]
+        return [(rep, coeff) for rep, _, coeff in self.terms]
 
     def __len__(self):
-        return len([t for t in self.terms if t[2] != 0])
+        return len(self.terms)
 
     def __add__(self, other):
         if not isinstance(other, CosetSum):
             return NotImplemented
-        out = CosetSum(self.ctx, self.pairs(), folded=True)
-        for rep, coeff in other.pairs():
-            out._accumulate(rep, coeff)
-        return out._cleaned()
+        out = CosetSum(self.ctx)
+        out.terms = [list(t) for t in self.terms]
+        for rep, inv, coeff in other.terms:
+            out._accumulate(rep, coeff, inv)
+        return out
 
     def scale(self, c):
-        return CosetSum(self.ctx, [(rep, c * k) for rep, k in self.pairs()],
-                        folded=True)
+        out = CosetSum(self.ctx)
+        if c:
+            out.terms = [[rep, inv, c * k] for rep, inv, k in self.terms]
+        return out
 
     def convolve(self, other):
         """Pairwise products of representatives, folded by coset equality."""
         out = CosetSum(self.ctx)
-        for a, ca in self.pairs():
-            for b, cb in other.pairs():
+        for a, _, ca in self.terms:
+            for b, _, cb in other.terms:
                 out._accumulate(a * b, ca * cb)
-        return out._cleaned()
+        return out
 
     __mul__ = convolve
 
@@ -103,43 +103,15 @@ class CosetSum:
         """Multiset equality of folded cosets with coefficients."""
         if not isinstance(other, CosetSum):
             return NotImplemented
-        mine, theirs = self.pairs(), other.pairs()
-        if len(mine) != len(theirs):
+        if len(self.terms) != len(other.terms):
             return False
-        used = [False] * len(theirs)
-        n, p, r = self.ctx.n, self.ctx.p, self.ctx.r
-        for rep, coeff in mine:
-            inv = rep.inv()
-            for idx, (orep, ocoeff) in enumerate(theirs):
-                if used[idx] or coeff != ocoeff:
-                    continue
-                if kernels.mul_is_iwahori(inv.num, inv.den,
-                                          orep.num, orep.den, n, p, r):
-                    used[idx] = True
-                    break
-            else:
+        used = set()
+        for rep, _, coeff in self.terms:
+            idx = other._find(rep, coeff=coeff, used=used)
+            if idx is None:
                 return False
+            used.add(idx)
         return True
-
-    def symmetric_difference(self, other):
-        """Unmatched cosets on both sides (diagnostic for failures)."""
-        left = []
-        for rep, coeff in self.pairs():
-            inv = rep.inv()
-            if not any(coeff == oc and kernels.mul_is_iwahori(
-                    inv.num, inv.den, orep.num, orep.den,
-                    self.ctx.n, self.ctx.p, self.ctx.r)
-                    for orep, oc in other.pairs()):
-                left.append((rep, coeff))
-        right = []
-        for orep, oc in other.pairs():
-            oinv = orep.inv()
-            if not any(oc == c and kernels.mul_is_iwahori(
-                    oinv.num, oinv.den, rep.num, rep.den,
-                    self.ctx.n, self.ctx.p, self.ctx.r)
-                    for rep, c in self.pairs()):
-                right.append((orep, oc))
-        return left, right
 
     def __repr__(self):
         return f"CosetSum({len(self)} cosets)"
@@ -147,6 +119,19 @@ class CosetSum:
 
 # ---------------------------------------------------------------------------
 # operator expansions
+
+_GENERATOR_REP = {
+    "V": lambda ctx, nu: RatMat.diagonal(
+        [ctx.p if i < nu else 1 for i in range(ctx.n)]),
+    "U": lambda ctx, i: RatMat.diagonal(
+        [ctx.p if j == i - 1 else 1 for j in range(ctx.n)]),
+    "T": lambda ctx, nu: RatMat.diagonal(
+        [1 if i < ctx.n - nu else ctx.p for i in range(ctx.n)]),
+    "Vp": lambda ctx, _=None: t_matrix(ctx.n, lconst(ctx.pi)).to_ratmat(),
+    "Vp'": lambda ctx, _=None: t_matrix(
+        ctx.n, lconst(ctx.pi)).to_ratmat().scale(ctx.pi),
+}
+
 
 def unit_coset(ctx):
     return CosetSum(ctx, [(RatMat.identity(ctx.n), 1)], folded=True)
@@ -187,17 +172,21 @@ def _unipotent_quotient_reps(n, p, scale=1):
         yield RatMat.from_rows(rows)
 
 
+def _expand_unipotent_translates(ctx, kind):
+    """u g K over u in U_n(O)/t U_n(O) t^{-1}, g the generator of `kind`."""
+    g = _GENERATOR_REP[kind](ctx)
+    pairs = [(u * g, 1) for u in _unipotent_quotient_reps(ctx.n, ctx.p, ctx.r)]
+    return CosetSum(ctx, pairs, folded=True)
+
+
 def expand_Vp(ctx):
     """V_p: u t_(pi) K over u in U_n(O)/t U_n(O) t^{-1}."""
-    t = t_matrix(ctx.n, lconst(ctx.pi)).to_ratmat()
-    pairs = [(u * t, 1) for u in _unipotent_quotient_reps(ctx.n, ctx.p, ctx.r)]
-    return CosetSum(ctx, pairs, folded=True)
+    return _expand_unipotent_translates(ctx, "Vp")
 
 
 def expand_Vp_prime(ctx):
-    t = t_matrix(ctx.n, lconst(ctx.pi)).to_ratmat().scale(ctx.pi)
-    pairs = [(u * t, 1) for u in _unipotent_quotient_reps(ctx.n, ctx.p, ctx.r)]
-    return CosetSum(ctx, pairs, folded=True)
+    """V_p': u pi t_(pi) K over the same u."""
+    return _expand_unipotent_translates(ctx, "Vp'")
 
 
 def expand_U(ctx, i):
@@ -214,7 +203,9 @@ def expand_U(ctx, i):
         for (a, b), v in zip(positions, vals):
             rows[a][b] = v
         out._accumulate(RatMat.from_rows(rows) * pi_i, 1)
-    return CosetSum(ctx, [(rep, 1) for rep, _ in out.pairs()], folded=True)
+    for term in out.terms:
+        term[2] = 1
+    return out
 
 
 def _rank_mod_p(flat, n, p):
@@ -286,20 +277,13 @@ def expand_operator(ctx, tag, validate=False):
 
     With validate=True the decomposition is checked for disjointness and
     randomized coverage; a failure raises with the uncovered sample."""
-    if tag == "Vp":
-        out = expand_Vp(ctx)
-    elif tag == "Vp'":
-        out = expand_Vp_prime(ctx)
+    expand = {"V": expand_V, "U": expand_U, "T": eps_T}.get(tag[:1])
+    if tag in ("Vp", "Vp'"):
+        out = _expand_unipotent_translates(ctx, tag)
+    elif expand is None:
+        raise ValueError(f"unknown operator tag {tag!r}")
     else:
-        kind, idx = tag[0], tag[1:]
-        if kind == "V":
-            out = expand_V(ctx, int(idx))
-        elif kind == "U":
-            out = expand_U(ctx, int(idx))
-        elif kind == "T":
-            out = eps_T(ctx, int(idx))
-        else:
-            raise ValueError(f"unknown operator tag {tag!r}")
+        out = expand(ctx, int(tag[1:]))
     if validate:
         ok, pair = check_disjoint(out)
         if not ok:
@@ -374,7 +358,7 @@ def verify_gritsenko(ctx):
     for nu, (a, b) in enumerate(zip(lhs, rhs)):
         if not a == b:
             return False, {"coefficient": nu,
-                           "difference": a.symmetric_difference(b)}
+                           "difference": (a + b.scale(-1)).pairs()}
     return True, None
 
 
@@ -414,30 +398,13 @@ def _random_triangular_unit(ctx, rng, depth=3):
     return RatMat.from_rows(rows)
 
 
-_GENERATOR_REP = {
-    "V": lambda ctx, nu: RatMat.diagonal(
-        [ctx.p if i < nu else 1 for i in range(ctx.n)]),
-    "U": lambda ctx, i: RatMat.diagonal(
-        [ctx.p if j == i - 1 else 1 for j in range(ctx.n)]),
-    "T": lambda ctx, nu: RatMat.diagonal(
-        [1 if i < ctx.n - nu else ctx.p for i in range(ctx.n)]),
-    "Vp": lambda ctx, _=None: t_matrix(ctx.n, lconst(ctx.pi)).to_ratmat(),
-    "Vp'": lambda ctx, _=None: t_matrix(
-        ctx.n, lconst(ctx.pi)).to_ratmat().scale(ctx.pi),
-}
-
-
 def check_disjoint(cs):
-    """Exhaustive pairwise inequality of the folded representatives."""
-    pairs = cs.pairs()
-    n, p, r = cs.ctx.n, cs.ctx.p, cs.ctx.r
-    for i in range(len(pairs)):
-        inv = pairs[i][0].inv()
-        for j in range(i + 1, len(pairs)):
-            if kernels.mul_is_iwahori(inv.num, inv.den,
-                                      pairs[j][0].num, pairs[j][0].den,
-                                      n, p, r):
-                return False, (i, j)
+    """Exhaustive pairwise inequality of the folded representatives:
+    (True, None), or (False, (i, j)) for the first i < j in one coset."""
+    for i, (rep, _, _) in enumerate(cs.terms):
+        j = cs._find(rep, i + 1)
+        if j is not None:
+            return False, (i, j)
     return True, None
 
 
@@ -452,26 +419,15 @@ def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
     """
     rng = random.Random(seed)
     cs = expand_operator(ctx, tag)
-    kind = tag if tag in ("Vp", "Vp'") else tag[0]
-    if kind in ("Vp", "Vp'", "V"):
-        sampler = _random_iwahori
-        g0 = _GENERATOR_REP[kind](ctx, int(tag[1:])) if kind == "V" \
-            else _GENERATOR_REP[kind](ctx)
-    else:
-        sampler = _random_triangular_unit
-        g0 = _GENERATOR_REP[kind](ctx, int(tag[1:]))
-    n, p, r = ctx.n, ctx.p, ctx.r
+    kind, idx = (tag, None) if tag in ("Vp", "Vp'") else (tag[0], int(tag[1:]))
+    g0 = _GENERATOR_REP[kind](ctx, idx)
+    sampler = _random_triangular_unit if kind in "UT" else _random_iwahori
     failures = 0
     witness = None
     for _ in range(samples):
-        k = sampler(ctx, rng)
-        probe = k * g0
-        inv = probe.inv()
-        hits = sum(
-            1 for rep, _ in cs.pairs()
-            if kernels.mul_is_iwahori(inv.num, inv.den,
-                                      rep.num, rep.den, n, p, r))
-        if hits != 1:
+        probe = sampler(ctx, rng) * g0
+        first = cs._find(probe)
+        if first is None or cs._find(probe, first + 1) is not None:
             failures += 1
             if witness is None:
                 witness = probe
@@ -520,7 +476,11 @@ def satake_halfdensity_at(pairs, n, p):
 
 
 def spherical_convolve(reps_a, reps_b, n, p):
-    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p)."""
+    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p).
+
+    This is the one fold outside `CosetSum`: K is the level r = 0 of the
+    membership kernel, and a `GlnContext` rejects r = 0 on purpose, so the
+    fold keeps its own loop, with the same stored-inverse test."""
     out = []  # list of [rep, inv, coeff]
     for a in reps_a:
         for b in reps_b:

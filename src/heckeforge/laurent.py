@@ -1,9 +1,13 @@
 """Multivariate Laurent polynomials and matrices over cyclotomic scalars.
 
 Variables are global names; a monomial is a sorted tuple of (name, exponent)
-pairs with nonzero integer exponents (possibly negative).  Coefficients are
-Cyclo scalars.  These carry the symbolic side of the matrix identity
-checks; numeric evaluation hands off to RatMat.
+pairs with nonzero integer exponents (possibly negative).  A coefficient
+is a `Fraction` while it is rational and a `Cyclo` once a cyclotomic
+scalar enters it: ints and Fractions are stored as Fractions, a Cyclo
+as it is, and mixed arithmetic goes through Cyclo's own coercion.  So
+the all-rational polynomials of the matrix identities never reach the
+cyclotomic product.  These carry the symbolic side of the matrix
+identity checks; numeric evaluation hands off to RatMat.
 """
 
 from fractions import Fraction
@@ -21,10 +25,12 @@ class LaurentInversionError(ArithmeticError):
 
 
 def _coerce_scalar(x):
+    """A coefficient: a Fraction for an int or a Fraction, a Cyclo
+    unchanged, None for anything else."""
     if isinstance(x, Cyclo):
         return x
     if isinstance(x, (int, Fraction)):
-        return Cyclo.rational(x)
+        return Fraction(x)
     return None
 
 
@@ -32,7 +38,7 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict monomial-key -> Cyclo, zero coefficients dropped
+        # terms: dict monomial-key -> Fraction or Cyclo, zeros dropped
         t = {}
         if terms:
             for k, v in terms.items():
@@ -49,7 +55,7 @@ class LaurentPoly:
     def var(cls, name, exp=1):
         if exp == 0:
             return cls.const(1)
-        return cls({((name, exp),): Cyclo.rational(1)})
+        return cls({((name, exp),): Fraction(1)})
 
     @classmethod
     def _coerce(cls, x):
@@ -139,7 +145,8 @@ class LaurentPoly:
             raise LaurentInversionError(self)
         (k, v), = self.terms.items()
         ik = tuple(sorted((name, -ex) for name, ex in k))
-        return LaurentPoly({ik: v.inverse()})
+        iv = v.inverse() if isinstance(v, Cyclo) else 1 / v
+        return LaurentPoly({ik: iv})
 
     def __eq__(self, other):
         other = LaurentPoly._coerce(other)
@@ -149,12 +156,9 @@ class LaurentPoly:
             return False
         return all(v == other.terms[k] for k, v in self.terms.items())
 
-    def is_constant(self):
-        return not self.terms or set(self.terms) == {()}
-
     def constant_value(self):
         if not self.terms:
-            return Cyclo.rational(0)
+            return Fraction(0)
         if set(self.terms) != {()}:
             raise ValueError("not constant")
         return self.terms[()]
@@ -169,10 +173,8 @@ class LaurentPoly:
                     val = assign[name]
                     if isinstance(val, LaurentPoly):
                         term = term * val ** ex
-                    elif isinstance(val, Fraction) or isinstance(val, int):
-                        term = term * LaurentPoly.const(Fraction(val) ** ex)
-                    else:  # Cyclo
-                        term = term * LaurentPoly.const(val ** ex)
+                    else:
+                        term = term * _coerce_scalar(val) ** ex
                 else:
                     term = term * LaurentPoly.var(name, ex)
             out = out + term
@@ -183,7 +185,7 @@ class LaurentPoly:
         t = {}
         for k, v in self.terms.items():
             nk = tuple(sorted((mapping.get(name, name), ex) for name, ex in k))
-            t[nk] = t.get(nk, LaurentPoly.const(0).constant_value()) + v
+            t[nk] = t.get(nk, 0) + v
         return LaurentPoly(t)
 
     def variables(self):
@@ -341,7 +343,8 @@ class LaurentMatrix:
             out = []
             for a in row:
                 c = a.constant_value()
-                out.append(c.as_rational())
+                # a Cyclo constant raises ValueError unless it is rational
+                out.append(c.as_rational() if isinstance(c, Cyclo) else c)
             rows.append(out)
         return RatMat.from_rows(rows)
 

@@ -29,10 +29,6 @@ def case(suite, name, **params):
     return deco
 
 
-def _register(suite_name, case_id, fn, **params):
-    _REGISTRY.append((suite_name, case_id, fn, params))
-
-
 def _ok(cond, witness=None):
     return ("pass", None) if cond else ("fail", witness)
 
@@ -130,8 +126,8 @@ def _epim_case(n, p):
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-    _register("matrices", f"matrices/epimorphism-n{_n}-p{_p}",
-              _epim_case(_n, _p), n=_n, p=_p)
+    case("matrices", f"epimorphism-n{_n}-p{_p}", n=_n, p=_p)(
+        _epim_case(_n, _p))
 
 
 # ------------------------------------------------------------------- hecke
@@ -144,8 +140,7 @@ def _grits_case(n, p):
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-    _register("hecke", f"hecke/gritsenko-n{_n}-p{_p}", _grits_case(_n, _p),
-              n=_n, p=_p)
+    case("hecke", f"gritsenko-n{_n}-p{_p}", n=_n, p=_p)(_grits_case(_n, _p))
 
 
 def _vcount_case(n, p):
@@ -168,8 +163,7 @@ def _vcount_case(n, p):
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2)):
-    _register("hecke", f"hecke/v-counts-n{_n}-p{_p}", _vcount_case(_n, _p),
-              n=_n, p=_p)
+    case("hecke", f"v-counts-n{_n}-p{_p}", n=_n, p=_p)(_vcount_case(_n, _p))
 
 
 def _coverage_case(n, p, tag):
@@ -183,8 +177,8 @@ def _coverage_case(n, p, tag):
 for _n, _p in ((2, 2), (2, 3), (3, 2)):
     for _tag in (["V1", "Vp", "Vp'"] + [f"U{i}" for i in range(1, _n + 1)]
                  + [f"T{nu}" for nu in range(1, _n + 1)]):
-        _register("hecke", f"hecke/coverage-n{_n}-p{_p}-{_tag}",
-                  _coverage_case(_n, _p, _tag), n=_n, p=_p)
+        case("hecke", f"coverage-n{_n}-p{_p}-{_tag}", n=_n, p=_p)(
+            _coverage_case(_n, _p, _tag))
 
 
 @case("hecke", "unit-element")
@@ -224,8 +218,8 @@ def _commut_case(n, p):
 
 
 for _n, _p in ((2, 2), (3, 2)):
-    _register("hecke", f"hecke/commutativity-n{_n}-p{_p}",
-              _commut_case(_n, _p), n=_n, p=_p)
+    case("hecke", f"commutativity-n{_n}-p{_p}", n=_n, p=_p)(
+        _commut_case(_n, _p))
 
 
 @case("hecke", "satake-display")
@@ -302,8 +296,7 @@ def _indices_case(n, p):
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-    _register("hecke", f"hecke/indices-n{_n}-p{_p}", _indices_case(_n, _p),
-              n=_n, p=_p)
+    case("hecke", f"indices-n{_n}-p{_p}", n=_n, p=_p)(_indices_case(_n, _p))
 
 
 # ------------------------------------------------------------- projections
@@ -851,9 +844,8 @@ def _fe_case(p, n):
 
 
 for _p, _n in ((3, 2), (3, 3), (5, 2), (5, 3)):
-    _register("functional-equation",
-              f"functional-equation/synthetic-p{_p}-n{_n}",
-              _fe_case(_p, _n), n=_n, p=_p)
+    case("functional-equation", f"synthetic-p{_p}-n{_n}", n=_n, p=_p)(
+        _fe_case(_p, _n))
 
 
 @case("functional-equation", "self-dual-fixture")

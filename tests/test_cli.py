@@ -304,3 +304,33 @@ def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
                            "--from-json", str(path))
     assert code == 2
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "{missing}"],
+    ["verify", "--suite", "weights", "--json-out", "{missing}/report.jsonl"],
+    ["compute", "integrate", "--from-json", "{missing}"],
+])
+def test_missing_path_exits_2_without_traceback(tmp_path, argv):
+    missing = str(tmp_path / "absent")
+    proc = _run_child(*(a.format(missing=missing) for a in argv), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and missing in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_rejects_unknown_key(tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seed = 3\nsuite = weights\n")
+    proc = _run_child("verify", "--config", str(cfg), timeout=120)
+    assert proc.returncode == 2
+    assert "unknown key 'suite'" in proc.stderr and ":2:" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_hecke_expand_rejects_non_prime_p():
+    proc = _run_child("compute", "hecke-expand", "--n", "2", "--p", "4",
+                      "--op", "V1", timeout=60)
+    assert proc.returncode == 2
+    assert "p = 4 is not prime" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,35 +7,142 @@ import pytest
 from heckeforge import hecke, kernels
 from heckeforge.laurent import lvar
 from heckeforge.matrices import GlnContext
-from heckeforge.ratmat import RatMat
+from heckeforge.ratmat import RatMat, SingularMatrixError
 
 
 def _ctx(n=2, p=2, r=1):
     return GlnContext(n, p, r)
 
 
+def _one(rows, coeff=1):
+    """A one-term sum rows K_I at (n, p, r) = (2, 2, 1)."""
+    return hecke.CosetSum(_ctx(), [(RatMat.from_rows(rows), coeff)])
+
+
 def test_coset_equality_examples():
-    ctx = _ctx()
-    a = hecke.Coset(RatMat.from_rows([[2, 0], [0, 1]]), ctx)
+    a = _one([[2, 0], [0, 1]])
     assert a == a
-    b = hecke.Coset(RatMat.from_rows([[2, 2], [0, 1]]), ctx)
-    assert a == b  # differ by an integral unipotent
-    c = hecke.Coset(RatMat.from_rows([[2, 1], [0, 1]]), ctx)
-    assert not a == c  # g^{-1} h = [[1, 1/2], [0, 1]] is not integral
+    assert a == _one([[2, 2], [0, 1]])  # differ by an integral unipotent
+    # g^{-1} h = [[1, 1/2], [0, 1]] is not integral
+    assert not a == _one([[2, 1], [0, 1]])
 
 
 def test_coset_rejects_singular():
-    with pytest.raises(ValueError):
-        hecke.Coset(RatMat.from_rows([[1, 1], [1, 1]]), _ctx())
+    for folded in (False, True):
+        with pytest.raises(SingularMatrixError):
+            hecke.CosetSum(_ctx(), [(RatMat.from_rows([[1, 1], [1, 1]]), 1)],
+                           folded=folded)
 
 
 def test_expand_v1_pinned():
-    cs = hecke.expand_V(_ctx(), 1)
+    ctx = _ctx()
+    cs = hecke.expand_V(ctx, 1)
     want = [RatMat.from_rows([[2, 0], [0, 1]]), RatMat.from_rows([[2, 1], [0, 1]])]
     assert len(cs) == 2
-    got = [rep for rep, _ in cs.pairs()]
-    for w in want:
-        assert any(hecke.Coset(w, _ctx()) == hecke.Coset(g, _ctx()) for g in got)
+    assert cs == hecke.CosetSum(ctx, [(w, 1) for w in want], folded=True)
+
+
+# Three cosets of GL_2 at p = 2, level 1; A and A2 are one coset.
+_A = RatMat.from_rows([[2, 0], [0, 1]])
+_A2 = RatMat.from_rows([[2, 2], [0, 1]])
+_B = RatMat.from_rows([[2, 1], [0, 1]])
+_C = RatMat.from_rows([[1, 0], [0, 2]])
+
+
+def test_check_disjoint_finds_a_coset_listed_twice():
+    ctx = _ctx()
+    for reps, want in (([_A, _A2], (0, 1)), ([_A, _A2, _B], (0, 1)),
+                       ([_B, _A, _A2], (1, 2)), ([_A, _B, _A2], (0, 2))):
+        cs = hecke.CosetSum(ctx, [(g, 1) for g in reps], folded=True)
+        assert hecke.check_disjoint(cs) == (False, want)
+    cs = hecke.CosetSum(ctx, [(g, 1) for g in (_A, _B, _C)], folded=True)
+    assert hecke.check_disjoint(cs) == (True, None)
+
+
+def test_coverage_counts_a_probe_in_two_cosets(monkeypatch):
+    ctx = _ctx()
+    v1 = hecke.expand_V(ctx, 1)
+    assert hecke.check_coverage(ctx, "V1", samples=20, seed=4) == 0
+    # every coset listed twice: each probe lies in two listed cosets
+    twice = hecke.CosetSum(ctx, v1.pairs() * 2, folded=True)
+    monkeypatch.setattr(hecke, "expand_operator", lambda ctx, tag: twice)
+    assert hecke.check_coverage(ctx, "V1", samples=20, seed=4) == 20
+    # one coset left out: the probes in it lie in none
+    short = hecke.CosetSum(ctx, v1.pairs()[:1], folded=True)
+    monkeypatch.setattr(hecke, "expand_operator", lambda ctx, tag: short)
+    assert 0 < hecke.check_coverage(ctx, "V1", samples=20, seed=4) < 20
+
+
+def test_equal_cosets_unequal_coefficients():
+    ctx = _ctx()
+    a = hecke.CosetSum(ctx, [(_A, 1), (_B, 2)])
+    assert not a == hecke.CosetSum(ctx, [(_A2, 2), (_B, 1)])
+    assert not a == hecke.CosetSum(ctx, [(_A2, 1), (_B, 3)])
+    assert a == hecke.CosetSum(ctx, [(_B, 2), (_A2, 1)])
+    # a term of `other` is matched once only
+    dup = hecke.CosetSum(ctx, [(_A, 1), (_A2, 1)], folded=True)
+    assert not dup == hecke.CosetSum(ctx, [(_A, 1), (_B, 1)], folded=True)
+
+
+def test_cancelled_terms_are_dropped():
+    ctx = _ctx()
+    a = hecke.CosetSum(ctx, [(_A, 2), (_B, 1)])
+    assert len(a + a.scale(-1)) == 0 and len(a.scale(0)) == 0
+    diff = a + hecke.CosetSum(ctx, [(_A2, -2), (_C, 1)])
+    assert diff == hecke.CosetSum(ctx, [(_B, 1), (_C, 1)])
+    # a folded coset that cancels and comes back folds as new
+    back = hecke.CosetSum(ctx, [(_A, 1), (_A2, -1), (_B, 1), (_A2, 3)])
+    assert [c for _, c in back.pairs()] == [1, 3]
+    assert hecke.check_disjoint(back) == (True, None)
+
+
+def _same_coset_reference(g, h, ctx):
+    """g K_I = h K_I, by the kernels' separate product and Iwahori test."""
+    gi = g.inv()
+    prod = kernels.mat_mul(gi.num, h.num, ctx.n)
+    return kernels.is_iwahori_scaled(prod, gi.den * h.den, ctx.n, ctx.p, ctx.r)
+
+
+def _equal_reference(a, b, ctx):
+    """Brute force: some bijection of the terms pairs equal cosets with
+    equal coefficients."""
+    mine, theirs = a.pairs(), b.pairs()
+    return len(mine) == len(theirs) and any(
+        all(c == oc and _same_coset_reference(g, h, ctx)
+            for (g, c), (h, oc) in zip(mine, perm))
+        for perm in itertools.permutations(theirs))
+
+
+def test_sum_equality_against_brute_force():
+    """Sums with repeated cosets (folded=True keeps them apart) under
+    random representatives: equality agrees with the reference."""
+    ctx = _ctx()
+    rng = random.Random(11)
+
+    def rerep(g):
+        up = RatMat.from_rows([[1, rng.randrange(4)], [0, 1]])
+        lo = RatMat.from_rows([[1, 0], [2 * rng.randrange(4), 1]])
+        return g * up * lo
+
+    outcomes = set()
+    for _ in range(300):
+        terms = [(rng.choice([_A, _B, _C]), rng.choice([1, 2]))
+                 for _ in range(rng.randrange(5))]
+        other = [(rerep(g), c) for g, c in terms]
+        rng.shuffle(other)
+        if other and rng.random() < 0.5:
+            i = rng.randrange(len(other))
+            g, c = other[i]
+            if rng.random() < 0.5:
+                other[i] = (rerep(rng.choice([_A, _B, _C])), c)  # a coset
+            else:
+                other[i] = (g, 3 - c)  # a coefficient
+        a = hecke.CosetSum(ctx, terms, folded=True)
+        b = hecke.CosetSum(ctx, other, folded=True)
+        want = _equal_reference(a, b, ctx)
+        assert (a == b) == want, (terms, other)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_expand_counts():
@@ -145,8 +254,9 @@ def test_expand_operator_validation():
     cs = hecke.expand_operator(ctx, "V1", validate=True)
     assert len(cs) == 3
     # a broken listing is reported with the uncovered sample
-    with pytest.raises(ValueError):
-        hecke.expand_operator(ctx, "W9")
+    for tag in ("W9", ""):
+        with pytest.raises(ValueError):
+            hecke.expand_operator(ctx, tag)
 
 
 def test_satake_pinned_displays():

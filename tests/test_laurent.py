@@ -5,7 +5,7 @@ import pytest
 
 from heckeforge.exact import Cyclo
 from heckeforge.laurent import (LaurentInversionError, LaurentMatrix,
-                                lconst, lvar)
+                                LaurentPoly, lconst, lvar)
 
 
 def test_monomial_arithmetic():
@@ -88,3 +88,40 @@ def test_rename_symmetry():
     assert sym.rename({"X1": "X2", "X2": "X1"}) == sym
     asym = x1 - x2
     assert asym.rename({"X1": "X2", "X2": "X1"}) == -asym
+
+
+def test_mixed_cyclotomic_and_rational_coefficients():
+    """Rational coefficients stay Fractions next to a Cyclo one, and agree
+    with a twin whose every coefficient is a Cyclo."""
+    z = Cyclo.zeta(3)
+    f, x = lvar("f"), lvar("x")
+    poly = z * f + Fraction(1, 2) * x - 3
+    assert {type(v) for v in poly.terms.values()} == {Cyclo, Fraction}
+    twin = LaurentPoly({k: Cyclo._coerce(v) for k, v in poly.terms.items()})
+    assert {type(v) for v in twin.terms.values()} == {Cyclo}
+    assert poly == twin and twin == poly
+    assert poly + poly == 2 * twin
+    assert not poly - twin
+    sq = poly * poly
+    assert sq == twin * twin
+    assert sq == (z * z * f ** 2 + Fraction(1, 4) * x ** 2 + 9 + z * f * x
+                  - 6 * z * f - 3 * x)
+    assert type(sq.terms[(("x", 2),)]) is Fraction
+    # substitute a Cyclo, an int and a Fraction, one with a negative power
+    val = (poly * x ** -1).substitute({"f": z, "x": 2})
+    assert val.constant_value() == (Cyclo.zeta(3, 2) - 2) / 2
+    val = poly.substitute({"f": Fraction(1, 3), "x": 4})
+    assert val.constant_value() == z / 3 - 1
+    # unit_inverse inverts by the coefficient's type
+    u = z * f ** 2
+    assert u * u.unit_inverse() == 1
+    v = Fraction(3) * x
+    assert v.unit_inverse().terms == {(("x", -1),): Fraction(1, 3)}
+
+
+def test_to_ratmat_needs_rational_constants():
+    z = Cyclo.zeta(3)
+    with pytest.raises(ValueError):
+        LaurentMatrix([[lconst(z), 0], [0, 1]]).to_ratmat()
+    one = LaurentMatrix([[lconst(z * z.conj()), 0], [0, 1]]).to_ratmat()
+    assert one == LaurentMatrix.identity(2).to_ratmat()

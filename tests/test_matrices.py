@@ -167,3 +167,10 @@ def test_inverseh_rejects_rank_two():
 def test_build_standard_rejects_unknown():
     with pytest.raises(ValueError):
         build_standard(GlnContext(3, 2, 1), "bogus")
+
+
+@pytest.mark.parametrize("n, p, r", [(1, 2, 1), (2, 2, 0), (2, 1, 1),
+                                     (2, 4, 1), (3, 9, 1)])
+def test_context_rejects_bad_parameters(n, p, r):
+    with pytest.raises(ValueError):
+        GlnContext(n, p, r)
