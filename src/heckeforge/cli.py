@@ -78,7 +78,11 @@ def cmd_verify(args):
             in ("1", "true", "yes")
     if seed is None:
         seed = int(os.environ.get("HECKE_FORGE_SEED", "0"))
-    jobs = jobs or 1
+    if jobs is None:
+        jobs = 1
+    elif jobs < 1:
+        print(f"error: jobs = {jobs}; it must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         reports = suite.run_suite(suites=suites, seed=seed, jobs=jobs,
                                   include_corrupted_fixture=corrupted,

@@ -120,6 +120,27 @@ class CosetSum:
 # ---------------------------------------------------------------------------
 # operator expansions
 
+# The most coset representatives (V_nu, V_p, V_p') or candidate matrices
+# (U_i, T_nu) one expansion may enumerate; each count has a closed form,
+# checked before enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
+MAX_ENUMERATION = 100_000
+
+
+def _check_enumeration(what, p, exponents):
+    """Raise ValueError if `what` would enumerate more than MAX_ENUMERATION
+    matrices, sum(p^e for e in exponents) of them.  The sum stops once it
+    passes the bound, and p^e >= 2^e is formed only for e below the
+    bound's bit length."""
+    total = 0
+    for e in exponents:
+        if e >= MAX_ENUMERATION.bit_length():
+            total = MAX_ENUMERATION + 1
+        else:
+            total += p ** e
+        if total > MAX_ENUMERATION:
+            raise ValueError(f"{what} exceed MAX_ENUMERATION = "
+                             f"{MAX_ENUMERATION}")
+
 _GENERATOR_REP = {
     "V": lambda ctx, nu: RatMat.diagonal(
         [ctx.p if i < nu else 1 for i in range(ctx.n)]),
@@ -144,8 +165,10 @@ def expand_V(ctx, nu):
         raise ValueError("0 <= nu <= n required")
     if nu == 0:
         return unit_coset(ctx)
-    pairs = []
     cols = n - nu
+    _check_enumeration(f"V_{nu} at n = {n}, p = {p}: p^(nu(n-nu)) = "
+                       f"{p}^{nu * cols} cosets", p, [nu * cols])
+    pairs = []
     for vals in itertools.product(range(p), repeat=nu * cols):
         rows = [[0] * n for _ in range(n)]
         for i in range(nu):
@@ -174,8 +197,12 @@ def _unipotent_quotient_reps(n, p, scale=1):
 
 def _expand_unipotent_translates(ctx, kind):
     """u g K over u in U_n(O)/t U_n(O) t^{-1}, g the generator of `kind`."""
+    n, p, r = ctx.n, ctx.p, ctx.r
+    e = r * (n + 1) * n * (n - 1) // 6
+    _check_enumeration(f"{kind} at n = {n}, p = {p}, r = {r}: "
+                       f"p^(r(n+1)n(n-1)/6) = {p}^{e} cosets", p, [e])
     g = _GENERATOR_REP[kind](ctx)
-    pairs = [(u * g, 1) for u in _unipotent_quotient_reps(ctx.n, ctx.p, ctx.r)]
+    pairs = [(u * g, 1) for u in _unipotent_quotient_reps(n, p, r)]
     return CosetSum(ctx, pairs, folded=True)
 
 
@@ -195,6 +222,8 @@ def expand_U(ctx, i):
     n, p = ctx.n, ctx.p
     if not 1 <= i <= n:
         raise ValueError("1 <= i <= n required")
+    _check_enumeration(f"U_{i} at n = {n}, p = {p}: p^(n(n-1)) = "
+                       f"{p}^{n * (n - 1)} candidates", p, [n * (n - 1)])
     pi_i = RatMat.diagonal([p if j == i - 1 else 1 for j in range(n)])
     positions = [(a, b) for a in range(n) for b in range(n) if a < b]
     out = CosetSum(ctx)
@@ -234,6 +263,11 @@ def spherical_T_reps(n, p, nu):
     pivot run mod p; kept iff the reduction mod p has rank n - nu (which
     pins the elementary divisor type).
     """
+    # a pivot set draws p^(n-1-a) entries for each pivot row a
+    _check_enumeration(
+        f"T_{nu} at n = {n}, p = {p}: the triangular candidates", p,
+        (sum(n - 1 - a for a in ones)
+         for ones in itertools.combinations(range(n), nu)))
     reps = []
     for ones in itertools.combinations(range(n), nu):
         es = [1 if i in ones else 0 for i in range(n)]

@@ -8,9 +8,20 @@ as it is, and mixed arithmetic goes through Cyclo's own coercion.  So
 the all-rational polynomials of the matrix identities never reach the
 cyclotomic product.  These carry the symbolic side of the matrix
 identity checks; numeric evaluation hands off to RatMat.
+
+A product with a single-term factor only shifts keys and scales
+coefficients.  Any other product packs each monomial into one int: the
+operands' variables get fixed places, exponents become signed digits in a
+base beyond any exponent the product reaches, and a monomial product is
+one int addition.  When every coefficient is a Fraction, the loop
+multiplies integer numerators over each operand's common denominator and
+forms one Fraction per result term; otherwise it multiplies the
+coefficients themselves.  Only the result keys are unpacked, so the
+stored form above is unchanged.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from heckeforge.exact import Cyclo
 from heckeforge.ratmat import RatMat
@@ -34,6 +45,59 @@ def _coerce_scalar(x):
     return None
 
 
+def _monomial_places(a, b):
+    """Places for packing the monomial keys of a product of the term dicts
+    a and b into ints: (names, offset, shift).
+
+    The variables get fixed places in sorted order, and a monomial packs to
+    the sum of exp << offset[name]: signed digits in base 2^shift, which
+    exceeds twice any exponent the product can reach.  So the packed key
+    of a product of monomials is the sum of their packed keys."""
+    names = set()
+    reach = 0
+    for t in (a, b):
+        top = 0
+        for k in t:
+            for name, e in k:
+                names.add(name)
+                if abs(e) > top:
+                    top = abs(e)
+        reach += top
+    names = sorted(names)
+    shift = (2 * reach + 1).bit_length()
+    return names, {name: shift * i for i, name in enumerate(names)}, shift
+
+
+def _packed_terms(terms, offset, den):
+    """[(packed key, value)]: the values are integer numerators over `den`
+    if it is given, else the coefficients themselves."""
+    out = []
+    for k, v in terms.items():
+        x = 0
+        for name, e in k:
+            x += e << offset[name]
+        out.append((x, v if den is None
+                    else v.numerator * (den // v.denominator)))
+    return out
+
+
+def _unpacked_key(x, names, shift):
+    """The sorted (name, exp) tuple that packs to x."""
+    base = 1 << shift
+    mask, half = base - 1, base >> 1
+    key = []
+    for name in names:
+        if not x:
+            break
+        d = x & mask
+        if d >= half:
+            d -= base
+        if d:
+            key.append((name, d))
+        x = (x - d) >> shift
+    return tuple(key)
+
+
 class LaurentPoly:
     __slots__ = ("terms",)
 
@@ -45,6 +109,13 @@ class LaurentPoly:
                 if v:
                     t[k] = v
         self.terms = t
+
+    @classmethod
+    def _nonzero(cls, terms):
+        """Wrap a term dict whose coefficients are all nonzero."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def const(cls, c):
@@ -97,6 +168,10 @@ class LaurentPoly:
 
     @staticmethod
     def _mul_keys(k1, k2):
+        if not k1:
+            return k2
+        if not k2:
+            return k1
         e = dict(k1)
         for name, ex in k2:
             ne = e.get(name, 0) + ex
@@ -110,10 +185,28 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        # a single-term factor only shifts keys and scales coefficients:
+        # distinct keys stay distinct and no product of nonzero
+        # coefficients vanishes
+        if len(a) <= 1 or len(b) <= 1:
+            mul_keys = self._mul_keys
+            t = {}
+            for k1, v1 in a.items():
+                for k2, v2 in b.items():
+                    t[mul_keys(k1, k2)] = v1 * v2
+            return LaurentPoly._nonzero(t)
+        names, offset, shift = _monomial_places(a, b)
+        da = db = None
+        if (all(type(v) is Fraction for v in a.values())
+                and all(type(v) is Fraction for v in b.values())):
+            da = lcm(*[v.denominator for v in a.values()])
+            db = lcm(*[v.denominator for v in b.values()])
         t = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = self._mul_keys(k1, k2)
+        pb = _packed_terms(b, offset, db)
+        for k1, v1 in _packed_terms(a, offset, da):
+            for k2, v2 in pb:
+                k = k1 + k2
                 prod = v1 * v2
                 s = t.get(k)
                 s = prod if s is None else s + prod
@@ -121,7 +214,13 @@ class LaurentPoly:
                     t[k] = s
                 else:
                     t.pop(k, None)
-        return LaurentPoly(t)
+        if da is None:
+            return LaurentPoly._nonzero(
+                {_unpacked_key(k, names, shift): s for k, s in t.items()})
+        den = da * db
+        return LaurentPoly._nonzero(
+            {_unpacked_key(k, names, shift): Fraction(s, den)
+             for k, s in t.items()})
 
     __rmul__ = __mul__
 
@@ -133,8 +232,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def is_unit(self):
@@ -314,12 +414,20 @@ class LaurentMatrix:
         return minor(0, tuple(range(n)))
 
     def inverse(self):
-        """Exact inverse; requires det to be a unit (single monomial)."""
+        """Exact inverse; requires det to be a unit (single monomial).
+
+        A diagonal matrix is inverted entrywise: its det is a unit exactly
+        when every diagonal entry is one."""
+        n, e = self.n, self.entries
+        if not any(e[i][j] for i in range(n) for j in range(n) if i != j):
+            diag = [e[i][i] for i in range(n)]
+            if not all(d.is_unit() for d in diag):
+                raise LaurentInversionError(self.det())
+            return LaurentMatrix.diagonal([d.unit_inverse() for d in diag])
         d = self.det()
         if not d.is_unit():
             raise LaurentInversionError(d)
         dinv = d.unit_inverse()
-        n = self.n
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):

@@ -211,6 +211,17 @@ def test_verify_with_jobs(capsys, tmp_path):
     assert strip_ms(p1) == strip_ms(p2)
 
 
+@pytest.mark.parametrize("jobs", ["-3", "0"])
+def test_verify_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"jobs = {jobs}\n")
+    for argv in (["--jobs", jobs], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, "verify", "--suite", "weights",
+                                 *argv)
+        assert code == 2 and not out
+        assert err == f"error: jobs = {jobs}; it must be at least 1\n"
+
+
 def _child(*argv):
     """The command and environment that run the CLI in a child process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -333,4 +344,18 @@ def test_hecke_expand_rejects_non_prime_p():
                       "--op", "V1", timeout=60)
     assert proc.returncode == 2
     assert "p = 4 is not prime" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("op, count", [
+    ("Vp", "p^(r(n+1)n(n-1)/6) = 7^35 cosets"),
+    ("U1", "p^(n(n-1)) = 7^30 candidates"),
+    ("V3", "p^(nu(n-nu)) = 7^9 cosets"),
+    ("T3", "the triangular candidates"),
+])
+def test_hecke_expand_refuses_enumerations_above_bound(op, count):
+    proc = _run_child("compute", "hecke-expand", "--n", "6", "--p", "7",
+                      "--op", op, timeout=30)
+    assert proc.returncode == 2
+    assert count in proc.stderr and "MAX_ENUMERATION = 100000" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout

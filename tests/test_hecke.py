@@ -155,6 +155,24 @@ def test_expand_counts():
     assert len(hecke.expand_U(_ctx(3, 2), 3)) == 1
 
 
+@pytest.mark.parametrize("tag, n, p, r, count", [
+    ("V1", 3, 2, 1, 4), ("V2", 3, 3, 1, 9), ("Vp", 3, 2, 1, 16),
+    ("Vp'", 3, 2, 2, 256),
+    # candidates: p^(n(n-1)) unipotent u, or one p^(n-1-a) per pivot row a
+    ("U1", 3, 2, 1, 64), ("T1", 3, 2, 1, 4 + 2 + 1), ("T2", 3, 2, 1, 8 + 4 + 2),
+])
+def test_enumeration_bound_is_the_closed_form_count(monkeypatch, tag, n, p,
+                                                    r, count):
+    ctx = _ctx(n, p, r)
+    monkeypatch.setattr(hecke, "MAX_ENUMERATION", count)
+    cs = hecke.expand_operator(ctx, tag)
+    if tag[0] == "V":
+        assert len(cs) == count
+    monkeypatch.setattr(hecke, "MAX_ENUMERATION", count - 1)
+    with pytest.raises(ValueError, match="MAX_ENUMERATION"):
+        hecke.expand_operator(ctx, tag)
+
+
 def test_unit_element():
     ctx = _ctx()
     unit = hecke.expand_V(ctx, 0)

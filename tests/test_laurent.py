@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckeforge.exact import Cyclo
 from heckeforge.laurent import (LaurentInversionError, LaurentMatrix,
@@ -57,6 +59,43 @@ def test_inversion_error_carries_witness():
     with pytest.raises(LaurentInversionError) as err:
         bad2.inverse()
     assert err.value.det == 1 + f
+
+
+def test_diagonal_inversion_error_carries_the_full_determinant():
+    f = lvar("f")
+    with pytest.raises(LaurentInversionError) as err:
+        LaurentMatrix.diagonal([1 + f, f]).inverse()
+    assert err.value.det == f + f ** 2
+    with pytest.raises(LaurentInversionError) as err:
+        LaurentMatrix.diagonal([f, lconst(0), 1 + f]).inverse()
+    assert not err.value.det
+
+
+def _cofactor_inverse(m):
+    """The adjugate over the determinant, entry by entry."""
+    n = m.n
+    dinv = m.det().unit_inverse()
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[m[r, c] for c in range(n) if c != j]
+                   for r in range(n) if r != i]
+            cof = LaurentMatrix(sub).det() if n > 1 else lconst(1)
+            rows[j][i] = (-cof if (i + j) % 2 else cof) * dinv
+    return LaurentMatrix(rows)
+
+
+def test_diagonal_inverse_matches_cofactors():
+    f, x = lvar("f"), lvar("x")
+    z = Cyclo.zeta(5, 2)
+    for diag in ([f ** -2 * x, lconst(-3) * x ** -1, lconst(1)],
+                 [z * f ** 3, Fraction(2, 7) * x ** -2 * f, lconst(z)],
+                 [lconst(Fraction(-1, 4))]):
+        a = LaurentMatrix.diagonal(diag)
+        inv = a.inverse()
+        assert inv == _cofactor_inverse(a)
+        assert a * inv == LaurentMatrix.identity(a.n)
+        assert inv * a == LaurentMatrix.identity(a.n)
 
 
 def _random_invertible(rng, n):
@@ -125,3 +164,90 @@ def test_to_ratmat_needs_rational_constants():
         LaurentMatrix([[lconst(z), 0], [0, 1]]).to_ratmat()
     one = LaurentMatrix([[lconst(z * z.conj()), 0], [0, 1]]).to_ratmat()
     assert one == LaurentMatrix.identity(2).to_ratmat()
+
+
+# The product against the loop it replaced, kept here as the reference:
+# every pair of monomials merged through a dict and re-sorted, every
+# coefficient product added as it comes, a sum that reaches zero dropped
+# at once.
+
+def reference_product(p, q):
+    """The term dict of p * q, the product taken pair by pair."""
+    t = {}
+    for k1, v1 in p.terms.items():
+        for k2, v2 in q.terms.items():
+            e = dict(k1)
+            for name, ex in k2:
+                ne = e.get(name, 0) + ex
+                if ne:
+                    e[name] = ne
+                else:
+                    e.pop(name, None)
+            k = tuple(sorted(e.items()))
+            prod = v1 * v2
+            s = t.get(k)
+            s = prod if s is None else s + prod
+            if s:
+                t[k] = s
+            else:
+                t.pop(k, None)
+    return t
+
+
+def assert_same_terms(got, want):
+    """Same keys in the same order, equal values of the same types."""
+    assert list(got) == list(want)
+    for k, v in want.items():
+        assert got[k] == v and type(got[k]) is type(v), k
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+CYCLOS = st.builds(lambda m, k, c: Cyclo.zeta(m, k) * c,
+                   st.sampled_from([1, 3, 4, 5]), st.integers(0, 4), RATIONALS)
+# "X10" sorts before "X2": keys follow the names' string order
+KEYS = st.dictionaries(st.sampled_from(["f", "u1", "w1", "X2", "X10"]),
+                       st.integers(-4, 4).filter(bool), max_size=3).map(
+    lambda e: tuple(sorted(e.items())))
+
+
+def polys(coefficients):
+    return st.dictionaries(KEYS, coefficients, max_size=6).map(LaurentPoly)
+
+
+RATIONAL_POLYS = polys(RATIONALS)
+MIXED_POLYS = polys(st.one_of(RATIONALS, CYCLOS))
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(RATIONAL_POLYS, RATIONAL_POLYS)
+@example(LaurentPoly(), lvar("f") + 1)
+@example(lconst(Fraction(3, 4)), lconst(Fraction(-2, 9)))
+@example(lvar("f") + lvar("X2", -3), lvar("f") - lvar("X2", -3))
+@example(lvar("f", -2) + Fraction(1, 3), lvar("f", 2) * Fraction(3, 5) - 1)
+def test_rational_product_matches_reference(p, q):
+    prod = p * q
+    assert_same_terms(prod.terms, reference_product(p, q))
+    assert all(type(v) is Fraction for v in prod.terms.values())
+    assert p ** 0 == 1 and p ** 1 == p and p ** 3 == p * p * p
+    assert prod ** 2 == p ** 2 * q ** 2
+
+
+@PROPERTY
+@given(MIXED_POLYS, MIXED_POLYS)
+@example(lconst(Cyclo.zeta(3)), lconst(Fraction(1, 2)))
+# the f*x term's sum reaches zero as a Cyclo, then restarts from a Fraction
+@example(lvar("f") + lvar("x") + lvar("f") * lvar("x", 2),
+         Cyclo.zeta(4) * (lvar("x") - lvar("f")) + Fraction(1, 2) * lvar("x", -1))
+def test_mixed_product_matches_reference(p, q):
+    assert_same_terms((p * q).terms, reference_product(p, q))
+
+
+@PROPERTY
+@given(RATIONAL_POLYS, MIXED_POLYS)
+def test_products_that_cancel(p, q):
+    """(p + q)(p - q) cancels its cross terms; p * (q - q) is zero."""
+    s, d = p + q, p - q
+    assert_same_terms((s * d).terms, reference_product(s, d))
+    assert s * d == p * p - q * q
+    assert not p * (q - q) and not (q - q) * p

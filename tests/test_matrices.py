@@ -12,6 +12,7 @@ from heckeforge.matrices import (GlnContext, build_distribution_family,
                                  verify_inverseft, verify_inverseh, w_tilde,
                                  weyl_longest)
 from heckeforge.ratmat import RatMat
+from test_laurent import assert_same_terms, reference_product
 
 
 def test_standard_tags_numeric():
@@ -116,10 +117,21 @@ def test_family_numeric_grid():
 
 
 def test_family_symbolic_congruences():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         fam = family_symbolic(n)
         assert fam["columns_ok"]
         assert fam["det_pair_ok"]
+
+
+@pytest.mark.parametrize("n, sizes", [(4, (62, 49, 418)),
+                                      (5, (330, 247, 5410))])
+def test_family_det_pair_matches_reference_product(n, sizes):
+    """det(d) det(d'), the family's largest product, term for term."""
+    fam = family_symbolic(n)
+    det_d, det_dp = fam["d(u,w)"].det(), fam["d'(u,w)"].det()
+    prod = det_d * det_dp
+    assert (len(det_d.terms), len(det_dp.terms), len(prod.terms)) == sizes
+    assert_same_terms(prod.terms, reference_product(det_d, det_dp))
 
 
 def test_epimorphism_surjective():
