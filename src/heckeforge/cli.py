@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from heckeforge import distributions as dist
 from heckeforge import gauss, hecke, suite, weights
-from heckeforge.exact import Cyclo
+from heckeforge.exact import scalar_json
 from heckeforge.matrices import GlnContext
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -46,12 +46,6 @@ def parse_config(path):
 
 def _int_list(val):
     return [int(x) for x in val.split(",") if x.strip()]
-
-
-def _scalar_json(x):
-    if isinstance(x, Cyclo):
-        return x.to_json()
-    return str(Fraction(x))
 
 
 def cmd_verify(args):
@@ -142,7 +136,7 @@ def cmd_hecke_expand(args):
 
 def cmd_satake(args):
     poly = hecke.satake(args.n, args.nu)
-    terms = [{"monomial": dict(k), "coefficient": _scalar_json(v)}
+    terms = [{"monomial": dict(k), "coefficient": scalar_json(v)}
              for k, v in sorted(poly.terms.items())]
     print(json.dumps({"n": args.n, "nu": args.nu, "terms": terms}))
     return EXIT_PASS
@@ -185,7 +179,7 @@ def cmd_kappa_hat(args):
     print(json.dumps({
         "n": args.n, "p": args.p, "s": args.s, "nu": args.nu,
         "nu_min": args.nu_min, "kappa_pair": args.kappa,
-        "value": _scalar_json(val), "exponents": info,
+        "value": scalar_json(val), "exponents": info,
     }))
     return EXIT_PASS
 
@@ -215,7 +209,7 @@ def cmd_integrate(args):
     print(json.dumps({
         "p": mu.tower.p, "conductor": args.conductor,
         "distribution": mu.to_json(),
-        "integral": [_scalar_json(v) for v in val],
+        "integral": [scalar_json(v) for v in val],
     }))
     return EXIT_PASS
 
@@ -234,7 +228,9 @@ def build_parser():
     v.add_argument("--suite", action="append", choices=suite.SUITES,
                    help="restrict to a suite (repeatable)")
     v.add_argument("--json-out", help="write JSON Lines report here")
-    v.add_argument("--jobs", type=int, default=None, help="worker threads")
+    v.add_argument("--jobs", type=int, default=None,
+                   help="threads to run the cases on (default 1); the cases "
+                        "are CPU-bound, so more threads are no faster")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("compute", help="one-shot exact computations")

@@ -5,12 +5,17 @@ functional equation.
 The rational model of the tower at level m is (Z/p^m)^*; an abstract model
 glues a finite cyclic class-group part onto it.  Values live in E^d with d
 components indexed by the embedding integers nu; everything is exact.
+An eigenvalue is inverted as `1 / exact.scalar(kappa)`, and values are
+serialized by `exact.scalar_json` and read back by `scalar_from_json`.
+A tower level m is enumerated only while p^m <= gauss.MAX_MODULUS.
 """
 
 from fractions import Fraction
+from math import prod
 
-from heckeforge.exact import Cyclo, vp
-from heckeforge.gauss import all_characters
+from heckeforge.exact import (Cyclo, is_prime, scalar, scalar_from_json,
+                              scalar_json, vp)
+from heckeforge.gauss import MAX_MODULUS, all_characters
 from heckeforge.modules import full_dual_roots, kappa_of
 
 
@@ -21,8 +26,11 @@ class QTower:
         self.p = p
 
     def elements(self, m):
-        mod = self.p ** m
-        return [a for a in range(mod) if a % self.p != 0]
+        # p^m >= 2^m, so m at or above the bound's bit length is too deep
+        if m >= MAX_MODULUS.bit_length() or self.p ** m > MAX_MODULUS:
+            raise ValueError(f"level {m}: p^m = {self.p}^{m} exceeds "
+                             f"MAX_MODULUS = {MAX_MODULUS}")
+        return [a for a in range(self.p ** m) if a % self.p != 0]
 
     def lifts(self, m, x):
         """Preimages of x in C(p^{m+1}); kernel order p for m >= 1."""
@@ -120,19 +128,14 @@ class Distribution:
     def value(self, m, x):
         return self.values[m][x]
 
-    def component(self, m, x, nu):
-        return self.values[m][x][self.nus.index(nu)]
-
     def to_json(self):
-        def scal(x):
-            return x.to_json() if isinstance(x, Cyclo) else str(Fraction(x))
         return {
             "p": self.tower.p,
             "nus": list(self.nus),
             "levels": [{
                 "m": m,
                 "cosets": [{"x": x if isinstance(x, int) else list(x),
-                            "value": [scal(v) for v in vec]}
+                            "value": [scalar_json(v) for v in vec]}
                            for x, vec in sorted(self.values[m].items(),
                                                 key=lambda kv: str(kv[0]))],
             } for m in self.levels],
@@ -140,30 +143,44 @@ class Distribution:
 
     @classmethod
     def from_json(cls, obj):
-        """Rebuild a rational-model distribution from its serialization."""
-        def scal(v, where):
-            try:
-                return Cyclo.from_json(v) if isinstance(v, dict) else Fraction(v)
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{where}: not a scalar: {v!r}") from exc
+        """Rebuild a rational-model distribution from its serialization.
 
+        p must be prime, the levels consecutive from some m >= 1, each
+        level must list every coset of QTower(p).elements(m) once, and
+        each value must have one scalar per nu; anything else raises a
+        ValueError that names the field."""
         _require(obj, "p", int, "distribution")
         _require(obj, "nus", list, "distribution")
         _require(obj, "levels", list, "distribution")
+        if not is_prime(obj["p"]):
+            raise ValueError(f"distribution: p = {obj['p']} is not prime")
         tower = QTower(obj["p"])
+        d = len(obj["nus"])
         values = {}
         for i, level in enumerate(obj["levels"]):
             where = f"levels[{i}]"
             _require(level, "m", int, where)
             _require(level, "cosets", list, where)
+            m = level["m"]
+            first = first if i else m
+            if m < 1 or m != first + i:
+                raise ValueError(f"{where}: m = {m}; the levels must be "
+                                 "consecutive, from some m >= 1")
             cosets = {}
             for j, c in enumerate(level["cosets"]):
                 at = f"{where}.cosets[{j}]"
                 _require(c, "x", int, at)
                 _require(c, "value", list, at)
-                cosets[c["x"]] = tuple(scal(v, f"{at}.value")
+                if len(c["value"]) != d:
+                    raise ValueError(f"{at}.value: {len(c['value'])} "
+                                     f"entries for {d} nus")
+                cosets[c["x"]] = tuple(scalar_from_json(v, f"{at}.value")
                                        for v in c["value"])
-            values[level["m"]] = cosets
+            if (len(cosets) != len(level["cosets"])
+                    or set(cosets) != set(tower.elements(m))):
+                raise ValueError(f"{where}: the cosets are not those of "
+                                 f"(Z/{obj['p']}^{m})^*, each listed once")
+            values[m] = cosets
         return cls(tower, obj["nus"], values)
 
 
@@ -203,32 +220,22 @@ class EigenSymbol:
             raise ValueError("level beyond the base data")
         data = self.base_data
         level = self.base_level
-        kinv = _inverse_scalar(self.kappa)
+        kinv = 1 / scalar(self.kappa)
         while level > m:
             level -= 1
             new = {}
             for x in self.tower.elements(level):
-                acc = None
-                for lift in self.tower.lifts(level, x):
-                    vec = data[lift]
-                    acc = vec if acc is None else tuple(
-                        a + b for a, b in zip(acc, vec))
+                acc = _vector_sum(data[y] for y in self.tower.lifts(level, x))
                 new[x] = tuple(kinv * a for a in acc)
             data = new
         return data
-
-
-def _inverse_scalar(x):
-    if isinstance(x, Cyclo):
-        return x.inverse()
-    return 1 / Fraction(x)
 
 
 def build_mu(sym, m0):
     """values mu(x + p^m) = kappa^{-m} B_m(x) for m0 <= m <= base level."""
     if m0 < 1 or m0 > sym.base_level:
         raise ValueError("need 1 <= m0 <= base level")
-    kinv = _inverse_scalar(sym.kappa)
+    kinv = 1 / scalar(sym.kappa)
     values = {}
     for m in range(m0, sym.base_level + 1):
         layer = sym.layer(m)
@@ -248,11 +255,7 @@ def check_distribution_relation(mu):
         if m1 != m + 1:
             raise ValueError("stored levels must be consecutive")
         for x, vec in mu.values[m].items():
-            acc = None
-            for lift in mu.tower.lifts(m, x):
-                lv = mu.values[m1][lift]
-                acc = lv if acc is None else tuple(
-                    a + b for a, b in zip(acc, lv))
+            acc = _vector_sum(mu.values[m1][y] for y in mu.tower.lifts(m, x))
             if any(a != b for a, b in zip(acc, vec)):
                 return False, (x, m)
     return True, None
@@ -289,12 +292,16 @@ def integrate_character(mu, chi):
 
 def _integrate_at(mu, chi, m):
     tower = mu.tower
+    terms = ((tower.char_value(chi, m, x), mu.values[m][x])
+             for x in tower.elements(m))
+    return _vector_sum(tuple(c * v for v in vec) for c, vec in terms)
+
+
+def _vector_sum(vecs):
+    """The entrywise sum of value vectors, added in order; None for none."""
     acc = None
-    for x in tower.elements(m):
-        c = tower.char_value(chi, m, x)
-        vec = mu.values[m][x]
-        term = tuple(c * v for v in vec)
-        acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
+    for vec in vecs:
+        acc = vec if acc is None else tuple(a + b for a, b in zip(acc, vec))
     return acc
 
 
@@ -309,12 +316,9 @@ def fourier_inversion_check(mu, m, chi_p=None):
         integrals[idx] = _integrate_at(mu, chi, m)
     size = len(elements)
     for x0 in elements:
-        acc = None
-        for idx, chi in enumerate(chars):
-            cval = tower.char_value(chi, m, x0)
-            term = tuple(cval.inverse() * v for v in integrals[idx])
-            acc = term if acc is None else tuple(
-                a + b for a, b in zip(acc, term))
+        terms = ((tower.char_value(chi, m, x0).inverse(), integrals[idx])
+                 for idx, chi in enumerate(chars))
+        acc = _vector_sum(tuple(c * v for v in vec) for c, vec in terms)
         want = tuple(size * v for v in mu.values[m][x0])
         if any(a != b for a, b in zip(acc, want)):
             return False, x0
@@ -342,8 +346,11 @@ def kappa_hat_value(n, p, s, nu, nu_min, kappa_pair):
     info = kappa_hat(n, s, nu, nu_min, kappa_pair)
     nfchi = Fraction(p) ** s
     base = nfchi ** info["nfchi_exponent"]
-    kp = kappa_pair if isinstance(kappa_pair, Cyclo) else Fraction(kappa_pair)
-    return base * _inverse_scalar(kp) ** s, info
+    kp = scalar(kappa_pair)
+    if kp == 0:
+        raise ValueError("kappa kappa' = 0: kappa-hat needs a nonzero "
+                         "eigenvalue (finite slope)")
+    return base * (1 / kp) ** s, info
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +389,7 @@ def dual_symbol(sym, n, kappa_dual):
     tower = sym.tower
     M = sym.base_level
     dual_nus, reindex = value_vee_reindexer(sym.nus)
-    scale = _inverse_scalar(sym.kappa) ** M * kappa_dual ** M
+    scale = (1 / scalar(sym.kappa)) ** M * kappa_dual ** M
     base = {}
     for x in tower.elements(M):
         src = sym.base_data[involution_vee(tower, M, x, n)]
@@ -397,16 +404,10 @@ def dual_kappa_pair(n, q, lam_full, lam_prime_full):
     lam_vee = full_dual_roots(lam_full, q)[: n - 1]
     lam_p_vee = full_dual_roots(lam_prime_full, q)
     kd = kappa_of(lam_vee, q) * kappa_of(lam_p_vee, q)
-    eta_n = q ** (-(n * (n - 1) // 2)) * _product(lam_full)
-    eta_prime = q ** (-((n - 1) * (n - 2) // 2)) * _product(lam_prime_full)
+    eta_n = q ** (-(n * (n - 1) // 2)) * prod(lam_full, start=Fraction(1))
+    eta_prime = (q ** (-((n - 1) * (n - 2) // 2))
+                 * prod(lam_prime_full, start=Fraction(1)))
     return kd, eta_n, eta_prime
-
-
-def _product(xs):
-    out = Fraction(1)
-    for x in xs:
-        out = out * x
-    return out
 
 
 def verify_inversekappa(n, q, lam_full, lam_prime_full):

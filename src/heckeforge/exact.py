@@ -11,6 +11,11 @@ through the nonzero coefficients of Phi_m only (Phi_27 = x^18 + x^9 + 1
 has 3 of 19).  Cross-conductor arithmetic lifts both operands to the lcm
 conductor, so equality is literal equality of reduced integer vectors and
 denominators at a common conductor.  No floating point anywhere.
+
+This module alone decides what an exact scalar is (`scalar`, `as_rational`)
+and how one is written to JSON (`scalar_json`, `scalar_from_json`).  Other
+modules use plain operators: Cyclo's reflected operators take an int or a
+Fraction on the left, so `1 / x` and `x / y` need no branch on the type.
 """
 
 from fractions import Fraction
@@ -364,6 +369,41 @@ class Cyclo:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["m"], [Fraction(s) for s in obj["coeffs"]])
+
+
+_ZERO = Fraction(0)
+
+
+def scalar(x):
+    """An int as a Fraction (0 as the shared _ZERO), a Fraction or a Cyclo
+    as it is, anything else as None."""
+    if isinstance(x, (Fraction, Cyclo)):
+        return x
+    if isinstance(x, int):
+        return Fraction(x) if x else _ZERO
+    return None
+
+
+def as_rational(x):
+    """x as a Fraction; a Cyclo that is not rational raises ValueError."""
+    x = scalar(x)
+    return x.as_rational() if isinstance(x, Cyclo) else x
+
+
+def scalar_json(x):
+    """A fraction string such as "-3/4", or a Cyclo's {m, coeffs} object."""
+    if (s := scalar(x)) is None:
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return s.to_json() if isinstance(s, Cyclo) else str(s)
+
+
+def scalar_from_json(v, where):
+    """The inverse of scalar_json; a v of the wrong shape raises ValueError
+    naming `where`."""
+    try:
+        return Cyclo.from_json(v) if isinstance(v, dict) else Fraction(v)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: not a scalar: {v!r}") from exc
 
 
 def _divisors(m):

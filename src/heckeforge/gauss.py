@@ -8,7 +8,7 @@ value at the uniformizer; evaluation goes through a discrete-log table.
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from heckeforge.exact import Cyclo, is_prime, vp
 
@@ -215,16 +215,19 @@ def gauss_sum_oracle(chi, extra=1):
     t = chi.conductor_exponent()
     if t == 0:
         raise ValueError("character has trivial conductor")
+    acc = _unit_sum(chi, Fraction(1, chi.p ** t), t + extra)
+    return chi.chi_p ** (-t) * acc * Fraction(1, chi.p ** extra)
+
+
+def _unit_sum(chi, c, level):
+    """sum over units g mod p^level of chi(g) psi(c g), in order of g."""
     p = chi.p
-    level = t + extra
-    mod = p ** level
     psi = AddChar(p)
-    c = Fraction(1, p ** t)
     acc = Cyclo.rational(0)
-    for g in range(1, mod):
+    for g in range(1, p ** level):
         if g % p:
             acc = acc + chi.value(g) * psi.value(c * g)
-    return chi.chi_p ** (-t) * acc * Fraction(1, p ** extra)
+    return acc
 
 
 def twisted_sum(chi, c, level):
@@ -240,13 +243,7 @@ def twisted_sum(chi, c, level):
     if level < t:
         raise ValueError("level must be at least the conductor exponent")
     c = Fraction(c)
-    p = chi.p
-    mod = p ** level
-    psi = AddChar(p)
-    acc = Cyclo.rational(0)
-    for g in range(1, mod):
-        if g % p:
-            acc = acc + chi.value(g) * psi.value(c * g)
+    acc = _unit_sum(chi, c, level)
     closed = twisted_sum_closed(chi, c, level)
     if not acc == closed:
         raise ArithmeticError("closed form disagrees with direct summation")
@@ -276,9 +273,8 @@ def birch_constants(n, q, r, s, chi):
     tau = classical_gauss_sum(chi)
     nf = Fraction(q) ** r
     nfchi = Fraction(q) ** s
-    euler = Fraction(1)
-    for nu in range(1, n + 1):
-        euler *= 1 / (1 - Fraction(q) ** (-nu))
+    euler = prod((1 / (1 - Fraction(q) ** (-nu)) for nu in range(1, n + 1)),
+                 start=Fraction(1))
     exps_local = {
         "N(f)": -(n + 1) * n * (n - 1) // 6,
         "N(f_chi)": -n * (n + 1) // 2,

@@ -9,7 +9,9 @@ which a `GlnContext` rejects on purpose, so it keeps its own loop.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 from heckeforge import kernels
 from heckeforge.exact import Cyclo, vp
@@ -475,13 +477,17 @@ def satake(n, nu):
     """Satake image of T_nu: q^{nu(nu+1)/2} sigma_nu(X_1..X_n), q formal."""
     if not 0 <= nu <= n:
         raise ValueError("0 <= nu <= n required")
-    out = LaurentPoly.const(0)
-    for comb in itertools.combinations(range(n), nu):
-        term = LaurentPoly.const(1)
-        for i in comb:
-            term = term * lvar(f"X{i+1}")
-        out = out + term
-    return lvar("q", nu * (nu + 1) // 2) * out
+    # C(n, nu) >= n for 0 < nu < n, so a large n needs no binomial
+    if ((n > MAX_ENUMERATION and 0 < nu < n)
+            or math.comb(n, nu) > MAX_ENUMERATION):
+        raise ValueError(f"satake: C(n, nu) = C({n}, {nu}) terms exceed "
+                         f"MAX_ENUMERATION = {MAX_ENUMERATION}")
+    # one term per nu-subset, keyed directly: adding terms one by one is
+    # quadratic in C(n, nu)
+    q = [("q", nu * (nu + 1) // 2)] if nu else []
+    one = Fraction(1)
+    return LaurentPoly({tuple(sorted([(f"X{i+1}", 1) for i in comb] + q)): one
+                        for comb in itertools.combinations(range(n), nu)})
 
 
 def satake_halfdensity_at(pairs, n, p):
@@ -718,8 +724,6 @@ def count_indices(ctx):
         out["gamma_closed_form_ok"] = (
             gamma_subgroup_size(3, ctx.p, ctx.r, 3 * ctx.r) == size_k)
     elif ctx.n == 2:
-        shallow, _, _ = count_gamma_index(ctx)
-        deeper_ctx = GlnContext(ctx.n, ctx.p, ctx.r + 1)
-        deep, _, _ = count_gamma_index(deeper_ctx)
-        out["gamma_ratio_ok"] = deep == shallow * ctx.p
+        deep, _, _ = count_gamma_index(GlnContext(ctx.n, ctx.p, ctx.r + 1))
+        out["gamma_ratio_ok"] = deep == gamma * ctx.p
     return out

@@ -2,12 +2,12 @@
 
 Variables are global names; a monomial is a sorted tuple of (name, exponent)
 pairs with nonzero integer exponents (possibly negative).  A coefficient
-is a `Fraction` while it is rational and a `Cyclo` once a cyclotomic
-scalar enters it: ints and Fractions are stored as Fractions, a Cyclo
-as it is, and mixed arithmetic goes through Cyclo's own coercion.  So
-the all-rational polynomials of the matrix identities never reach the
-cyclotomic product.  These carry the symbolic side of the matrix
-identity checks; numeric evaluation hands off to RatMat.
+is an exact scalar in the sense of `exact.scalar`: a `Fraction` while it
+is rational and a `Cyclo` once a cyclotomic scalar enters it, so the
+all-rational polynomials of the matrix identities never reach the
+cyclotomic product.  Coefficients meet through plain operators, and a
+zero constant is the empty polynomial.  These carry the symbolic side of
+the matrix identity checks; numeric evaluation hands off to RatMat.
 
 A product with a single-term factor only shifts keys and scales
 coefficients.  Any other product packs each monomial into one int: the
@@ -23,7 +23,7 @@ stored form above is unchanged.
 from fractions import Fraction
 from math import lcm
 
-from heckeforge.exact import Cyclo
+from heckeforge.exact import as_rational, scalar
 from heckeforge.ratmat import RatMat
 
 
@@ -33,16 +33,6 @@ class LaurentInversionError(ArithmeticError):
     def __init__(self, det):
         self.det = det
         super().__init__(f"determinant is not a unit monomial: {det!r}")
-
-
-def _coerce_scalar(x):
-    """A coefficient: a Fraction for an int or a Fraction, a Cyclo
-    unchanged, None for anything else."""
-    if isinstance(x, Cyclo):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
 
 
 def _monomial_places(a, b):
@@ -103,12 +93,7 @@ class LaurentPoly:
 
     def __init__(self, terms=None):
         # terms: dict monomial-key -> Fraction or Cyclo, zeros dropped
-        t = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    t[k] = v
-        self.terms = t
+        self.terms = {k: v for k, v in terms.items() if v} if terms else {}
 
     @classmethod
     def _nonzero(cls, terms):
@@ -119,8 +104,9 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        c = _coerce_scalar(c)
-        return cls({(): c} if c else {})
+        """The constant c: a Fraction or Cyclo kept as it is, an int as a
+        Fraction, a zero as the empty polynomial."""
+        return cls._coerce(c)
 
     @classmethod
     def var(cls, name, exp=1):
@@ -130,10 +116,14 @@ class LaurentPoly:
 
     @classmethod
     def _coerce(cls, x):
+        """x as a polynomial, or None if it is neither a polynomial nor an
+        exact scalar."""
         if isinstance(x, LaurentPoly):
             return x
-        s = _coerce_scalar(x)
-        return None if s is None else cls.const(s)
+        s = scalar(x)
+        if s is None:
+            return None
+        return cls._nonzero({(): s} if s else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -245,8 +235,7 @@ class LaurentPoly:
             raise LaurentInversionError(self)
         (k, v), = self.terms.items()
         ik = tuple(sorted((name, -ex) for name, ex in k))
-        iv = v.inverse() if isinstance(v, Cyclo) else 1 / v
-        return LaurentPoly({ik: iv})
+        return LaurentPoly({ik: 1 / v})
 
     def __eq__(self, other):
         other = LaurentPoly._coerce(other)
@@ -274,7 +263,7 @@ class LaurentPoly:
                     if isinstance(val, LaurentPoly):
                         term = term * val ** ex
                     else:
-                        term = term * _coerce_scalar(val) ** ex
+                        term = term * scalar(val) ** ex
                 else:
                     term = term * LaurentPoly.var(name, ex)
             out = out + term
@@ -287,13 +276,6 @@ class LaurentPoly:
             nk = tuple(sorted((mapping.get(name, name), ex) for name, ex in k))
             t[nk] = t.get(nk, 0) + v
         return LaurentPoly(t)
-
-    def variables(self):
-        names = set()
-        for k in self.terms:
-            for name, _ in k:
-                names.add(name)
-        return names
 
     def min_degree_in(self, name):
         """Minimal exponent of `name` over all terms (0 if absent everywhere)."""
@@ -310,12 +292,7 @@ class LaurentPoly:
         return "LPoly(" + " + ".join(bits) + ")"
 
 
-def lvar(name, exp=1):
-    return LaurentPoly.var(name, exp)
-
-
-def lconst(c):
-    return LaurentPoly.const(c)
+lvar, lconst = LaurentPoly.var, LaurentPoly.const
 
 
 class LaurentMatrix:
@@ -351,7 +328,7 @@ class LaurentMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = LaurentPoly.const(0)
+                acc = LaurentPoly()
                 for k in range(n):
                     a = self.entries[i][k]
                     if a:
@@ -444,17 +421,11 @@ class LaurentMatrix:
                               for row in self.entries])
 
     def to_ratmat(self, assign=None):
-        """Evaluate to an exact rational matrix."""
+        """Evaluate to an exact rational matrix; a Cyclo constant that is
+        not rational raises ValueError."""
         m = self.substitute(assign) if assign else self
-        rows = []
-        for row in m.entries:
-            out = []
-            for a in row:
-                c = a.constant_value()
-                # a Cyclo constant raises ValueError unless it is rational
-                out.append(c.as_rational() if isinstance(c, Cyclo) else c)
-            rows.append(out)
-        return RatMat.from_rows(rows)
+        return RatMat.from_rows([[as_rational(a.constant_value()) for a in row]
+                                 for row in m.entries])
 
     def __repr__(self):
         return f"LaurentMatrix({[[repr(e) for e in row] for row in self.entries]})"

@@ -3,26 +3,25 @@
 A HeckeModule is a d-dimensional space over an exact field (entries are
 Fractions or Cyclo scalars) with n commuting operators U_1..U_n.  The
 V-operators, the Hecke polynomial, the eigenspace projections, slope data
-and the contragredient twist are all derived from these.
+and the contragredient twist are all derived from these.  Scalars meet
+through plain operators; a pivot that may be an int is made a Fraction by
+`exact.scalar` before it is inverted, so `1 / x` stays exact.
 """
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
-from heckeforge.exact import PADIC_INFINITY, Cyclo, vp
+from heckeforge.exact import PADIC_INFINITY, scalar, vp
 
 
 # -- small dense linear algebra over duck-typed exact scalars ---------------
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), start=_zero_like(a, b))
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), start=0 * a[0][0])
              for j in range(m)] for i in range(n)]
-
-
-def _zero_like(a, b):
-    return 0 * a[0][0]
 
 
 def mat_vec(a, v):
@@ -55,19 +54,13 @@ def mat_inv(a):
         if piv is None:
             raise ZeroDivisionError("matrix not invertible")
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [_divide(x, pv) for x in aug[col]]
+        pinv = 1 / scalar(aug[col][col])
+        aug[col] = [pinv * x for x in aug[col]]
         for r in range(d):
             if r != col and aug[r][col] != 0:
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return [row[d:] for row in aug]
-
-
-def _divide(x, y):
-    if isinstance(y, Cyclo):
-        return Cyclo._coerce(x) * y.inverse()
-    return Fraction(x) / y if not isinstance(x, Cyclo) else x * (1 / Fraction(y))
 
 
 # -- the module itself -------------------------------------------------------
@@ -191,15 +184,12 @@ class HeckeRoots:
             return Fraction(1)
         if nu > len(self.lam):
             raise ValueError(f"eta_{nu} needs {nu} roots, have {len(self.lam)}")
-        prod = self.lam[0]
-        for x in self.lam[1:nu]:
-            prod = prod * x
-        return self.q ** (-(nu * (nu - 1) // 2)) * prod
+        return (self.q ** (-(nu * (nu - 1) // 2))
+                * prod(self.lam[1:nu], start=self.lam[0]))
 
 
 def dual_root(lam, q, n):
-    return q ** (n - 1) / lam if not isinstance(lam, Cyclo) \
-        else Cyclo.rational(q ** (n - 1)) * lam.inverse()
+    return q ** (n - 1) / lam
 
 
 def dual_roots(lam_full, q):
@@ -247,8 +237,8 @@ def project(vec, roots, module):
             a = mat_vec(module.V(j - 1), out)
             b = mat_vec(module.V(j), out)
             lam_i = roots.lam[i]
-            out = [_divide(lam_i * q ** (1 - j) * x - y, denom)
-                   for x, y in zip(a, b)]
+            dinv = 1 / denom
+            out = [dinv * (lam_i * q ** (1 - j) * x - y) for x, y in zip(a, b)]
     return out
 
 
@@ -278,10 +268,8 @@ class SlopeData(NamedTuple):
 def kappa_of(lam, q):
     """kappa = q^{-n(n-1)(n-2)/6} prod lam_nu^{n-nu} for lam of length n-1."""
     n = len(lam) + 1
-    acc = Fraction(1)
-    for nu, x in enumerate(lam, start=1):
-        acc = acc * x ** (n - nu)
-    return q ** (-(n * (n - 1) * (n - 2) // 6)) * acc
+    return q ** (-(n * (n - 1) * (n - 2) // 6)) * prod(
+        (x ** (n - nu) for nu, x in enumerate(lam, 1)), start=Fraction(1))
 
 
 def slope_data(lam, lam_prime, nu_min, q, p, whittaker_normalized=True):
@@ -391,7 +379,7 @@ def verify_dual_projection(pm, vec, lam_full, lam_prime_full):
     for r1, r2 in zip(m_tilde, rhs):
         for x, y in zip(r1, r2):
             if x != 0:
-                cand = _divide(y, x)
+                cand = y / x
                 if c_val is None:
                     c_val = cand
                 elif cand != c_val:

@@ -299,6 +299,10 @@ def test_gauss_sum_rejects_s_below_one(capsys):
     assert "s = 0" in err
 
 
+def _level(m, xs, value=("0",)):
+    return {"m": m, "cosets": [{"x": x, "value": list(value)} for x in xs]}
+
+
 @pytest.mark.parametrize("blob, field", [
     ({"p": 3, "nus": [0]}, "'levels'"),
     ({"p": 3, "nus": [0], "levels": {"m": 1}}, "'levels' must be list"),
@@ -307,6 +311,24 @@ def test_gauss_sum_rejects_s_below_one(capsys):
     ({"p": 3, "nus": [0],
       "levels": [{"m": 1, "cosets": [{"x": 1, "value": [None]}]}]},
      "levels[0].cosets[0].value"),
+    ({"p": 1, "nus": [0], "levels": [_level(1, [1, 2])]}, "p = 1 is not prime"),
+    ({"p": -3, "nus": [0], "levels": [_level(1, [1, 2])]},
+     "p = -3 is not prime"),
+    # level 2 without the coset 4 (mod 9)
+    ({"p": 3, "nus": [0],
+      "levels": [_level(1, [1, 2]), _level(2, [1, 2, 5, 7, 8])]},
+     "levels[1]: the cosets are not those of (Z/3^2)^*"),
+    ({"p": 3, "nus": [0],
+      "levels": [_level(1, [1, 2]), _level(2, [1, 2, 4, 5, 7, 8, 8])]},
+     "levels[1]: the cosets are not those of (Z/3^2)^*"),
+    ({"p": 3, "nus": [0], "levels": [_level(1, [1, 2]), _level(3, [1])]},
+     "levels[1]: m = 3; the levels must be consecutive"),
+    ({"p": 3, "nus": [0], "levels": [_level(0, [])]},
+     "levels[0]: m = 0; the levels must be consecutive, from some m >= 1"),
+    ({"p": 3, "nus": [0, 1], "levels": [_level(1, [1, 2])]},
+     "levels[0].cosets[0].value: 1 entries for 2 nus"),
+    ({"p": 3, "nus": [0], "levels": [_level(1, [1, 2], value=["1/0"])]},
+     "levels[0].cosets[0].value: not a scalar: '1/0'"),
 ])
 def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
     path = tmp_path / "bad.json"
@@ -358,4 +380,28 @@ def test_hecke_expand_refuses_enumerations_above_bound(op, count):
                       "--op", op, timeout=30)
     assert proc.returncode == 2
     assert count in proc.stderr and "MAX_ENUMERATION = 100000" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["satake", "--n", "60", "--nu", "30"],
+     "C(n, nu) = C(60, 30) terms exceed MAX_ENUMERATION = 100000"),
+    (["integrate", "--p", "3", "--depth", "40"],
+     "level 40: p^m = 3^40 exceeds MAX_MODULUS = 2500"),
+    (["integrate", "--p", "7", "--depth", "5"],
+     "level 5: p^m = 7^5 exceeds MAX_MODULUS = 2500"),
+])
+def test_compute_refuses_enumerations_above_bound(argv, message):
+    proc = _run_child("compute", *argv, timeout=30)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_kappa_hat_names_the_zero_eigenvalue():
+    proc = _run_child("compute", "kappa-hat", "--n", "3", "--p", "2", "--s",
+                      "1", "--nu", "1", "--nu-min", "0", "--kappa", "0",
+                      timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: kappa kappa' = 0")
     assert "Traceback" not in proc.stderr and not proc.stdout

@@ -5,6 +5,7 @@ import pytest
 
 from heckeforge import distributions as dist
 from heckeforge import modules
+from heckeforge.exact import Cyclo
 
 
 def make_symbol(rng, p, M, kappa, d=1, tower=None):
@@ -279,3 +280,35 @@ def test_serialization_schema():
     first = blob["levels"][0]["cosets"][0]
     assert set(first) == {"x", "value"}
     assert len(first["value"]) == 2
+
+
+def test_json_round_trip_with_cyclotomic_values():
+    rng = random.Random(4)
+    kappa = Cyclo.zeta(3) + 2
+    sym = make_symbol(rng, 5, 3, kappa, d=2)
+    mu = dist.build_mu(sym, 1)
+    assert any(isinstance(v, Cyclo) for vec in mu.values[1].values()
+               for v in vec)
+    back = dist.Distribution.from_json(mu.to_json())
+    assert back.values == mu.values and back.nus == mu.nus
+    assert back.to_json() == mu.to_json()
+    assert dist.check_distribution_relation(back) == (True, None)
+
+
+@pytest.mark.parametrize("p, deepest", [(2, 11), (3, 7), (7, 4), (2477, 1)])
+def test_tower_levels_stop_at_the_modulus_bound(p, deepest):
+    tower = dist.QTower(p)
+    assert len(tower.elements(deepest)) == (p - 1) * p ** (deepest - 1)
+    with pytest.raises(ValueError, match=f"p\\^m = {p}\\^{deepest + 1} "
+                       "exceeds MAX_MODULUS = 2500"):
+        tower.elements(deepest + 1)
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        tower.elements(10 ** 9)
+
+
+def test_kappa_hat_rejects_a_zero_eigenvalue():
+    for zero in (0, F(0), Cyclo.rational(0)):
+        with pytest.raises(ValueError, match="kappa kappa' = 0"):
+            dist.kappa_hat_value(3, 2, 1, 1, 0, zero)
+    val, _ = dist.kappa_hat_value(3, 2, 1, 1, 0, Cyclo.zeta(4))
+    assert val == 16 * Cyclo.zeta(4, 3)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge.exact import (Cyclo, PadicVal, _divisors, cyclotomic_poly,
-                              euler_phi, padic_valuation, vp)
+from heckeforge.exact import (Cyclo, PadicVal, _divisors, as_rational,
+                              cyclotomic_poly, euler_phi, padic_valuation,
+                              scalar, scalar_from_json, scalar_json, vp)
 
 
 def test_root_of_unity_inverse():
@@ -285,3 +286,99 @@ def test_to_json_matches_former_reduction(case):
     big_m, (a, b) = case
     for x in (a.lift(big_m), (a + b).lift(big_m), (a * b).lift(big_m)):
         assert x.to_json() == _reference_to_json(x)
+
+
+# `exact.scalar` replaced per-module branches on the scalar type.  Those
+# branches are kept here as the reference: plain operators on
+# `scalar(x)` must give the same value of the same type, and for a Cyclo
+# the same (m, num, den).
+
+def _former_divide(x, y):
+    """The former modules._divide."""
+    if isinstance(y, Cyclo):
+        return Cyclo._coerce(x) * y.inverse()
+    return Fraction(x) / y if not isinstance(x, Cyclo) else x * (1 / Fraction(y))
+
+
+def _former_inverse(x):
+    """The former distributions._inverse_scalar and the branch of
+    LaurentPoly.unit_inverse."""
+    return x.inverse() if isinstance(x, Cyclo) else 1 / Fraction(x)
+
+
+def _former_dual_root(lam, q, n):
+    """The former modules.dual_root."""
+    return q ** (n - 1) / lam if not isinstance(lam, Cyclo) \
+        else Cyclo.rational(q ** (n - 1)) * lam.inverse()
+
+
+def _former_scalar_json(x):
+    """The former cli._scalar_json and Distribution.to_json's scal."""
+    return x.to_json() if isinstance(x, Cyclo) else str(Fraction(x))
+
+
+def _same(a, b):
+    if type(a) is not type(b) or a != b:
+        return False
+    return not isinstance(a, Cyclo) or (a.m, a.num, a.den) == (b.m, b.num, b.den)
+
+
+SCALARS = st.one_of(st.integers(-50, 50), RATIONALS,
+                    st.integers(1, 30).flatmap(cyclos))
+
+
+@PROPERTY
+@given(SCALARS)
+def test_scalar_keeps_fractions_and_cyclos(x):
+    s = scalar(x)
+    if isinstance(x, int):
+        assert type(s) is Fraction and s == x
+    else:
+        assert s is x
+    assert scalar(str(x)) is None and scalar(float(1)) is None
+
+
+@PROPERTY
+@given(SCALARS, SCALARS)
+def test_plain_division_matches_former_branches(x, y):
+    if y == 0:
+        for divide in (lambda: scalar(x) / y, lambda: _former_divide(x, y)):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+        return
+    assert _same(scalar(x) / y, _former_divide(x, y))
+    assert _same(x / scalar(y), _former_divide(x, y))
+    assert _same(Fraction(7, 3) ** 2 / y, _former_dual_root(y, Fraction(7, 3), 3))
+    assert _same(1 / scalar(y), _former_inverse(y))
+    assert _same((1 / scalar(y)) * x, _former_divide(x, y))
+
+
+@PROPERTY
+@given(SCALARS)
+def test_scalar_json_round_trip(x):
+    blob = scalar_json(x)
+    assert blob == _former_scalar_json(x)
+    back = scalar_from_json(blob, "here")
+    assert back == x and type(back) is type(scalar(x))
+    assert scalar_json(back) == blob
+
+
+@PROPERTY
+@given(SCALARS)
+def test_as_rational_reads_rational_cyclos(x):
+    if isinstance(x, Cyclo) and not x.is_rational():
+        with pytest.raises(ValueError):
+            as_rational(x)
+    else:
+        r = as_rational(x)
+        assert type(r) is Fraction and r == x
+
+
+@pytest.mark.parametrize("v", [None, [1], "1/0", {"coeffs": ["1"]}, {"m": 3},
+                               {"m": 3, "coeffs": ["1/0", "1"]}])
+def test_scalar_from_json_names_the_place(v):
+    with pytest.raises(ValueError, match=r"^levels\[0\]: not a scalar: "):
+        scalar_from_json(v, "levels[0]")
+    if not isinstance(v, str):
+        with pytest.raises(TypeError):
+            scalar_json(v)

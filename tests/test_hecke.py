@@ -308,6 +308,55 @@ def test_satake_against_generating_function():
             assert hecke.satake(n, nu) == want
 
 
+def _former_satake(n, nu):
+    """Satake built by summing the C(n, nu) monomials one at a time."""
+    from heckeforge.laurent import LaurentPoly
+    out = LaurentPoly.const(0)
+    for comb in itertools.combinations(range(n), nu):
+        term = LaurentPoly.const(1)
+        for i in comb:
+            term = term * lvar(f"X{i+1}")
+        out = out + term
+    return lvar("q", nu * (nu + 1) // 2) * out
+
+
+def test_satake_matches_the_summed_terms():
+    for n in range(0, 12):
+        for nu in range(n + 1):
+            got, want = hecke.satake(n, nu), _former_satake(n, nu)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(v) is Fraction for v in got.terms.values())
+
+
+@pytest.mark.parametrize("n, nu, count", [(6, 3, 20), (7, 2, 21), (9, 9, 1)])
+def test_satake_bound_is_the_term_count(monkeypatch, n, nu, count):
+    monkeypatch.setattr(hecke, "MAX_ENUMERATION", count)
+    assert len(hecke.satake(n, nu).terms) == count
+    monkeypatch.setattr(hecke, "MAX_ENUMERATION", count - 1)
+    with pytest.raises(ValueError, match=rf"C\({n}, {nu}\) terms exceed"):
+        hecke.satake(n, nu)
+
+
+def test_satake_bound_for_large_n():
+    # C(n, nu) >= n for 0 < nu < n, and C(n, 0) = 1
+    with pytest.raises(ValueError, match=r"C\(100001, 1\) terms exceed"):
+        hecke.satake(100001, 1)
+    assert hecke.satake(10 ** 6, 0) == 1
+
+
+def test_count_indices_enumerates_each_level_once(monkeypatch):
+    seen = []
+    count = hecke.count_gamma_index
+
+    def counting(ctx):
+        seen.append(ctx.r)
+        return count(ctx)
+
+    monkeypatch.setattr(hecke, "count_gamma_index", counting)
+    out = hecke.count_indices(_ctx(2, 3, 1))
+    assert seen == [1, 2] and out["gamma_ratio_ok"]
+
+
 def test_satake_gl2_convolution_regression():
     for p in (2, 3):
         c02, c11, consistent = hecke.gl2_satake_regression(p)

@@ -158,6 +158,24 @@ def test_mixed_cyclotomic_and_rational_coefficients():
     assert v.unit_inverse().terms == {(("x", -1),): Fraction(1, 3)}
 
 
+def test_constants_keep_their_scalar():
+    """A Fraction or Cyclo constant is stored as it is, an int as a
+    Fraction, and a zero of any scalar type as the empty polynomial."""
+    h, z = Fraction(2, 3), Cyclo.zeta(5)
+    assert lconst(h).terms[()] is h and LaurentPoly._coerce(h).terms[()] is h
+    assert lconst(z).terms[()] is z
+    assert type(lconst(4).terms[()]) is Fraction
+    for zero in (0, Fraction(0), Cyclo.rational(0), Cyclo(3, [0, 0])):
+        assert lconst(zero).terms == {}
+        assert LaurentPoly._coerce(zero).terms == {}
+    m = LaurentMatrix([[0, 1], [2, 0]])
+    assert not m[0, 0].terms and m[1, 0].terms == {(): Fraction(2)}
+    assert type(m[1, 0].terms[()]) is Fraction
+    assert LaurentPoly._coerce("1") is None and LaurentPoly._coerce(1.0) is None
+    inv = (z * lvar("x")).unit_inverse().terms[(("x", -1),)]
+    assert (inv.m, inv.num, inv.den) == (5, z.inverse().num, z.inverse().den)
+
+
 def test_to_ratmat_needs_rational_constants():
     z = Cyclo.zeta(3)
     with pytest.raises(ValueError):
