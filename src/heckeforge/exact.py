@@ -397,12 +397,25 @@ def scalar_json(x):
     return s.to_json() if isinstance(s, Cyclo) else str(s)
 
 
+# The largest conductor m that scalar_from_json reads.  A character value
+# or Gauss sum mod p^s <= gauss.MAX_MODULUS = 2500, and so every cyclotomic
+# value the package forms on a rational-model tower, lies in Q(zeta_m) with
+# m | lcm(p^s, phi(p^s)) < 2500^2; reading m then costs a trial
+# factorization up to sqrt(m) <= 2500.
+MAX_CONDUCTOR = 2500 ** 2
+
+
 def scalar_from_json(v, where):
-    """The inverse of scalar_json; a v of the wrong shape raises ValueError
-    naming `where`."""
+    """The inverse of scalar_json; a v of the wrong shape, or a conductor
+    outside 1..MAX_CONDUCTOR, raises ValueError naming `where`."""
+    if isinstance(v, dict) and "m" in v:
+        m = v["m"]
+        if type(m) is not int or not 1 <= m <= MAX_CONDUCTOR:
+            raise ValueError(f"{where}: field 'm' = {m!r} must be an int from "
+                             f"1 to MAX_CONDUCTOR = {MAX_CONDUCTOR}")
     try:
         return Cyclo.from_json(v) if isinstance(v, dict) else Fraction(v)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: not a scalar: {v!r}") from exc
 
 

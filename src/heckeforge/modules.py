@@ -1,98 +1,95 @@
-"""Finite-dimensional modules with commuting Hecke actions.
+"""Finite-dimensional modules over Q with commuting Hecke actions.
 
-A HeckeModule is a d-dimensional space over an exact field (entries are
-Fractions or Cyclo scalars) with n commuting operators U_1..U_n.  The
-V-operators, the Hecke polynomial, the eigenspace projections, slope data
-and the contragredient twist are all derived from these.  Scalars meet
-through plain operators; a pivot that may be an int is made a Fraction by
-`exact.scalar` before it is inverted, so `1 / x` stays exact.
+A HeckeModule is a d-dimensional Q-vector space with n commuting
+operators U_1..U_n, each a RatMat (integer numerators over one positive
+denominator).  The V-operators, the Hecke polynomial, the eigenspace
+projections, slope data and the contragredient twist are all derived
+from these.  Operators are multiplied and inverted by the integer kernels
+(RatMat, Bareiss and the adjugate), and an operator acts on a vector held
+as integer numerators over one denominator.  Fractions appear only at the
+edges: matrix entries and roots are read as rationals (a rational Cyclo
+through `exact.as_rational`; any other Cyclo raises ValueError), and each
+vector the module returns is a list of Fractions.
 """
 
-import itertools
 from fractions import Fraction
-from math import prod
+from functools import cache
+from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
-from heckeforge.exact import PADIC_INFINITY, scalar, vp
+from heckeforge.exact import PADIC_INFINITY, as_rational, vp
+from heckeforge.ratmat import RatMat
 
 
-# -- small dense linear algebra over duck-typed exact scalars ---------------
+# -- operators and vectors over one denominator ------------------------------
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), start=0 * a[0][0])
-             for j in range(m)] for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), start=0 * v[0])
-            for i in range(len(a))]
+def _ratmat(a):
+    """A RatMat as it is; rows of rational scalars read once."""
+    if isinstance(a, RatMat):
+        return a
+    return RatMat.from_rows([[as_rational(x) for x in row] for row in a])
 
 
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+def _split(vec):
+    """A rational vector as (integer numerators, one positive denominator)."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+def _join(xs, den):
+    return [Fraction(x, den) for x in xs]
 
 
-def mat_eye(d):
-    return [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+def _mv(a, xs):
+    """a.num times the integer vector xs: the numerators of a xs over a.den."""
+    n, num = a.n, a.num
+    return [sum(map(mul, num[i:i + n], xs)) for i in range(0, n * n, n)]
 
 
-def mat_eq(a, b):
-    return all(x == y for r1, r2 in zip(a, b) for x, y in zip(r1, r2))
+def _combine(c1, a, c2, b, xs, den):
+    """c1 A v - c2 B v for v = xs/den, as (numerators, denominator)."""
+    ax, bx = _mv(a, xs), _mv(b, xs)
+    s1 = c1.numerator * c2.denominator * b.den
+    s2 = c2.numerator * c1.denominator * a.den
+    return ([s1 * x - s2 * y for x, y in zip(ax, bx)],
+            c1.denominator * c2.denominator * a.den * b.den * den)
 
 
-def mat_inv(a):
-    """Gauss-Jordan inverse over any exact field."""
-    d = len(a)
-    aug = [list(row) + list(mat_eye(d)[i]) for i, row in enumerate(a)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = 1 / scalar(aug[col][col])
-        aug[col] = [pinv * x for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+def mat_vec(a, vec):
+    """The RatMat a applied to a rational vector."""
+    xs, den = _split(vec)
+    return _join(_mv(a, xs), a.den * den)
 
 
 # -- the module itself -------------------------------------------------------
 
 class HeckeModule:
-    """Commuting operators U_1..U_n on an exact d-dimensional space."""
+    """Commuting operators U_1..U_n on a d-dimensional Q-vector space."""
 
     def __init__(self, n, q, ops_u):
         if len(ops_u) != n:
             raise ValueError(f"need {n} operators")
         self.n = n
         self.q = Fraction(q)
-        self.U = [tuple(tuple(row) for row in u) for u in ops_u]
-        self.dim = len(ops_u[0])
-        for a, b in itertools.combinations(self.U, 2):
-            if not mat_eq(mat_mul(a, b), mat_mul(b, a)):
-                raise ValueError("the U-operators must commute")
-        self._v_cache = {}
+        self.U = [_ratmat(u) for u in ops_u]
+        self.dim = self.U[0].n
+        for i, a in enumerate(self.U):
+            for b in self.U[i + 1:]:
+                if a * b != b * a:
+                    raise ValueError("the U-operators must commute")
+        self._v_cache = {0: RatMat.identity(self.dim)}
 
     @classmethod
     def from_spectra(cls, n, q, spectra, conjugator=None):
         """Diagonal module from joint spectra rows; optionally conjugated
         by an invertible matrix S (operators become S D S^{-1})."""
-        d = len(spectra)
-        us = []
-        for i in range(n):
-            diag = [[spectra[k][i] if k == j else Fraction(0) for j in range(d)]
-                    for k in range(d)]
-            us.append(diag)
+        us = [RatMat.diagonal([as_rational(s[i]) for s in spectra])
+              for i in range(n)]
         if conjugator is not None:
-            s_inv = mat_inv(conjugator)
-            us = [mat_mul(conjugator, mat_mul(u, s_inv)) for u in us]
+            s = _ratmat(conjugator)
+            s_inv = s.inv()
+            us = [s * u * s_inv for u in us]
         return cls(n, q, us)
 
     def V(self, nu):
@@ -100,45 +97,27 @@ class HeckeModule:
         if not 0 <= nu <= self.n:
             raise ValueError("0 <= nu <= n")
         got = self._v_cache.get(nu)
-        if got is not None:
-            return got
-        if nu == 0:
-            m = mat_eye(self.dim)
-        else:
-            m = self.U[0]
-            for i in range(1, nu):
-                m = mat_mul(m, self.U[i])
-            m = mat_scale(self.q ** (-(nu * (nu - 1) // 2)), m)
-        self._v_cache[nu] = m
-        return m
+        if got is None:
+            got = (self.V(nu - 1) * self.U[nu - 1]).scale(self.q ** (1 - nu))
+            self._v_cache[nu] = got
+        return got
 
     def Vp(self):
-        m = mat_eye(self.dim)
+        m = self.V(0)
         for nu in range(1, self.n):
-            m = mat_mul(m, self.V(nu))
+            m = m * self.V(nu)
         return m
 
     def Vp_prime(self):
-        return mat_mul(self.V(self.n), self.Vp())
-
-    def T(self, nu):
-        """T_nu = q^{-nu(nu-1)/2} e_nu(U_1..U_n)."""
-        if nu == 0:
-            return mat_eye(self.dim)
-        acc = None
-        for comb in itertools.combinations(range(self.n), nu):
-            m = self.U[comb[0]]
-            for i in comb[1:]:
-                m = mat_mul(m, self.U[i])
-            acc = m if acc is None else mat_add(acc, m)
-        return mat_scale(self.q ** (-(nu * (nu - 1) // 2)), acc)
+        return self.V(self.n) * self.Vp()
 
     def apply_H(self, vec, lam):
         """H_p(lam) vec = prod_i (lam - U_i) vec via the factorization."""
-        out = list(vec)
+        lam, one = as_rational(lam), self.V(0)
+        xs, den = _split(vec)
         for u in self.U:
-            out = [lam * x - y for x, y in zip(out, mat_vec(u, out))]
-        return out
+            xs, den = _combine(lam, one, Fraction(1), u, xs, den)
+        return _join(xs, den)
 
     def contragredient(self):
         """The twisted module: U_i becomes q^{n-1} U_{n+1-i}^{-1}.
@@ -148,20 +127,18 @@ class HeckeModule:
         Vp m^vee = V_n^{n-1} (Vp m)^vee are asserted.
         """
         scale = self.q ** (self.n - 1)
-        dual_u = [mat_scale(scale, mat_inv(self.U[self.n - i]))
-                  for i in range(1, self.n + 1)]
-        dual = HeckeModule(self.n, self.q, dual_u)
+        dual = HeckeModule(self.n, self.q, [u.inv().scale(scale)
+                                            for u in reversed(self.U)])
         # V_nu m^vee = V_n (V_{n-nu} m)^vee with the outer V_n acting in
         # the twisted module, where it is V_n^{-1} of the original
-        vn_inv = mat_inv(self.V(self.n))
+        vn_inv = self.V(self.n).inv()
         for nu in range(self.n + 1):
-            want = mat_mul(vn_inv, self.V(self.n - nu))
-            if not mat_eq(dual.V(nu), want):
+            if dual.V(nu) != vn_inv * self.V(self.n - nu):
                 raise AssertionError(f"twisted V-relation fails at nu={nu}")
-        vn_pow = mat_eye(self.dim)
+        vn_pow = self.V(0)
         for _ in range(self.n - 1):
-            vn_pow = mat_mul(vn_pow, vn_inv)
-        if not mat_eq(dual.Vp(), mat_mul(vn_pow, self.Vp())):
+            vn_pow = vn_pow * vn_inv
+        if dual.Vp() != vn_pow * self.Vp():
             raise AssertionError("twisted Vp-relation fails")
         return dual
 
@@ -198,23 +175,35 @@ def dual_roots(lam_full, q):
     return tuple(dual_root(lam_full[i], q, n) for i in range(n - 1, 0, -1))
 
 
+def _project_steps(xs, den, roots, module, normalize):
+    """Apply lam_i q^{1-j} V_{j-1} - V_j for each of the first m roots and
+    each j != i+1 in 1..n, divided by its value on the eta-eigenspace when
+    normalize is set; (numerators, denominator) in and out."""
+    q_pow = [module.q ** (1 - j) for j in range(module.n + 1)]
+    eta, one = cache(roots.eta), Fraction(1)
+    for i in range(roots.m):
+        lam_i = as_rational(roots.lam[i])
+        for j in range(1, module.n + 1):
+            if j == i + 1:
+                continue
+            c1, c2 = lam_i * q_pow[j], one
+            if normalize:
+                denom = as_rational(c1 * eta(j - 1) - eta(j))
+                if denom == 0:
+                    raise ZeroDivisionError("vanishing projection denominator"
+                                            f" at (i={i+1}, j={j})")
+                c1, c2 = c1 / denom, 1 / denom
+            xs, den = _combine(c1, module.V(j - 1), c2, module.V(j), xs, den)
+    return _join(xs, den)
+
+
 def project0(vec, roots, module):
     """Unnormalized projection Pi^0: requires H_p(lam_i) vec = 0 for the
     first m roots, and maps into the simultaneous eta-eigenspace."""
     for i in range(roots.m):
-        if any(x != 0 for x in module.apply_H(vec, roots.lam[i])):
+        if any(module.apply_H(vec, roots.lam[i])):
             raise ValueError(f"vector is not annihilated by H_p(lam_{i+1})")
-    q = module.q
-    out = list(vec)
-    for i in range(roots.m):
-        for j in range(1, module.n + 1):
-            if j == i + 1:
-                continue
-            a = mat_vec(module.V(j - 1), out)
-            b = mat_vec(module.V(j), out)
-            lam_i = roots.lam[i]
-            out = [lam_i * q ** (1 - j) * x - y for x, y in zip(a, b)]
-    return out
+    return _project_steps(*_split(vec), roots, module, False)
 
 
 def project(vec, roots, module):
@@ -224,31 +213,17 @@ def project(vec, roots, module):
             lams[i] == lams[j]
             for i in range(len(lams)) for j in range(i + 1, len(lams))):
         raise ValueError("roots must be pairwise distinct and nonzero")
-    q = module.q
-    out = list(vec)
-    for i in range(roots.m):
-        for j in range(1, module.n + 1):
-            if j == i + 1:
-                continue
-            denom = roots.lam[i] * q ** (1 - j) * roots.eta(j - 1) - roots.eta(j)
-            if denom == 0:
-                raise ZeroDivisionError(
-                    f"vanishing projection denominator at (i={i+1}, j={j})")
-            a = mat_vec(module.V(j - 1), out)
-            b = mat_vec(module.V(j), out)
-            lam_i = roots.lam[i]
-            dinv = 1 / denom
-            out = [dinv * (lam_i * q ** (1 - j) * x - y) for x, y in zip(a, b)]
-    return out
+    return _project_steps(*_split(vec), roots, module, True)
 
 
 def in_eigenspace(vec, roots, module):
     """Is vec a simultaneous V_{p,nu}-eigenvector with eigenvalues eta_nu
     for nu = 1..m?"""
+    xs, _ = _split(vec)
     for nu in range(1, roots.m + 1):
-        eta = roots.eta(nu)
-        got = mat_vec(module.V(nu), vec)
-        if any(g != eta * x for g, x in zip(got, vec)):
+        eta, v = as_rational(roots.eta(nu)), module.V(nu)
+        a, b = eta.numerator * v.den, eta.denominator
+        if any(b * g != a * x for g, x in zip(_mv(v, xs), xs)):
             return False
     return True
 
@@ -312,10 +287,14 @@ class ProductModule:
         self.right = right
 
     def act_left(self, op, vec):
-        return mat_mul(op, vec)
+        return _transpose(self.act_right(op, _transpose(vec)))
 
     def act_right(self, op, vec):
-        return mat_mul(vec, _transpose(op))
+        """vec op^T: the RatMat op on each row of vec, over one denominator."""
+        xs, den = _split([x for row in vec for x in row])
+        d = op.n
+        return [_join(_mv(op, xs[k:k + d]), op.den * den)
+                for k in range(0, len(xs), d)]
 
     def U_p(self, vec):
         return self.act_right(self.right.Vp_prime(),

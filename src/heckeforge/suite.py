@@ -389,7 +389,7 @@ def _case_dual_roots(rng):
             if any(x != 0 for x in dual.apply_H(vec, lam_vee)):
                 return _ok(False, {"n": n, "reason": "dual root fails"})
             ddual = dual.contragredient()
-            if any(not modules.mat_eq(a, b) for a, b in zip(ddual.U, mod.U)):
+            if ddual.U != mod.U:
                 return _ok(False, {"n": n, "reason": "not involutive"})
             # the top eta inverts: prod of dual roots gives eta_n^{-1}
             vee_all = modules.full_dual_roots(base, mod.q)

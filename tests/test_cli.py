@@ -1,11 +1,13 @@
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from heckeforge import cli
+from heckeforge import cli, suite
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +61,21 @@ def test_verify_deterministic(capsys, tmp_path):
                 for line in path.read_text().splitlines()]
 
     assert strip_ms(p1) == strip_ms(p2)
+
+
+SEED5_REPORT = os.path.join(os.path.dirname(__file__), "data",
+                            "verify-seed5.jsonl")
+
+
+def test_verify_seed5_report_is_pinned():
+    """`verify --seed 5` over every suite, each record serialised as
+    cmd_verify writes it and with its ms stripped, is byte for byte the
+    committed report (the CI workflow diffs the threaded run against it)."""
+    lines = [re.sub(r', "ms": [0-9.eE+-]+\}$', "}",
+                    json.dumps(rep, default=str))
+             for rep in suite.run_suite(seed=5)]
+    with open(SEED5_REPORT) as fh:
+        assert "".join(line + "\n" for line in lines) == fh.read()
 
 
 def test_corrupted_fixture_config(capsys, tmp_path):
@@ -329,12 +346,29 @@ def _level(m, xs, value=("0",)):
      "levels[0].cosets[0].value: 1 entries for 2 nus"),
     ({"p": 3, "nus": [0], "levels": [_level(1, [1, 2], value=["1/0"])]},
      "levels[0].cosets[0].value: not a scalar: '1/0'"),
+    ({"p": 3, "nus": [0],
+      "levels": [_level(1, [1, 2], value=[{"m": 0, "coeffs": []}])]},
+     "levels[0].cosets[0].value: field 'm' = 0 must be an int from 1"),
+    ({"p": 3, "nus": [0], "levels": [_level(1, [1, 2], value=[
+        {"m": 1000000000000000009, "coeffs": ["1"]}])]},
+     "levels[0].cosets[0].value: field 'm' = 1000000000000000009"),
 ])
 def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
-    code, _, err = run_cli(capsys, "compute", "integrate",
-                           "--from-json", str(path))
+
+    def too_slow(signum, frame):
+        pytest.fail("--from-json took more than 5 s to reject its input")
+
+    # pytest.fail raises an exception that cli.main does not catch
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        code, _, err = run_cli(capsys, "compute", "integrate",
+                               "--from-json", str(path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert err.startswith("error: ") and field in err
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge.exact import (Cyclo, PadicVal, _divisors, as_rational,
-                              cyclotomic_poly, euler_phi, padic_valuation,
-                              scalar, scalar_from_json, scalar_json, vp)
+from heckeforge.exact import (MAX_CONDUCTOR, Cyclo, PadicVal, _divisors,
+                              as_rational, cyclotomic_poly, euler_phi,
+                              padic_valuation, scalar, scalar_from_json,
+                              scalar_json, vp)
 
 
 def test_root_of_unity_inverse():
@@ -375,10 +376,19 @@ def test_as_rational_reads_rational_cyclos(x):
 
 
 @pytest.mark.parametrize("v", [None, [1], "1/0", {"coeffs": ["1"]}, {"m": 3},
-                               {"m": 3, "coeffs": ["1/0", "1"]}])
+                               {"m": 3, "coeffs": ["1/0", "1"]}, "x",
+                               {"m": 3, "coeffs": ["1"]},
+                               {"m": MAX_CONDUCTOR, "coeffs": ["1"]}])
 def test_scalar_from_json_names_the_place(v):
     with pytest.raises(ValueError, match=r"^levels\[0\]: not a scalar: "):
         scalar_from_json(v, "levels[0]")
     if not isinstance(v, str):
         with pytest.raises(TypeError):
             scalar_json(v)
+
+
+@pytest.mark.parametrize("m", [0, -3, "3", True, 3.0, None, MAX_CONDUCTOR + 1,
+                               10 ** 18 + 9])
+def test_scalar_from_json_bounds_the_conductor(m):
+    with pytest.raises(ValueError, match=r"^levels\[0\]: field 'm' = "):
+        scalar_from_json({"m": m, "coeffs": ["1"]}, "levels[0]")

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heckeforge import modules as M
-from heckeforge.exact import PADIC_INFINITY
+from heckeforge.exact import PADIC_INFINITY, Cyclo
+from heckeforge.ratmat import RatMat
 
 
 def perm_spectra(base):
@@ -116,7 +119,7 @@ def test_contragredient_examples():
     assert lam_vee == F(2, 3)
     assert all(x == 0 for x in dual.apply_H(m, lam_vee))
     ddual = dual.contragredient()
-    assert all(M.mat_eq(a, b) for a, b in zip(ddual.U, mod.U))
+    assert ddual.U == mod.U
 
 
 def test_contragredient_needs_invertible():
@@ -187,3 +190,210 @@ def test_dual_projection_degenerate_zero_vector():
     zero = [[F(0)], [F(0)]]
     ok, c, reason = M.verify_dual_projection(pm, zero, [F(1), F(3)], [F(5)])
     assert not ok and reason == "projection of the test vector vanished"
+
+
+def test_entries_must_be_rational():
+    with pytest.raises(ValueError, match="not rational"):
+        M.HeckeModule(1, 2, [[[Cyclo.zeta(3)]]])
+    mod = M.HeckeModule(1, 2, [[[Cyclo.rational(F(3, 4))]]])
+    assert mod.U == [RatMat.from_rows([[F(3, 4)]])]
+
+
+# -- the Fraction arithmetic the module ran on before RatMat, as references --
+
+def ref_mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), start=0 * a[0][0])
+             for j in range(m)] for i in range(n)]
+
+
+def ref_mat_vec(a, v):
+    return [sum((a[i][j] * v[j] for j in range(len(v))), start=0 * v[0])
+            for i in range(len(a))]
+
+
+def ref_eye(d):
+    return [[F(1 if i == j else 0) for j in range(d)] for i in range(d)]
+
+
+def ref_mat_inv(a):
+    """Gauss-Jordan inverse over Q."""
+    d = len(a)
+    aug = [list(row) + ref_eye(d)[i] for i, row in enumerate(a)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix not invertible")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pinv = 1 / F(aug[col][col])
+        aug[col] = [pinv * x for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+class RefModule:
+    """Operators as nested lists of Fractions, multiplied entry by entry."""
+
+    def __init__(self, n, q, spectra, conj):
+        d = len(spectra)
+        self.n, self.q, self.d = n, F(q), d
+        s_inv = ref_mat_inv(conj)
+        self.U = [ref_mat_mul(conj, ref_mat_mul(
+            [[spectra[k][i] if k == j else F(0) for j in range(d)]
+             for k in range(d)], s_inv)) for i in range(n)]
+
+    def V(self, nu):
+        m = ref_eye(self.d)
+        for u in self.U[:nu]:
+            m = ref_mat_mul(m, u)
+        c = self.q ** (-(nu * (nu - 1) // 2))
+        return [[c * x for x in row] for row in m]
+
+    def Vp(self):
+        m = ref_eye(self.d)
+        for nu in range(1, self.n):
+            m = ref_mat_mul(m, self.V(nu))
+        return m
+
+    def Vp_prime(self):
+        return ref_mat_mul(self.V(self.n), self.Vp())
+
+    def dual_U(self):
+        c = self.q ** (self.n - 1)
+        return [[[c * x for x in row]
+                 for row in ref_mat_inv(self.U[self.n - i])]
+                for i in range(1, self.n + 1)]
+
+    def apply_H(self, vec, lam):
+        out = list(vec)
+        for u in self.U:
+            out = [lam * x - y for x, y in zip(out, ref_mat_vec(u, out))]
+        return out
+
+    def project0(self, vec, roots):
+        for i in range(roots.m):
+            if any(x != 0 for x in self.apply_H(vec, roots.lam[i])):
+                raise ValueError(
+                    f"vector is not annihilated by H_p(lam_{i+1})")
+        return self._steps(vec, roots, False)
+
+    def project(self, vec, roots):
+        lams = roots.lam[:roots.m]
+        if any(x == 0 for x in lams) or len(set(lams)) != len(lams):
+            raise ValueError("roots must be pairwise distinct and nonzero")
+        return self._steps(vec, roots, True)
+
+    def _steps(self, vec, roots, normalize):
+        q, out = self.q, list(vec)
+        for i in range(roots.m):
+            for j in range(1, self.n + 1):
+                if j == i + 1:
+                    continue
+                lam_i = roots.lam[i]
+                dinv = 1
+                if normalize:
+                    denom = (lam_i * q ** (1 - j) * roots.eta(j - 1)
+                             - roots.eta(j))
+                    if denom == 0:
+                        raise ZeroDivisionError(
+                            "vanishing projection denominator"
+                            f" at (i={i+1}, j={j})")
+                    dinv = 1 / denom
+                a = ref_mat_vec(self.V(j - 1), out)
+                b = ref_mat_vec(self.V(j), out)
+                out = [dinv * (lam_i * q ** (1 - j) * x - y)
+                       for x, y in zip(a, b)]
+        return out
+
+
+small = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+nonzero = small.filter(bool)
+
+
+@st.composite
+def modules(draw, n=None):
+    """A module of rank n (1..3) and dimension 1..6 with nonzero spectra:
+    rows that permute n distinct roots or are drawn freely, conjugated by
+    a random invertible rational matrix; with its reference twin."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    d = draw(st.integers(1, 6))
+    q = draw(st.sampled_from([2, 3, F(5, 2)]))
+    base = draw(st.lists(nonzero, min_size=n, max_size=n, unique=True))
+    spectra = [list(draw(st.one_of(st.permutations(base),
+                                   st.lists(nonzero, min_size=n, max_size=n))))
+               for _ in range(d)]
+    conj = draw(st.lists(st.lists(small, min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    try:
+        ref = RefModule(n, q, spectra, conj)
+    except ZeroDivisionError:
+        assume(False)
+    return M.HeckeModule.from_spectra(n, q, spectra, conj), ref, base
+
+
+def same(got, want):
+    """Equal values and equal types, entry by entry."""
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules())
+def test_operators_match_fraction_reference(built):
+    mod, ref, _ = built
+    for u, want in zip(mod.U, ref.U):
+        assert u.rows() == want
+    for nu in range(mod.n + 1):
+        assert mod.V(nu).rows() == ref.V(nu)
+    assert mod.Vp().rows() == ref.Vp()
+    assert mod.Vp_prime().rows() == ref.Vp_prime()
+    assert [u.rows() for u in mod.contragredient().U] == ref.dual_U()
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules(), st.data())
+def test_vectors_match_fraction_reference(built, data):
+    mod, ref, base = built
+    vec = data.draw(st.lists(small, min_size=mod.dim, max_size=mod.dim))
+    for nu in range(mod.n + 1):
+        same(M.mat_vec(mod.V(nu), vec), ref_mat_vec(ref.V(nu), vec))
+    lam = data.draw(st.one_of(st.sampled_from(base), small))
+    same(mod.apply_H(vec, lam), ref.apply_H(vec, lam))
+    # an extension root equal to a projected one can zero a denominator
+    extra = data.draw(st.lists(st.one_of(nonzero, st.sampled_from(base)),
+                               max_size=1))
+    m = data.draw(st.integers(1, mod.n))
+    roots = M.HeckeRoots(base + extra, mod.q, m=m)
+    for got, want in ((outcome(M.project0, vec, roots, mod),
+                       outcome(ref.project0, vec, roots)),
+                      (outcome(M.project, vec, roots, mod),
+                       outcome(ref.project, vec, roots))):
+        if isinstance(want, list):
+            same(got, want)
+        else:
+            assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(modules(n), modules(n - 1))), st.data())
+def test_product_U_p_matches_fraction_reference(pair, data):
+    (left, ref_l, _), (right, ref_r, _) = pair
+    vec = data.draw(st.lists(
+        st.lists(small, min_size=right.dim, max_size=right.dim),
+        min_size=left.dim, max_size=left.dim))
+    vp_t = [list(col) for col in zip(*ref_r.Vp_prime())]
+    want = ref_mat_mul(ref_mat_mul(ref_l.Vp(), vec), vp_t)
+    got = M.ProductModule(left, right).U_p(vec)
+    for g, w in zip(got, want, strict=True):
+        same(g, w)
