@@ -11,14 +11,31 @@ import os
 import sys
 from fractions import Fraction
 
-from heckeforge import distributions as dist
-from heckeforge import gauss, hecke, suite, weights
-from heckeforge.exact import scalar_json
-from heckeforge.matrices import GlnContext
+# Only the suite runner is imported here: each `compute` handler imports
+# what it calls, and `verify` imports the case modules of the suites it runs.
+from heckeforge import suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-_CONFIG_KEYS = ("suites", "n", "p", "r", "seed", "jobs",
-               "corrupted_distribution_fixture")
+
+
+def _list(val):
+    return [x.strip() for x in val.split(",") if x.strip()]
+
+
+def _int_list(val):
+    return [int(x) for x in _list(val)]
+
+
+def _flag(val):
+    flag = val.lower()
+    if flag not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true or false, not {val!r}")
+    return flag in ("1", "true", "yes")
+
+
+_CONFIG_KEYS = {"suites": _list, "n": _int_list, "p": _int_list,
+                "r": _int_list, "seed": int, "jobs": int,
+                "corrupted_distribution_fixture": _flag}
 
 
 def parse_config(path):
@@ -26,8 +43,9 @@ def parse_config(path):
 
     The keys are _CONFIG_KEYS: suites (comma separated), n / p / r
     (comma-separated values restricting the parameter-grid cases), seed
-    (int), jobs (int), corrupted_distribution_fixture (true/false).  Any
-    other key is a ValueError naming it.
+    (int), jobs (int), corrupted_distribution_fixture (true/false).  Each
+    value comes back converted.  An unknown key or a value that does not
+    convert is a ValueError naming the line and the key.
     """
     out = {}
     with open(path) as fh:
@@ -40,36 +58,18 @@ def parse_config(path):
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = val
+            try:
+                out[key] = _CONFIG_KEYS[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-def _int_list(val):
-    return [int(x) for x in val.split(",") if x.strip()]
-
-
 def cmd_verify(args):
-    seed = args.seed
-    suites = list(args.suite) if args.suite else None
-    jobs = args.jobs
-    corrupted = False
-    n_values = p_values = r_values = None
-    if args.config:
-        cfg = parse_config(args.config)
-        if "suites" in cfg and suites is None:
-            suites = [s.strip() for s in cfg["suites"].split(",") if s.strip()]
-        if "seed" in cfg and seed is None:
-            seed = int(cfg["seed"])
-        if "jobs" in cfg and jobs is None:
-            jobs = int(cfg["jobs"])
-        if "n" in cfg:
-            n_values = _int_list(cfg["n"])
-        if "p" in cfg:
-            p_values = _int_list(cfg["p"])
-        if "r" in cfg:
-            r_values = _int_list(cfg["r"])
-        corrupted = cfg.get("corrupted_distribution_fixture", "false").lower() \
-            in ("1", "true", "yes")
+    cfg = parse_config(args.config) if args.config else {}
+    seed = cfg.get("seed") if args.seed is None else args.seed
+    suites = list(args.suite) if args.suite else cfg.get("suites")
+    jobs = cfg.get("jobs") if args.jobs is None else args.jobs
     if seed is None:
         seed = int(os.environ.get("HECKE_FORGE_SEED", "0"))
     if jobs is None:
@@ -78,10 +78,11 @@ def cmd_verify(args):
         print(f"error: jobs = {jobs}; it must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        reports = suite.run_suite(suites=suites, seed=seed, jobs=jobs,
-                                  include_corrupted_fixture=corrupted,
-                                  n_values=n_values, p_values=p_values,
-                                  r_values=r_values)
+        reports = suite.run_suite(
+            suites=suites, seed=seed, jobs=jobs,
+            include_corrupted_fixture=cfg.get(
+                "corrupted_distribution_fixture", False),
+            n_values=cfg.get("n"), p_values=cfg.get("p"), r_values=cfg.get("r"))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -100,6 +101,7 @@ def cmd_verify(args):
 
 
 def cmd_gauss_sum(args):
+    from heckeforge import gauss
     chi = gauss.primitive_character(args.p, args.s, args.order)
     if chi is None:
         print("no character of that order and conductor", file=sys.stderr)
@@ -120,6 +122,8 @@ def cmd_gauss_sum(args):
 
 
 def cmd_hecke_expand(args):
+    from heckeforge import hecke
+    from heckeforge.matrices import GlnContext
     ctx = GlnContext(args.n, args.p, args.r)
     cs = hecke.expand_operator(ctx, args.op)
     out = {
@@ -135,6 +139,8 @@ def cmd_hecke_expand(args):
 
 
 def cmd_satake(args):
+    from heckeforge import hecke
+    from heckeforge.exact import scalar_json
     poly = hecke.satake(args.n, args.nu)
     terms = [{"monomial": dict(k), "coefficient": scalar_json(v)}
              for k, v in sorted(poly.terms.items())]
@@ -143,6 +149,7 @@ def cmd_satake(args):
 
 
 def cmd_branch(args):
+    from heckeforge import weights
     mu = [int(x) for x in args.mu.split(",")]
     out = {
         "mu": mu,
@@ -154,6 +161,7 @@ def cmd_branch(args):
 
 
 def cmd_critical(args):
+    from heckeforge import weights
     mu = [int(x) for x in args.mu.split(",")]
     nu = [int(x) for x in args.nu.split(",")]
     data = weights.critical_data(mu, nu)
@@ -174,6 +182,8 @@ def cmd_critical(args):
 
 
 def cmd_kappa_hat(args):
+    from heckeforge import distributions as dist
+    from heckeforge.exact import scalar_json
     val, info = dist.kappa_hat_value(args.n, args.p, args.s, args.nu,
                                      args.nu_min, Fraction(args.kappa))
     print(json.dumps({
@@ -186,6 +196,9 @@ def cmd_kappa_hat(args):
 
 def cmd_integrate(args):
     import random
+
+    from heckeforge import distributions as dist
+    from heckeforge.exact import scalar_json
 
     if args.from_json:
         with open(args.from_json) as fh:

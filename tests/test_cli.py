@@ -395,6 +395,37 @@ def test_config_rejects_unknown_key(tmp_path):
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+@pytest.mark.parametrize("line, message", [
+    ("seed = abc", "seed: invalid literal for int() with base 10: 'abc'"),
+    ("jobs = 2.5", "jobs: invalid literal for int() with base 10: '2.5'"),
+    ("n = 2,x", "n: invalid literal for int() with base 10: 'x'"),
+    ("corrupted_distribution_fixture = maybe",
+     "corrupted_distribution_fixture: expected true or false, not 'maybe'"),
+])
+def test_config_rejects_bad_values(capsys, tmp_path, line, message):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"suites = weights\n{line}\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err == f"error: {cfg}:2: {message}\n"
+
+
+@pytest.mark.parametrize("value, fails", [
+    ("TRUE", True), ("yes", True), ("1", True),
+    ("false", False), ("No", False), ("0", False),
+])
+def test_config_fixture_flag_values(capsys, tmp_path, value, fails):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("suites = distributions\n"
+                   f"corrupted_distribution_fixture = {value}\n")
+    out_path = tmp_path / "r.jsonl"
+    code, _, _ = run_cli(capsys, "verify", "--config", str(cfg),
+                         "--json-out", str(out_path))
+    assert code == (1 if fails else 0)
+    ids = [json.loads(li)["case"] for li in out_path.read_text().splitlines()]
+    assert ("distributions/zz-corrupted-fixture" in ids) == fails
+
+
 def test_hecke_expand_rejects_non_prime_p():
     proc = _run_child("compute", "hecke-expand", "--n", "2", "--p", "4",
                       "--op", "V1", timeout=60)

@@ -28,3 +28,6 @@ def test_packages_found_under_src():
     assert find["where"] == ["src"]
     assert os.path.isfile(os.path.join(ROOT, "src", "heckeforge",
                                        "__init__.py"))
+    setuptools = pytest.importorskip("setuptools")
+    found = setuptools.find_packages(os.path.join(ROOT, *find["where"]))
+    assert {"heckeforge", "heckeforge.suites"} <= set(found)
