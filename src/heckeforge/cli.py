@@ -26,6 +26,15 @@ def _int_list(val):
     return [int(x) for x in _list(val)]
 
 
+def _suites(val):
+    names = _list(val)
+    unknown = [s for s in names if s not in suite.SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(suite.SUITES)}")
+    return names
+
+
 def _flag(val):
     flag = val.lower()
     if flag not in ("1", "true", "yes", "0", "false", "no"):
@@ -33,7 +42,7 @@ def _flag(val):
     return flag in ("1", "true", "yes")
 
 
-_CONFIG_KEYS = {"suites": _list, "n": _int_list, "p": _int_list,
+_CONFIG_KEYS = {"suites": _suites, "n": _int_list, "p": _int_list,
                 "r": _int_list, "seed": int, "jobs": int,
                 "corrupted_distribution_fixture": _flag}
 
@@ -41,9 +50,10 @@ _CONFIG_KEYS = {"suites": _list, "n": _int_list, "p": _int_list,
 def parse_config(path):
     """Flat key-value config: one `key = value` per line, '#' comments.
 
-    The keys are _CONFIG_KEYS: suites (comma separated), n / p / r
-    (comma-separated values restricting the parameter-grid cases), seed
-    (int), jobs (int), corrupted_distribution_fixture (true/false).  Each
+    The keys are _CONFIG_KEYS: suites (comma separated, each one of
+    suite.SUITES), n / p / r (comma-separated values restricting the
+    parameter-grid cases), seed (int), jobs (int),
+    corrupted_distribution_fixture (true/false).  Each
     value comes back converted.  An unknown key or a value that does not
     convert is a ValueError naming the line and the key.
     """
@@ -71,21 +81,20 @@ def cmd_verify(args):
     suites = list(args.suite) if args.suite else cfg.get("suites")
     jobs = cfg.get("jobs") if args.jobs is None else args.jobs
     if seed is None:
-        seed = int(os.environ.get("HECKE_FORGE_SEED", "0"))
+        try:
+            seed = int(os.environ.get("HECKE_FORGE_SEED", "0"))
+        except ValueError as exc:
+            raise ValueError(f"HECKE_FORGE_SEED: {exc}") from None
     if jobs is None:
         jobs = 1
     elif jobs < 1:
         print(f"error: jobs = {jobs}; it must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        reports = suite.run_suite(
-            suites=suites, seed=seed, jobs=jobs,
-            include_corrupted_fixture=cfg.get(
-                "corrupted_distribution_fixture", False),
-            n_values=cfg.get("n"), p_values=cfg.get("p"), r_values=cfg.get("r"))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    reports = suite.run_suite(
+        suites=suites, seed=seed, jobs=jobs,
+        include_corrupted_fixture=cfg.get(
+            "corrupted_distribution_fixture", False),
+        n_values=cfg.get("n"), p_values=cfg.get("p"), r_values=cfg.get("r"))
     sink = open(args.json_out, "w") if args.json_out else sys.stdout
     try:
         for rep in reports:

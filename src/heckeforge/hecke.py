@@ -122,9 +122,9 @@ class CosetSum:
 # ---------------------------------------------------------------------------
 # operator expansions
 
-# The most coset representatives (V_nu, V_p, V_p') or candidate matrices
-# (U_i, T_nu) one expansion may enumerate; each count has a closed form,
-# checked before enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
+# The most coset representatives (V_nu, V_p, V_p', U_i) or candidate
+# matrices (T_nu) one expansion may enumerate; each count has a closed
+# form, checked before enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
 MAX_ENUMERATION = 100_000
 
 
@@ -219,24 +219,27 @@ def expand_Vp_prime(ctx):
 
 
 def expand_U(ctx, i):
-    """U_i by bounded brute force: fold u pi_i over upper-unipotent u with
-    entries mod p^2.  Validated downstream by disjointness and coverage."""
+    """U_i: the cosets u pi_i K_I over the p^(n-i) upper-unipotent u
+    whose only off-diagonal entries lie in row i-1, each in range(p).
+
+    pi_i^{-1} w pi_i divides row i-1 of w by p, so for unipotent u, u'
+    the cosets u pi_i K_I and u' pi_i K_I agree exactly when row i-1 of
+    u^{-1} u' is divisible by p, at every level r.  Two listed u differ
+    there mod p.  Any u, with x the entries right of the diagonal in its
+    row i-1 and M its lower-right (n-i) x (n-i) block, shares the coset
+    of the listed u with entries x M^{-1} mod p."""
     n, p = ctx.n, ctx.p
     if not 1 <= i <= n:
         raise ValueError("1 <= i <= n required")
-    _check_enumeration(f"U_{i} at n = {n}, p = {p}: p^(n(n-1)) = "
-                       f"{p}^{n * (n - 1)} candidates", p, [n * (n - 1)])
-    pi_i = RatMat.diagonal([p if j == i - 1 else 1 for j in range(n)])
-    positions = [(a, b) for a in range(n) for b in range(n) if a < b]
-    out = CosetSum(ctx)
-    for vals in itertools.product(range(p * p), repeat=len(positions)):
+    _check_enumeration(f"U_{i} at n = {n}, p = {p}: p^(n-i) = "
+                       f"{p}^{n - i} cosets", p, [n - i])
+    pairs = []
+    for vals in itertools.product(range(p), repeat=n - i):
         rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        for (a, b), v in zip(positions, vals):
-            rows[a][b] = v
-        out._accumulate(RatMat.from_rows(rows) * pi_i, 1)
-    for term in out.terms:
-        term[2] = 1
-    return out
+        rows[i - 1][i - 1] = p
+        rows[i - 1][i:] = vals
+        pairs.append((RatMat.from_rows(rows), 1))
+    return CosetSum(ctx, pairs, folded=True)
 
 
 def _rank_mod_p(flat, n, p):

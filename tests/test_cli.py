@@ -386,6 +386,14 @@ def test_missing_path_exits_2_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_env_seed_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("HECKE_FORGE_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "weights")
+    assert code == 2 and not out
+    assert err == ("error: HECKE_FORGE_SEED: invalid literal for int() "
+                   "with base 10: 'abc'\n")
+
+
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("seed = 3\nsuite = weights\n")
@@ -401,6 +409,9 @@ def test_config_rejects_unknown_key(tmp_path):
     ("n = 2,x", "n: invalid literal for int() with base 10: 'x'"),
     ("corrupted_distribution_fixture = maybe",
      "corrupted_distribution_fixture: expected true or false, not 'maybe'"),
+    ("suites = gauss, bogus",
+     "suites: unknown suite 'bogus'; known: matrices, hecke, projections, "
+     "gauss, weights, distributions, functional-equation"),
 ])
 def test_config_rejects_bad_values(capsys, tmp_path, line, message):
     cfg = tmp_path / "suite.cfg"
@@ -436,12 +447,14 @@ def test_hecke_expand_rejects_non_prime_p():
 
 @pytest.mark.parametrize("op, count", [
     ("Vp", "p^(r(n+1)n(n-1)/6) = 7^35 cosets"),
-    ("U1", "p^(n(n-1)) = 7^30 candidates"),
+    ("U1", "p^(n-i) = 7^7 cosets"),
     ("V3", "p^(nu(n-nu)) = 7^9 cosets"),
     ("T3", "the triangular candidates"),
 ])
 def test_hecke_expand_refuses_enumerations_above_bound(op, count):
-    proc = _run_child("compute", "hecke-expand", "--n", "6", "--p", "7",
+    # U1 has p^(n-1) cosets: 7^5 at n = 6 is below the bound, 7^7 at n = 8
+    n = "8" if op == "U1" else "6"
+    proc = _run_child("compute", "hecke-expand", "--n", n, "--p", "7",
                       "--op", op, timeout=30)
     assert proc.returncode == 2
     assert count in proc.stderr and "MAX_ENUMERATION = 100000" in proc.stderr

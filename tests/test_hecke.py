@@ -157,20 +157,60 @@ def test_expand_counts():
 
 @pytest.mark.parametrize("tag, n, p, r, count", [
     ("V1", 3, 2, 1, 4), ("V2", 3, 3, 1, 9), ("Vp", 3, 2, 1, 16),
-    ("Vp'", 3, 2, 2, 256),
-    # candidates: p^(n(n-1)) unipotent u, or one p^(n-1-a) per pivot row a
-    ("U1", 3, 2, 1, 64), ("T1", 3, 2, 1, 4 + 2 + 1), ("T2", 3, 2, 1, 8 + 4 + 2),
+    ("Vp'", 3, 2, 2, 256), ("U1", 3, 2, 1, 4),
+    # T candidates: one p^(n-1-a) per pivot row a
+    ("T1", 3, 2, 1, 4 + 2 + 1), ("T2", 3, 2, 1, 8 + 4 + 2),
 ])
 def test_enumeration_bound_is_the_closed_form_count(monkeypatch, tag, n, p,
                                                     r, count):
     ctx = _ctx(n, p, r)
     monkeypatch.setattr(hecke, "MAX_ENUMERATION", count)
     cs = hecke.expand_operator(ctx, tag)
-    if tag[0] == "V":
+    if tag[0] in "VU":
         assert len(cs) == count
     monkeypatch.setattr(hecke, "MAX_ENUMERATION", count - 1)
     with pytest.raises(ValueError, match="MAX_ENUMERATION"):
         hecke.expand_operator(ctx, tag)
+
+
+def _brute_force_U(ctx, i):
+    """U_i as the fold of u pi_i over every upper-unipotent u with entries
+    mod p^2, each coset with coefficient 1: the reference for the closed
+    form of `hecke.expand_U`."""
+    n, p = ctx.n, ctx.p
+    pi_i = RatMat.diagonal([p if j == i - 1 else 1 for j in range(n)])
+    positions = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    folded = hecke.CosetSum(ctx)
+    for vals in itertools.product(range(p * p), repeat=len(positions)):
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        for (a, b), v in zip(positions, vals):
+            rows[a][b] = v
+        folded._accumulate(RatMat.from_rows(rows) * pi_i, 1)
+    return hecke.CosetSum(ctx, [(rep, 1) for rep, _ in folded.pairs()],
+                          folded=True)
+
+
+@pytest.mark.parametrize("n, p, r", [
+    (2, 2, 1), (2, 3, 1), (2, 5, 1), (2, 7, 1), (3, 2, 1), (3, 3, 1),
+    (3, 5, 1), (4, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2),
+])
+def test_expand_U_is_the_brute_force_fold(n, p, r):
+    ctx = _ctx(n, p, r)
+    for i in range(1, n + 1):
+        cs = hecke.expand_U(ctx, i)
+        assert len(cs) == p ** (n - i)
+        assert all(c == 1 for _, c in cs.pairs())
+        assert cs == _brute_force_U(ctx, i), i
+
+
+def test_expand_U_beyond_the_brute_force():
+    # (4, 3) has 3^12 brute-force candidates, more than MAX_ENUMERATION
+    ctx = _ctx(4, 3)
+    for i in range(1, 5):
+        cs = hecke.expand_U(ctx, i)
+        assert len(cs) == 3 ** (4 - i)
+        assert hecke.check_disjoint(cs) == (True, None)
+        assert hecke.check_coverage(ctx, f"U{i}", samples=50, seed=i) == 0
 
 
 def test_unit_element():
