@@ -8,10 +8,16 @@ components indexed by the embedding integers nu; everything is exact.
 An eigenvalue is inverted as `1 / exact.scalar(kappa)`, and values are
 serialized by `exact.scalar_json` and read back by `scalar_from_json`.
 A tower level m is enumerated only while p^m <= gauss.MAX_MODULUS.
+
+A character integral is formed on exponents: each tower gives the order N
+of a character (`char_order`) and the k with chi(x) = zeta_N^k
+(`char_power`), and each component of the integral is one
+`Cyclo.root_sum` over the pairs (k, mu(x)).  Fourier inversion weights an
+integral by chi(x0)^{-1} through the exponent -k, with no Cyclo inverse.
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from heckeforge.exact import (Cyclo, is_prime, scalar, scalar_from_json,
                               scalar_json, vp)
@@ -56,8 +62,12 @@ class QTower:
     def characters(self, m, chi_p=None):
         return all_characters(self.p, m, chi_p)
 
-    def char_value(self, chi, m, x):
-        return chi.value(x)
+    def char_order(self, chi):
+        return chi.order()
+
+    def char_power(self, chi, m, x):
+        """The k with chi(x) = zeta_N^k, N = char_order(chi)."""
+        return chi.power(x)
 
     def char_conductor_level(self, chi):
         return max(chi.conductor_exponent(), 1)
@@ -102,11 +112,18 @@ class AbstractTower:
                 out.append((j, chi))
         return out
 
-    def char_value(self, chi, m, x):
+    def char_order(self, chi):
+        """lcm(h, order of the finite part): the conductor at which each
+        value zeta_h^{jc} chi_fin(u) is formed, for a trivial j too."""
+        return lcm(self.h, chi[1].order())
+
+    def char_power(self, chi, m, x):
+        """The k with chi(x) = zeta_N^k, N = char_order(chi)."""
         j, fin = chi
         c, u = x
-        return Cyclo.zeta(self.h, j * c) * fin.value(u) if self.h > 1 \
-            else fin.value(u)
+        big = self.char_order(chi)
+        return (j * c * (big // self.h)
+                + fin.power(u) * (big // fin.order())) % big
 
     def char_conductor_level(self, chi):
         return max(chi[1].conductor_exponent(), 1)
@@ -291,10 +308,20 @@ def integrate_character(mu, chi):
 
 
 def _integrate_at(mu, chi, m):
+    """The integral at level m: each coset's value vector is paired with
+    the exponent of chi(x), and each component is one Cyclo.root_sum."""
     tower = mu.tower
-    terms = ((tower.char_value(chi, m, x), mu.values[m][x])
-             for x in tower.elements(m))
-    return _vector_sum(tuple(c * v for v in vec) for c, vec in terms)
+    level = mu.values[m]
+    pairs = [(tower.char_power(chi, m, x), level[x])
+             for x in tower.elements(m)]
+    return _root_sums(tower.char_order(chi), pairs, len(mu.nus))
+
+
+def _root_sums(n, pairs, d):
+    """The entrywise sum of zeta_n^k * vec over the pairs (k, vec) of
+    d-component value vectors: one Cyclo.root_sum per component."""
+    return tuple(Cyclo.root_sum(n, [(k, vec[i]) for k, vec in pairs])
+                 for i in range(d))
 
 
 def _vector_sum(vecs):
@@ -311,14 +338,15 @@ def fourier_inversion_check(mu, m, chi_p=None):
     tower = mu.tower
     chars = tower.characters(m, chi_p)
     elements = tower.elements(m)
-    integrals = {}
-    for idx, chi in enumerate(chars):
-        integrals[idx] = _integrate_at(mu, chi, m)
+    integrals = [_integrate_at(mu, chi, m) for chi in chars]
+    # chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N} over L = lcm of the N
+    orders = [tower.char_order(chi) for chi in chars]
+    big = lcm(*orders)
     size = len(elements)
     for x0 in elements:
-        terms = ((tower.char_value(chi, m, x0).inverse(), integrals[idx])
-                 for idx, chi in enumerate(chars))
-        acc = _vector_sum(tuple(c * v for v in vec) for c, vec in terms)
+        weights = [-tower.char_power(chi, m, x0) * (big // n)
+                   for chi, n in zip(chars, orders)]
+        acc = _root_sums(big, list(zip(weights, integrals)), len(mu.nus))
         want = tuple(size * v for v in mu.values[m][x0])
         if any(a != b for a, b in zip(acc, want)):
             return False, x0

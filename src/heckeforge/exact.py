@@ -10,7 +10,10 @@ nonzero terms and reduced once; the reduction folds each high term down
 through the nonzero coefficients of Phi_m only (Phi_27 = x^18 + x^9 + 1
 has 3 of 19).  Cross-conductor arithmetic lifts both operands to the lcm
 conductor, so equality is literal equality of reduced integer vectors and
-denominators at a common conductor.  No floating point anywhere.
+denominators at a common conductor.  A weighted sum of roots of unity,
+sum of zeta_n^k * v (a character integral), is one `Cyclo.root_sum`: the
+integer numerators are added at their exponents and reduced once, with no
+product per term.  No floating point anywhere.
 
 This module alone decides what an exact scalar is (`scalar`, `as_rational`)
 and how one is written to JSON (`scalar_json`, `scalar_from_json`).  Other
@@ -196,6 +199,32 @@ class Cyclo:
         coeffs = [0] * (k + 1)
         coeffs[k] = 1
         return _cyclo(m, _reduce_mod_cyclotomic(m, coeffs))
+
+    @classmethod
+    def root_sum(cls, n, terms):
+        """The sum of zeta_n^k * v over the pairs (k, v), each v an int, a
+        Fraction or a Cyclo at any conductor.
+
+        The result lies at M = lcm(n, the conductors of the v), where the
+        products Cyclo.zeta(n, k) * v and their sum would: the integer
+        numerators, over one common denominator, are added into a length-M
+        vector in Z[x]/(x^M - 1), which is reduced once."""
+        terms = list(terms)
+        big_m = lcm(n, *(v.m for _, v in terms if isinstance(v, Cyclo)))
+        den = lcm(*(v.den if isinstance(v, Cyclo) else v.denominator
+                    for _, v in terms))
+        step = big_m // n
+        acc = [0] * big_m
+        for k, v in terms:
+            at = k * step % big_m
+            if isinstance(v, Cyclo):
+                scale, vstep = den // v.den, big_m // v.m
+                for i, x in enumerate(v.num):
+                    if x:
+                        acc[(at + i * vstep) % big_m] += x * scale
+            elif v:
+                acc[at] += v.numerator * (den // v.denominator)
+        return _cyclo(big_m, _reduce_mod_cyclotomic(big_m, acc), den)
 
     @classmethod
     def _coerce(cls, x):

@@ -3,7 +3,11 @@ twisted character-sum engine, all in exact cyclotomic arithmetic.
 
 A character is stored by its images on the standard generators of the unit
 group ((-1, 5) for p = 2, s >= 3; a primitive root otherwise) plus a chosen
-value at the uniformizer; evaluation goes through a discrete-log table.
+value at the uniformizer.  Through a discrete-log table it keeps, for each
+unit u, the exponent k with chi(u) = zeta_N^k, N the order of chi
+(`MultChar.power`), and one Cyclo zeta_N^k per k < N (`MultChar.value`).
+Character sums over a distribution work on the exponents alone
+(`exact.Cyclo.root_sum`).
 """
 
 import itertools
@@ -81,15 +85,21 @@ class MultChar:
         if len(self.exps) != len(self.gens):
             raise ValueError("one exponent per generator")
         self.chi_p = Cyclo.rational(1) if chi_p is None else chi_p
-        # chi(unit) = zeta_L^j over the group exponent L, stored as
-        # zeta_{L/g}^{j/g} with g = gcd(j, L): at the conductor of its order
+        # chi(unit) = zeta_L^j over the group exponent L; the order N
+        # divides L, so j is a multiple of L/N and chi(unit) = zeta_N^k
         big_l = lcm(*(order for _, order in self.gens))
-        self._values = {}
-        for unit, dlog in self._dlog.items():
-            j = sum(e * k * (big_l // order) for e, k, (_, order)
-                    in zip(dlog, self.exps, self.gens)) % big_l
-            g = gcd(j, big_l)
-            self._values[unit] = Cyclo.zeta(big_l // g, j // g)
+        self._order = _character_order(self.exps, self.gens)
+        step = big_l // self._order
+        self._powers = {
+            unit: sum(e * k * (big_l // order) for e, k, (_, order)
+                      in zip(dlog, self.exps, self.gens)) % big_l // step
+            for unit, dlog in self._dlog.items()}
+        # zeta_N^k as zeta_{N/g}^{k/g}, g = gcd(k, N): at the conductor of
+        # its order
+        self._zetas = []
+        for k in range(self._order):
+            g = gcd(k, self._order)
+            self._zetas.append(Cyclo.zeta(self._order // g, k // g))
 
     def value(self, a):
         """chi on a unit (any integer prime to p, or a p-unit Fraction)."""
@@ -99,23 +109,27 @@ class MultChar:
         mod = self.p ** self.s
         num = a.numerator % mod
         den = a.denominator % mod
-        return self._values[num * pow(den, -1, mod) % mod]
+        return self._zetas[self._powers[num * pow(den, -1, mod) % mod]]
+
+    def power(self, a):
+        """The k < order() with chi(a) = zeta_order^k, for an integer a
+        prime to p."""
+        return self._powers[a % self.p ** self.s]
 
     def conductor_exponent(self):
         """Smallest t with chi trivial on units congruent to 1 mod p^t."""
-        mod = self.p ** self.s
         for t in range(self.s + 1):
             pt = self.p ** t
-            if all(self._values[u] == 1 for u in self._values
-                   if u % pt == 1 % pt):
+            if not any(k for u, k in self._powers.items()
+                       if u % pt == 1 % pt):
                 return t
         return self.s
 
     def is_trivial(self):
-        return all(v == 1 for v in self._values.values())
+        return not any(self._powers.values())
 
     def order(self):
-        return _character_order(self.exps, self.gens)
+        return self._order
 
     def inverse(self):
         return MultChar(self.p, self.s,

@@ -11,6 +11,7 @@ which a `GlnContext` rejects on purpose, so it keeps its own loop.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 from heckeforge import kernels
@@ -304,6 +305,8 @@ def restrict_spherical(ctx, pairs):
 
 def eps_T(ctx, nu):
     """epsilon(T_nu) as an Iwahori coset sum."""
+    if not 0 <= nu <= ctx.n:
+        raise ValueError("0 <= nu <= n required")
     if nu == 0:
         return unit_coset(ctx)
     reps = spherical_T_reps(ctx.n, ctx.p, nu)
@@ -316,13 +319,14 @@ def expand_operator(ctx, tag, validate=False):
 
     With validate=True the decomposition is checked for disjointness and
     randomized coverage; a failure raises with the uncovered sample."""
-    expand = {"V": expand_V, "U": expand_U, "T": eps_T}.get(tag[:1])
+    indexed = re.fullmatch(r"([VUT])([0-9]+)", tag)
     if tag in ("Vp", "Vp'"):
         out = _expand_unipotent_translates(ctx, tag)
-    elif expand is None:
+    elif indexed is None:
         raise ValueError(f"unknown operator tag {tag!r}")
     else:
-        out = expand(ctx, int(tag[1:]))
+        expand = {"V": expand_V, "U": expand_U, "T": eps_T}[indexed[1]]
+        out = expand(ctx, int(indexed[2]))
     if validate:
         ok, pair = check_disjoint(out)
         if not ok:

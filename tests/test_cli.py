@@ -483,3 +483,38 @@ def test_kappa_hat_names_the_zero_eigenvalue():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: kappa kappa' = 0")
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_hecke_expand_rejects_t_above_n():
+    proc = _run_child("compute", "hecke-expand", "--n", "2", "--p", "2",
+                      "--op", "T9", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: 0 <= nu <= n required\n"
+    assert not proc.stdout
+
+
+@pytest.mark.parametrize("op", ["Ux", "U", "V", "T", "T1x", "V-1", "W2"])
+def test_hecke_expand_names_a_malformed_tag(capsys, op):
+    code, out, err = run_cli(capsys, "compute", "hecke-expand", "--n", "2",
+                             "--p", "2", "--op", op)
+    assert code == 2 and not out
+    assert err == f"error: unknown operator tag {op!r}\n"
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_compute_integrate_matches_the_golden_outputs(capsys, monkeypatch):
+    """Each line of compute-integrate.args, run as `compute integrate` from
+    the repository root, prints the same line of compute-integrate.jsonl
+    (the CI workflow diffs the installed command against it too)."""
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA)))
+    with open(os.path.join(DATA, "compute-integrate.args")) as fh:
+        invocations = [line.split() for line in fh if line.strip()]
+    with open(os.path.join(DATA, "compute-integrate.jsonl")) as fh:
+        golden = fh.read().splitlines()
+    assert len(invocations) == len(golden)
+    for argv, want in zip(invocations, golden):
+        code, out, err = run_cli(capsys, "compute", "integrate", *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == want + "\n", argv

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeforge import distributions as dist
 from heckeforge import modules
@@ -312,3 +314,104 @@ def test_kappa_hat_rejects_a_zero_eigenvalue():
             dist.kappa_hat_value(3, 2, 1, 1, 0, zero)
     val, _ = dist.kappa_hat_value(3, 2, 1, 1, 0, Cyclo.zeta(4))
     assert val == 16 * Cyclo.zeta(4, 3)
+
+
+# Character integrals and Fourier inversion against a per-coset reference:
+# chi(x) as a Cyclo, one Cyclo product chi(x) * mu(x) per coset, then Cyclo
+# sums; chi(x0)^{-1} by Cyclo.inverse.
+
+def _char_value_reference(tower, chi, x):
+    if isinstance(tower, dist.QTower):
+        return chi.value(x)
+    j, fin = chi
+    c, u = x
+    if tower.h == 1:
+        return fin.value(u)
+    return Cyclo.zeta(tower.h, j * c) * fin.value(u)
+
+
+def _weighted_sum_reference(pairs):
+    acc = None
+    for c, vec in pairs:
+        term = tuple(c * v for v in vec)
+        acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
+    return acc
+
+
+def _integrate_reference(mu, chi, m):
+    return _weighted_sum_reference(
+        (_char_value_reference(mu.tower, chi, x), mu.values[m][x])
+        for x in mu.tower.elements(m))
+
+
+def _fourier_reference(mu, m):
+    tower = mu.tower
+    chars = tower.characters(m)
+    integrals = [_integrate_reference(mu, chi, m) for chi in chars]
+    size = len(tower.elements(m))
+    for x0 in tower.elements(m):
+        acc = _weighted_sum_reference(
+            (_char_value_reference(tower, chi, x0).inverse(), vec)
+            for chi, vec in zip(chars, integrals))
+        if any(a != size * b for a, b in zip(acc, mu.values[m][x0])):
+            return False, x0
+    return True, None
+
+
+def _fields(vec):
+    return [(v.m, v.num, v.den) for v in vec]
+
+
+# (tower, depth): rational towers at p = 2, 3, 5, 7 and abstract ones with
+# a class-group part of order h = 1, 2, 3
+REFERENCE_TOWERS = [(dist.QTower(2), 3), (dist.QTower(3), 2),
+                    (dist.QTower(5), 2), (dist.QTower(7), 1),
+                    (dist.AbstractTower(3, 1), 2), (dist.AbstractTower(2, 2), 3),
+                    (dist.AbstractTower(3, 3), 2)]
+
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _values(m):
+    """Fractions, or Cyclos at conductor m."""
+    if m == 1:
+        return SMALL
+    return st.builds(lambda k, a, b: Cyclo.zeta(m, k) * a + b,
+                     st.integers(0, m - 1), SMALL, SMALL)
+
+
+@st.composite
+def distributions(draw):
+    """Base data of Fractions or of Cyclos at one conductor 4, 5, 7 or 9:
+    none divides the order of every character of these towers, so the
+    sums are lifted past the character's own conductor."""
+    tower, depth = draw(st.sampled_from(REFERENCE_TOWERS))
+    values = _values(draw(st.sampled_from([1, 4, 5, 7, 9])))
+    base = {x: (draw(values), draw(values)) for x in tower.elements(depth)}
+    kappa = draw(st.sampled_from([F(2), F(1, 3), Cyclo.zeta(4) + 1]))
+    return dist.build_mu(dist.EigenSymbol(tower, kappa, depth, base, [0, 1]),
+                         1)
+
+
+REFERENCE = settings(max_examples=25, deadline=None)
+
+
+@REFERENCE
+@given(distributions())
+def test_integrals_match_the_per_coset_path(mu):
+    tower = mu.tower
+    for m in mu.levels:
+        for chi in tower.characters(m):
+            want = _integrate_reference(mu, chi, m)
+            assert _fields(dist._integrate_at(mu, chi, m)) == _fields(want)
+            got = dist.integrate_character(mu, chi)
+            lvl = max(tower.char_conductor_level(chi), mu.levels[0])
+            assert _fields(got) == _fields(_integrate_reference(mu, chi, lvl))
+
+
+@REFERENCE
+@given(distributions())
+def test_fourier_inversion_matches_the_per_coset_path(mu):
+    m = mu.levels[-1]
+    assert (dist.fourier_inversion_check(mu, m) == _fourier_reference(mu, m)
+            == (True, None))
