@@ -117,14 +117,13 @@ def cmd_gauss_sum(args):
         return EXIT_USAGE
     g = gauss.gauss_sum(chi)
     sq = g * g
+    tau = gauss.classical_gauss_sum(chi)
     out = {
         "p": args.p, "s": args.s, "order": args.order,
         "gauss_sum": g.to_json(),
         "square": sq.to_json(),
         "abs_square_is_ps": bool(
-            gauss.classical_gauss_sum(chi)
-            * gauss.classical_gauss_sum(chi).conj()
-            == args.p ** chi.conductor_exponent()),
+            tau * tau.conj() == args.p ** chi.conductor_exponent()),
     }
     print(json.dumps(out))
     return EXIT_PASS
@@ -208,6 +207,7 @@ def cmd_integrate(args):
 
     from heckeforge import distributions as dist
     from heckeforge.exact import scalar_json
+    from heckeforge.gauss import primitive_character
 
     if args.from_json:
         with open(args.from_json) as fh:
@@ -225,8 +225,13 @@ def cmd_integrate(args):
         sym = dist.EigenSymbol(tower, Fraction(args.kappa), args.depth,
                                base, [0])
         mu = dist.build_mu(sym, 1)
-    chi = next(c for c in mu.tower.characters(args.conductor)
-               if c.conductor_exponent() == args.conductor)
+    # the first character of conductor p^c in the order of the rational
+    # tower's characters(c), taken without building the others
+    chi = primitive_character(mu.tower.p, args.conductor)
+    if chi is None:
+        print(f"error: no character has conductor "
+              f"{mu.tower.p}^{args.conductor}", file=sys.stderr)
+        return EXIT_USAGE
     val = dist.integrate_character(mu, chi)
     print(json.dumps({
         "p": mu.tower.p, "conductor": args.conductor,

@@ -334,7 +334,13 @@ def _vector_sum(vecs):
 
 def fourier_inversion_check(mu, m, chi_p=None):
     """sum over all characters chi of C(p^m) of chi(x0)^{-1} * integral of
-    chi d(mu) equals |C(p^m)| * mu(x0 + p^m), for every x0."""
+    chi d(mu) equals |C(p^m)| * mu(x0 + p^m), for every x0.
+
+    Fourier inversion holds for every function on a finite abelian group,
+    so this checks the tower's character and exponent arithmetic
+    (`char_power`, `char_order`, the root sums), not mu: any values pass.
+    `check_distribution_relation` is the check that tests the
+    distribution."""
     tower = mu.tower
     chars = tower.characters(m, chi_p)
     elements = tower.elements(m)

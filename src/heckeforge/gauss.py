@@ -3,15 +3,21 @@ twisted character-sum engine, all in exact cyclotomic arithmetic.
 
 A character is stored by its images on the standard generators of the unit
 group ((-1, 5) for p = 2, s >= 3; a primitive root otherwise) plus a chosen
-value at the uniformizer.  Through a discrete-log table it keeps, for each
-unit u, the exponent k with chi(u) = zeta_N^k, N the order of chi
-(`MultChar.power`), and one Cyclo zeta_N^k per k < N (`MultChar.value`).
-Character sums over a distribution work on the exponents alone
-(`exact.Cyclo.root_sum`).
+value at the uniformizer.  Through a discrete-log table, built once per
+(p, s), it keeps for each unit u the exponent k with chi(u) = zeta_N^k, N
+the order of chi (`MultChar.power`); it keeps no Cyclo per exponent.  The
+additive character has psi(x) = zeta_{p^t}^e.
+
+Every character sum sees a character only through these exponents: a term
+chi(a) psi(x) is zeta_L^(k L/N + e L/p^t) over L = lcm(N, p^t), so a Gauss,
+oracle or twisted sum is one `exact.Cyclo.root_sum`, and chi(a)^{-1} in the
+closed form of the twisted sum is the exponent -k.  `MultChar.value` and
+`AddChar.value` form one Cyclo.zeta each, as a per-term reference.
 """
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from heckeforge.exact import Cyclo, is_prime, vp
@@ -20,7 +26,7 @@ from heckeforge.exact import Cyclo, is_prime, vp
 # conductor lcm(order of chi, p^t) at which a classical Gauss sum is formed;
 # larger inputs raise ValueError.  At this bound the slowest `compute
 # gauss-sum` inputs tried (p = 1249 with order 2, p = 823 with order 3) take
-# under 4 s on 2 cores, where p = 311 with order 2 ran for minutes while
+# about 1.4 s on 2 cores, where p = 311 with order 2 ran for minutes while
 # character values were stored at the generator's order.
 MAX_MODULUS = 2500
 
@@ -55,8 +61,10 @@ def unit_group_generators(p, s):
     raise ArithmeticError("no primitive root found")
 
 
+@lru_cache(maxsize=None)
 def _dlog_table(p, s):
-    """unit -> exponent vector over the generator list."""
+    """The generator list and unit -> exponent vector over it; built once
+    per (p, s) and shared by every character mod p^s, which only read it."""
     mod = p ** s
     gens = unit_group_generators(p, s)
     table = {}
@@ -94,27 +102,27 @@ class MultChar:
             unit: sum(e * k * (big_l // order) for e, k, (_, order)
                       in zip(dlog, self.exps, self.gens)) % big_l // step
             for unit, dlog in self._dlog.items()}
-        # zeta_N^k as zeta_{N/g}^{k/g}, g = gcd(k, N): at the conductor of
-        # its order
-        self._zetas = []
-        for k in range(self._order):
-            g = gcd(k, self._order)
-            self._zetas.append(Cyclo.zeta(self._order // g, k // g))
 
     def value(self, a):
-        """chi on a unit (any integer prime to p, or a p-unit Fraction)."""
-        a = Fraction(a)
-        if vp(a, self.p) != 0:
-            raise ValueError("argument is not a p-unit")
-        mod = self.p ** self.s
-        num = a.numerator % mod
-        den = a.denominator % mod
-        return self._zetas[self._powers[num * pow(den, -1, mod) % mod]]
+        """chi(a) = zeta_N^k as one Cyclo at the conductor N/gcd(k, N) of
+        its order, for a p-unit a; a per-term reference for the sums."""
+        k = self.power(a)
+        g = gcd(k, self._order)
+        return Cyclo.zeta(self._order // g, k // g)
 
     def power(self, a):
-        """The k < order() with chi(a) = zeta_order^k, for an integer a
-        prime to p."""
-        return self._powers[a % self.p ** self.s]
+        """The k < order() with chi(a) = zeta_order^k, for a p-unit a: an
+        integer prime to p or a Fraction of valuation 0."""
+        mod = self.p ** self.s
+        if not isinstance(a, int):
+            a = Fraction(a)
+            # a denominator divisible by p leaves no unit to look up
+            a = (a.numerator * pow(a.denominator, -1, mod)
+                 if a.denominator % self.p else 0)
+        k = self._powers.get(a % mod)
+        if k is None:
+            raise ValueError("argument is not a p-unit")
+        return k
 
     def conductor_exponent(self):
         """Smallest t with chi trivial on units congruent to 1 mod p^t."""
@@ -158,13 +166,14 @@ def all_characters(p, s, chi_p=None):
     return [MultChar(p, s, exps, chi_p) for exps in itertools.product(*ranges)]
 
 
-def primitive_character(p, s, order):
-    """The first character of all_characters(p, s) with the given order and
-    conductor p^s, or None.  The order is read off each exponent vector, so
-    a MultChar is built only for the characters of that order."""
+def primitive_character(p, s, order=None):
+    """The first character of all_characters(p, s) with conductor p^s and
+    the given order (any order for None), or None.  The characters are
+    taken lazily and the order is read off each exponent vector, so a
+    MultChar is built only for the candidates of that order."""
     gens = unit_group_generators(p, s)
     for exps in itertools.product(*(range(o) for _, o in gens)):
-        if _character_order(exps, gens) == order:
+        if order is None or _character_order(exps, gens) == order:
             chi = MultChar(p, s, exps)
             if chi.conductor_exponent() == s:
                 return chi
@@ -180,16 +189,20 @@ class AddChar:
         self.p = p
 
     def value(self, x):
-        x = Fraction(x)
-        v = vp(x, self.p)
-        if x == 0 or v >= 0:
-            return Cyclo.rational(1)
-        t = -v
-        pt = self.p ** t
-        scaled = x * pt  # now a p-unit rational or p-integral
-        num = scaled.numerator % pt
-        den = scaled.denominator % pt
-        return Cyclo.zeta(pt, num * pow(den, -1, pt) % pt)
+        """psi(x) = zeta_{p^t}^e as one Cyclo; a per-term reference."""
+        return Cyclo.zeta(*_additive_exponent(self.p, x))
+
+
+def _additive_exponent(p, x):
+    """(p^t, e) with psi(x) = zeta_{p^t}^e: t = -v_p(x) for a non-integral
+    x, and (1, 0) for x in Z_p."""
+    x = Fraction(x)
+    v = vp(x, p)
+    if x == 0 or v >= 0:
+        return 1, 0
+    pt = p ** -v
+    scaled = x * pt  # a p-unit
+    return pt, scaled.numerator * pow(scaled.denominator, -1, pt) % pt
 
 
 def classical_gauss_sum(chi):
@@ -205,12 +218,7 @@ def classical_gauss_sum(chi):
     if conductor > MAX_MODULUS:
         raise ValueError(f"the Gauss sum lives at conductor {conductor}, "
                          f"above MAX_MODULUS = {MAX_MODULUS}")
-    psi = AddChar(chi.p)
-    acc = Cyclo.rational(0)
-    for a in range(1, pt):
-        if a % chi.p:
-            acc = acc + chi.value(a) * psi.value(Fraction(a, pt))
-    return acc
+    return _unit_sum(chi, Fraction(1, pt), t)
 
 
 def gauss_sum(chi):
@@ -234,14 +242,16 @@ def gauss_sum_oracle(chi, extra=1):
 
 
 def _unit_sum(chi, c, level):
-    """sum over units g mod p^level of chi(g) psi(c g), in order of g."""
-    p = chi.p
-    psi = AddChar(p)
-    acc = Cyclo.rational(0)
-    for g in range(1, p ** level):
-        if g % p:
-            acc = acc + chi.value(g) * psi.value(c * g)
-    return acc
+    """sum over units g mod p^level of chi(g) psi(c g), one Cyclo.root_sum.
+
+    With chi(g) = zeta_N^k and psi(c) = zeta_{p^t}^e, the term is
+    zeta_L^(k L/N + e g L/p^t) over L = lcm(N, p^t)."""
+    p, n = chi.p, chi.order()
+    pt, e = _additive_exponent(p, c)
+    big = lcm(n, pt)
+    kstep, estep = big // n, e * (big // pt)
+    return Cyclo.root_sum(big, [(chi.power(g) * kstep + g * estep, 1)
+                                for g in range(1, p ** level) if g % p])
 
 
 def twisted_sum(chi, c, level):
@@ -270,9 +280,10 @@ def twisted_sum_closed(chi, c, level):
     p = chi.p
     if c == 0 or vp(c, p) != -t:
         return Cyclo.rational(0)
-    a = c * Fraction(p) ** t
-    return (Fraction(p) ** (level - t)
-            * chi.value(a).inverse() * classical_gauss_sum(chi))
+    # chi(a)^{-1} for c = a p^{-t} is zeta_N^{-k}
+    k = chi.power(c * Fraction(p) ** t)
+    return Cyclo.root_sum(chi.order(), [
+        (-k, Fraction(p) ** (level - t) * classical_gauss_sum(chi))])
 
 
 def birch_constants(n, q, r, s, chi):

@@ -39,12 +39,6 @@ class GlnContext:
         return Fraction(self.p)
 
 
-@dataclass(frozen=True)
-class NamedMatrix:
-    tag: str
-    value: object  # LaurentMatrix or RatMat
-
-
 # ---------------------------------------------------------------------------
 # symbolic builders (LaurentMatrix); numeric callers substitute afterwards
 
@@ -97,11 +91,6 @@ def j_delta(g, pi, delta):
     return LaurentMatrix(rows)
 
 
-def delta_matrix(n, pi, delta):
-    pi = LaurentPoly._coerce(pi)
-    return LaurentMatrix.diagonal([lconst(1)] * (n - 1) + [pi ** delta])
-
-
 def d_matrix(n, x):
     """diag(x, 1, ..., 1)."""
     return LaurentMatrix.diagonal([LaurentPoly._coerce(x)] + [lconst(1)] * (n - 1))
@@ -149,56 +138,6 @@ def dual_diag(n, x):
 
 def w_tilde(n):
     return j_emb(weyl_longest(n - 1)) * weyl_longest(n)
-
-
-_STANDARD = {
-    "t_(f)", "h^(1)", "h^(f)", "w_n", "w_tilde", "d_(x)", "n_mat", "n'_mat",
-    "d_fe", "Delta_delta",
-}
-
-
-def build_standard(ctx, tag, *, symbolic=False, x=None, delta=0):
-    """Construct one of the named matrices for rank ctx.n.
-
-    With symbolic=True the result is over the Laurent ring in f (and x);
-    otherwise f = p^r and x must be a rational when required.
-    """
-    n = ctx.n
-    f = lvar("f") if symbolic else lconst(ctx.f)
-    if x is None:
-        xx = lvar("x") if symbolic else None
-    else:
-        xx = LaurentPoly._coerce(x)
-    if tag == "t_(f)":
-        m = t_matrix(n, f)
-    elif tag == "h^(1)":
-        m = h_one(n)
-    elif tag == "h^(f)":
-        m = h_matrix(n, f)
-    elif tag == "w_n":
-        m = weyl_longest(n)
-    elif tag == "w_tilde":
-        m = w_tilde(n)
-    elif tag == "d_(x)":
-        m = d_matrix(n, xx)
-    elif tag == "n_mat":
-        m = corrector_matrix(n, f)
-    elif tag == "n'_mat":
-        m = conjugated_toeplitz(n, f, xx)
-    elif tag == "d_fe":
-        m = dual_diag(n, xx)
-    elif tag == "Delta_delta":
-        m = delta_matrix(n, lconst(ctx.pi) if not symbolic else lvar("f"), delta)
-    else:
-        raise ValueError(f"unknown tag {tag!r} (choose from {sorted(_STANDARD)})")
-    return NamedMatrix(tag, m)
-
-
-def iwahori_member(g, p, r):
-    """Is the rational matrix g in the level-p^r Iwahori subgroup?"""
-    if isinstance(g, RatMat):
-        return g.is_iwahori(p, r)
-    return RatMat.from_rows(g).is_iwahori(p, r)
 
 
 # ---------------------------------------------------------------------------

@@ -504,17 +504,42 @@ def test_hecke_expand_names_a_malformed_tag(capsys, op):
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def test_compute_integrate_matches_the_golden_outputs(capsys, monkeypatch):
-    """Each line of compute-integrate.args, run as `compute integrate` from
-    the repository root, prints the same line of compute-integrate.jsonl
+def _assert_golden_outputs(capsys, monkeypatch, command):
+    """Each line of compute-<command>.args, run as `compute <command>` from
+    the repository root, prints the same line of compute-<command>.jsonl
     (the CI workflow diffs the installed command against it too)."""
     monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA)))
-    with open(os.path.join(DATA, "compute-integrate.args")) as fh:
+    with open(os.path.join(DATA, f"compute-{command}.args")) as fh:
         invocations = [line.split() for line in fh if line.strip()]
-    with open(os.path.join(DATA, "compute-integrate.jsonl")) as fh:
+    with open(os.path.join(DATA, f"compute-{command}.jsonl")) as fh:
         golden = fh.read().splitlines()
     assert len(invocations) == len(golden)
     for argv, want in zip(invocations, golden):
-        code, out, err = run_cli(capsys, "compute", "integrate", *argv)
+        code, out, err = run_cli(capsys, "compute", command, *argv)
         assert (code, err) == (0, ""), argv
         assert out == want + "\n", argv
+
+
+def test_compute_integrate_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "integrate")
+
+
+def test_compute_gauss_sum_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "gauss-sum")
+
+
+def test_integrate_takes_its_character_without_the_dual_group():
+    """Building all 2162 characters mod 47^2 took past 100 s; the lazy
+    loop stops at the first one of conductor 47^2."""
+    proc = _run_child("compute", "integrate", "--p", "47", "--depth", "2",
+                      "--conductor", "2", timeout=30)
+    assert proc.returncode == 0 and not proc.stderr
+    assert json.loads(proc.stdout)["conductor"] == 2
+
+
+def test_integrate_names_a_conductor_no_character_has(capsys):
+    # every character mod 2 is trivial, of conductor 2^0
+    code, out, err = run_cli(capsys, "compute", "integrate", "--p", "2",
+                             "--depth", "2", "--conductor", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: no character has conductor 2^1\n"

@@ -141,6 +141,24 @@ def test_fourier_inversion():
         assert ok, (p, x0)
 
 
+class _OffByOneTower(dist.QTower):
+    """A rational tower whose char_power is one too large at x = 2."""
+
+    def char_power(self, chi, m, x):
+        k = super().char_power(chi, m, x)
+        return k + 1 if x == 2 else k
+
+
+def test_fourier_inversion_fails_on_wrong_character_exponents():
+    """Fourier inversion holds for every function on the group, so the
+    check tests the character and exponent arithmetic: one wrong exponent
+    at one coset makes it fail on data it passes with the right ones."""
+    mu = dist.build_mu(make_symbol(random.Random(7), 3, 2, F(2)), 1)
+    assert dist.fourier_inversion_check(mu, 2) == (True, None)
+    broken = dist.Distribution(_OffByOneTower(3), mu.nus, mu.values)
+    assert dist.fourier_inversion_check(broken, 2)[0] is False
+
+
 def test_abstract_tower():
     rng = random.Random(8)
     tower = dist.AbstractTower(3, 4)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heckeforge import gauss
-from heckeforge.exact import Cyclo, euler_phi
+from heckeforge.exact import Cyclo, euler_phi, vp
 
 
 def quadratic_char(p):
@@ -211,3 +211,80 @@ def test_character_values_live_at_the_conductor_of_their_order():
                     v = chi.value(a)
                     assert chi.order() % v.m == 0
                     assert v ** chi.order() == 1
+
+
+# The rewritten sums against the former per-term summation: each term a
+# Cyclo product chi.value(a) * psi.value(x), added one term at a time.
+
+PRIME_POWERS_TO_27 = [(2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1),
+                      (5, 2), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
+                      (23, 1)]
+
+
+def _unit_sum_reference(chi, c, level):
+    psi = gauss.AddChar(chi.p)
+    acc = Cyclo.rational(0)
+    for g in range(1, chi.p ** level):
+        if g % chi.p:
+            acc = acc + chi.value(g) * psi.value(c * g)
+    return acc
+
+
+def _twisted_closed_reference(chi, c, level, tau):
+    p, t = chi.p, chi.conductor_exponent()
+    if c == 0 or vp(c, p) != -t:
+        return Cyclo.rational(0)
+    a = c * Fraction(p) ** t
+    return Fraction(p) ** (level - t) * chi.value(a).inverse() * tau
+
+
+def _fields(x):
+    return x.m, x.num, x.den
+
+
+@pytest.mark.parametrize("p, s", PRIME_POWERS_TO_27)
+def test_sums_match_the_per_term_summation(p, s):
+    for chi in gauss.all_characters(p, s):
+        t = chi.conductor_exponent()
+        if t == 0:
+            continue
+        tau = _unit_sum_reference(chi, Fraction(1, p ** t), t)
+        assert _fields(gauss.classical_gauss_sum(chi)) == _fields(tau)
+        oracle = (chi.chi_p ** (-t) * _unit_sum_reference(
+            chi, Fraction(1, p ** t), t + 1) * Fraction(1, p))
+        assert _fields(gauss.gauss_sum_oracle(chi)) == _fields(oracle)
+        # the twisted-sum-exhaustive grid of c, and c = 0
+        for level in range(t, s + 1):
+            grid = [Fraction(unit) * Fraction(p) ** v
+                    for v in range(-level, 2) for unit in (1, 1 + p)]
+            for c in grid + [Fraction(0)]:
+                want = _unit_sum_reference(chi, c, level)
+                assert (_fields(gauss.twisted_sum(chi, c, level))
+                        == _fields(want)), (chi.exps, c, level)
+                closed = _twisted_closed_reference(chi, c, level, tau)
+                assert (_fields(gauss.twisted_sum_closed(chi, c, level))
+                        == _fields(closed)), (chi.exps, c, level)
+
+
+def test_power_takes_a_p_unit_fraction():
+    for chi in gauss.all_characters(5, 2):
+        n = chi.order()
+        for a in (1, 2, 7, 24):
+            for b in (3, 4, 26):
+                x = Fraction(a, b)
+                k = chi.power(x)
+                assert k == chi.power(a * pow(b, -1, 25))
+                assert k == (chi.power(a) - chi.power(b)) % n
+                assert chi.value(x) == Cyclo.zeta(n, chi.power(a)) \
+                    * Cyclo.zeta(n, chi.power(b)).inverse()
+        for bad in (0, 5, 10, Fraction(5, 3), Fraction(2, 5), Fraction(1, 25)):
+            with pytest.raises(ValueError, match="not a p-unit"):
+                chi.power(bad)
+            with pytest.raises(ValueError, match="not a p-unit"):
+                chi.value(bad)
+
+
+def test_discrete_log_table_is_built_once_per_modulus():
+    chars = gauss.all_characters(7, 2)
+    derived = [chars[1].inverse(), chars[1] * chars[2]]
+    assert len({id(chi._dlog) for chi in chars + derived}) == 1

@@ -6,22 +6,21 @@ import pytest
 from heckeforge.exact import vp
 from heckeforge.laurent import LaurentMatrix, lconst, lvar
 from heckeforge.matrices import (GlnContext, build_distribution_family,
-                                 build_standard, family_symbolic, h_matrix,
-                                 h_one, iota_involution, iwahori_member,
-                                 j_delta, t_matrix, verify_epimorphism,
-                                 verify_inverseft, verify_inverseh, w_tilde,
-                                 weyl_longest)
+                                 family_symbolic, h_matrix, h_one,
+                                 iota_involution, j_delta, t_matrix,
+                                 verify_epimorphism, verify_inverseft,
+                                 verify_inverseh, w_tilde, weyl_longest)
 from heckeforge.ratmat import RatMat
 from test_laurent import assert_same_terms, reference_product
 
 
-def test_standard_tags_numeric():
+def test_standard_matrices_numeric():
     ctx = GlnContext(3, 2, 1)
-    t = build_standard(ctx, "t_(f)").value.to_ratmat()
+    t = t_matrix(ctx.n, lconst(ctx.f)).to_ratmat()
     assert t == RatMat.diagonal([Fraction(4), Fraction(2), Fraction(1)])
-    h1 = build_standard(ctx, "h^(1)").value.to_ratmat()
+    h1 = h_one(ctx.n).to_ratmat()
     assert h1 == RatMat.from_rows([[0, 1, 1], [1, 0, 1], [0, 0, 1]])
-    w = build_standard(ctx, "w_n").value.to_ratmat()
+    w = weyl_longest(ctx.n).to_ratmat()
     assert w == RatMat.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
@@ -61,12 +60,12 @@ def test_j_delta_and_w_tilde():
     assert wt != wn
 
 
-def test_iwahori_member_examples():
+def test_is_iwahori_examples():
     p = 5
-    assert iwahori_member([[1, 0], [p, 1]], p, 1)
-    assert not iwahori_member([[1, 0], [1, 1]], p, 1)
-    assert not iwahori_member([[p, 0], [0, 1]], p, 1)
-    assert iwahori_member([[1, Fraction(1, 2)], [0, 1]], 5, 1)
+    assert RatMat.from_rows([[1, 0], [p, 1]]).is_iwahori(p, 1)
+    assert not RatMat.from_rows([[1, 0], [1, 1]]).is_iwahori(p, 1)
+    assert not RatMat.from_rows([[p, 0], [0, 1]]).is_iwahori(p, 1)
+    assert RatMat.from_rows([[1, Fraction(1, 2)], [0, 1]]).is_iwahori(5, 1)
 
 
 def test_iota_is_involution():
@@ -174,11 +173,6 @@ def test_inverseh_numeric_samples():
 def test_inverseh_rejects_rank_two():
     with pytest.raises(ValueError):
         verify_inverseh(2, symbolic=True)
-
-
-def test_build_standard_rejects_unknown():
-    with pytest.raises(ValueError):
-        build_standard(GlnContext(3, 2, 1), "bogus")
 
 
 @pytest.mark.parametrize("n, p, r", [(1, 2, 1), (2, 2, 0), (2, 1, 1),
