@@ -115,9 +115,9 @@ def cmd_gauss_sum(args):
     if chi is None:
         print("no character of that order and conductor", file=sys.stderr)
         return EXIT_USAGE
-    g = gauss.gauss_sum(chi)
-    sq = g * g
     tau = gauss.classical_gauss_sum(chi)
+    g = gauss.gauss_sum(chi, tau)
+    sq = g * g
     out = {
         "p": args.p, "s": args.s, "order": args.order,
         "gauss_sum": g.to_json(),

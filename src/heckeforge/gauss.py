@@ -221,13 +221,16 @@ def classical_gauss_sum(chi):
     return _unit_sum(chi, Fraction(1, pt), t)
 
 
-def gauss_sum(chi):
+def gauss_sum(chi, tau=None):
     """The normalized Gauss sum G(chi) = chi(p)^{-t} tau(chi), the full sum
-    of chi(a/f) psi(a/f) over a mod the conductor f = p^t."""
+    of chi(a/f) psi(a/f) over a mod the conductor f = p^t.  `tau` is
+    tau(chi) when the caller already holds it."""
     t = chi.conductor_exponent()
     if t == 0:
         raise ValueError("character has trivial conductor")
-    return chi.chi_p ** (-t) * classical_gauss_sum(chi)
+    if tau is None:
+        tau = classical_gauss_sum(chi)
+    return chi.chi_p ** (-t) * tau
 
 
 def gauss_sum_oracle(chi, extra=1):
@@ -260,6 +263,8 @@ def twisted_sum(chi, c, level):
 
     Nonzero only when v_p(c) = -t for t the conductor exponent, in which
     case the value is p^{level-t} chi(a)^{-1} tau(chi) for c = a p^{-t}.
+    A c with v_p(c) < -level raises ValueError: psi(c gamma) is then not
+    a function of gamma mod p^level.
     """
     t = chi.conductor_exponent()
     if t == 0:
@@ -267,6 +272,9 @@ def twisted_sum(chi, c, level):
     if level < t:
         raise ValueError("level must be at least the conductor exponent")
     c = Fraction(c)
+    v = vp(c, chi.p) if c else 0
+    if v < -level:
+        raise ValueError(f"c = {c} has v_p(c) = {v} below -level = {-level}")
     acc = _unit_sum(chi, c, level)
     closed = twisted_sum_closed(chi, c, level)
     if not acc == closed:

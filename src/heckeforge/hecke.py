@@ -3,9 +3,12 @@
 Right cosets g K_I are held by exact rational representatives; sums fold
 pairwise with no canonical form, the sizes are desk scale.  `CosetSum`
 alone decides coset equality: its lookup tests g^{-1} h in K_I (level
-p^r) on the stored inverse g^{-1}, for folds, sum equality, disjointness
-and coverage.  `spherical_convolve` folds modulo GL_n(Z_p), level r = 0,
-which a `GlnContext` rejects on purpose, so it keeps its own loop.
+p^r) on the stored inverse g^{-1}, for folds, sum equality, disjointness,
+coverage and the index counts.  Each index is an orbit size: the number
+of cosets `CosetSum.orbit` reaches from one coset under left
+multiplication by generators of the group.  `spherical_convolve` folds
+modulo GL_n(Z_p), level r = 0, which a `GlnContext` rejects on purpose,
+so it keeps its own loop.
 """
 
 import itertools
@@ -73,6 +76,30 @@ class CosetSum:
 
     def pairs(self):
         return [(rep, coeff) for rep, _, coeff in self.terms]
+
+    @classmethod
+    def orbit(cls, ctx, start, gens):
+        """The cosets x start K_I, x a word in `gens`, by breadth-first
+        closure: each generator times each listed representative goes
+        through `_accumulate`, coefficient 1, so a term's coefficient
+        counts the products that reached it, plus one for the start.
+
+        This is the orbit of start K_I under the closed group G that
+        `gens` generate topologically, provided its stabiliser in G is
+        open: an open subgroup's cosets are open, and each meets the
+        dense subgroup that `gens` generate.  No inverses are needed: a
+        generator permutes a finite orbit, and a permutation's inverse is
+        one of its powers.  The search closes only on a finite orbit."""
+        out = cls(ctx, [(start, 1)], folded=True)
+        terms = out.terms
+        done = 0
+        while done < len(terms):  # terms grows as new cosets are met
+            rep = terms[done][0]
+            done += 1
+            for g in gens:
+                out._accumulate(g * rep, 1)
+        return out
+
 
     def __len__(self):
         return len(self.terms)
@@ -601,90 +628,54 @@ def shintani_lfactor(alphas, betas, var="T"):
 # ---------------------------------------------------------------------------
 # index formulas
 
+def _identity_with(m, i, j, x):
+    """The m x m identity with entry (i, j) set to x: an elementary
+    matrix off the diagonal, a unit diagonal matrix on it."""
+    rows = [[int(a == b) for b in range(m)] for a in range(m)]
+    rows[i][j] = x
+    return RatMat.from_rows(rows)
+
+
 def count_unipotent_index(ctx):
-    """Brute-force [U_n(O) : t_(f) U_n(O) t_(f)^{-1}] with f = p^r.
+    """[U_n(Z_p) : t_(f) U_n(Z_p) t_(f)^{-1}] with f = p^r, as the number
+    of cosets u t_(f) K_I, u in U_n(Z_p).
 
-    u and s lie in one coset when every entry (i, j) above the diagonal of
-    s^{-1} u has valuation at least r (j - i): for an entry x/den that is
-    x % p^(r (j - i) + v_p(den)) == 0.  Each kept s is inverted once."""
-    n, p, r = ctx.n, ctx.p, ctx.r
-    positions = [(i, j) for i in range(n) for j in range(n) if i < j]
-    checks = [(i * n + j, p ** (r * (j - i))) for (i, j) in positions]
-    maxmod = p ** (r * (n - 1))
-    inverses = []
-    for vals in itertools.product(range(maxmod), repeat=len(positions)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        u = RatMat.from_rows(rows)
-        for s_inv in inverses:
-            d = s_inv * u
-            scale = p ** kernels.vp_int(d.den, p)
-            if all(d.num[k] % (mod * scale) == 0 for k, mod in checks):
-                break
-        else:
-            inverses.append(u.inv())
-    return len(inverses)
-
-
-def _units(mod, p):
-    return [a for a in range(mod) if a % p != 0]
-
-
-def iwahori_residues(m, p, r, mod):
-    """Integer rows of every level-p^r Iwahori matrix of GL_m mod `mod`,
-    for m in {1, 2}: unit diagonal and lower-left entry 0 mod p^r.  Each
-    lies in the Iwahori subgroup by construction, since its determinant
-    is a unit mod p."""
-    units = _units(mod, p)
-    if m == 1:
-        for a in units:
-            yield [[a]]
-    elif m == 2:
-        lowers = range(0, mod, p ** r)
-        for a in units:
-            for d in units:
-                for c in lowers:
-                    for b in range(mod):
-                        yield [[a, b], [c, d]]
-    else:
-        raise ValueError("enumeration supported for n <= 3")
+    That open subgroup is the stabiliser of t_(f) K_I in U_n(Z_p):
+    t_(f)^{-1} u t_(f) is upper unipotent, so it lies in K_I exactly when
+    it is integral.  The E_ij(1), i < j, generate U_n(Z), which is dense
+    in U_n(Z_p), so `CosetSum.orbit` over them lists every coset."""
+    n = ctx.n
+    gens = [_identity_with(n, i, j, 1)
+            for i in range(n) for j in range(i + 1, n)]
+    start = t_matrix(n, lconst(ctx.f)).to_ratmat()
+    return len(CosetSum.orbit(ctx, start, gens))
 
 
 def count_gamma_index(ctx):
-    """Brute-force [I_{n-1}^{(r)} : K(f)] over Z/p^{nr}, where K(f) is the
-    pullback j^{-1}(h^(f) K h^(f)^{-1}) intersected with the level-r
-    Iwahori of GL_{n-1}.  Returns (index, |I|, |K(f)|).  Supported for
-    n in {2, 3}; |I| counts the iwahori_residues mod p^{nr}, which need
-    no membership test."""
+    """[I_{n-1}(p^r) : K(f)] as the number of cosets j(g) h(f) K_I, g in
+    the level-p^r Iwahori subgroup I_{n-1}(p^r) of GL_{n-1}(Z_p).
+
+    K(f) = j^{-1}(h(f) K_I h(f)^{-1}) meet I_{n-1}(p^r) is the stabiliser
+    of h(f) K_I under g -> j(g), open as h(f) K_I h(f)^{-1} is.  The
+    generators are the unit diagonals at topological generators of
+    Z_p^*, E_ij(1) for i < j and E_ij(p^r) for i > j; by the Iwahori
+    factorisation lower * diagonal * upper they generate a dense
+    subgroup of I_{n-1}(p^r), so `CosetSum.orbit` over their images
+    under j lists every coset.  Returns (index, the orbit)."""
+    from heckeforge.gauss import unit_group_generators
     from heckeforge.matrices import h_matrix
     from heckeforge.ratmat import j_embed
 
-    n, p, r = ctx.n, ctx.p, ctx.r
-    mod = p ** (n * r)
-    hf = h_matrix(n, lconst(ctx.f)).to_ratmat()
-    hfi = hf.inv()
-    count_i = count_k = 0
-    for rows in iwahori_residues(n - 1, p, r, mod):
-        count_i += 1
-        if (hfi * j_embed(RatMat.from_rows(rows)) * hf).is_iwahori(p, r):
-            count_k += 1
-    if count_i % count_k:
-        raise ArithmeticError("index is not integral; enumeration bug")
-    return count_i // count_k, count_i, count_k
-
-
-def gamma_subgroup_size(n, p, r, level_exp):
-    """Closed-form count of K(f) mod p^{level_exp} for n = 3 (congruence
-    conditions c = 0 mod f^2, a = 1 mod f, d = 1 - c/f mod f^2, b free),
-    used for the level-ratio cross-check without enumeration."""
-    if n != 3:
-        raise ValueError("closed form implemented for n = 3")
-    mod = p ** level_exp
-    c_choices = mod // p ** min(2 * r, level_exp)
-    a_choices = mod // p ** min(r, level_exp)
-    d_choices = mod // p ** min(2 * r, level_exp)
-    return c_choices * a_choices * d_choices * mod
+    m, p, r = ctx.n - 1, ctx.p, ctx.r
+    # (Z/p^2)^* for odd p, (Z/8)^* for p = 2: generators of these
+    # generate Z_p^* topologically
+    units = [g for g, _ in unit_group_generators(p, 3 if p == 2 else 2)]
+    gens = [_identity_with(m, i, i, u) for i in range(m) for u in units]
+    gens += [_identity_with(m, i, j, 1 if i < j else p ** r)
+             for i in range(m) for j in range(m) if i != j]
+    start = h_matrix(ctx.n, lconst(ctx.f)).to_ratmat()
+    cosets = CosetSum.orbit(ctx, start, [j_embed(g) for g in gens])
+    return len(cosets), cosets
 
 
 def index_formulas(ctx):
@@ -697,22 +688,20 @@ def index_formulas(ctx):
 
 
 def count_indices(ctx):
-    """Brute-force indices next to the closed formulas.
+    """Orbit-counted indices next to the closed formulas.
 
-    The unipotent index matches its formula exactly.  The enumerated
-    gamma index falls short of the stated absolute formula by a factor
-    that depends on p and on the level: 1/8 at (n, p, r) = (3, 2, 1),
-    4/27 at (3, 3, 1) and 1/16 at (3, 2, 2), and (p-1)/p at n = 2,
-    r = 1.  These factors are enumerated, not proved.  `gamma_ratio_ok`
-    checks something else: at n = 3 it compares the closed-form |K(f)|
-    at levels r and r + 1, both counted over the one modulus
-    p^{3(r+1)}, with p^5; at n = 2 it compares the enumerated indices at
-    levels r and r + 1 with p.  Both the honest count and the formula
-    are returned so callers can compare either way.
+    The unipotent index matches its formula exactly.  The counted gamma
+    index falls short of the stated absolute formula by a factor that
+    depends on p and on the level: 1/8 at (n, p, r) = (3, 2, 1), 4/27 at
+    (3, 3, 1) and 1/16 at (3, 2, 2), and (p-1)/p at n = 2, r = 1.  These
+    factors are counted, not proved.  At n = 2, `gamma_ratio_ok` compares
+    the counted indices at levels r and r + 1 with the factor p.  Both
+    the count and the formula are returned so callers can compare either
+    way.
     """
     formulas = index_formulas(ctx)
     uni = count_unipotent_index(ctx)
-    gamma, size_i, size_k = count_gamma_index(ctx)
+    gamma = count_gamma_index(ctx)[0]
     out = {
         "unipotent_index": uni,
         "gamma_index": gamma,
@@ -721,16 +710,7 @@ def count_indices(ctx):
         "unipotent_match": uni == formulas["unipotent"],
         "gamma_match": gamma == formulas["gamma"],
     }
-    if ctx.n == 3:
-        # ratio across one level step, via the closed-form subgroup count
-        deep = gamma_subgroup_size(3, ctx.p, ctx.r + 1, 3 * (ctx.r + 1))
-        shallow = gamma_subgroup_size(3, ctx.p, ctx.r, 3 * (ctx.r + 1))
-        step = ctx.p ** (((ctx.n + 1) * ctx.n * (ctx.n - 1)
-                          + ctx.n * (ctx.n - 1) * (ctx.n - 2)) // 6)
-        out["gamma_ratio_ok"] = shallow == deep * step
-        out["gamma_closed_form_ok"] = (
-            gamma_subgroup_size(3, ctx.p, ctx.r, 3 * ctx.r) == size_k)
-    elif ctx.n == 2:
-        deep, _, _ = count_gamma_index(GlnContext(ctx.n, ctx.p, ctx.r + 1))
+    if ctx.n == 2:
+        deep = count_gamma_index(GlnContext(ctx.n, ctx.p, ctx.r + 1))[0]
         out["gamma_ratio_ok"] = deep == gamma * ctx.p
     return out

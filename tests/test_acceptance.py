@@ -65,13 +65,13 @@ def test_criterion_03_index_formulas():
     _report(3, "index-formulas", ok)
     assert uni_ok
     assert took < 120
-    # The enumerated pullback-subgroup index falls short of the stated
-    # absolute gamma formula by a factor that depends on p and on r:
-    # 1/8 at (n,p,r)=(3,2,1) (4 enumerated vs 32 stated), 4/27 at
-    # (3,3,1) and 1/16 at (3,2,2); (p-1)/p at n=2, r=1.  These factors
-    # are enumerated, not proved.  The hecke suite's gamma_ratio_ok
-    # compares |K(f)| at two levels over one fixed modulus, not this
-    # index.  Kept as stated, hence red:
+    # The pullback-subgroup index, counted as the orbit of h(f) K_I under
+    # j of the Iwahori subgroup, falls short of the stated absolute gamma
+    # formula by a factor that depends on p and on r: 1/8 at
+    # (n,p,r)=(3,2,1) (4 counted vs 32 stated), 4/27 at (3,3,1) and 1/16
+    # at (3,2,2); (p-1)/p at n=2, r=1.  These factors are counted, not
+    # proved; tests/test_hecke.py checks the counts against a literal
+    # enumeration.  Kept as stated, hence red:
     assert gamma_ok, {
         key: (r["gamma_index"], r["gamma_formula"]) for key, r in results.items()
     }

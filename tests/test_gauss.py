@@ -115,6 +115,12 @@ def test_twisted_sum_examples():
         gauss.twisted_sum(trivial, Fraction(1, 3), 1)
 
 
+def test_twisted_sum_rejects_c_below_minus_level():
+    # psi(gamma / 9) is not a function of gamma mod 3
+    with pytest.raises(ValueError, match=r"c = 1/9 .* -level = -1"):
+        gauss.twisted_sum(quadratic_char(3), Fraction(1, 9), 1)
+
+
 def test_twisted_sum_exhaustive_small():
     for p in (2, 3, 5):
         for level in (1, 2):

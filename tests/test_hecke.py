@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from heckeforge import hecke, kernels
-from heckeforge.laurent import lvar
-from heckeforge.matrices import GlnContext
-from heckeforge.ratmat import RatMat, SingularMatrixError
+from heckeforge.laurent import lconst, lvar
+from heckeforge.matrices import GlnContext, h_matrix
+from heckeforge.ratmat import RatMat, SingularMatrixError, j_embed
 
 
 def _ctx(n=2, p=2, r=1):
@@ -421,17 +421,87 @@ def test_index_counts():
     out = hecke.count_indices(GlnContext(3, 2, 1))
     assert out["unipotent_index"] == 16
     assert out["unipotent_match"]
-    # honest enumeration of the pullback subgroup index, which the
-    # stated absolute formula overshoots (4 against 32); gamma_ratio_ok
-    # compares the closed-form |K(f)| at two levels over one modulus
+    # the orbit-counted pullback subgroup index, which the stated
+    # absolute formula overshoots (4 against 32)
     assert out["gamma_index"] == 4
     assert not out["gamma_match"]
-    assert out["gamma_ratio_ok"]
-    assert out["gamma_closed_form_ok"]
     out2 = hecke.count_indices(GlnContext(2, 3, 1))
     assert out2["unipotent_index"] == 3
     assert out2["gamma_index"] == 2
     assert out2["gamma_ratio_ok"]
+
+
+# ---------------------------------------------------------------------------
+# literal enumerations of the two indices, the references for the orbit
+# counts of hecke.count_unipotent_index and hecke.count_gamma_index
+
+def _unipotent_index_by_fold(ctx):
+    """[U_n(O) : t_(f) U_n(O) t_(f)^{-1}] by folding every upper unipotent
+    with entries below p^(r(n-1)).
+
+    u and s lie in one coset when every entry (i, j) above the diagonal of
+    s^{-1} u has valuation at least r (j - i): for an entry x/den that is
+    x % p^(r (j - i) + v_p(den)) == 0.  Each kept s is inverted once."""
+    n, p, r = ctx.n, ctx.p, ctx.r
+    positions = [(i, j) for i in range(n) for j in range(n) if i < j]
+    checks = [(i * n + j, p ** (r * (j - i))) for (i, j) in positions]
+    maxmod = p ** (r * (n - 1))
+    inverses = []
+    for vals in itertools.product(range(maxmod), repeat=len(positions)):
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(positions, vals):
+            rows[i][j] = v
+        u = RatMat.from_rows(rows)
+        for s_inv in inverses:
+            d = s_inv * u
+            scale = p ** kernels.vp_int(d.den, p)
+            if all(d.num[k] % (mod * scale) == 0 for k, mod in checks):
+                break
+        else:
+            inverses.append(u.inv())
+    return len(inverses)
+
+
+def _iwahori_residues(m, p, r, mod):
+    """Integer rows of every level-p^r Iwahori matrix of GL_m mod `mod`,
+    for m in {1, 2}: unit diagonal and lower-left entry 0 mod p^r."""
+    units = [a for a in range(mod) if a % p]
+    if m == 1:
+        for a in units:
+            yield [[a]]
+        return
+    assert m == 2
+    for a in units:
+        for d in units:
+            for c in range(0, mod, p ** r):
+                for b in range(mod):
+                    yield [[a, b], [c, d]]
+
+
+def _gamma_index_by_enumeration(ctx):
+    """(index, |I|, |K(f)|) over Z/p^{nr} for n in {2, 3}: every
+    _iwahori_residues g counts towards |I|, and towards |K(f)| when
+    h^{-1} j(g) h lies in K_I."""
+    n, p, r = ctx.n, ctx.p, ctx.r
+    hf = h_matrix(n, lconst(ctx.f)).to_ratmat()
+    hfi = hf.inv()
+    count_i = count_k = 0
+    for rows in _iwahori_residues(n - 1, p, r, p ** (n * r)):
+        count_i += 1
+        if (hfi * j_embed(RatMat.from_rows(rows)) * hf).is_iwahori(p, r):
+            count_k += 1
+    assert count_i % count_k == 0
+    return count_i // count_k, count_i, count_k
+
+
+def _gamma_subgroup_size(p, r, level_exp):
+    """|K(f)| mod p^{level_exp} at n = 3 from its congruences: c = 0 mod
+    f^2, a = 1 mod f, d = 1 - c/f mod f^2, b free."""
+    mod = p ** level_exp
+    c_choices = mod // p ** min(2 * r, level_exp)
+    a_choices = mod // p ** min(r, level_exp)
+    d_choices = mod // p ** min(2 * r, level_exp)
+    return c_choices * a_choices * d_choices * mod
 
 
 def _iwahori_count(n, p, r):
@@ -443,38 +513,68 @@ def _iwahori_count(n, p, r):
     return phi if n == 2 else phi ** 2 * (q // p ** r) * q
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def _assert_orbits_are_the_enumerations(ctx):
+    """Both orbit counts equal the literal enumerations, whose |I| is the
+    closed count; returns the enumerated (index, |I|, |K(f)|)."""
+    enumerated = _gamma_index_by_enumeration(ctx)
+    assert hecke.count_gamma_index(ctx)[0] == enumerated[0]
+    assert enumerated[1] == _iwahori_count(ctx.n, ctx.p, ctx.r)
+    assert hecke.count_unipotent_index(ctx) == _unipotent_index_by_fold(ctx)
+    return enumerated
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2),
+                                 (3, 3)])
 def test_enumerated_index_closed_forms(n, p):
-    """The enumerated [I : K(f)] at r = 1 is p - 1 at n = 2 and
-    p^{4r-2} (p-1)^2 = p^2 (p-1)^2 at n = 3, and |I| is the count of
-    its candidates; the unipotent index matches its stated formula.
-    Criterion 03 compares the gamma index with the stated absolute
-    formula instead, and stays red."""
+    """At r = 1 the orbit-counted [I : K(f)] is p - 1 at n = 2 and
+    p^{4r-2} (p-1)^2 = p^2 (p-1)^2 at n = 3, as the literal enumeration
+    finds; at n = 3 |K(f)| is the count from its congruences.  The
+    unipotent index matches its stated formula.  Criterion 03 compares
+    the gamma index with the stated absolute formula instead, and stays
+    red."""
     ctx = GlnContext(n, p, 1)
     want = p - 1 if n == 2 else p ** (4 * ctx.r - 2) * (p - 1) ** 2
-    index, size_i, _ = hecke.count_gamma_index(ctx)
+    index, _, size_k = _assert_orbits_are_the_enumerations(ctx)
     assert index == want
-    assert size_i == _iwahori_count(n, p, 1)
+    if n == 3:
+        assert _gamma_subgroup_size(p, 1, 3) == size_k
     assert hecke.count_unipotent_index(ctx) == hecke.index_formulas(ctx)["unipotent"]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 2)])
+def test_gamma_orbit_index_at_two_levels(p, r):
+    """At n = 3 the orbit-counted index is p^{4r-2} (p-1)^2 at two levels,
+    where the stated formula has N(f)^5 = p^{5r}."""
+    index = hecke.count_gamma_index(GlnContext(3, p, r))[0]
+    assert index == p ** (4 * r - 2) * (p - 1) ** 2
 
 
 @pytest.mark.parametrize("n,p,r", [(2, 5, 1), (3, 2, 1), (3, 2, 2)])
 def test_gamma_candidates_are_iwahori(n, p, r):
-    """count_gamma_index counts every candidate towards |I| without a
+    """The enumeration counts every candidate towards |I| without a
     membership test, so each must be in the Iwahori subgroup."""
     m = n - 1
     seen = 0
-    for rows in hecke.iwahori_residues(m, p, r, p ** (n * r)):
+    for rows in _iwahori_residues(m, p, r, p ** (n * r)):
         assert kernels.is_iwahori_scaled(sum(rows, []), 1, m, p, r), rows
         seen += 1
     assert seen
 
 
 @pytest.mark.parametrize("n,p,r", [(2, 2, 2), (2, 2, 3), (2, 3, 2),
-                                   (2, 5, 2)])
+                                   (2, 5, 2), (2, 7, 2)])
 def test_gamma_iwahori_count_above_level_one(n, p, r):
-    assert hecke.count_gamma_index(GlnContext(n, p, r))[1] == \
-        _iwahori_count(n, p, r)
+    _assert_orbits_are_the_enumerations(GlnContext(n, p, r))
+
+
+def test_orbit_reaches_each_coset_once_per_generator():
+    """Each generator permutes a closed orbit, so every coset's
+    coefficient is the number of generators, plus one at the start."""
+    ctx = GlnContext(3, 3, 1)
+    index, cosets = hecke.count_gamma_index(ctx)
+    assert hecke.check_disjoint(cosets) == (True, None)
+    coeffs = [c for _, c in cosets.pairs()]
+    assert index == 36 and coeffs[1:] == [coeffs[0] - 1] * (index - 1)
 
 
 def test_smith_type():

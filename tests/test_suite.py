@@ -52,6 +52,15 @@ def test_cli_import_loads_only_the_suite_runner():
         "heckeforge.cli", "heckeforge.suite"}
 
 
+def test_hecke_import_loads_only_its_dependencies():
+    # the index counts import gauss, h_matrix and j_embed when called
+    loaded = _loaded("import heckeforge.hecke")
+    assert {m for m in loaded if m.startswith("heckeforge.")} == {
+        "heckeforge._pykernels", "heckeforge.exact", "heckeforge.hecke",
+        "heckeforge.kernels", "heckeforge.laurent", "heckeforge.matrices",
+        "heckeforge.ratmat"}
+
+
 def test_verify_one_suite_loads_only_its_modules(tmp_path):
     loaded = _loaded(
         "import sys\nfrom heckeforge import cli\n"
