@@ -4,10 +4,10 @@ Matrices are flat row-major sequences (lists or tuples) of Python ints of
 length n*n; results are lists.  A rational matrix is a pair (num, den)
 representing num/den with den a positive int.  No Fraction is formed
 anywhere: valuations of entries x/den are read off x and den.  The coset
-fold's test mul_is_iwahori checks each entry of a product as it forms it
-and stops at the first failure.  These functions are the hot path of the
-coset engine and its only implementation; the rest of the package calls
-them through heckeforge.kernels.
+engine folds through iwahori_coset_key, a canonical tuple of ints per
+coset g K_I, so equal cosets meet in one dict entry.  These functions
+are the hot path of the coset engine and its only implementation; the
+rest of the package calls them through heckeforge.kernels.
 """
 
 BACKEND = "python"
@@ -112,28 +112,124 @@ def is_iwahori_scaled(num, den, n, p, r):
     return vp_int(d, p) == n * vd
 
 
-def mul_is_iwahori(anum, aden, bnum, bden, n, p, r):
-    """Is (anum/aden)*(bnum/bden) in the level-p^r Iwahori subgroup?
+class SingularMatrixError(ZeroDivisionError):
+    pass
 
-    The same test as is_iwahori_scaled on the product, fused with forming
-    it: each entry x of anum*bnum is tested as it is formed, by
-    x % p^need with need = v_p(aden*bden), plus r below the diagonal, and
-    the first entry that fails returns False.  The Bareiss determinant is
-    taken only once every entry has passed.
+
+def iwahori_coset_key(num, den, n, p, r):
+    """A canonical, hashable key of the coset g K, g = num/den, K the
+    level-p^r Iwahori subgroup (r = 0: K = GL_n(Z_p)).
+
+    (num, den) is normalized, as RatMat keeps it.  Two keys are equal
+    exactly when g^{-1} h lies in K.  The key is the tuple (s, H, k) of
+    ints:
+
+    - s = v_p(den).  den's prime-to-p part is a unit scalar, which lies
+      in K.  A normalized num/den with s > 0 has p-content -s, and right
+      multiplication by GL_n(Z_p) keeps the p-content, so s is an
+      invariant of the coset.
+    - H, the p-adic column Hermite form of num (Cohen, GTM 138, section
+      2.4): upper triangular with pivots p^(a_i), and each entry of row
+      i right of its pivot reduced into [0, p^(a_i)).  H is one per
+      coset num GL_n(Z_p).  Column operations by p-adic units
+      triangularize num exactly in integers, bottom row first; each
+      column is then scaled by its pivot unit's inverse mod p^(N+1),
+      N = v_p(det) = sum a_i, and its pivot set to p^(a_i): the change
+      lies in p^N Z_p^n, inside num's column lattice, and the columns
+      still have covolume p^N, so they span the same lattice.  H's
+      entries on and above the diagonal are listed, column by column.
+    - For r >= 1, the canonical form of k = H^{-1} num mod p^r modulo the
+      upper triangular B(Z/p^r), since K is the preimage of B(Z/p^r) in
+      GL_n(Z_p).  k is integral, and back-substitution finds it exactly
+      in integers.  Column by column, left to right: clear the pivot rows
+      of the earlier columns, then scale the lowest unit entry to 1.
+      Its entries are listed, column by column.
+
+    A singular num raises SingularMatrixError.
     """
-    den = aden * bden
-    vd = vp_int(den, p) if den != 1 else 0
-    upper = p ** vd
-    lower = upper * p ** r
-    out = []
-    for i in range(n):
-        ia = i * n
-        for j in range(n):
-            x = 0
-            for k in range(n):
-                x += anum[ia + k] * bnum[k * n + j]
-            if x % (lower if i > j else upper):
-                return False
-            out.append(x)
-    d = bareiss_det(out, n)
-    return d != 0 and vp_int(d, p) == n * vd
+    key = [vp_int(den, p)]
+    # the columns not yet taken as pivots; an elimination updates only the
+    # rows above the current one, the only rows read afterwards
+    active = [list(num[j::n]) for j in range(n)]
+    cols = [None] * n  # cols[i]: rows 0..i of H's column i
+    exps = [0] * n
+    units = [1] * n
+    for i in range(n - 1, -1, -1):
+        best = least = -1
+        for idx, col in enumerate(active):
+            x = col[i]
+            if x:
+                v = 0
+                while not x % p:
+                    x //= p
+                    v += 1
+                if least < 0 or v < least:
+                    best, least = idx, v
+                    if not v:
+                        break
+        if best < 0:
+            raise SingularMatrixError("matrix is singular")
+        col = active.pop(best)
+        pp = p ** least
+        u = col[i] // pp
+        for c in active:
+            t = c[i] // pp
+            if t:
+                for l in range(i):
+                    c[l] = u * c[l] - t * col[l]
+        del col[i + 1:]
+        cols[i], exps[i], units[i] = col, least, u
+    bound = p ** (sum(exps) + 1)
+    powers = [p ** a for a in exps]
+    for j in range(n):
+        col = cols[j]
+        u = units[j]
+        if u != 1:
+            w = pow(u, -1, bound)
+            for l in range(j):
+                col[l] *= w
+        col[j] = powers[j]
+        for k in range(j - 1, -1, -1):
+            t = col[k] // powers[k]
+            if t:
+                ck = cols[k]
+                for l in range(k + 1):
+                    col[l] -= t * ck[l]
+        key += col
+    if r == 0:
+        return tuple(key)
+    # k = H^{-1} num by back-substitution from the bottom row
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = list(num[i * n:(i + 1) * n])
+        for l in range(i + 1, n):
+            h = cols[l][i]
+            if h:
+                rl = rows[l]
+                for j in range(n):
+                    row[j] -= h * rl[j]
+        pp = powers[i]
+        if pp != 1:
+            for j in range(n):
+                row[j] //= pp
+        rows[i] = row
+    q = p ** r
+    canon = []  # (pivot row, column mod q)
+    for j in range(n):
+        col = [row[j] % q for row in rows]
+        for pr, c in canon:
+            t = col[pr]
+            if t:
+                for l in range(n):
+                    col[l] = (col[l] - t * c[l]) % q
+        pr = n - 1
+        while not col[pr] % p:
+            pr -= 1
+        w = col[pr]
+        if w != 1:
+            w = pow(w, -1, q)
+            for l in range(n):
+                col[l] = col[l] * w % q
+        canon.append((pr, col))
+        key += col
+    return tuple(key)

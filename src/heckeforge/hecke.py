@@ -1,14 +1,14 @@
 """Coset-sum engine for the Iwahori-level Hecke algebra.
 
-Right cosets g K_I are held by exact rational representatives; sums fold
-pairwise with no canonical form, the sizes are desk scale.  `CosetSum`
-alone decides coset equality: its lookup tests g^{-1} h in K_I (level
-p^r) on the stored inverse g^{-1}, for folds, sum equality, disjointness,
-coverage and the index counts.  Each index is an orbit size: the number
-of cosets `CosetSum.orbit` reaches from one coset under left
-multiplication by generators of the group.  `spherical_convolve` folds
-modulo GL_n(Z_p), level r = 0, which a `GlnContext` rejects on purpose,
-so it keeps its own loop.
+Right cosets g K_I are held by exact rational representatives, each with
+a canonical key, `kernels.iwahori_coset_key`: two representatives lie in
+one coset g K_I (level p^r) exactly when their keys are equal.  The key
+is the one coset-equality rule.  `CosetSum` folds, compares and counts
+through a dict on it, for folds, sum equality, disjointness, coverage and
+the index counts.  Each index is an orbit size: the number of cosets
+`CosetSum.orbit` reaches from one coset under left multiplication by
+generators of the group.  `spherical_convolve` folds modulo GL_n(Z_p),
+the same key at level r = 0.
 """
 
 import itertools
@@ -24,58 +24,72 @@ from heckeforge.matrices import GlnContext, t_matrix
 from heckeforge.ratmat import RatMat
 
 
+def _multiset(items):
+    """{item: number of times it occurs}."""
+    counts = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return counts
+
+
 class CosetSum:
     """Formal integer (or rational) combination of right cosets, folded.
 
-    Each term is [rep, rep^{-1}, coeff] with coeff nonzero; a
-    representative is inverted once, when it first enters a sum, and
-    sums built from stored terms copy the inverse along."""
+    Each term is [rep, key, coeff] with coeff nonzero, key the canonical
+    `kernels.iwahori_coset_key` of rep K_I: two representatives lie in
+    one coset exactly when their keys are equal.  A key is formed once,
+    when its representative first enters a sum; sums built from stored
+    terms copy it along.  `_index` maps each key to the first term that
+    holds it, so a fold is one dict lookup per coset.  A sum built with
+    folded=True keeps its terms as given, repeated cosets included."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_index")
 
     def __init__(self, ctx, pairs=(), folded=False):
         self.ctx = ctx
-        self.terms = []  # list of [rep, inv, coeff]
+        self.terms = []  # list of [rep, key, coeff]
+        self._index = {}
         for rep, coeff in pairs:
             if not folded:
                 self._accumulate(rep, coeff)
             elif coeff:
-                self.terms.append([rep, rep.inv(), coeff])
+                term = [rep, self._key(rep), coeff]
+                self.terms.append(term)
+                self._index.setdefault(term[1], term)
 
-    def _find(self, rep, start=0, coeff=None, used=()):
-        """Index of the first stored term from `start` on whose coset
-        contains rep, or None.
+    def _key(self, rep):
+        ctx = self.ctx
+        return kernels.iwahori_coset_key(rep.num, rep.den, ctx.n, ctx.p, ctx.r)
 
-        rep lies in g K_I exactly when g^{-1} rep lies in K_I, tested on
-        the stored inverse.  With `coeff`, a term whose coefficient
-        differs is passed over before that test, and so is every index
-        in `used`."""
-        n, p, r = self.ctx.n, self.ctx.p, self.ctx.r
-        repn, repd = rep.num, rep.den
-        terms = self.terms
-        for idx in range(start, len(terms)):
-            _, inv, c = terms[idx]
-            if (coeff is not None and c != coeff) or idx in used:
-                continue
-            if kernels.mul_is_iwahori(inv.num, inv.den, repn, repd, n, p, r):
-                return idx
-        return None
-
-    def _accumulate(self, rep, coeff, inv=None):
+    def _accumulate(self, rep, coeff, key=None):
         """Add coeff * rep K_I, into the term of that coset if there is
-        one; a term whose coefficient cancels is dropped.  `inv` is rep's
-        inverse when the caller already holds it."""
-        idx = self._find(rep)
-        if idx is not None:
-            term = self.terms[idx]
-            term[2] += coeff
-            if not term[2]:
-                del self.terms[idx]
-        elif coeff:
-            self.terms.append([rep, inv or rep.inv(), coeff])
+        one; a term whose coefficient cancels is dropped.  `key` is rep's
+        key when the caller already holds it."""
+        if key is None:
+            key = self._key(rep)
+        term = self._index.get(key)
+        if term is None:
+            if coeff:
+                term = [rep, key, coeff]
+                self.terms.append(term)
+                self._index[key] = term
+            return
+        term[2] += coeff
+        if not term[2]:
+            del self._index[key]
+            terms = self.terms
+            del terms[next(i for i, t in enumerate(terms) if t is term)]
 
     def pairs(self):
         return [(rep, coeff) for rep, _, coeff in self.terms]
+
+    def _with_terms(self, terms):
+        """A sum over this context holding `terms`, indexed."""
+        out = CosetSum(self.ctx)
+        out.terms = terms
+        for term in terms:
+            out._index.setdefault(term[1], term)
+        return out
 
     @classmethod
     def orbit(cls, ctx, start, gens):
@@ -100,27 +114,25 @@ class CosetSum:
                 out._accumulate(g * rep, 1)
         return out
 
-
     def __len__(self):
         return len(self.terms)
 
     def __add__(self, other):
         if not isinstance(other, CosetSum):
             return NotImplemented
-        out = CosetSum(self.ctx)
-        out.terms = [list(t) for t in self.terms]
-        for rep, inv, coeff in other.terms:
-            out._accumulate(rep, coeff, inv)
+        out = self._with_terms([list(t) for t in self.terms])
+        for rep, key, coeff in other.terms:
+            out._accumulate(rep, coeff, key)
         return out
 
     def scale(self, c):
-        out = CosetSum(self.ctx)
-        if c:
-            out.terms = [[rep, inv, c * k] for rep, inv, k in self.terms]
-        return out
+        if not c:
+            return CosetSum(self.ctx)
+        return self._with_terms([[rep, key, c * k]
+                                 for rep, key, k in self.terms])
 
     def convolve(self, other):
-        """Pairwise products of representatives, folded by coset equality."""
+        """Pairwise products of representatives, folded by coset key."""
         out = CosetSum(self.ctx)
         for a, _, ca in self.terms:
             for b, _, cb in other.terms:
@@ -129,19 +141,15 @@ class CosetSum:
 
     __mul__ = convolve
 
+    def _keyed_coeffs(self):
+        return _multiset((key, coeff) for _, key, coeff in self.terms)
+
     def __eq__(self, other):
-        """Multiset equality of folded cosets with coefficients."""
+        """Multiset equality of (coset key, coefficient)."""
         if not isinstance(other, CosetSum):
             return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        used = set()
-        for rep, _, coeff in self.terms:
-            idx = other._find(rep, coeff=coeff, used=used)
-            if idx is None:
-                return False
-            used.add(idx)
-        return True
+        return (len(self.terms) == len(other.terms)
+                and self._keyed_coeffs() == other._keyed_coeffs())
 
     def __repr__(self):
         return f"CosetSum({len(self)} cosets)"
@@ -435,47 +443,55 @@ def verify_gritsenko(ctx):
 # ---------------------------------------------------------------------------
 # coverage / disjointness validation
 
+def _random_unit(rng, p, mod):
+    u = rng.randrange(mod)
+    while u % p == 0:
+        u = rng.randrange(mod)
+    return u
+
+
 def _random_iwahori(ctx, rng, depth=3):
-    """Random element of K_I as unipotent * diagonal-unit * lower-congruent."""
+    """Random element of K_I as unipotent * diagonal-unit * lower-congruent,
+    multiplied out as one flat integer product: the diagonal scales the
+    unipotent's columns."""
     n, p, r = ctx.n, ctx.p, ctx.r
     mod = p ** depth
-    up = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    lo = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    dg = [[0] * n for _ in range(n)]
+    low = p ** r
+    up = [int(i == j) for i in range(n) for j in range(n)]
+    lo = list(up)
+    dg = [0] * n
     for i in range(n):
-        u = rng.randrange(mod)
-        while u % p == 0:
-            u = rng.randrange(mod)
-        dg[i][i] = u
+        dg[i] = _random_unit(rng, p, mod)
         for j in range(i + 1, n):
-            up[i][j] = rng.randrange(mod)
-            lo[j][i] = p ** r * rng.randrange(mod)
-    return RatMat.from_rows(up) * RatMat.from_rows(dg) * RatMat.from_rows(lo)
+            up[i * n + j] = rng.randrange(mod)
+            lo[j * n + i] = low * rng.randrange(mod)
+    ud = [x * dg[k % n] for k, x in enumerate(up)]
+    return RatMat(n, kernels.mat_mul(ud, lo, n), 1, normalized=True)
 
 
 def _random_triangular_unit(ctx, rng, depth=3):
     """Random element of K_B (integral upper triangular, unit diagonal)."""
     n, p = ctx.n, ctx.p
     mod = p ** depth
-    rows = [[0] * n for _ in range(n)]
+    num = [0] * (n * n)
     for i in range(n):
-        u = rng.randrange(mod)
-        while u % p == 0:
-            u = rng.randrange(mod)
-        rows[i][i] = u
+        num[i * n + i] = _random_unit(rng, p, mod)
         for j in range(i + 1, n):
-            rows[i][j] = rng.randrange(mod)
-    return RatMat.from_rows(rows)
+            num[i * n + j] = rng.randrange(mod)
+    return RatMat(n, num, 1, normalized=True)
 
 
 def check_disjoint(cs):
-    """Exhaustive pairwise inequality of the folded representatives:
-    (True, None), or (False, (i, j)) for the first i < j in one coset."""
-    for i, (rep, _, _) in enumerate(cs.terms):
-        j = cs._find(rep, i + 1)
-        if j is not None:
-            return False, (i, j)
-    return True, None
+    """Every listed coset once, by key: (True, None), or (False, (i, j))
+    for the least i that shares its coset with a later term, and the
+    first such j."""
+    first = {}  # key -> index of its first term
+    found = None
+    for j, (_, key, _) in enumerate(cs.terms):
+        i = first.setdefault(key, j)
+        if i != j and (found is None or i < found[0]):
+            found = (i, j)
+    return (True, None) if found is None else (False, found)
 
 
 def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
@@ -492,12 +508,12 @@ def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
     kind, idx = (tag, None) if tag in ("Vp", "Vp'") else (tag[0], int(tag[1:]))
     g0 = _GENERATOR_REP[kind](ctx, idx)
     sampler = _random_triangular_unit if kind in "UT" else _random_iwahori
+    counts = _multiset(key for _, key, _ in cs.terms)
     failures = 0
     witness = None
     for _ in range(samples):
         probe = sampler(ctx, rng) * g0
-        first = cs._find(probe)
-        if first is None or cs._find(probe, first + 1) is not None:
+        if counts.get(cs._key(probe)) != 1:
             failures += 1
             if witness is None:
                 witness = probe
@@ -550,23 +566,15 @@ def satake_halfdensity_at(pairs, n, p):
 
 
 def spherical_convolve(reps_a, reps_b, n, p):
-    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p).
-
-    This is the one fold outside `CosetSum`: K is the level r = 0 of the
-    membership kernel, and a `GlnContext` rejects r = 0 on purpose, so the
-    fold keeps its own loop, with the same stored-inverse test."""
-    out = []  # list of [rep, inv, coeff]
+    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p):
+    the `CosetSum` fold at level r = 0, under a plain (n, p, r) context,
+    since a `GlnContext` rejects r = 0 on purpose."""
+    from types import SimpleNamespace
+    out = CosetSum(SimpleNamespace(n=n, p=p, r=0))
     for a in reps_a:
         for b in reps_b:
-            m = a * b
-            for item in out:
-                if kernels.mul_is_iwahori(item[1].num, item[1].den,
-                                          m.num, m.den, n, p, 0):
-                    item[2] += 1
-                    break
-            else:
-                out.append([m, m.inv(), 1])
-    return [(item[0], item[2]) for item in out]
+            out._accumulate(a * b, 1)
+    return out.pairs()
 
 
 def smith_type(rep, p):

@@ -3,10 +3,11 @@ calls them.  They are implemented once, in _pykernels.py."""
 
 from heckeforge._pykernels import (
     BACKEND,
+    SingularMatrixError,
     adjugate,
     bareiss_det,
     is_iwahori_scaled,
+    iwahori_coset_key,
     mat_mul,
-    mul_is_iwahori,
     vp_int,
 )

@@ -14,10 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from heckeforge import kernels
-
-
-class SingularMatrixError(ZeroDivisionError):
-    pass
+from heckeforge.kernels import SingularMatrixError
 
 
 def _normalize(num, den):

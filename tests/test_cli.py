@@ -504,14 +504,17 @@ def test_hecke_expand_names_a_malformed_tag(capsys, op):
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _assert_golden_outputs(capsys, monkeypatch, command):
-    """Each line of compute-<command>.args, run as `compute <command>` from
-    the repository root, prints the same line of compute-<command>.jsonl
-    (the CI workflow diffs the installed command against it too)."""
+def _assert_golden_outputs(capsys, monkeypatch, command,
+                           stem="compute-{}"):
+    """Each line of <stem>.args, run as `compute <command>` from the
+    repository root, prints the same line of <stem>.jsonl, the stem
+    compute-<command> unless given (the CI workflow diffs the installed
+    command against it too)."""
     monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA)))
-    with open(os.path.join(DATA, f"compute-{command}.args")) as fh:
+    stem = os.path.join(DATA, stem.format(command))
+    with open(stem + ".args") as fh:
         invocations = [line.split() for line in fh if line.strip()]
-    with open(os.path.join(DATA, f"compute-{command}.jsonl")) as fh:
+    with open(stem + ".jsonl") as fh:
         golden = fh.read().splitlines()
     assert len(invocations) == len(golden)
     for argv, want in zip(invocations, golden):
@@ -526,6 +529,10 @@ def test_compute_integrate_matches_the_golden_outputs(capsys, monkeypatch):
 
 def test_compute_gauss_sum_matches_the_golden_outputs(capsys, monkeypatch):
     _assert_golden_outputs(capsys, monkeypatch, "gauss-sum")
+
+
+def test_compute_hecke_expand_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "hecke-expand", "{}")
 
 
 def test_integrate_takes_its_character_without_the_dual_group():

@@ -1,8 +1,13 @@
 import itertools
+import json
+import os
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeforge import hecke, kernels
 from heckeforge.laurent import lconst, lvar
@@ -101,6 +106,99 @@ def _same_coset_reference(g, h, ctx):
     gi = g.inv()
     prod = kernels.mat_mul(gi.num, h.num, ctx.n)
     return kernels.is_iwahori_scaled(prod, gi.den * h.den, ctx.n, ctx.p, ctx.r)
+
+
+# ---------------------------------------------------------------------------
+# the coset key against the product-then-test reference, at levels r >= 0
+# (a GlnContext rejects r = 0, so the level is a plain namespace)
+
+_KINDS = ("I_r", "I_r-1", "GL_n", "free")
+
+
+def _random_plu(ints, pick, n, p, level, diagonal, permute):
+    """P L D U / c: L lower unipotent with entries in p^level Z, D
+    diagonal with entries from `diagonal()`, U upper unipotent, c a
+    denominator prime to p, and P a permutation when `permute`.  `ints(a,
+    b)` and `pick(seq)` draw the entries."""
+    perm = pick(list(itertools.permutations(range(n)))) if permute else None
+    rows = [[0] * n for _ in range(n)]
+    lower, upper = RatMat.identity(n).rows(), RatMat.identity(n).rows()
+    for i in range(n):
+        rows[i][perm[i] if perm else i] = 1
+        for j in range(i):
+            lower[i][j] = p ** level * ints(-p * p, p * p)
+            upper[j][i] = ints(-p * p, p * p)
+    diag = RatMat.diagonal([diagonal() for _ in range(n)])
+    k = (RatMat.from_rows(rows) * RatMat.from_rows(lower) * diag
+         * RatMat.from_rows(upper))
+    return k.scale(Fraction(1, pick([1, 7, 11, 13])))
+
+
+def _random_coset_pair(ints, pick):
+    """(kind, g, h, level).  g is P L D U over p^e times a prime other
+    than p, D with entries of any valuation below 3; h = g k with k in
+    I_r, in I_(r-1), or in GL_n(Z_p) and mostly outside I_r (the hard
+    negatives), or h is drawn as g is."""
+    n, p, r = pick([2, 3, 4]), pick([2, 3, 5]), ints(0, 3)
+    units = [u for u in range(1, p ** 3) if u % p]
+
+    def generic():
+        den = p ** ints(0, 2)
+        return _random_plu(
+            ints, pick, n, p, 0,
+            lambda: pick([1, -1]) * p ** ints(0, 2) * pick(units),
+            True).scale(Fraction(1, den))
+
+    g = generic()
+    kind = pick(_KINDS)
+    if kind == "free":
+        h = generic()
+    else:
+        level = {"I_r": r, "I_r-1": max(r - 1, 0), "GL_n": 0}[kind]
+        h = g * _random_plu(ints, pick, n, p, level, lambda: pick(units),
+                            kind == "GL_n")
+    return kind, g, h, types.SimpleNamespace(n=n, p=p, r=r)
+
+
+def _same_key(g, h, level):
+    n, p, r = level.n, level.p, level.r
+    return (kernels.iwahori_coset_key(g.num, g.den, n, p, r)
+            == kernels.iwahori_coset_key(h.num, h.den, n, p, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coset_key_equality_is_coset_equality(data):
+    _, g, h, level = _random_coset_pair(
+        lambda a, b: data.draw(st.integers(a, b)),
+        lambda seq: data.draw(st.sampled_from(seq)))
+    assert _same_key(g, h, level) == _same_coset_reference(g, h, level)
+
+
+def test_coset_key_sweep_meets_every_outcome():
+    """A seeded sweep over the same draws: each kind of h gives the
+    outcomes it should, hard negatives in GL_n(Z_p) minus I_r included."""
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(1500):
+        kind, g, h, level = _random_coset_pair(rng.randint, rng.choice)
+        same = _same_coset_reference(g, h, level)
+        assert _same_key(g, h, level) == same, (g, h, level)
+        seen.add((kind, same))
+    assert seen >= {("I_r", True), ("I_r-1", True), ("I_r-1", False),
+                    ("GL_n", True), ("GL_n", False), ("free", False)}
+    assert ("I_r", False) not in seen
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[2, 4, 6], [1, 0, 1], [3, 4, 7]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+])
+def test_coset_key_rejects_singular(rows):
+    n = len(rows)
+    for p, r in ((2, 0), (3, 1), (5, 2)):
+        with pytest.raises(SingularMatrixError):
+            kernels.iwahori_coset_key(sum(rows, []), 3, n, p, r)
 
 
 def _equal_reference(a, b, ctx):
@@ -248,11 +346,7 @@ def test_eps_T1_pinned():
         RatMat.from_rows([[1, 0], [0, 2]]),
     ]
     for w in expected:
-        inv = w.inv()
-        assert any(
-            hecke.kernels.mul_is_iwahori(list(inv.num), inv.den,
-                                         list(rep.num), rep.den, 2, 2, 1)
-            for rep, _ in t1.pairs())
+        assert any(_same_coset_reference(w, rep, ctx) for rep, _ in t1.pairs())
 
 
 def test_restrict_spherical_rejects_lower():
@@ -549,6 +643,25 @@ def test_gamma_orbit_index_at_two_levels(p, r):
     assert index == p ** (4 * r - 2) * (p - 1) ** 2
 
 
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (2, 3)])
+def test_n3_orbit_indices_beyond_the_enumerations(p, r):
+    """At n = 3 the orbit-counted gamma index is p^{4r-2} (p-1)^2 and the
+    unipotent index p^{4r}, up to 6561 cosets, where the literal
+    enumerations cannot reach."""
+    ctx = GlnContext(3, p, r)
+    assert hecke.count_gamma_index(ctx)[0] == p ** (4 * r - 2) * (p - 1) ** 2
+    assert hecke.count_unipotent_index(ctx) == p ** (4 * r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_n2_gamma_orbit_index_at_four_levels(p):
+    """At n = 2 the orbit-counted gamma index is N(f) (p-1)/p, f = p^r,
+    for r in 1..4."""
+    for r in range(1, 5):
+        index = hecke.count_gamma_index(GlnContext(2, p, r))[0]
+        assert index == p ** r * (p - 1) // p, r
+
+
 @pytest.mark.parametrize("n,p,r", [(2, 5, 1), (3, 2, 1), (3, 2, 2)])
 def test_gamma_candidates_are_iwahori(n, p, r):
     """The enumeration counts every candidate towards |I| without a
@@ -581,3 +694,35 @@ def test_smith_type():
     assert hecke.smith_type(RatMat.diagonal([Fraction(4), Fraction(1)]), 2) == (0, 2)
     assert hecke.smith_type(RatMat.from_rows([[2, 1], [0, 2]]), 2) == (0, 2)
     assert hecke.smith_type(RatMat.diagonal([Fraction(2), Fraction(2)]), 2) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the fold's output, pinned: tests/data/coset-fold.jsonl holds pairs() of
+# these sums (representatives, coefficients and their order) as the
+# pairwise fold made them before the coset key replaced it
+
+FOLD_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                           "coset-fold.jsonl")
+
+
+def _fold_golden_lines():
+    c32 = _ctx(3, 2)
+    v1, v2 = hecke.expand_V(c32, 1), hecke.expand_V(c32, 2)
+    t1 = hecke.spherical_T_reps(2, 3, 1)
+    cases = [
+        ("V1*V2 n=3 p=2 r=1", (v1 * v2).pairs()),
+        ("V2*V1 n=3 p=2 r=1", (v2 * v1).pairs()),
+        ("eps_T2 n=3 p=3 r=1", hecke.eps_T(_ctx(3, 3), 2).pairs()),
+        ("gamma-orbit n=3 p=2 r=2",
+         hecke.count_gamma_index(_ctx(3, 2, 2))[1].pairs()),
+        ("spherical T1*T1 n=2 p=3", hecke.spherical_convolve(t1, t1, 2, 3)),
+    ]
+    return "".join(json.dumps({"case": name, "cosets": [
+        {"matrix": [[str(x) for x in row] for row in rep.rows()],
+         "coefficient": str(coeff)} for rep, coeff in pairs]}) + "\n"
+        for name, pairs in cases)
+
+
+def test_fold_output_is_pinned():
+    with open(FOLD_GOLDEN) as fh:
+        assert _fold_golden_lines() == fh.read()

@@ -1,6 +1,7 @@
 """The integer kernels against references kept here: a row-by-column
 product, a Leibniz determinant and the entrywise definition of Iwahori
-membership; the fused kernel against the product-then-test composition."""
+membership.  The coset key is checked against the product-then-test
+membership in tests/test_hecke.py."""
 
 import itertools
 import random
@@ -10,7 +11,7 @@ from heckeforge import _pykernels, kernels
 from heckeforge.exact import vp
 
 KERNELS = ("vp_int", "mat_mul", "bareiss_det", "adjugate",
-           "is_iwahori_scaled", "mul_is_iwahori")
+           "is_iwahori_scaled", "iwahori_coset_key")
 
 
 def _rand_mat(rng, n, lo=-50, hi=50):
@@ -148,22 +149,6 @@ def test_vp_int():
     assert kernels.vp_int(7, 5) == 0
 
 
-def _unimodular(rng, n):
-    """A random integer matrix of determinant 1 and its inverse."""
-    u = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randrange(-3, 4)
-        u = [u[k] + c * u[j * n + k % n] if k // n == i else u[k]
-             for k in range(n * n)]
-    return u, _pykernels.adjugate(u, n)
-
-
-def _reference_mul_is_iwahori(a, ad, b, bd, n, p, r):
-    return _pykernels.is_iwahori_scaled(_pykernels.mat_mul(a, b, n),
-                                        ad * bd, n, p, r)
-
-
 def _boundary_target(rng, n, p, r, vd, fail_last):
     """An integer t with t/p^vd on the edge of the level-p^r Iwahori
     subgroup: unit diagonal, and the least divisibility each entry needs.
@@ -187,44 +172,3 @@ def _boundary_target(rng, n, p, r, vd, fail_last):
         t[0] *= p
         t[-1] //= p
     return t
-
-
-def test_fused_mul_is_iwahori_matches_composition():
-    """The fused kernel against the product-then-test composition, on
-    products (u/ad) * (u^{-1} t/bd) = t/(ad bd) with u unimodular, and
-    denominators both powers of p and prime to p."""
-    rng = random.Random(5)
-    outcomes = set()
-    for _ in range(600):
-        n = rng.choice([2, 3, 4])
-        p = rng.choice([2, 3, 5])
-        r = rng.choice([0, 1, 2])
-        x, y = rng.randrange(3), rng.randrange(3)
-        ad = p ** x * rng.choice([q for q in (1, 7, 11) if q % p])
-        bd = p ** y * rng.choice([1, 13])
-        vd = x + y
-        fail_last = vd > 0 and rng.random() < 0.3
-        t = _boundary_target(rng, n, p, r, vd, fail_last)
-        u, u_inv = _unimodular(rng, n)
-        a, b = u, _pykernels.mat_mul(u_inv, t, n)
-        want = _reference_mul_is_iwahori(a, ad, b, bd, n, p, r)
-        assert kernels.mul_is_iwahori(a, ad, b, bd, n, p, r) == want
-        assert _pykernels.mul_is_iwahori(tuple(a), ad, tuple(b), bd,
-                                         n, p, r) == want
-        if fail_last:
-            assert not want
-            assert _pykernels.vp_int(_pykernels.bareiss_det(t, n), p) == n * vd
-        outcomes.add((want, fail_last))
-    assert outcomes == {(True, False), (False, False), (False, True)}
-
-
-def test_fused_mul_is_iwahori_on_random_integers():
-    rng = random.Random(6)
-    for _ in range(300):
-        n = rng.choice([2, 3, 4])
-        p = rng.choice([2, 3])
-        r = rng.choice([0, 1, 2])
-        a, b = _rand_mat(rng, n, -12, 13), _rand_mat(rng, n, -12, 13)
-        ad, bd = rng.choice([1, p, p * p, 5]), rng.choice([1, p, 7])
-        assert (kernels.mul_is_iwahori(a, ad, b, bd, n, p, r)
-                == _reference_mul_is_iwahori(a, ad, b, bd, n, p, r))
