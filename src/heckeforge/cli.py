@@ -1,7 +1,8 @@
 """Command-line driver: verification suites and one-shot computations.
 
-`heckeforge verify` writes one JSON object per case (JSON Lines) once the
-run ends, and exits 0 on all-pass, 1 on any failure, 2 on usage errors.
+`heckeforge verify` writes one JSON object per case (JSON Lines) as each
+case ends, in case-id order, and exits 0 on all-pass, 1 on any failure, 2
+on usage errors.
 `heckeforge compute` exposes the individual calculators with JSON output.
 """
 
@@ -43,7 +44,7 @@ def _flag(val):
 
 
 _CONFIG_KEYS = {"suites": _suites, "n": _int_list, "p": _int_list,
-                "r": _int_list, "seed": int, "jobs": int,
+                "r": _int_list, "seed": int,
                 "corrupted_distribution_fixture": _flag}
 
 
@@ -52,10 +53,10 @@ def parse_config(path):
 
     The keys are _CONFIG_KEYS: suites (comma separated, each one of
     suite.SUITES), n / p / r (comma-separated values restricting the
-    parameter-grid cases), seed (int), jobs (int),
-    corrupted_distribution_fixture (true/false).  Each
-    value comes back converted.  An unknown key or a value that does not
-    convert is a ValueError naming the line and the key.
+    parameter-grid cases), seed (int), corrupted_distribution_fixture
+    (true/false).  Each value comes back converted.  An unknown key or a
+    value that does not convert is a ValueError naming the line and the
+    key.
     """
     out = {}
     with open(path) as fh:
@@ -79,32 +80,34 @@ def cmd_verify(args):
     cfg = parse_config(args.config) if args.config else {}
     seed = cfg.get("seed") if args.seed is None else args.seed
     suites = list(args.suite) if args.suite else cfg.get("suites")
-    jobs = cfg.get("jobs") if args.jobs is None else args.jobs
     if seed is None:
         try:
             seed = int(os.environ.get("HECKE_FORGE_SEED", "0"))
         except ValueError as exc:
             raise ValueError(f"HECKE_FORGE_SEED: {exc}") from None
-    if jobs is None:
-        jobs = 1
-    elif jobs < 1:
-        print(f"error: jobs = {jobs}; it must be at least 1", file=sys.stderr)
+    if args.jobs is not None and args.jobs < 1:
+        print(f"error: jobs = {args.jobs}; it must be at least 1",
+              file=sys.stderr)
         return EXIT_USAGE
     reports = suite.run_suite(
-        suites=suites, seed=seed, jobs=jobs,
+        suites=suites, seed=seed,
         include_corrupted_fixture=cfg.get(
             "corrupted_distribution_fixture", False),
         n_values=cfg.get("n"), p_values=cfg.get("p"), r_values=cfg.get("r"))
+    # the sink is opened before the first case runs, and each record is
+    # written as its case ends
     sink = open(args.json_out, "w") if args.json_out else sys.stdout
+    failed = 0
     try:
         for rep in reports:
             sink.write(json.dumps(rep, default=str) + "\n")
+            sink.flush()
+            failed += rep["status"] == "fail"
     finally:
         if args.json_out:
             sink.close()
-    failed = [rep for rep in reports if rep["status"] == "fail"]
     if failed:
-        print(f"{len(failed)} case(s) failed", file=sys.stderr)
+        print(f"{failed} case(s) failed", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_PASS
 
@@ -256,8 +259,10 @@ def build_parser():
                    help="restrict to a suite (repeatable)")
     v.add_argument("--json-out", help="write JSON Lines report here")
     v.add_argument("--jobs", type=int, default=None,
-                   help="threads to run the cases on (default 1); the cases "
-                        "are CPU-bound, so more threads are no faster")
+                   help="accepted and ignored (below 1 it is a usage "
+                        "error), so that command lines written for the "
+                        "former thread pool keep working; the cases run "
+                        "one at a time")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("compute", help="one-shot exact computations")

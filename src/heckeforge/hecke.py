@@ -158,9 +158,9 @@ class CosetSum:
 # ---------------------------------------------------------------------------
 # operator expansions
 
-# The most coset representatives (V_nu, V_p, V_p', U_i) or candidate
-# matrices (T_nu) one expansion may enumerate; each count has a closed
-# form, checked before enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
+# The most coset representatives (V_nu, V_p, V_p', U_i, T_nu) one
+# expansion may enumerate; each count has a closed form, checked before
+# enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
 MAX_ENUMERATION = 100_000
 
 
@@ -278,50 +278,35 @@ def expand_U(ctx, i):
     return CosetSum(ctx, pairs, folded=True)
 
 
-def _rank_mod_p(flat, n, p):
-    m = [[int(x) % p for x in flat[i * n:(i + 1) * n]] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][col] % p:
-                c = m[r][col]
-                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def spherical_T_reps(n, p, nu):
     """Triangular (row-style Hermite) right-coset representatives of the
     spherical double coset K diag(1_{n-nu}, pi 1_nu) K.
 
-    Diagonal p^{e_i} with e in {0,1}^n, sum nu; entries right of a scaled
-    pivot run mod p; kept iff the reduction mod p has rank n - nu (which
-    pins the elementary divisor type).
+    Diagonal p^{e_i} with e in {0,1}^n, sum nu, and an entry in range(p)
+    at each (a, b) with a < b, e_a = 1 and e_b = 0; every other entry is
+    0.  These are the triangular forms whose reduction mod p has rank
+    n - nu, which pins the elementary divisor type: the rows with e = 0
+    reduce to unit vectors, so the rank is n - nu exactly when the
+    entries at e_a = e_b = 1 vanish.  There are [n choose nu]_p of them.
     """
-    # a pivot set draws p^(n-1-a) entries for each pivot row a
+    # a pivot set draws one entry for each pivot row a and each non-pivot
+    # column b > a
     _check_enumeration(
-        f"T_{nu} at n = {n}, p = {p}: the triangular candidates", p,
-        (sum(n - 1 - a for a in ones)
+        f"T_{nu} at n = {n}, p = {p}: [n choose nu]_p = [{n} choose {nu}]_{p} "
+        "cosets", p,
+        (sum(1 for a in ones for b in range(a + 1, n) if b not in ones)
          for ones in itertools.combinations(range(n), nu)))
     reps = []
     for ones in itertools.combinations(range(n), nu):
-        es = [1 if i in ones else 0 for i in range(n)]
-        positions = [(a, b) for a in range(n) for b in range(a + 1, n) if es[a] == 1]
+        positions = [(a, b) for a in ones for b in range(a + 1, n)
+                     if b not in ones]
         for vals in itertools.product(range(p), repeat=len(positions)):
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
-                rows[i][i] = p ** es[i]
+                rows[i][i] = p if i in ones else 1
             for (a, b), v in zip(positions, vals):
                 rows[a][b] = v
-            m = RatMat.from_rows(rows)
-            if _rank_mod_p(m.num, n, p) == n - nu:
-                reps.append(m)
+            reps.append(RatMat.from_rows(rows))
     return reps
 
 

@@ -1,13 +1,236 @@
-"""The integer kernels of the coset engine, as the rest of the package
-calls them.  They are implemented once, in _pykernels.py."""
+"""The integer kernels of the coset engine: exact integer matrix work in
+pure Python.
 
-from heckeforge._pykernels import (
-    BACKEND,
-    SingularMatrixError,
-    adjugate,
-    bareiss_det,
-    is_iwahori_scaled,
-    iwahori_coset_key,
-    mat_mul,
-    vp_int,
-)
+Matrices are flat row-major sequences (lists or tuples) of Python ints of
+length n*n; results are lists.  A rational matrix is a pair (num, den)
+representing num/den with den a positive int.  No Fraction is formed
+anywhere: valuations of entries x/den are read off x and den.  The coset
+engine folds through iwahori_coset_key, a canonical tuple of ints per
+coset g K_I, so equal cosets meet in one dict entry.  These functions
+are the hot path of the coset engine and its only implementation.
+"""
+
+# the one implementation, as the benchmark's probe reports it
+BACKEND = "python"
+
+
+def vp_int(x, p):
+    """p-adic valuation of a nonzero integer."""
+    if x < 0:
+        x = -x
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def mat_mul(a, b, n):
+    out = [0] * (n * n)
+    for i in range(n):
+        ia = i * n
+        for k in range(n):
+            aik = a[ia + k]
+            if aik:
+                kb = k * n
+                for j in range(n):
+                    out[ia + j] += aik * b[kb + j]
+    return out
+
+
+def bareiss_det(a, n):
+    """Fraction-free determinant of an integer matrix (flat list, copied)."""
+    if n == 1:
+        return a[0]
+    m = [list(a[i * n:(i + 1) * n]) for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = -1
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    piv = r
+                    break
+            if piv < 0:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pkk = m[k][k]
+        for i in range(k + 1, n):
+            row = m[i]
+            rk = row[k]
+            mk = m[k]
+            for j in range(k + 1, n):
+                row[j] = (pkk * row[j] - rk * mk[j]) // prev
+            row[k] = 0
+        prev = pkk
+    return sign * m[n - 1][n - 1]
+
+
+def adjugate(a, n):
+    """Adjugate matrix: adj(A)[j][i] = (-1)^(i+j) * minor(i,j)."""
+    if n == 1:
+        return [1]
+    out = [0] * (n * n)
+    sub = [0] * ((n - 1) * (n - 1))
+    for i in range(n):
+        for j in range(n):
+            t = 0
+            for r in range(n):
+                if r == i:
+                    continue
+                for c in range(n):
+                    if c == j:
+                        continue
+                    sub[t] = a[r * n + c]
+                    t += 1
+            minor = bareiss_det(sub, n - 1)
+            out[j * n + i] = minor if (i + j) % 2 == 0 else -minor
+    return out
+
+
+def is_iwahori_scaled(num, den, n, p, r):
+    """Is num/den in the level-p^r Iwahori subgroup of GL_n(Z_p)?
+
+    r = 0 gives membership in the maximal compact GL_n(Z_p).  Requires
+    den > 0.  Entries must be p-integral, entries strictly below the
+    diagonal must have valuation >= r beyond that, and det must be a
+    p-unit.
+    """
+    vd = vp_int(den, p) if den != 1 else 0
+    for i in range(n):
+        for j in range(n):
+            x = num[i * n + j]
+            need = vd + r if i > j else vd
+            if x == 0:
+                continue
+            if need > 0 and vp_int(x, p) < need:
+                return False
+    d = bareiss_det(num, n)
+    if d == 0:
+        return False
+    return vp_int(d, p) == n * vd
+
+
+class SingularMatrixError(ZeroDivisionError):
+    pass
+
+
+def iwahori_coset_key(num, den, n, p, r):
+    """A canonical, hashable key of the coset g K, g = num/den, K the
+    level-p^r Iwahori subgroup (r = 0: K = GL_n(Z_p)).
+
+    (num, den) is normalized, as RatMat keeps it.  Two keys are equal
+    exactly when g^{-1} h lies in K.  The key is the tuple (s, H, k) of
+    ints:
+
+    - s = v_p(den).  den's prime-to-p part is a unit scalar, which lies
+      in K.  A normalized num/den with s > 0 has p-content -s, and right
+      multiplication by GL_n(Z_p) keeps the p-content, so s is an
+      invariant of the coset.
+    - H, the p-adic column Hermite form of num (Cohen, GTM 138, section
+      2.4): upper triangular with pivots p^(a_i), and each entry of row
+      i right of its pivot reduced into [0, p^(a_i)).  H is one per
+      coset num GL_n(Z_p).  Column operations by p-adic units
+      triangularize num exactly in integers, bottom row first; each
+      column is then scaled by its pivot unit's inverse mod p^(N+1),
+      N = v_p(det) = sum a_i, and its pivot set to p^(a_i): the change
+      lies in p^N Z_p^n, inside num's column lattice, and the columns
+      still have covolume p^N, so they span the same lattice.  H's
+      entries on and above the diagonal are listed, column by column.
+    - For r >= 1, the canonical form of k = H^{-1} num mod p^r modulo the
+      upper triangular B(Z/p^r), since K is the preimage of B(Z/p^r) in
+      GL_n(Z_p).  k is integral, and back-substitution finds it exactly
+      in integers.  Column by column, left to right: clear the pivot rows
+      of the earlier columns, then scale the lowest unit entry to 1.
+      Its entries are listed, column by column.
+
+    A singular num raises SingularMatrixError.
+    """
+    key = [vp_int(den, p)]
+    # the columns not yet taken as pivots; an elimination updates only the
+    # rows above the current one, the only rows read afterwards
+    active = [list(num[j::n]) for j in range(n)]
+    cols = [None] * n  # cols[i]: rows 0..i of H's column i
+    exps = [0] * n
+    units = [1] * n
+    for i in range(n - 1, -1, -1):
+        best = least = -1
+        for idx, col in enumerate(active):
+            x = col[i]
+            if x:
+                v = 0
+                while not x % p:
+                    x //= p
+                    v += 1
+                if least < 0 or v < least:
+                    best, least = idx, v
+                    if not v:
+                        break
+        if best < 0:
+            raise SingularMatrixError("matrix is singular")
+        col = active.pop(best)
+        pp = p ** least
+        u = col[i] // pp
+        for c in active:
+            t = c[i] // pp
+            if t:
+                for l in range(i):
+                    c[l] = u * c[l] - t * col[l]
+        del col[i + 1:]
+        cols[i], exps[i], units[i] = col, least, u
+    bound = p ** (sum(exps) + 1)
+    powers = [p ** a for a in exps]
+    for j in range(n):
+        col = cols[j]
+        u = units[j]
+        if u != 1:
+            w = pow(u, -1, bound)
+            for l in range(j):
+                col[l] *= w
+        col[j] = powers[j]
+        for k in range(j - 1, -1, -1):
+            t = col[k] // powers[k]
+            if t:
+                ck = cols[k]
+                for l in range(k + 1):
+                    col[l] -= t * ck[l]
+        key += col
+    if r == 0:
+        return tuple(key)
+    # k = H^{-1} num by back-substitution from the bottom row
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = list(num[i * n:(i + 1) * n])
+        for l in range(i + 1, n):
+            h = cols[l][i]
+            if h:
+                rl = rows[l]
+                for j in range(n):
+                    row[j] -= h * rl[j]
+        pp = powers[i]
+        if pp != 1:
+            for j in range(n):
+                row[j] //= pp
+        rows[i] = row
+    q = p ** r
+    canon = []  # (pivot row, column mod q)
+    for j in range(n):
+        col = [row[j] % q for row in rows]
+        for pr, c in canon:
+            t = col[pr]
+            if t:
+                for l in range(n):
+                    col[l] = (col[l] - t * c[l]) % q
+        pr = n - 1
+        while not col[pr] % p:
+            pr -= 1
+        w = col[pr]
+        if w != 1:
+            w = pow(w, -1, q)
+            for l in range(n):
+                col[l] = col[l] * w % q
+        canon.append((pr, col))
+        key += col
+    return tuple(key)

@@ -3,14 +3,13 @@
 Each case is a named deterministic check (seeded RNG per case) returning
 pass/fail plus a serializable witness.  The cases of a suite live in their
 own module, `heckeforge.suites.<suite>` (`-` written `_`), imported only
-when that suite runs.  Cases are dispatched to a worker pool and reported
-in case-id order as JSON-ready dicts.
+when that suite runs.  Cases run one at a time in case-id order, and each
+is reported as a JSON-ready dict as soon as it ends.
 """
 
 import importlib
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 SUITES = ("matrices", "hecke", "projections", "gauss", "weights",
           "distributions", "functional-equation")
@@ -49,10 +48,12 @@ def registry(include_corrupted_fixture=False):
     return _entries(SUITES, include_corrupted_fixture)
 
 
-def run_suite(suites=None, seed=0, jobs=1, include_corrupted_fixture=False,
+def run_suite(suites=None, seed=0, include_corrupted_fixture=False,
               n_values=None, p_values=None, r_values=None):
-    """Execute the selected suites; returns reports sorted by case id.
+    """Check the arguments and list the selected work; returns an iterator
+    that runs it in case-id order and yields one record per case.
 
+    An unknown suite raises ValueError here, before any case runs.
     n_values / p_values / r_values restrict the parameter-grid cases
     (cases without pinned parameters always run; every grid case lives at
     level r = 1).  Unselected suites contribute one skip record each, so
@@ -64,22 +65,30 @@ def run_suite(suites=None, seed=0, jobs=1, include_corrupted_fixture=False,
     unknown = selected - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    to_run, range_skips = [], []
+    # (case id, suite, fn, witness): fn None is a skip with that witness
+    work = []
     for (s, cid, fn, params) in _entries(selected, include_corrupted_fixture):
-        if n_values is not None and "n" in params and params["n"] not in n_values:
-            range_skips.append((s, cid))
-            continue
-        if p_values is not None and "p" in params and params["p"] not in p_values:
-            range_skips.append((s, cid))
-            continue
-        if r_values is not None and "n" in params and params.get("r", 1) not in r_values:
-            range_skips.append((s, cid))
-            continue
-        to_run.append((s, cid, fn))
-    reports = []
+        if ((n_values is not None and "n" in params
+             and params["n"] not in n_values)
+                or (p_values is not None and "p" in params
+                    and params["p"] not in p_values)
+                or (r_values is not None and "n" in params
+                    and params.get("r", 1) not in r_values)):
+            work.append((cid, s, None, "outside configured n/p ranges"))
+        else:
+            work.append((cid, s, fn, None))
+    for s in sorted(set(SUITES) - selected):
+        work.append((f"{s}/(all)", s, None, None))
+    work.sort(key=lambda item: item[0])
+    return _run(work, seed)
 
-    def execute(item):
-        s, cid, fn = item
+
+def _run(work, seed):
+    for cid, s, fn, witness in work:
+        if fn is None:
+            yield {"suite": s, "case": cid, "status": "skip",
+                   "witness": witness, "ms": 0}
+            continue
         rng = random.Random(f"{seed}:{cid}")
         t0 = time.perf_counter()
         try:
@@ -87,19 +96,5 @@ def run_suite(suites=None, seed=0, jobs=1, include_corrupted_fixture=False,
         except Exception as exc:  # a crash is a failure with a witness
             status, witness = "fail", {"exception": repr(exc)}
         ms = round((time.perf_counter() - t0) * 1000, 3)
-        return {"suite": s, "case": cid, "status": status,
-                "witness": witness, "ms": ms}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(execute, to_run))
-    else:
-        reports = [execute(item) for item in to_run]
-    for s, cid in range_skips:
-        reports.append({"suite": s, "case": cid, "status": "skip",
-                        "witness": "outside configured n/p ranges", "ms": 0})
-    for s in sorted(set(SUITES) - selected):
-        reports.append({"suite": s, "case": f"{s}/(all)", "status": "skip",
-                        "witness": None, "ms": 0})
-    reports.sort(key=lambda rep: rep["case"])
-    return reports
+        yield {"suite": s, "case": cid, "status": status,
+               "witness": witness, "ms": ms}

@@ -332,10 +332,10 @@ def _sigma_oracle(n, nu):
 
 def test_criterion_12_end_to_end():
     t0 = time.monotonic()
-    reports = run_suite(seed=0)
+    reports = list(run_suite(seed=0))
     took = time.monotonic() - t0
     fails = [r for r in reports if r["status"] == "fail"]
-    again = run_suite(seed=0)
+    again = list(run_suite(seed=0))
 
     def strip(reps):
         return [{k: v for k, v in r.items() if k != "ms"} for r in reps]

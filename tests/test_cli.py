@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckeforge import cli, suite
 
@@ -70,7 +74,8 @@ SEED5_REPORT = os.path.join(os.path.dirname(__file__), "data",
 def test_verify_seed5_report_is_pinned():
     """`verify --seed 5` over every suite, each record serialised as
     cmd_verify writes it and with its ms stripped, is byte for byte the
-    committed report (the CI workflow diffs the threaded run against it)."""
+    committed report (the CI workflow diffs the command's output, run
+    with the ignored `--jobs 2`, against it)."""
     lines = [re.sub(r', "ms": [0-9.eE+-]+\}$', "}",
                     json.dumps(rep, default=str))
              for rep in suite.run_suite(seed=5)]
@@ -229,14 +234,74 @@ def test_verify_with_jobs(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["-3", "0"])
-def test_verify_rejects_jobs_below_one(capsys, tmp_path, jobs):
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text(f"jobs = {jobs}\n")
-    for argv in (["--jobs", jobs], ["--config", str(cfg)]):
-        code, out, err = run_cli(capsys, "verify", "--suite", "weights",
-                                 *argv)
-        assert code == 2 and not out
-        assert err == f"error: jobs = {jobs}; it must be at least 1\n"
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    """`--jobs` is accepted and ignored, but below 1 it is still a usage
+    error; a `jobs` config key is an unknown key (see
+    test_config_rejects_unknown_keys)."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "weights",
+                             "--jobs", jobs)
+    assert code == 2 and not out
+    assert err == f"error: jobs = {jobs}; it must be at least 1\n"
+
+
+def _fake_cases(monkeypatch, *cases):
+    """Make `verify` run only `cases`, (case id, fn) pairs of the weights
+    suite."""
+    entries = [("weights", cid, fn, {}) for cid, fn in cases]
+    monkeypatch.setattr(suite, "_entries", lambda suites, fixture: [
+        e for e in entries if e[0] in suites])
+
+
+def test_verify_bad_json_out_exits_before_any_case_runs(capsys, tmp_path,
+                                                       monkeypatch):
+    ran = []
+    _fake_cases(monkeypatch, ("weights/must-not-run",
+                              lambda rng: ran.append(1) or ("pass", None)))
+    missing = tmp_path / "absent" / "r.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--seed", "5",
+                             "--json-out", str(missing))
+    assert code == 2 and not out and not ran
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_verify_writes_each_record_as_its_case_ends(capsys, tmp_path,
+                                                   monkeypatch):
+    """When a case starts, the file already holds the record of every
+    case before it in case-id order."""
+    out_path = tmp_path / "r.jsonl"
+    seen = {}
+
+    def probe(rng):
+        seen[len(seen)] = [json.loads(line)["case"]
+                           for line in out_path.read_text().splitlines()]
+        return "pass", None
+
+    _fake_cases(monkeypatch, *((f"weights/probe-{k}", probe)
+                               for k in (2, 0, 1)))
+    code, _, _ = run_cli(capsys, "verify", "--suite", "weights",
+                         "--json-out", str(out_path))
+    assert code == 0
+    ids = [json.loads(line)["case"]
+           for line in out_path.read_text().splitlines()]
+    assert ids == sorted(ids) and len(ids) == 6 + 3
+    assert [seen[k] for k in range(3)] == [ids[:6 + k] for k in range(3)]
+
+
+def test_verify_closed_reader_exits_without_traceback(tmp_path):
+    """The reader of stdout takes one record and goes: the run stops
+    there and exits 1 without a traceback."""
+    cmd, env = _child("verify", "--seed", "5")
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err,
+                                env=env)
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    stderr = err_path.read_text()
+    assert first["case"] == "distributions/abstract-tower-relation"
+    assert code == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 def _child(*argv):
@@ -405,7 +470,7 @@ def test_config_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ("seed = abc", "seed: invalid literal for int() with base 10: 'abc'"),
-    ("jobs = 2.5", "jobs: invalid literal for int() with base 10: '2.5'"),
+    ("r = 1.5", "r: invalid literal for int() with base 10: '1.5'"),
     ("n = 2,x", "n: invalid literal for int() with base 10: 'x'"),
     ("corrupted_distribution_fixture = maybe",
      "corrupted_distribution_fixture: expected true or false, not 'maybe'"),
@@ -419,6 +484,71 @@ def test_config_rejects_bad_values(capsys, tmp_path, line, message):
     code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 2 and not out
     assert err == f"error: {cfg}:2: {message}\n"
+
+
+_FLAG_SPELLINGS = {True: ("true", "TRUE", "yes", "Yes", "1"),
+                   False: ("false", "False", "no", "NO", "0")}
+_INTS = st.lists(st.integers(-10**6, 10**6), max_size=4)
+_CONFIG_VALUES = {
+    "suites": st.lists(st.sampled_from(suite.SUITES), min_size=1,
+                       max_size=4),
+    "n": _INTS, "p": _INTS, "r": _INTS,
+    "seed": st.integers(-10**12, 10**12),
+    "corrupted_distribution_fixture": st.booleans(),
+}
+
+
+def _render(key, value, draw):
+    if key == "corrupted_distribution_fixture":
+        return draw(st.sampled_from(_FLAG_SPELLINGS[value]))
+    if isinstance(value, list):
+        sep = draw(st.sampled_from([",", ", ", " , "]))
+        return sep.join(str(x) for x in value)
+    return str(value)
+
+
+@st.composite
+def _configs(draw):
+    """A config dict over the known keys and a file text that spells it,
+    with blank lines, comments and spacing drawn too."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)),
+                         unique=True))
+    cfg = {key: draw(_CONFIG_VALUES[key]) for key in keys}
+    lines = []
+    for key, value in cfg.items():
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+        pad = draw(st.sampled_from(["", " ", "  "]))
+        tail = draw(st.sampled_from(["", "  # note", "#"]))
+        lines.append(f"{pad}{key}{pad}={pad}{_render(key, value, draw)}"
+                     f"{tail}")
+    return cfg, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs())
+def test_parse_config_round_trip(tmp_path_factory, drawn):
+    cfg, text = drawn
+    path = tmp_path_factory.getbasetemp() / "round-trip.cfg"
+    path.write_text(text)
+    assert cli.parse_config(str(path)) == cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,12}", fullmatch=True).filter(
+    lambda key: key not in cli._CONFIG_KEYS), st.integers(0, 3))
+@example("jobs", 1)
+def test_config_rejects_unknown_keys(tmp_path_factory, key, before):
+    """Any key but the known ones, `jobs` among them, exits 2 naming the
+    file, the line and the key, before any case runs."""
+    path = tmp_path_factory.getbasetemp() / "unknown-key.cfg"
+    path.write_text("suites = weights\n" * before + f"{key} = 2\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--config", str(path)])
+    assert code == 2 and not out.getvalue()
+    assert err.getvalue() == (f"error: {path}:{before + 1}: "
+                              f"unknown key {key!r}\n")
 
 
 @pytest.mark.parametrize("value, fails", [
@@ -449,7 +579,7 @@ def test_hecke_expand_rejects_non_prime_p():
     ("Vp", "p^(r(n+1)n(n-1)/6) = 7^35 cosets"),
     ("U1", "p^(n-i) = 7^7 cosets"),
     ("V3", "p^(nu(n-nu)) = 7^9 cosets"),
-    ("T3", "the triangular candidates"),
+    ("T3", "[n choose nu]_p = [6 choose 3]_7 cosets"),
 ])
 def test_hecke_expand_refuses_enumerations_above_bound(op, count):
     # U1 has p^(n-1) cosets: 7^5 at n = 6 is below the bound, 7^7 at n = 8

@@ -256,16 +256,15 @@ def test_expand_counts():
 @pytest.mark.parametrize("tag, n, p, r, count", [
     ("V1", 3, 2, 1, 4), ("V2", 3, 3, 1, 9), ("Vp", 3, 2, 1, 16),
     ("Vp'", 3, 2, 2, 256), ("U1", 3, 2, 1, 4),
-    # T candidates: one p^(n-1-a) per pivot row a
-    ("T1", 3, 2, 1, 4 + 2 + 1), ("T2", 3, 2, 1, 8 + 4 + 2),
+    # T cosets: [n choose nu]_p
+    ("T1", 3, 2, 1, 4 + 2 + 1), ("T2", 3, 2, 1, 7), ("T2", 4, 3, 1, 130),
 ])
 def test_enumeration_bound_is_the_closed_form_count(monkeypatch, tag, n, p,
                                                     r, count):
     ctx = _ctx(n, p, r)
     monkeypatch.setattr(hecke, "MAX_ENUMERATION", count)
     cs = hecke.expand_operator(ctx, tag)
-    if tag[0] in "VU":
-        assert len(cs) == count
+    assert len(cs) == count
     monkeypatch.setattr(hecke, "MAX_ENUMERATION", count - 1)
     with pytest.raises(ValueError, match="MAX_ENUMERATION"):
         hecke.expand_operator(ctx, tag)
@@ -354,6 +353,61 @@ def test_restrict_spherical_rejects_lower():
     bad = RatMat.from_rows([[1, 0], [2, 2]])
     with pytest.raises(ValueError):
         hecke.restrict_spherical(ctx, [(bad, 1)])
+
+
+def _rank_mod_p(rows, p):
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m)):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _spherical_T_reference(n, p, nu):
+    """The former enumeration of spherical_T_reps: every triangular form
+    with diagonal p^e, e in {0,1}^n summing to nu, and an entry in
+    range(p) right of each scaled pivot, kept when its reduction mod p
+    has rank n - nu."""
+    reps = []
+    for ones in itertools.combinations(range(n), nu):
+        positions = [(a, b) for a in ones for b in range(a + 1, n)]
+        for vals in itertools.product(range(p), repeat=len(positions)):
+            rows = [[(p if i in ones else 1) if i == j else 0
+                     for j in range(n)] for i in range(n)]
+            for (a, b), v in zip(positions, vals):
+                rows[a][b] = v
+            if _rank_mod_p(rows, p) == n - nu:
+                reps.append(rows)
+    return reps
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 5)
+                                  for p in (2, 3, 5)] + [(5, 2)])
+def test_spherical_T_reps_match_the_rank_filter(n, p):
+    """The direct construction lists the rank-filtered candidates, in
+    their order, and there are [n choose nu]_p of them."""
+    for nu in range(n + 1):
+        reps = [rep.rows() for rep in hecke.spherical_T_reps(n, p, nu)]
+        assert reps == _spherical_T_reference(n, p, nu)
+        assert len(reps) == _gaussian_binomial(n, nu, p)
 
 
 def test_eps_injectivity_spotcheck():
