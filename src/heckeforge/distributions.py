@@ -231,35 +231,26 @@ class EigenSymbol:
             if len(self.base_data[x]) != d:
                 raise ValueError("component count mismatch")
 
-    def layer(self, m):
-        """B_m by repeated push-down from the base level."""
-        if m > self.base_level:
-            raise ValueError("level beyond the base data")
-        data = self.base_data
-        level = self.base_level
-        kinv = 1 / scalar(self.kappa)
-        while level > m:
-            level -= 1
-            new = {}
-            for x in self.tower.elements(level):
-                acc = _vector_sum(data[y] for y in self.tower.lifts(level, x))
-                new[x] = tuple(kinv * a for a in acc)
-            data = new
-        return data
-
 
 def build_mu(sym, m0):
-    """values mu(x + p^m) = kappa^{-m} B_m(x) for m0 <= m <= base level."""
+    """values mu(x + p^m) = kappa^{-m} B_m(x) for m0 <= m <= base level,
+    in one push-down from the base level, each B_m scaled as it is
+    reached."""
     if m0 < 1 or m0 > sym.base_level:
         raise ValueError("need 1 <= m0 <= base level")
+    tower = sym.tower
     kinv = 1 / scalar(sym.kappa)
+    data = sym.base_data
     values = {}
-    for m in range(m0, sym.base_level + 1):
-        layer = sym.layer(m)
+    for m in range(sym.base_level, m0 - 1, -1):
+        if m < sym.base_level:  # B_m = kappa^{-1} sum of B_{m+1}
+            data = {x: tuple(kinv * a for a in _vector_sum(
+                        data[y] for y in tower.lifts(m, x)))
+                    for x in tower.elements(m)}
         scale = kinv ** m
         values[m] = {x: tuple(scale * v for v in vec)
-                     for x, vec in layer.items()}
-    return Distribution(sym.tower, sym.nus, values)
+                     for x, vec in data.items()}
+    return Distribution(tower, sym.nus, dict(reversed(values.items())))
 
 
 def check_distribution_relation(mu):

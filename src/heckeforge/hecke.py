@@ -8,7 +8,9 @@ through a dict on it, for folds, sum equality, disjointness, coverage and
 the index counts.  Each index is an orbit size: the number of cosets
 `CosetSum.orbit` reaches from one coset under left multiplication by
 generators of the group.  `spherical_convolve` folds modulo GL_n(Z_p),
-the same key at level r = 0.
+the same key at level r = 0.  Every operator expansion is one
+enumeration of upper triangular cosets, `_triangular_reps`, over the
+blocks that `_operator` describes.
 """
 
 import itertools
@@ -179,79 +181,111 @@ def _check_enumeration(what, p, exponents):
             raise ValueError(f"{what} exceed MAX_ENUMERATION = "
                              f"{MAX_ENUMERATION}")
 
-_GENERATOR_REP = {
-    "V": lambda ctx, nu: RatMat.diagonal(
-        [ctx.p if i < nu else 1 for i in range(ctx.n)]),
-    "U": lambda ctx, i: RatMat.diagonal(
-        [ctx.p if j == i - 1 else 1 for j in range(ctx.n)]),
-    "T": lambda ctx, nu: RatMat.diagonal(
-        [1 if i < ctx.n - nu else ctx.p for i in range(ctx.n)]),
-    "Vp": lambda ctx, _=None: t_matrix(ctx.n, lconst(ctx.pi)).to_ratmat(),
-    "Vp'": lambda ctx, _=None: t_matrix(
-        ctx.n, lconst(ctx.pi)).to_ratmat().scale(ctx.pi),
-}
+
+def _operator(n, p, r, kind, k=None):
+    """The operator `kind` (index k) at (n, p, r) as blocks of upper
+    triangular cosets: (what, step, g, blocks).
+
+    A block with exponents e holds the matrices with diagonal p^(e_a)
+    and, at each (a, b), a < b, with e_a > e_b, the entry x p^(e_b) for
+    x in range(p^(step (e_a - e_b))); every other entry is 0.  blocks()
+    yields each block's (e, log_p of its size) lazily.  V_nu, U_i and
+    eps(T_nu) have step 1 and e = 1 exactly at the pivot rows: range(nu),
+    {i-1}, or each nu-subset in `itertools.combinations` order.  V_p has
+    one block, e = (n-1, ..., 1, 0) with step r, the cosets u t_(pi) K
+    over u in U_n(O) / t U_n(O) t^{-1}; V_p' shifts e by 1.  diag(p^g)
+    generates the double coset, and `what` names the operator and its
+    closed-form count for a refusal."""
+    if kind in ("Vp", "Vp'"):
+        e = [n - 1 - a + (kind == "Vp'") for a in range(n)]
+        size = r * (n + 1) * n * (n - 1) // 6
+        return (f"{kind} at n = {n}, p = {p}, r = {r}: "
+                f"p^(r(n+1)n(n-1)/6) = {p}^{size} cosets",
+                r, e, lambda: [(e, size)])
+    if kind == "U":
+        if not 1 <= k <= n:
+            raise ValueError("1 <= i <= n required")
+        what = f"U_{k} at n = {n}, p = {p}: p^(n-i) = {p}^{n - k} cosets"
+        gen = (k - 1,)
+    elif not 0 <= k <= n:
+        raise ValueError("0 <= nu <= n required")
+    elif kind == "V":
+        what = (f"V_{k} at n = {n}, p = {p}: p^(nu(n-nu)) = "
+                f"{p}^{k * (n - k)} cosets")
+        gen = range(k)
+    else:
+        what = (f"T_{k} at n = {n}, p = {p}: [n choose nu]_p = "
+                f"[{n} choose {k}]_{p} cosets")
+        gen = range(n - k, n)  # diag(1_{n-nu}, pi 1_nu), the last block
+
+    def blocks():
+        for ones in ([gen] if kind != "T"
+                     else itertools.combinations(range(n), k)):
+            e = [0] * n
+            for a in ones:
+                e[a] = 1
+            # count the places (a, b): a the j-th pivot, b > a no pivot
+            yield e, sum(n - 1 - a - (len(ones) - 1 - j)
+                         for j, a in enumerate(ones))
+
+    return what, 1, [int(a in gen) for a in range(n)], blocks
+
+
+def _triangular_reps(n, p, r, kind, k=None):
+    """The representatives of `_operator(n, p, r, kind, k)`, block by
+    block; within a block the places run in row-major order, the last
+    varying fastest.  The count is checked against MAX_ENUMERATION
+    before any block's places are listed."""
+    what, step, _, blocks = _operator(n, p, r, kind, k)
+    _check_enumeration(what, p, (size for _, size in blocks()))
+    for e, _ in blocks():
+        diag = [p ** x for x in e]
+        base = [0] * (n * n)
+        for a in range(n):
+            base[a * n + a] = diag[a]
+        places = [(a, b) for a in range(n) if e[a]
+                  for b in range(a + 1, n) if e[a] > e[b]]
+        ranges = [range(p ** (step * (e[a] - e[b]))) for a, b in places]
+        slots = [(a * n + b, diag[b]) for a, b in places]
+        for vals in itertools.product(*ranges):
+            num = list(base)
+            for (i, scale), x in zip(slots, vals):
+                num[i] = x * scale
+            yield RatMat(n, num, 1, normalized=True)
+
+
+def _expand(ctx, kind, k=None):
+    return CosetSum(ctx, ((rep, 1) for rep in _triangular_reps(
+        ctx.n, ctx.p, ctx.r, kind, k)), folded=True)
+
+
+def _parse_tag(tag):
+    """(kind, index) of 'V0'..'Vn', 'U1'..'Un', 'T0'..'Tn', 'Vp', "Vp'"."""
+    if tag in ("Vp", "Vp'"):
+        return tag, None
+    indexed = re.fullmatch(r"([VUT])([0-9]+)", tag)
+    if indexed is None:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    return indexed[1], int(indexed[2])
 
 
 def unit_coset(ctx):
-    return CosetSum(ctx, [(RatMat.identity(ctx.n), 1)], folded=True)
+    return _expand(ctx, "V", 0)
 
 
 def expand_V(ctx, nu):
     """V_{p,nu}: block matrices [[pi 1_nu, A],[0, 1_{n-nu}]], A mod p."""
-    n, p = ctx.n, ctx.p
-    if not 0 <= nu <= n:
-        raise ValueError("0 <= nu <= n required")
-    if nu == 0:
-        return unit_coset(ctx)
-    cols = n - nu
-    _check_enumeration(f"V_{nu} at n = {n}, p = {p}: p^(nu(n-nu)) = "
-                       f"{p}^{nu * cols} cosets", p, [nu * cols])
-    pairs = []
-    for vals in itertools.product(range(p), repeat=nu * cols):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(nu):
-            rows[i][i] = p
-        for i in range(nu, n):
-            rows[i][i] = 1
-        it = iter(vals)
-        for i in range(nu):
-            for j in range(nu, n):
-                rows[i][j] = next(it)
-        pairs.append((RatMat.from_rows(rows), 1))
-    return CosetSum(ctx, pairs, folded=True)
-
-
-def _unipotent_quotient_reps(n, p, scale=1):
-    """Representatives of U_n(Z_p) / t U_n(Z_p) t^{-1}: entry (i,j) runs
-    mod p^{scale*(j-i)}."""
-    positions = [(i, j) for i in range(n) for j in range(n) if i < j]
-    ranges = [range(p ** (scale * (j - i))) for (i, j) in positions]
-    for vals in itertools.product(*ranges):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        yield RatMat.from_rows(rows)
-
-
-def _expand_unipotent_translates(ctx, kind):
-    """u g K over u in U_n(O)/t U_n(O) t^{-1}, g the generator of `kind`."""
-    n, p, r = ctx.n, ctx.p, ctx.r
-    e = r * (n + 1) * n * (n - 1) // 6
-    _check_enumeration(f"{kind} at n = {n}, p = {p}, r = {r}: "
-                       f"p^(r(n+1)n(n-1)/6) = {p}^{e} cosets", p, [e])
-    g = _GENERATOR_REP[kind](ctx)
-    pairs = [(u * g, 1) for u in _unipotent_quotient_reps(n, p, r)]
-    return CosetSum(ctx, pairs, folded=True)
+    return _expand(ctx, "V", nu)
 
 
 def expand_Vp(ctx):
     """V_p: u t_(pi) K over u in U_n(O)/t U_n(O) t^{-1}."""
-    return _expand_unipotent_translates(ctx, "Vp")
+    return _expand(ctx, "Vp")
 
 
 def expand_Vp_prime(ctx):
     """V_p': u pi t_(pi) K over the same u."""
-    return _expand_unipotent_translates(ctx, "Vp'")
+    return _expand(ctx, "Vp'")
 
 
 def expand_U(ctx, i):
@@ -264,18 +298,7 @@ def expand_U(ctx, i):
     there mod p.  Any u, with x the entries right of the diagonal in its
     row i-1 and M its lower-right (n-i) x (n-i) block, shares the coset
     of the listed u with entries x M^{-1} mod p."""
-    n, p = ctx.n, ctx.p
-    if not 1 <= i <= n:
-        raise ValueError("1 <= i <= n required")
-    _check_enumeration(f"U_{i} at n = {n}, p = {p}: p^(n-i) = "
-                       f"{p}^{n - i} cosets", p, [n - i])
-    pairs = []
-    for vals in itertools.product(range(p), repeat=n - i):
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[i - 1][i - 1] = p
-        rows[i - 1][i:] = vals
-        pairs.append((RatMat.from_rows(rows), 1))
-    return CosetSum(ctx, pairs, folded=True)
+    return _expand(ctx, "U", i)
 
 
 def spherical_T_reps(n, p, nu):
@@ -289,64 +312,23 @@ def spherical_T_reps(n, p, nu):
     reduce to unit vectors, so the rank is n - nu exactly when the
     entries at e_a = e_b = 1 vanish.  There are [n choose nu]_p of them.
     """
-    # a pivot set draws one entry for each pivot row a and each non-pivot
-    # column b > a
-    _check_enumeration(
-        f"T_{nu} at n = {n}, p = {p}: [n choose nu]_p = [{n} choose {nu}]_{p} "
-        "cosets", p,
-        (sum(1 for a in ones for b in range(a + 1, n) if b not in ones)
-         for ones in itertools.combinations(range(n), nu)))
-    reps = []
-    for ones in itertools.combinations(range(n), nu):
-        positions = [(a, b) for a in ones for b in range(a + 1, n)
-                     if b not in ones]
-        for vals in itertools.product(range(p), repeat=len(positions)):
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = p if i in ones else 1
-            for (a, b), v in zip(positions, vals):
-                rows[a][b] = v
-            reps.append(RatMat.from_rows(rows))
-    return reps
-
-
-def restrict_spherical(ctx, pairs):
-    """Reinterpret triangular spherical cosets g K as Iwahori cosets g K_I.
-
-    Rejects non-triangular representatives; injectivity is automatic since
-    K_I-equality implies K-equality.
-    """
-    for rep, _ in pairs:
-        n = rep.n
-        if any(rep.num[i * n + j] for i in range(n) for j in range(i)):
-            raise ValueError("representative is not upper triangular")
-    return CosetSum(ctx, list(pairs), folded=True)
+    return list(_triangular_reps(n, p, 1, "T", nu))
 
 
 def eps_T(ctx, nu):
-    """epsilon(T_nu) as an Iwahori coset sum."""
-    if not 0 <= nu <= ctx.n:
-        raise ValueError("0 <= nu <= n required")
-    if nu == 0:
-        return unit_coset(ctx)
-    reps = spherical_T_reps(ctx.n, ctx.p, nu)
-    return restrict_spherical(ctx, [(m, 1) for m in reps])
+    """epsilon(T_nu) as an Iwahori coset sum: the triangular spherical
+    cosets g K read as cosets g K_I, distinct since K_I-equality implies
+    K-equality."""
+    return _expand(ctx, "T", nu)
 
 
 def expand_operator(ctx, tag, validate=False):
     """Expand a Hecke operator tag: 'V0'..'Vn', 'U1'..'Un', 'Vp', "Vp'",
-    'T0'..'Tn' (the latter through the spherical restriction).
+    'T0'..'Tn', each through the one triangular enumeration.
 
     With validate=True the decomposition is checked for disjointness and
     randomized coverage; a failure raises with the uncovered sample."""
-    indexed = re.fullmatch(r"([VUT])([0-9]+)", tag)
-    if tag in ("Vp", "Vp'"):
-        out = _expand_unipotent_translates(ctx, tag)
-    elif indexed is None:
-        raise ValueError(f"unknown operator tag {tag!r}")
-    else:
-        expand = {"V": expand_V, "U": expand_U, "T": eps_T}[indexed[1]]
-        out = expand(ctx, int(indexed[2]))
+    out = _expand(ctx, *_parse_tag(tag))
     if validate:
         ok, pair = check_disjoint(out)
         if not ok:
@@ -490,9 +472,11 @@ def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
     """
     rng = random.Random(seed)
     cs = expand_operator(ctx, tag)
-    kind, idx = (tag, None) if tag in ("Vp", "Vp'") else (tag[0], int(tag[1:]))
-    g0 = _GENERATOR_REP[kind](ctx, idx)
-    sampler = _random_triangular_unit if kind in "UT" else _random_iwahori
+    kind, k = _parse_tag(tag)
+    g = _operator(ctx.n, ctx.p, ctx.r, kind, k)[2]
+    g0 = RatMat.diagonal([ctx.p ** x for x in g])
+    sampler = (_random_triangular_unit if kind in ("U", "T")
+               else _random_iwahori)
     counts = _multiset(key for _, key, _ in cs.terms)
     failures = 0
     witness = None

@@ -416,16 +416,11 @@ class LaurentMatrix:
                 rows[j][i] = cof * dinv
         return LaurentMatrix(rows)
 
-    def substitute(self, assign):
-        return LaurentMatrix([[a.substitute(assign) for a in row]
-                              for row in self.entries])
-
-    def to_ratmat(self, assign=None):
-        """Evaluate to an exact rational matrix; a Cyclo constant that is
-        not rational raises ValueError."""
-        m = self.substitute(assign) if assign else self
+    def to_ratmat(self):
+        """Evaluate a constant matrix to an exact rational matrix; a Cyclo
+        constant that is not rational raises ValueError."""
         return RatMat.from_rows([[as_rational(a.constant_value()) for a in row]
-                                 for row in m.entries])
+                                 for row in self.entries])
 
     def __repr__(self):
         return f"LaurentMatrix({[[repr(e) for e in row] for row in self.entries]})"

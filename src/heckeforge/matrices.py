@@ -40,7 +40,8 @@ class GlnContext:
 
 
 # ---------------------------------------------------------------------------
-# symbolic builders (LaurentMatrix); numeric callers substitute afterwards
+# symbolic builders (LaurentMatrix); numeric callers build them from
+# constants and read them back with to_ratmat
 
 def weyl_longest(n):
     return LaurentMatrix([[1 if j == n - 1 - i else 0 for j in range(n)]
@@ -233,7 +234,7 @@ def family_symbolic(n):
     w = upper_unipotent(n - 1, ws)
     tf = t_matrix(n, f)
     tfi = LaurentMatrix.diagonal([f ** -(n - 1 - i) for i in range(n)])
-    h_uw = (tf * j_emb(w) * tfi) * h_one(n) * (tf * _unipotent_inverse(u) * tfi)
+    h_uw = (tf * j_emb(w) * tfi) * h_one(n) * (tf * u.inverse() * tfi)
 
     m = n - 1
     um = [[lconst(1 if i == j else 0) for j in range(m)] for i in range(m)]
@@ -260,18 +261,6 @@ def family_symbolic(n):
         "d(u,w)": d, "d'(u,w)": d_prime, "last_column": last_col,
         "columns_ok": diff_ok, "det_pair_ok": det_ok,
     }
-
-
-def _unipotent_inverse(u):
-    """Inverse of an upper unipotent LaurentMatrix (Neumann series)."""
-    n = u.n
-    nil = u - LaurentMatrix.identity(n)
-    out = LaurentMatrix.identity(n)
-    power = LaurentMatrix.identity(n)
-    for k in range(1, n):
-        power = power * nil
-        out = out + (power if k % 2 == 0 else -power)
-    return out
 
 
 def verify_epimorphism(ctx):

@@ -169,12 +169,6 @@ def dual_root(lam, q, n):
     return q ** (n - 1) / lam
 
 
-def dual_roots(lam_full, q):
-    """underline-lambda-vee = (lam_n^vee, ..., lam_2^vee) from n full roots."""
-    n = len(lam_full)
-    return tuple(dual_root(lam_full[i], q, n) for i in range(n - 1, 0, -1))
-
-
 def _project_steps(xs, den, roots, module, normalize):
     """Apply lam_i q^{1-j} V_{j-1} - V_j for each of the first m roots and
     each j != i+1 in 1..n, divided by its value on the eta-eigenspace when
@@ -347,7 +341,7 @@ def verify_dual_projection(pm, vec, lam_full, lam_prime_full):
         return False, None, "U_p eigenvalue mismatch on the modified vector"
 
     dual = pm.contragredient()
-    lam_vee = dual_roots(lam_full, q)              # (lam_n^v .. lam_2^v)
+    lam_vee = full_dual_roots(lam_full, q)[: n - 1]  # (lam_n^v .. lam_2^v)
     lam_p_vee_full = full_dual_roots(lam_prime_full, q)
     roots_l_vee = HeckeRoots(lam_vee, q, m=n - 1)
     roots_r_vee = HeckeRoots(lam_p_vee_full[: n - 2], q, m=n - 2)

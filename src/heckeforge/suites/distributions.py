@@ -26,15 +26,21 @@ def _case_dist_rel(rng):
     return _ok(True)
 
 
-@case("distributions", "relation-detects-corruption")
-def _case_dist_corrupt(rng):
+def _corrupted_relation(rng):
+    """The distribution relation on a random mu with one value at level 2
+    bumped by 1: (ok, witness) of `check_distribution_relation`."""
     sym = _random_symbol(rng, 3, 3, Fraction(2))
     mu = dist.build_mu(sym, 1)
     x0 = mu.tower.elements(2)[0]
     vec = list(mu.values[2][x0])
     vec[0] = vec[0] + 1
     mu.values[2][x0] = tuple(vec)
-    ok, witness = dist.check_distribution_relation(mu)
+    return dist.check_distribution_relation(mu)
+
+
+@case("distributions", "relation-detects-corruption")
+def _case_dist_corrupt(rng):
+    ok, witness = _corrupted_relation(rng)
     return _ok(not ok and witness is not None, {"witness": str(witness)})
 
 
@@ -138,11 +144,5 @@ def _case_kappa_hat(rng):
 
 def corrupted_distribution_case(rng):
     """Deliberately failing fixture: asserts the relation on corrupted data."""
-    sym = _random_symbol(rng, 3, 3, Fraction(2))
-    mu = dist.build_mu(sym, 1)
-    x0 = mu.tower.elements(2)[0]
-    vec = list(mu.values[2][x0])
-    vec[0] = vec[0] + 1
-    mu.values[2][x0] = tuple(vec)
-    ok, witness = dist.check_distribution_relation(mu)
+    ok, witness = _corrupted_relation(rng)
     return _ok(ok, {"witness": str(witness)})

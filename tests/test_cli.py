@@ -575,16 +575,27 @@ def test_hecke_expand_rejects_non_prime_p():
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
-@pytest.mark.parametrize("op, count", [
-    ("Vp", "p^(r(n+1)n(n-1)/6) = 7^35 cosets"),
-    ("U1", "p^(n-i) = 7^7 cosets"),
-    ("V3", "p^(nu(n-nu)) = 7^9 cosets"),
-    ("T3", "[n choose nu]_p = [6 choose 3]_7 cosets"),
-])
-def test_hecke_expand_refuses_enumerations_above_bound(op, count):
+_REFUSED_EXPANSIONS = [
+    ("Vp", "p^(r(n+1)n(n-1)/6) = 7^35 cosets", "6", "7"),
     # U1 has p^(n-1) cosets: 7^5 at n = 6 is below the bound, 7^7 at n = 8
-    n = "8" if op == "U1" else "6"
-    proc = _run_child("compute", "hecke-expand", "--n", n, "--p", "7",
+    ("U1", "p^(n-i) = 7^7 cosets", "8", "7"),
+    ("V3", "p^(nu(n-nu)) = 7^9 cosets", "6", "7"),
+    ("T3", "[n choose nu]_p = [6 choose 3]_7 cosets", "6", "7"),
+    # refused before any block is listed: the count of each block is
+    # formed from its pivots or in closed form, and the C(60, 30) blocks
+    # of T30 are drawn lazily, the first already past the bound
+    ("U1", "p^(n-i) = 2^99999 cosets", "100000", "2"),
+    ("T30", "[n choose nu]_p = [60 choose 30]_2 cosets", "60", "2"),
+    ("Vp", "p^(r(n+1)n(n-1)/6) = 2^166666666650000 cosets", "100000", "2"),
+    ("V1500", "p^(nu(n-nu)) = 2^2250000 cosets", "3000", "2"),
+]
+
+
+@pytest.mark.parametrize("op, count, n, p", _REFUSED_EXPANSIONS,
+                         ids=[f"{op}-{count}" for op, count, _, _
+                              in _REFUSED_EXPANSIONS])
+def test_hecke_expand_refuses_enumerations_above_bound(op, count, n, p):
+    proc = _run_child("compute", "hecke-expand", "--n", n, "--p", p,
                       "--op", op, timeout=30)
     assert proc.returncode == 2
     assert count in proc.stderr and "MAX_ENUMERATION = 100000" in proc.stderr
