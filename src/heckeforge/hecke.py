@@ -10,7 +10,8 @@ the index counts.  Each index is an orbit size: the number of cosets
 generators of the group.  `spherical_convolve` folds modulo GL_n(Z_p),
 the same key at level r = 0.  Every operator expansion is one
 enumeration of upper triangular cosets, `_triangular_reps`, over the
-blocks that `_operator` describes.
+blocks that `_operator` describes; each listed matrix is a column
+Hermite form, keyed by `kernels.hermite_key`.
 """
 
 import itertools
@@ -164,6 +165,9 @@ class CosetSum:
 # expansion may enumerate; each count has a closed form, checked before
 # enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
 MAX_ENUMERATION = 100_000
+# The most entries one listed matrix may hold: an operator with one coset
+# (V0, T0, U<n>, T<n>) passes the count at any n.
+MAX_MATRIX_ENTRIES = 100_000
 
 
 def _check_enumeration(what, p, exponents):
@@ -182,26 +186,27 @@ def _check_enumeration(what, p, exponents):
                              f"{MAX_ENUMERATION}")
 
 
-def _operator(n, p, r, kind, k=None):
-    """The operator `kind` (index k) at (n, p, r) as blocks of upper
-    triangular cosets: (what, step, g, blocks).
+def _operator(n, p, kind, k=None):
+    """The operator `kind` (index k) at (n, p) as blocks of upper
+    triangular cosets: (what, g, blocks).
 
     A block with exponents e holds the matrices with diagonal p^(e_a)
     and, at each (a, b), a < b, with e_a > e_b, the entry x p^(e_b) for
-    x in range(p^(step (e_a - e_b))); every other entry is 0.  blocks()
+    x in range(p^(e_a - e_b)); every other entry is 0.  Each is in
+    column Hermite form, so `kernels.hermite_key` keys it.  blocks()
     yields each block's (e, log_p of its size) lazily.  V_nu, U_i and
-    eps(T_nu) have step 1 and e = 1 exactly at the pivot rows: range(nu),
-    {i-1}, or each nu-subset in `itertools.combinations` order.  V_p has
-    one block, e = (n-1, ..., 1, 0) with step r, the cosets u t_(pi) K
-    over u in U_n(O) / t U_n(O) t^{-1}; V_p' shifts e by 1.  diag(p^g)
-    generates the double coset, and `what` names the operator and its
-    closed-form count for a refusal."""
+    eps(T_nu) have e = 1 exactly at the pivot rows: range(nu), {i-1}, or
+    each nu-subset in `itertools.combinations` order.  V_p has one
+    block, e = (n-1, ..., 1, 0), the cosets u t_(pi) K over u in
+    U_n(O) / t U_n(O) t^{-1}, at every level; V_p' shifts e by 1.
+    diag(p^g) generates the double coset, and `what` names the operator
+    and its closed-form count for a refusal."""
     if kind in ("Vp", "Vp'"):
         e = [n - 1 - a + (kind == "Vp'") for a in range(n)]
-        size = r * (n + 1) * n * (n - 1) // 6
-        return (f"{kind} at n = {n}, p = {p}, r = {r}: "
-                f"p^(r(n+1)n(n-1)/6) = {p}^{size} cosets",
-                r, e, lambda: [(e, size)])
+        size = (n + 1) * n * (n - 1) // 6
+        return (f"{kind} at n = {n}, p = {p}: "
+                f"p^((n+1)n(n-1)/6) = {p}^{size} cosets",
+                e, lambda: [(e, size)])
     if kind == "U":
         if not 1 <= k <= n:
             raise ValueError("1 <= i <= n required")
@@ -228,16 +233,20 @@ def _operator(n, p, r, kind, k=None):
             yield e, sum(n - 1 - a - (len(ones) - 1 - j)
                          for j, a in enumerate(ones))
 
-    return what, 1, [int(a in gen) for a in range(n)], blocks
+    return what, [int(a in gen) for a in range(n)], blocks
 
 
-def _triangular_reps(n, p, r, kind, k=None):
-    """The representatives of `_operator(n, p, r, kind, k)`, block by
+def _triangular_reps(n, p, kind, k=None):
+    """The representatives of `_operator(n, p, kind, k)`, block by
     block; within a block the places run in row-major order, the last
     varying fastest.  The count is checked against MAX_ENUMERATION
-    before any block's places are listed."""
-    what, step, _, blocks = _operator(n, p, r, kind, k)
+    before any block's places are listed, then the n^2 entries of one
+    matrix against MAX_MATRIX_ENTRIES."""
+    what, _, blocks = _operator(n, p, kind, k)
     _check_enumeration(what, p, (size for _, size in blocks()))
+    if n * n > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"{n} x {n} matrices: n^2 = {n * n} entries "
+                         f"exceed MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}")
     for e, _ in blocks():
         diag = [p ** x for x in e]
         base = [0] * (n * n)
@@ -245,7 +254,7 @@ def _triangular_reps(n, p, r, kind, k=None):
             base[a * n + a] = diag[a]
         places = [(a, b) for a in range(n) if e[a]
                   for b in range(a + 1, n) if e[a] > e[b]]
-        ranges = [range(p ** (step * (e[a] - e[b]))) for a, b in places]
+        ranges = [range(p ** (e[a] - e[b])) for a, b in places]
         slots = [(a * n + b, diag[b]) for a, b in places]
         for vals in itertools.product(*ranges):
             num = list(base)
@@ -255,8 +264,12 @@ def _triangular_reps(n, p, r, kind, k=None):
 
 
 def _expand(ctx, kind, k=None):
-    return CosetSum(ctx, ((rep, 1) for rep in _triangular_reps(
-        ctx.n, ctx.p, ctx.r, kind, k)), folded=True)
+    """The listed cosets, each with coefficient 1, keyed by
+    `kernels.hermite_key`: every listed matrix is a Hermite form."""
+    n, r = ctx.n, ctx.r
+    return CosetSum(ctx)._with_terms(
+        [[rep, kernels.hermite_key(rep.num, n, r), 1]
+         for rep in _triangular_reps(n, ctx.p, kind, k)])
 
 
 def _parse_tag(tag):
@@ -312,7 +325,7 @@ def spherical_T_reps(n, p, nu):
     reduce to unit vectors, so the rank is n - nu exactly when the
     entries at e_a = e_b = 1 vanish.  There are [n choose nu]_p of them.
     """
-    return list(_triangular_reps(n, p, 1, "T", nu))
+    return list(_triangular_reps(n, p, "T", nu))
 
 
 def eps_T(ctx, nu):
@@ -473,7 +486,7 @@ def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
     rng = random.Random(seed)
     cs = expand_operator(ctx, tag)
     kind, k = _parse_tag(tag)
-    g = _operator(ctx.n, ctx.p, ctx.r, kind, k)[2]
+    g = _operator(ctx.n, ctx.p, kind, k)[1]
     g0 = RatMat.diagonal([ctx.p ** x for x in g])
     sampler = (_random_triangular_unit if kind in ("U", "T")
                else _random_iwahori)

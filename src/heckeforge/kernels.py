@@ -6,9 +6,15 @@ length n*n; results are lists.  A rational matrix is a pair (num, den)
 representing num/den with den a positive int.  No Fraction is formed
 anywhere: valuations of entries x/den are read off x and den.  The coset
 engine folds through iwahori_coset_key, a canonical tuple of ints per
-coset g K_I, so equal cosets meet in one dict entry.  These functions
-are the hot path of the coset engine and its only implementation.
+coset g K_I, so equal cosets meet in one dict entry.  The key's cost
+follows its input: an upper triangular numerator needs no elimination
+and no back-substitution, and hermite_key reads the key of a numerator
+already in column Hermite form, as every listed operator coset is,
+straight off its entries.  These functions are the hot path of the
+coset engine and its only implementation.
 """
+
+import functools
 
 # the one implementation, as the benchmark's probe reports it
 BACKEND = "python"
@@ -117,42 +123,15 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-def iwahori_coset_key(num, den, n, p, r):
-    """A canonical, hashable key of the coset g K, g = num/den, K the
-    level-p^r Iwahori subgroup (r = 0: K = GL_n(Z_p)).
-
-    (num, den) is normalized, as RatMat keeps it.  Two keys are equal
-    exactly when g^{-1} h lies in K.  The key is the tuple (s, H, k) of
-    ints:
-
-    - s = v_p(den).  den's prime-to-p part is a unit scalar, which lies
-      in K.  A normalized num/den with s > 0 has p-content -s, and right
-      multiplication by GL_n(Z_p) keeps the p-content, so s is an
-      invariant of the coset.
-    - H, the p-adic column Hermite form of num (Cohen, GTM 138, section
-      2.4): upper triangular with pivots p^(a_i), and each entry of row
-      i right of its pivot reduced into [0, p^(a_i)).  H is one per
-      coset num GL_n(Z_p).  Column operations by p-adic units
-      triangularize num exactly in integers, bottom row first; each
-      column is then scaled by its pivot unit's inverse mod p^(N+1),
-      N = v_p(det) = sum a_i, and its pivot set to p^(a_i): the change
-      lies in p^N Z_p^n, inside num's column lattice, and the columns
-      still have covolume p^N, so they span the same lattice.  H's
-      entries on and above the diagonal are listed, column by column.
-    - For r >= 1, the canonical form of k = H^{-1} num mod p^r modulo the
-      upper triangular B(Z/p^r), since K is the preimage of B(Z/p^r) in
-      GL_n(Z_p).  k is integral, and back-substitution finds it exactly
-      in integers.  Column by column, left to right: clear the pivot rows
-      of the earlier columns, then scale the lowest unit entry to 1.
-      Its entries are listed, column by column.
-
-    A singular num raises SingularMatrixError.
-    """
-    key = [vp_int(den, p)]
+def _eliminate(num, n, p):
+    """H's columns before reduction, for any nonsingular num: unit column
+    operations triangularize num exactly in integers, bottom row first.
+    Returns (cols, exps, units), cols[i] rows 0..i of column i, whose
+    pivot is units[i] p^exps[i]."""
     # the columns not yet taken as pivots; an elimination updates only the
     # rows above the current one, the only rows read afterwards
     active = [list(num[j::n]) for j in range(n)]
-    cols = [None] * n  # cols[i]: rows 0..i of H's column i
+    cols = [None] * n
     exps = [0] * n
     units = [1] * n
     for i in range(n - 1, -1, -1):
@@ -180,12 +159,103 @@ def iwahori_coset_key(num, den, n, p, r):
                     c[l] = u * c[l] - t * col[l]
         del col[i + 1:]
         cols[i], exps[i], units[i] = col, least, u
-    bound = p ** (sum(exps) + 1)
+    return cols, exps, units
+
+
+def _triangular_columns(num, n, p):
+    """(cols, exps, units) as `_eliminate` gives them, for upper
+    triangular num: its own columns, with each diagonal entry split
+    into units[i] p^exps[i]."""
+    cols, exps, units = [], [], []
+    for j in range(n):
+        col = list(num[j:j * (n + 1) + 1:n])
+        x = col[j]
+        if not x:
+            raise SingularMatrixError("matrix is singular")
+        v = 0
+        while not x % p:
+            x //= p
+            v += 1
+        cols.append(col)
+        exps.append(v)
+        units.append(x)
+    return cols, exps, units
+
+
+@functools.cache
+def _identity_flag(n):
+    """The level part of the key of a coset g K with g^{-1} H in
+    B(Z_p): the n x n identity, column by column."""
+    return tuple(int(i == j) for j in range(n) for i in range(n))
+
+
+def hermite_key(num, n, r):
+    """iwahori_coset_key(num, 1, n, p, r) for num already in p-adic
+    column Hermite form: upper triangular, pivots p^(a_i), and each entry
+    of row i right of its pivot in [0, p^(a_i)).  The key is (0,), the
+    entries on and above the diagonal column by column, and for r >= 1
+    the identity flag.  The form is not checked; p is not needed."""
+    key = [0]
+    for j in range(n):
+        key += num[j:j * (n + 1) + 1:n]
+    if r:
+        key += _identity_flag(n)
+    return tuple(key)
+
+
+def iwahori_coset_key(num, den, n, p, r):
+    """A canonical, hashable key of the coset g K, g = num/den, K the
+    level-p^r Iwahori subgroup (r = 0: K = GL_n(Z_p)).
+
+    (num, den) is normalized, as RatMat keeps it.  Two keys are equal
+    exactly when g^{-1} h lies in K.  The key is the tuple (s, H, k) of
+    ints:
+
+    - s = v_p(den).  den's prime-to-p part is a unit scalar, which lies
+      in K.  A normalized num/den with s > 0 has p-content -s, and right
+      multiplication by GL_n(Z_p) keeps the p-content, so s is an
+      invariant of the coset.
+    - H, the p-adic column Hermite form of num (Cohen, GTM 138, section
+      2.4): upper triangular with pivots p^(a_i), and each entry of row
+      i right of its pivot reduced into [0, p^(a_i)).  H is one per
+      coset num GL_n(Z_p).  An upper triangular num is already
+      triangular, its pivot units and exponents read off its diagonal;
+      any other num is triangularized by unit column operations, exactly
+      in integers, bottom row first (`_eliminate`).  Each column is then
+      scaled by its pivot unit's inverse mod p^(N+1), N = v_p(det) =
+      sum a_i (formed only when some unit is not 1), and its pivot set
+      to p^(a_i): the change lies in p^N Z_p^n, inside num's column
+      lattice, and the columns still have covolume p^N, so they span
+      the same lattice.  H's entries on and above the diagonal are
+      listed, column by column.
+    - For r >= 1, the canonical form of k = H^{-1} num mod p^r modulo the
+      upper triangular B(Z/p^r), since K is the preimage of B(Z/p^r) in
+      GL_n(Z_p).  k is integral, and back-substitution finds it exactly
+      in integers.  Column by column, left to right: clear the pivot rows
+      of the earlier columns, then scale the lowest unit entry to 1.
+      Its entries are listed, column by column.  For upper triangular
+      num, k lies in B(Z_p), so its form is the identity and no
+      back-substitution is done.
+
+    A singular num raises SingularMatrixError.
+    """
+    for i in range(1, n):
+        if any(num[i * n:i * (n + 1)]):
+            triangular = False
+            cols, exps, units = _eliminate(num, n, p)
+            break
+    else:
+        triangular = True
+        cols, exps, units = _triangular_columns(num, n, p)
+    key = [vp_int(den, p)]
+    bound = None
     powers = [p ** a for a in exps]
     for j in range(n):
         col = cols[j]
         u = units[j]
         if u != 1:
+            if bound is None:
+                bound = p ** (sum(exps) + 1)
             w = pow(u, -1, bound)
             for l in range(j):
                 col[l] *= w
@@ -198,6 +268,9 @@ def iwahori_coset_key(num, den, n, p, r):
                     col[l] -= t * ck[l]
         key += col
     if r == 0:
+        return tuple(key)
+    if triangular:
+        key += _identity_flag(n)
         return tuple(key)
     # k = H^{-1} num by back-substitution from the bottom row
     rows = [None] * n

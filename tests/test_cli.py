@@ -576,7 +576,7 @@ def test_hecke_expand_rejects_non_prime_p():
 
 
 _REFUSED_EXPANSIONS = [
-    ("Vp", "p^(r(n+1)n(n-1)/6) = 7^35 cosets", "6", "7"),
+    ("Vp", "p^((n+1)n(n-1)/6) = 7^35 cosets", "6", "7"),
     # U1 has p^(n-1) cosets: 7^5 at n = 6 is below the bound, 7^7 at n = 8
     ("U1", "p^(n-i) = 7^7 cosets", "8", "7"),
     ("V3", "p^(nu(n-nu)) = 7^9 cosets", "6", "7"),
@@ -586,7 +586,7 @@ _REFUSED_EXPANSIONS = [
     # of T30 are drawn lazily, the first already past the bound
     ("U1", "p^(n-i) = 2^99999 cosets", "100000", "2"),
     ("T30", "[n choose nu]_p = [60 choose 30]_2 cosets", "60", "2"),
-    ("Vp", "p^(r(n+1)n(n-1)/6) = 2^166666666650000 cosets", "100000", "2"),
+    ("Vp", "p^((n+1)n(n-1)/6) = 2^166666666650000 cosets", "100000", "2"),
     ("V1500", "p^(nu(n-nu)) = 2^2250000 cosets", "3000", "2"),
 ]
 
@@ -600,6 +600,19 @@ def test_hecke_expand_refuses_enumerations_above_bound(op, count, n, p):
     assert proc.returncode == 2
     assert count in proc.stderr and "MAX_ENUMERATION = 100000" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("op", ["V0", "T0"])
+def test_hecke_expand_refuses_matrices_above_bound(op):
+    """One coset passes the count bound at any n; its n x n matrix is
+    bounded apart, before any entry is formed."""
+    proc = _run_child("compute", "hecke-expand", "--n", "100000", "--p", "2",
+                      "--op", op, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: 100000 x 100000 matrices: n^2 = "
+                           "10000000000 entries exceed MAX_MATRIX_ENTRIES = "
+                           "100000\n")
+    assert not proc.stdout
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import types
 from fractions import Fraction
 
@@ -201,6 +202,95 @@ def test_coset_key_rejects_singular(rows):
             kernels.iwahori_coset_key(sum(rows, []), 3, n, p, r)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_triangular_key_is_the_general_key(data):
+    """An upper triangular g = num/den takes the key's triangular path,
+    and g l the general one, l lower unipotent in I_r with a nonzero
+    corner, so g l is not triangular.  Both lie in one coset, so the keys
+    agree.  The pivots are p^a u with units u other than 1 too, and den
+    is p^e times a unit."""
+    def ints(a, b):
+        return data.draw(st.integers(a, b))
+
+    n, p, r = ints(2, 4), data.draw(st.sampled_from([2, 3, 5])), ints(0, 3)
+    units = [u for u in range(-p * p, p * p) if u % p]
+    num = [0] * (n * n)
+    for i in range(n):
+        num[i * n + i] = p ** ints(0, 3) * data.draw(st.sampled_from(units))
+        for j in range(i + 1, n):
+            num[i * n + j] = ints(-p ** 3, p ** 3)
+    den = p ** ints(0, 2) * data.draw(st.sampled_from([1, 7, -11, 13]))
+    g = RatMat(n, num, den)
+    lower = RatMat.identity(n).rows()
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = p ** r * ints(-p, p)
+    lower[n - 1][0] = p ** r * data.draw(st.sampled_from([-2, -1, 1, 2]))
+    h = g * RatMat.from_rows(lower)
+    assert any(h.num[i * n + j] for i in range(n) for j in range(i))
+    assert (kernels.iwahori_coset_key(g.num, g.den, n, p, r)
+            == kernels.iwahori_coset_key(h.num, h.den, n, p, r))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [0, 1]], [[1, 2], [0, 0]], [[0, 0], [0, 0]],
+    [[2, 1, 3], [0, 0, 5], [0, 0, 1]], [[4, 1, 3], [0, 3, 5], [0, 0, 0]],
+])
+def test_triangular_key_rejects_a_zero_pivot(rows):
+    """An upper triangular matrix with a zero on the diagonal is singular,
+    and the triangular path says so at once, without taking v_p(0)."""
+    def too_slow(signum, frame):
+        pytest.fail("a zero pivot was not rejected within 5 s")
+
+    n = len(rows)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        for p, r in ((2, 0), (3, 1), (5, 2)):
+            with pytest.raises(SingularMatrixError):
+                kernels.iwahori_coset_key(sum(rows, []), 1, n, p, r)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _tags(n, p):
+    """Every operator tag at rank n, V_p and V_p' only up to 10^4 cosets:
+    at (4, 3) they have 3^10 each, 5 s to list and key on a 2-core
+    machine, and above MAX_ENUMERATION they are refused."""
+    tags = ([f"V{k}" for k in range(n + 1)] + [f"T{k}" for k in range(n + 1)]
+            + [f"U{k}" for k in range(1, n + 1)])
+    if p ** ((n + 1) * n * (n - 1) // 6) <= 10 ** 4:
+        tags += ["Vp", "Vp'"]
+    return tags
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4)
+                                  for p in (2, 3, 5)])
+def test_listed_cosets_carry_their_coset_key(n, p):
+    """Every listed representative is a column Hermite form, so its
+    `kernels.hermite_key`, which the expansion stores, is its
+    `kernels.iwahori_coset_key`, at levels 1 to 3."""
+    for r in (1, 2, 3):
+        ctx = _ctx(n, p, r)
+        for tag in _tags(n, p):
+            for rep, key, _ in hecke.expand_operator(ctx, tag).terms:
+                assert key == kernels.iwahori_coset_key(
+                    rep.num, rep.den, n, p, r), (tag, r, rep.rows())
+
+
+@pytest.mark.parametrize("n, p, r", [(2, 2, 2), (2, 5, 3), (3, 2, 2),
+                                     (3, 3, 3), (4, 2, 2)])
+def test_vp_lists_each_coset_once_at_every_level(n, p, r):
+    """V_p and V_p' list p^((n+1)n(n-1)/6) cosets at every level r, each
+    once and together covering the double coset."""
+    ctx = _ctx(n, p, r)
+    for tag in ("Vp", "Vp'"):
+        cs = hecke.expand_operator(ctx, tag, validate=True)
+        assert len(cs) == p ** ((n + 1) * n * (n - 1) // 6), tag
+
+
 def _equal_reference(a, b, ctx):
     """Brute force: some bijection of the terms pairs equal cosets with
     equal coefficients."""
@@ -255,7 +345,7 @@ def test_expand_counts():
 
 @pytest.mark.parametrize("tag, n, p, r, count", [
     ("V1", 3, 2, 1, 4), ("V2", 3, 3, 1, 9), ("Vp", 3, 2, 1, 16),
-    ("Vp'", 3, 2, 2, 256), ("U1", 3, 2, 1, 4),
+    ("Vp'", 3, 2, 2, 16), ("U1", 3, 2, 1, 4),
     # T cosets: [n choose nu]_p
     ("T1", 3, 2, 1, 4 + 2 + 1), ("T2", 3, 2, 1, 7), ("T2", 4, 3, 1, 130),
 ])
@@ -403,18 +493,19 @@ def test_spherical_T_reps_match_the_rank_filter(n, p):
         assert len(reps) == _gaussian_binomial(n, nu, p)
 
 
-def _reference_expansion(n, p, r, tag):
+def _reference_expansion(n, p, tag):
     """The representatives of `tag` as four separate enumerations listed
     them before the expansions shared one: V_nu, U_i and T_nu filled
     triangular rows directly, and V_p, V_p' multiplied each
-    u in U_n(Z_p) / t U_n(Z_p) t^{-1} by the generator."""
+    u in U_n(Z_p) / t U_n(Z_p) t^{-1}, t = t_(p), by the generator:
+    entry (i, j) of u runs over range(p^(j-i)) at every level r."""
     kind, k = (tag, None) if tag in ("Vp", "Vp'") else (tag[0], int(tag[1:]))
     reps = []
     if kind in ("Vp", "Vp'"):
         g = RatMat.diagonal([p ** (n - 1 - i + (kind == "Vp'"))
                              for i in range(n)])
         positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ranges = [range(p ** (r * (j - i))) for i, j in positions]
+        ranges = [range(p ** (j - i)) for i, j in positions]
         for vals in itertools.product(*ranges):
             rows = [[int(i == j) for j in range(n)] for i in range(n)]
             for (i, j), v in zip(positions, vals):
@@ -452,24 +543,18 @@ def _reference_expansion(n, p, r, tag):
                                      for p in (2, 3, 5) for r in (1, 2)])
 def test_expansions_list_the_reference_enumerations(n, p, r):
     """Every tag lists the reference's matrices, in its order, each with
-    coefficient 1.  V_p and V_p' are left out above 10^4 cosets: at
-    (4, 3, 1) they have 3^10 each, 6 s on a 2-core machine, and above
-    MAX_ENUMERATION they are refused."""
+    coefficient 1."""
     ctx = _ctx(n, p, r)
-    tags = ([f"V{k}" for k in range(n + 1)] + [f"T{k}" for k in range(n + 1)]
-            + [f"U{k}" for k in range(1, n + 1)])
-    if p ** (r * (n + 1) * n * (n - 1) // 6) <= 10 ** 4:
-        tags += ["Vp", "Vp'"]
-    for tag in tags:
+    for tag in _tags(n, p):
         pairs = hecke.expand_operator(ctx, tag).pairs()
         assert all(c == 1 for _, c in pairs), tag
         assert [(rep.num, rep.den) for rep, _ in pairs] == \
-            _reference_expansion(n, p, r, tag), tag
+            _reference_expansion(n, p, tag), tag
     if r == 1:
         for nu in range(n + 1):
             assert [(rep.num, rep.den) for rep in
                     hecke.spherical_T_reps(n, p, nu)] == \
-                _reference_expansion(n, p, r, f"T{nu}"), nu
+                _reference_expansion(n, p, f"T{nu}"), nu
 
 
 def test_eps_injectivity_spotcheck():
