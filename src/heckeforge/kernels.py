@@ -11,7 +11,8 @@ follows its input: an upper triangular numerator needs no elimination
 and no back-substitution, and hermite_key reads the key of a numerator
 already in column Hermite form, as every listed operator coset is,
 straight off its entries.  These functions are the hot path of the
-coset engine and its only implementation.
+coset engine and its only implementation.  One fraction-free elimination
+(Bareiss) gives bareiss_det and, run once on [A | I], det_adjugate.
 """
 
 import functools
@@ -44,56 +45,52 @@ def mat_mul(a, b, n):
     return out
 
 
-def bareiss_det(a, n):
-    """Fraction-free determinant of an integer matrix (flat list, copied)."""
-    if n == 1:
-        return a[0]
-    m = [list(a[i * n:(i + 1) * n]) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = -1
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    piv = r
-                    break
-            if piv < 0:
+def _bareiss(m, n, above=False):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in
+    place, of integer rows of any width >= n on their first n columns:
+    step k clears column k below its pivot (and above it if `above`),
+    dividing exactly by the previous pivot, swapping rows for a zero
+    pivot.  Returns det of the leading n x n block, +-m[n-1][n-1]."""
+    sign = prev = 1
+    w = len(m[0])
+    for k in range(n):
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
                 return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            row = m[i]
-            rk = row[k]
-            mk = m[k]
-            for j in range(k + 1, n):
-                row[j] = (pkk * row[j] - rk * mk[j]) // prev
-            row[k] = 0
+        mk = m[k]
+        pkk = mk[k]
+        for i in range(0 if above else k + 1, n):
+            if i != k:
+                row = m[i]
+                rk = row[k]
+                for j in range(k + 1, w):
+                    row[j] = (pkk * row[j] - rk * mk[j]) // prev
+                row[k] = 0
         prev = pkk
     return sign * m[n - 1][n - 1]
 
 
-def adjugate(a, n):
-    """Adjugate matrix: adj(A)[j][i] = (-1)^(i+j) * minor(i,j)."""
-    if n == 1:
-        return [1]
-    out = [0] * (n * n)
-    sub = [0] * ((n - 1) * (n - 1))
-    for i in range(n):
-        for j in range(n):
-            t = 0
-            for r in range(n):
-                if r == i:
-                    continue
-                for c in range(n):
-                    if c == j:
-                        continue
-                    sub[t] = a[r * n + c]
-                    t += 1
-            minor = bareiss_det(sub, n - 1)
-            out[j * n + i] = minor if (i + j) % 2 == 0 else -minor
-    return out
+def bareiss_det(a, n):
+    """Fraction-free determinant of an integer matrix (flat list, copied)."""
+    return _bareiss([list(a[i * n:(i + 1) * n]) for i in range(n)], n)
+
+
+def det_adjugate(a, n):
+    """(det, adj) of a nonsingular integer matrix (flat list, copied),
+    adj flat.  One elimination of [a | I], above the pivots as well as
+    below, leaves D a^-1, D = +-det, in the right half, exactly in
+    integers: the back-substitution runs inside the pass (Gauss-Jordan).
+    A singular matrix raises SingularMatrixError."""
+    m = [list(a[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)]
+         for i in range(n)]
+    det = _bareiss(m, n, above=True)
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    s = 1 if det == m[n - 1][n - 1] else -1
+    return det, [s * v for row in m for v in row[n:]]
 
 
 def is_iwahori_scaled(num, den, n, p, r):

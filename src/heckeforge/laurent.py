@@ -9,6 +9,10 @@ cyclotomic product.  Coefficients meet through plain operators, and a
 zero constant is the empty polynomial.  These carry the symbolic side of
 the matrix identity checks; numeric evaluation hands off to RatMat.
 
+A matrix's determinant and the cofactors of its inverse are minors from
+one memoized Laplace expansion; a diagonal matrix is inverted entrywise.
+No elimination runs over this ring: it would need multivariate division.
+
 A product with a single-term factor only shifts keys and scales
 coefficients.  Any other product packs each monomial into one int: the
 operands' variables get fixed places, exponents become signed digits in a
@@ -366,54 +370,59 @@ class LaurentMatrix:
         return self.n == other.n and all(
             a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2))
 
-    def det(self):
-        n = self.n
+    def _minors(self):
+        """minor(rows, cols): the determinant on those row and column
+        tuples, expanded along the first row, one memo per matrix."""
+        e = self.entries
         cache = {}
 
-        def minor(r, cols):
+        def minor(rows, cols):
             if not cols:
                 return LaurentPoly.const(1)
-            key = (r, cols)
+            key = (rows, cols)
             got = cache.get(key)
             if got is not None:
                 return got
+            row, rest = e[rows[0]], rows[1:]
             acc = LaurentPoly.const(0)
             for idx, c in enumerate(cols):
-                a = self.entries[r][c]
+                a = row[c]
                 if a:
-                    rest = cols[:idx] + cols[idx + 1:]
-                    sub = minor(r + 1, rest)
-                    term = a * sub
+                    term = a * minor(rest, cols[:idx] + cols[idx + 1:])
                     acc = acc + (term if idx % 2 == 0 else -term)
             cache[key] = acc
             return acc
 
-        return minor(0, tuple(range(n)))
+        return minor
+
+    def det(self):
+        every = tuple(range(self.n))
+        return self._minors()(every, every)
 
     def inverse(self):
         """Exact inverse; requires det to be a unit (single monomial).
 
         A diagonal matrix is inverted entrywise: its det is a unit exactly
-        when every diagonal entry is one."""
+        when every diagonal entry is one.  Any other matrix takes its
+        adjugate over det, the cofactors sharing the det's memo."""
         n, e = self.n, self.entries
         if not any(e[i][j] for i in range(n) for j in range(n) if i != j):
             diag = [e[i][i] for i in range(n)]
             if not all(d.is_unit() for d in diag):
                 raise LaurentInversionError(self.det())
             return LaurentMatrix.diagonal([d.unit_inverse() for d in diag])
-        d = self.det()
+        minor = self._minors()
+        every = tuple(range(n))
+        d = minor(every, every)
         if not d.is_unit():
             raise LaurentInversionError(d)
         dinv = d.unit_inverse()
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
+            others = every[:i] + every[i + 1:]
             for j in range(n):
-                sub = [[self.entries[r][c] for c in range(n) if c != j]
-                       for r in range(n) if r != i]
-                cof = LaurentMatrix(sub).det() if n > 1 else LaurentPoly.const(1)
-                if (i + j) % 2:
-                    cof = -cof
-                rows[j][i] = cof * dinv
+                cof = minor(others, every[:j] + every[j + 1:])
+                rows[j][i] = (-cof if (i + j) % 2 else cof) * dinv
         return LaurentMatrix(rows)
 
     def to_ratmat(self):

@@ -71,13 +71,7 @@ def h_matrix(n, f):
 
 def j_emb(g):
     """Diagonal embedding GL_{n-1} -> GL_n for LaurentMatrix."""
-    n = g.n + 1
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            rows[i][j] = g.entries[i][j]
-    rows[n - 1][n - 1] = 1
-    return LaurentMatrix(rows)
+    return j_delta(g, 1, 0)
 
 
 def j_delta(g, pi, delta):
@@ -162,8 +156,10 @@ def build_distribution_family(ctx, u_sup, w_sup):
     u = upper_unipotent(n, [lconst(Fraction(e)) for e in u_sup]).to_ratmat()
     w = upper_unipotent(n - 1, [lconst(Fraction(e)) for e in w_sup]).to_ratmat()
     tf = t_matrix(n, f).to_ratmat()
+    tfi = tf.inv()
     th = h_one(n).to_ratmat()
-    h_uw = (tf * j_embed(w) * tf.inv()) * th * (tf * u.inv() * tf.inv())
+    u_inv = u.inv()
+    h_uw = (tf * j_embed(w) * tfi) * th * (tf * u_inv * tfi)
 
     m = n - 1
     um_rows = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
@@ -190,8 +186,8 @@ def build_distribution_family(ctx, u_sup, w_sup):
     k_prime = RatMat.from_rows([row[: n - 1] for row in k_prime_big.rows()[: n - 1]])
 
     tpi = t_matrix(n, pi).to_ratmat()
-    lhs = tpi.inv() * j_embed(w) * h_matrix(n, lconst(f)).to_ratmat() * u.inv() * tpi
-    rhs = k_prime_big * h_matrix(n, lconst(f * pi)).to_ratmat() * k_mat.inv()
+    lhs = tpi.inv() * j_embed(w) * (tfi * th * tf) * u_inv * tpi
+    rhs = k_prime_big * (tfpi * th * tfp) * k_mat.inv()
 
     fp_val = r + 1  # valuation of f*p
     corr_ok = all(

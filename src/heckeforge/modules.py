@@ -5,7 +5,7 @@ operators U_1..U_n, each a RatMat (integer numerators over one positive
 denominator).  The V-operators, the Hecke polynomial, the eigenspace
 projections, slope data and the contragredient twist are all derived
 from these.  Operators are multiplied and inverted by the integer kernels
-(RatMat, Bareiss and the adjugate), and an operator acts on a vector held
+(RatMat, one Bareiss elimination), and an operator acts on a vector held
 as integer numerators over one denominator.  Fractions appear only at the
 edges: matrix entries and roots are read as rationals (a rational Cyclo
 through `exact.as_rational`; any other Cyclo raises ValueError), and each

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from heckeforge import kernels
-from heckeforge.kernels import SingularMatrixError
+from heckeforge.kernels import SingularMatrixError  # raised by inv
 
 
 def _normalize(num, den):
@@ -100,10 +100,7 @@ class RatMat:
         return RatMat(self.n, num, self.den * c.denominator)
 
     def inv(self):
-        det = kernels.bareiss_det(self.num, self.n)
-        if det == 0:
-            raise SingularMatrixError("matrix is singular")
-        adj = kernels.adjugate(self.num, self.n)
+        det, adj = kernels.det_adjugate(self.num, self.n)
         return RatMat(self.n, [x * self.den for x in adj], det)
 
     def det(self):

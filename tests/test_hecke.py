@@ -844,14 +844,26 @@ def test_gamma_orbit_index_at_two_levels(p, r):
     assert index == p ** (4 * r - 2) * (p - 1) ** 2
 
 
-@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (2, 3)])
-def test_n3_orbit_indices_beyond_the_enumerations(p, r):
-    """At n = 3 the orbit-counted gamma index is p^{4r-2} (p-1)^2 and the
-    unipotent index p^{4r}, up to 6561 cosets, where the literal
-    enumerations cannot reach."""
-    ctx = GlnContext(3, p, r)
-    assert hecke.count_gamma_index(ctx)[0] == p ** (4 * r - 2) * (p - 1) ** 2
-    assert hecke.count_unipotent_index(ctx) == p ** (4 * r)
+@pytest.mark.parametrize("n,p,r", [(3, 5, 1), (3, 7, 1), (3, 3, 2),
+                                   (3, 2, 3), (4, 2, 1)],
+                         ids=["5-1", "7-1", "3-2", "2-3", "n4-2-1"])
+def test_n3_orbit_indices_beyond_the_enumerations(n, p, r):
+    """The orbit-counted gamma index is the stated formula times the
+    volume (1 - 1/p)^(n-1) p^(-r(n-1)(n-2)/2) of I_{n-1}(p^r), and the
+    unipotent index is its stated formula, up to 6561 cosets, where the
+    literal enumerations cannot reach.  At n = 3 the volume form is
+    p^{4r-2} (p-1)^2 and p^{4r}; at (4, 2, 1) it is 256 and 1024."""
+    ctx = GlnContext(n, p, r)
+    formulas = hecke.index_formulas(ctx)
+    volume = ((1 - Fraction(1, p)) ** (n - 1)
+              / Fraction(p) ** (r * (n - 1) * (n - 2) // 2))
+    assert hecke.count_gamma_index(ctx)[0] == formulas["gamma"] * volume
+    assert hecke.count_unipotent_index(ctx) == formulas["unipotent"]
+    if n == 3:
+        assert formulas["gamma"] * volume == p ** (4 * r - 2) * (p - 1) ** 2
+        assert formulas["unipotent"] == p ** (4 * r)
+    else:
+        assert (formulas["gamma"] * volume, formulas["unipotent"]) == (256, 1024)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

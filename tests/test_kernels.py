@@ -7,6 +7,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from heckeforge import kernels
 from heckeforge.exact import vp
 
@@ -75,30 +77,36 @@ def test_mat_mul_agrees():
 
 
 def test_det_and_adjugate_agree():
-    """Bareiss against Leibniz, and the adjugate against Leibniz minors.
-    Small entries put zeros on the pivots, so Bareiss must swap rows,
-    and make some matrices singular."""
+    """bareiss_det and det_adjugate, one elimination of [A | I], against
+    Leibniz and Leibniz minors, up to n = 5.  Small entries put zeros on
+    the pivots, so the elimination must swap rows, and make some
+    matrices singular, for which det_adjugate raises."""
     rng = random.Random(2)
     singular = swapped = 0
-    for _ in range(200):
-        n = rng.choice([1, 2, 3, 4])
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4, 5])
         lo, hi = rng.choice([(-50, 50), (-1, 2)])
         a = _rand_mat(rng, n, lo, hi)
         det = _ref_det(a, n)
         assert kernels.bareiss_det(a, n) == det
-        assert kernels.adjugate(a, n) == _ref_adjugate(a, n)
+        if det:
+            assert kernels.det_adjugate(a, n) == (det, _ref_adjugate(a, n))
+        else:
+            with pytest.raises(kernels.SingularMatrixError):
+                kernels.det_adjugate(a, n)
         singular += det == 0
         swapped += det != 0 and n > 1 and a[0] == 0
     assert singular and swapped
 
 
 def test_adjugate_identity():
+    """A adj(A) = det(A) I for the adjugate of det_adjugate."""
     rng = random.Random(3)
-    for _ in range(30):
-        n = rng.choice([2, 3, 4])
+    for _ in range(40):
+        n = rng.choice([2, 3, 4, 5])
         a = _rand_mat(rng, n)
-        det = kernels.bareiss_det(a, n)
-        adj = kernels.adjugate(a, n)
+        det, adj = kernels.det_adjugate(a, n)
+        assert det == kernels.bareiss_det(a, n)
         prod = kernels.mat_mul(a, adj, n)
         for i in range(n):
             for j in range(n):

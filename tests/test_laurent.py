@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from heckeforge.exact import Cyclo
 from heckeforge.laurent import (LaurentInversionError, LaurentMatrix,
                                 LaurentPoly, lconst, lvar)
+from heckeforge.matrices import d_matrix, h_matrix
 
 
 def test_monomial_arithmetic():
@@ -51,7 +53,9 @@ def test_permutation_involution():
 
 
 def test_inversion_error_carries_witness():
-    f = lvar("f")
+    """A det that is not a unit raises with the whole det, as Leibniz
+    finds it for the non-diagonal matrices."""
+    f, x = lvar("f"), lvar("x")
     bad = LaurentMatrix([[1, f], [f ** -1, 1]])  # det = 1 - 1 = 0
     with pytest.raises(LaurentInversionError):
         bad.inverse()
@@ -59,6 +63,12 @@ def test_inversion_error_carries_witness():
     with pytest.raises(LaurentInversionError) as err:
         bad2.inverse()
     assert err.value.det == 1 + f
+    for rows in ([[1 + f, 1, 0], [x, 1, 0], [0, 0, f]],
+                 [[f, 1, x, 0], [0, 1, 0, 2], [x, 0, 1, 0], [0, 3, 0, f]]):
+        with pytest.raises(LaurentInversionError) as err:
+            LaurentMatrix(rows).inverse()
+        assert len(err.value.det.terms) > 1
+        assert err.value.det == _leibniz_det(rows)
 
 
 def test_diagonal_inversion_error_carries_the_full_determinant():
@@ -71,16 +81,32 @@ def test_diagonal_inversion_error_carries_the_full_determinant():
     assert not err.value.det
 
 
+def _leibniz_det(rows):
+    """The sum over permutations of signed products of entries: no
+    expansion and no memo, so it shares no code with LaurentMatrix.det."""
+    n = len(rows)
+    total = lconst(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        term = lconst(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
 def _cofactor_inverse(m):
-    """The adjugate over the determinant, entry by entry."""
+    """The adjugate over the determinant, entry by entry, every minor a
+    Leibniz determinant."""
     n = m.n
-    dinv = m.det().unit_inverse()
+    dinv = _leibniz_det(m.entries).unit_inverse()
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             sub = [[m[r, c] for c in range(n) if c != j]
                    for r in range(n) if r != i]
-            cof = LaurentMatrix(sub).det() if n > 1 else lconst(1)
+            cof = _leibniz_det(sub)
             rows[j][i] = (-cof if (i + j) % 2 else cof) * dinv
     return LaurentMatrix(rows)
 
@@ -119,6 +145,30 @@ def test_product_inverse_reverses():
         a, b = _random_invertible(rng, n), _random_invertible(rng, n)
         assert (a * b).inverse() == b.inverse() * a.inverse()
         assert a * a.inverse() == LaurentMatrix.identity(n)
+
+
+def _is_diagonal(m):
+    return not any(m[i, j] for i in range(m.n) for j in range(m.n) if i != j)
+
+
+def test_det_and_inverse_match_leibniz():
+    """det and the general inverse against Leibniz on non-diagonal
+    matrices: random unit-determinant products at n = 2-4, and the
+    d_(x) h^(f) that verify_inverseh inverts at n = 3-5."""
+    rng = random.Random(29)
+    mats = []
+    while len(mats) < 12:
+        m = _random_invertible(rng, 2 + len(mats) % 3)
+        if not _is_diagonal(m):
+            mats.append(m)
+    f, x = lvar("f"), lvar("x")
+    mats += [d_matrix(n, x) * h_matrix(n, f) for n in (3, 4, 5)]
+    for m in mats:
+        assert not _is_diagonal(m)
+        assert m.det() == _leibniz_det(m.entries)
+        inv = m.inverse()
+        assert inv == _cofactor_inverse(m)
+        assert m * inv == LaurentMatrix.identity(m.n)
 
 
 def test_rename_symmetry():

@@ -1,12 +1,14 @@
 """Integer-only RatMat construction against a Fraction-lcm reference."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge.ratmat import RatMat, j_embed
+from heckeforge.ratmat import RatMat, SingularMatrixError, j_embed
 
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 fractions =st.builds(Fraction, ints, st.integers(min_value=1, max_value=360))
@@ -67,3 +69,27 @@ def test_j_embed_is_block_diagonal(rows):
     block = [[rows[i][j] if i < m and j < m else Fraction(int(i == j))
               for j in range(m + 1)] for i in range(m + 1)]
     _same(j_embed(g), _reference(block))
+
+
+def test_inverse_is_two_sided():
+    """g g^-1 = g^-1 g = 1 up to n = 5, for g with a denominator other
+    than 1; a singular g raises SingularMatrixError."""
+    rng = random.Random(11)
+    inverted = set()
+    for _ in range(60):
+        n = rng.choice([1, 2, 3, 4, 5])
+        g = RatMat.from_rows([[Fraction(rng.randrange(-9, 10),
+                                        rng.choice([1, 2, 3, 4, 6, 9]))
+                               for _ in range(n)] for _ in range(n)])
+        if g.den == 1:
+            continue
+        if g.det() == 0:
+            with pytest.raises(SingularMatrixError):
+                g.inv()
+            continue
+        gi = g.inv()
+        assert g * gi == RatMat.identity(n) == gi * g
+        inverted.add(n)
+    assert inverted == {1, 2, 3, 4, 5}
+    with pytest.raises(SingularMatrixError):
+        RatMat.from_rows([[Fraction(1, 2), 1], [1, 2]]).inv()
