@@ -194,9 +194,10 @@ def cmd_critical(args):
 
 def cmd_kappa_hat(args):
     from heckeforge import distributions as dist
-    from heckeforge.exact import scalar_json
+    from heckeforge.exact import scalar_from_json, scalar_json
     val, info = dist.kappa_hat_value(args.n, args.p, args.s, args.nu,
-                                     args.nu_min, Fraction(args.kappa))
+                                     args.nu_min,
+                                     scalar_from_json(args.kappa, "--kappa"))
     print(json.dumps({
         "n": args.n, "p": args.p, "s": args.s, "nu": args.nu,
         "nu_min": args.nu_min, "kappa_pair": args.kappa,
@@ -209,7 +210,7 @@ def cmd_integrate(args):
     import random
 
     from heckeforge import distributions as dist
-    from heckeforge.exact import scalar_json
+    from heckeforge.exact import scalar_from_json, scalar_json
     from heckeforge.gauss import primitive_character
 
     if args.from_json:
@@ -225,8 +226,8 @@ def cmd_integrate(args):
         tower = dist.QTower(args.p)
         base = {x: (Fraction(rng.randrange(-9, 10)),)
                 for x in tower.elements(args.depth)}
-        sym = dist.EigenSymbol(tower, Fraction(args.kappa), args.depth,
-                               base, [0])
+        sym = dist.EigenSymbol(tower, scalar_from_json(args.kappa, "--kappa"),
+                               args.depth, base, [0])
         mu = dist.build_mu(sym, 1)
     # the first character of conductor p^c in the order of the rational
     # tower's characters(c), taken without building the others

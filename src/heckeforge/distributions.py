@@ -10,10 +10,10 @@ serialized by `exact.scalar_json` and read back by `scalar_from_json`.
 A tower level m is enumerated only while p^m <= gauss.MAX_MODULUS.
 
 A character integral is formed on exponents: each tower gives the order N
-of a character (`char_order`) and the k with chi(x) = zeta_N^k
-(`char_power`), and each component of the integral is one
-`Cyclo.root_sum` over the pairs (k, mu(x)).  Fourier inversion weights an
-integral by chi(x0)^{-1} through the exponent -k, with no Cyclo inverse.
+of a character and, once per level m, the k with chi(x) = zeta_N^k over
+elements(m) (`char_powers`); each component is one `Cyclo.root_sum` over
+that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
+`build_mu` sums the base data down and scales each sum once, by kappa^-M.
 """
 
 from fractions import Fraction
@@ -65,9 +65,11 @@ class QTower:
     def char_order(self, chi):
         return chi.order()
 
-    def char_power(self, chi, m, x):
-        """The k with chi(x) = zeta_N^k, N = char_order(chi)."""
-        return chi.power(x)
+    def char_powers(self, chi, m):
+        """The k with chi(x) = zeta_N^k, N = char_order(chi), over
+        elements(m), read off chi's own table."""
+        table, mod = chi.powers, self.p ** chi.s
+        return [table[x % mod] for x in self.elements(m)]
 
     def char_conductor_level(self, chi):
         return max(chi.conductor_exponent(), 1)
@@ -117,13 +119,14 @@ class AbstractTower:
         value zeta_h^{jc} chi_fin(u) is formed, for a trivial j too."""
         return lcm(self.h, chi[1].order())
 
-    def char_power(self, chi, m, x):
-        """The k with chi(x) = zeta_N^k, N = char_order(chi)."""
+    def char_powers(self, chi, m):
+        """The k with chi(x) = zeta_N^k over elements(m): zeta_h^{jc}
+        chi_fin(u) is zeta_N^(jc N/h + k_fin N/N_fin)."""
         j, fin = chi
-        c, u = x
         big = self.char_order(chi)
-        return (j * c * (big // self.h)
-                + fin.power(u) * (big // fin.order())) % big
+        cstep, fstep = j * (big // self.h), big // fin.order()
+        return [(c * cstep + k * fstep) % big for c in range(self.h)
+                for k in self._q.char_powers(fin, m)]
 
     def char_conductor_level(self, chi):
         return max(chi[1].conductor_exponent(), 1)
@@ -233,23 +236,21 @@ class EigenSymbol:
 
 
 def build_mu(sym, m0):
-    """values mu(x + p^m) = kappa^{-m} B_m(x) for m0 <= m <= base level,
-    in one push-down from the base level, each B_m scaled as it is
-    reached."""
+    """values mu(x + p^m) = kappa^{-m} B_m(x) = kappa^{-M} S_m(x) for
+    m0 <= m <= M, the base level: S_m(x) sums the base data over the
+    descendants of x."""
     if m0 < 1 or m0 > sym.base_level:
         raise ValueError("need 1 <= m0 <= base level")
     tower = sym.tower
-    kinv = 1 / scalar(sym.kappa)
-    data = sym.base_data
+    scale = (1 / scalar(sym.kappa)) ** sym.base_level
+    sums = sym.base_data
     values = {}
     for m in range(sym.base_level, m0 - 1, -1):
-        if m < sym.base_level:  # B_m = kappa^{-1} sum of B_{m+1}
-            data = {x: tuple(kinv * a for a in _vector_sum(
-                        data[y] for y in tower.lifts(m, x)))
+        if m < sym.base_level:
+            sums = {x: _vector_sum(sums[y] for y in tower.lifts(m, x))
                     for x in tower.elements(m)}
-        scale = kinv ** m
         values[m] = {x: tuple(scale * v for v in vec)
-                     for x, vec in data.items()}
+                     for x, vec in sums.items()}
     return Distribution(tower, sym.nus, dict(reversed(values.items())))
 
 
@@ -299,20 +300,16 @@ def integrate_character(mu, chi):
 
 
 def _integrate_at(mu, chi, m):
-    """The integral at level m: each coset's value vector is paired with
-    the exponent of chi(x), and each component is one Cyclo.root_sum."""
-    tower = mu.tower
-    level = mu.values[m]
-    pairs = [(tower.char_power(chi, m, x), level[x])
-             for x in tower.elements(m)]
-    return _root_sums(tower.char_order(chi), pairs, len(mu.nus))
+    """The integral at level m, from the level's exponent table."""
+    tower, level = mu.tower, mu.values[m]
+    return _component_sums(tower.char_order(chi), tower.char_powers(chi, m),
+                           [level[x] for x in tower.elements(m)])
 
 
-def _root_sums(n, pairs, d):
-    """The entrywise sum of zeta_n^k * vec over the pairs (k, vec) of
-    d-component value vectors: one Cyclo.root_sum per component."""
-    return tuple(Cyclo.root_sum(n, [(k, vec[i]) for k, vec in pairs])
-                 for i in range(d))
+def _component_sums(n, ks, vecs):
+    """The entrywise sum of zeta_n^ks[i] * vecs[i]: one Cyclo.root_sum per
+    component."""
+    return tuple(Cyclo.root_sum(n, zip(ks, column)) for column in zip(*vecs))
 
 
 def _vector_sum(vecs):
@@ -329,21 +326,23 @@ def fourier_inversion_check(mu, m, chi_p=None):
 
     Fourier inversion holds for every function on a finite abelian group,
     so this checks the tower's character and exponent arithmetic
-    (`char_power`, `char_order`, the root sums), not mu: any values pass.
+    (`char_powers`, `char_order`, the root sums), not mu: any values pass.
     `check_distribution_relation` is the check that tests the
     distribution."""
     tower = mu.tower
     chars = tower.characters(m, chi_p)
     elements = tower.elements(m)
-    integrals = [_integrate_at(mu, chi, m) for chi in chars]
-    # chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N} over L = lcm of the N
+    vecs = [mu.values[m][x] for x in elements]
     orders = [tower.char_order(chi) for chi in chars]
+    tables = [tower.char_powers(chi, m) for chi in chars]
+    integrals = [_component_sums(n, ks, vecs) for n, ks in zip(orders, tables)]
+    # chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N} over L = lcm of the N;
+    # row i of zip(*inverse) holds the weights of x0 = elements[i]
     big = lcm(*orders)
+    inverse = [[-k * (big // n) for k in ks] for n, ks in zip(orders, tables)]
     size = len(elements)
-    for x0 in elements:
-        weights = [-tower.char_power(chi, m, x0) * (big // n)
-                   for chi, n in zip(chars, orders)]
-        acc = _root_sums(big, list(zip(weights, integrals)), len(mu.nus))
+    for x0, weights in zip(elements, zip(*inverse)):
+        acc = _component_sums(big, weights, integrals)
         want = tuple(size * v for v in mu.values[m][x0])
         if any(a != b for a, b in zip(acc, want)):
             return False, x0

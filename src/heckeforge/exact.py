@@ -208,22 +208,25 @@ class Cyclo:
         The result lies at M = lcm(n, the conductors of the v), where the
         products Cyclo.zeta(n, k) * v and their sum would: the integer
         numerators, over one common denominator, are added into a length-M
-        vector in Z[x]/(x^M - 1), which is reduced once."""
-        terms = list(terms)
-        big_m = lcm(n, *(v.m for _, v in terms if isinstance(v, Cyclo)))
-        den = lcm(*(v.den if isinstance(v, Cyclo) else v.denominator
-                    for _, v in terms))
+        vector in Z[x]/(x^M - 1), which is reduced once.  One pass splits
+        the nonzero rational terms from the Cyclo terms."""
+        rats, cycs, big_m, den = [], [], n, 1
+        for k, v in terms:
+            if isinstance(v, Cyclo):
+                big_m, den = lcm(big_m, v.m), lcm(den, v.den)
+                cycs.append((k, v))
+            elif num := v.numerator:
+                rats.append((k, num, d := v.denominator))
+                den = lcm(den, d)
         step = big_m // n
         acc = [0] * big_m
-        for k, v in terms:
-            at = k * step % big_m
-            if isinstance(v, Cyclo):
-                scale, vstep = den // v.den, big_m // v.m
-                for i, x in enumerate(v.num):
-                    if x:
-                        acc[(at + i * vstep) % big_m] += x * scale
-            elif v:
-                acc[at] += v.numerator * (den // v.denominator)
+        for k, num, d in rats:  # no scaling when every denominator is 1
+            acc[k * step % big_m] += num if d == den else num * (den // d)
+        for k, v in cycs:
+            at, vstep, scale = k * step, big_m // v.m, den // v.den
+            for i, x in enumerate(v.num):
+                if x:
+                    acc[(at + i * vstep) % big_m] += x * scale
         return _cyclo(big_m, _reduce_mod_cyclotomic(big_m, acc), den)
 
     @classmethod

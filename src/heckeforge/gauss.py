@@ -5,7 +5,7 @@ A character is stored by its images on the standard generators of the unit
 group ((-1, 5) for p = 2, s >= 3; a primitive root otherwise) plus a chosen
 value at the uniformizer.  Through a discrete-log table, built once per
 (p, s), it keeps for each unit u the exponent k with chi(u) = zeta_N^k, N
-the order of chi (`MultChar.power`); it keeps no Cyclo per exponent.  The
+the order of chi (`MultChar.powers`); it keeps no Cyclo per exponent.  The
 additive character has psi(x) = zeta_{p^t}^e.
 
 Every character sum sees a character only through these exponents: a term
@@ -98,10 +98,11 @@ class MultChar:
         big_l = lcm(*(order for _, order in self.gens))
         self._order = _character_order(self.exps, self.gens)
         step = big_l // self._order
-        self._powers = {
+        self.powers = {  # unit mod p^s -> k
             unit: sum(e * k * (big_l // order) for e, k, (_, order)
                       in zip(dlog, self.exps, self.gens)) % big_l // step
             for unit, dlog in self._dlog.items()}
+        self._conductor = None
 
     def value(self, a):
         """chi(a) = zeta_N^k as one Cyclo at the conductor N/gcd(k, N) of
@@ -119,22 +120,25 @@ class MultChar:
             # a denominator divisible by p leaves no unit to look up
             a = (a.numerator * pow(a.denominator, -1, mod)
                  if a.denominator % self.p else 0)
-        k = self._powers.get(a % mod)
+        k = self.powers.get(a % mod)
         if k is None:
             raise ValueError("argument is not a p-unit")
         return k
 
     def conductor_exponent(self):
-        """Smallest t with chi trivial on units congruent to 1 mod p^t."""
-        for t in range(self.s + 1):
-            pt = self.p ** t
-            if not any(k for u, k in self._powers.items()
-                       if u % pt == 1 % pt):
-                return t
-        return self.s
+        """Smallest t with chi trivial on units congruent to 1 mod p^t;
+        scanned on first use and kept."""
+        if self._conductor is None:
+            for t in range(self.s + 1):
+                pt = self.p ** t
+                if not any(k for u, k in self.powers.items()
+                           if u % pt == 1 % pt):
+                    break
+            self._conductor = t
+        return self._conductor
 
     def is_trivial(self):
-        return not any(self._powers.values())
+        return not any(self.powers.values())
 
     def order(self):
         return self._order

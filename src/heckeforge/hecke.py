@@ -135,7 +135,9 @@ class CosetSum:
                                  for rep, key, k in self.terms])
 
     def convolve(self, other):
-        """Pairwise products of representatives, folded by coset key."""
+        """Pairwise products of representatives, folded by coset key: a
+        function of self's cosets only when `other` is left K_I-invariant
+        (as an `expand_V` sum is), else of self's representatives too."""
         out = CosetSum(self.ctx)
         for a, _, ca in self.terms:
             for b, _, cb in other.terms:

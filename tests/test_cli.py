@@ -639,6 +639,17 @@ def test_kappa_hat_names_the_zero_eigenvalue():
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate"],
+    ["kappa-hat", "--n", "3", "--p", "2", "--s", "1", "--nu", "1",
+     "--nu-min", "0"]])
+@pytest.mark.parametrize("kappa", ["1/0", "abc"])
+def test_kappa_flag_names_itself(capsys, argv, kappa):
+    code, out, err = run_cli(capsys, "compute", *argv, "--kappa", kappa)
+    assert code == 2 and not out
+    assert err == f"error: --kappa: not a scalar: {kappa!r}\n"
+
+
 def test_hecke_expand_rejects_t_above_n():
     proc = _run_child("compute", "hecke-expand", "--n", "2", "--p", "2",
                       "--op", "T9", timeout=60)

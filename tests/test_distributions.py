@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction as F
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from heckeforge import distributions as dist
 from heckeforge import modules
-from heckeforge.exact import Cyclo
+from heckeforge.exact import Cyclo, scalar_json
 
 
 def make_symbol(rng, p, M, kappa, d=1, tower=None):
@@ -38,6 +40,45 @@ def test_build_mu_dirac_telescopes():
     ok, _ = dist.check_distribution_relation(mu)
     assert ok
     assert mu.values[1][x0 % 3] == (F(1, 8),)
+
+
+def _build_mu_reference(sym, m0):
+    """The literal push-down: B_M is the base data, B_m = kappa^{-1} times
+    the sum of B_{m+1} over the lifts, and mu = kappa^{-m} B_m."""
+    tower, kinv = sym.tower, 1 / sym.kappa
+    data, values = dict(sym.base_data), {}
+    for m in range(sym.base_level, m0 - 1, -1):
+        if m < sym.base_level:
+            data = {x: tuple(kinv * sum(col) for col in zip(
+                        *(data[y] for y in tower.lifts(m, x))))
+                    for x in tower.elements(m)}
+        values[m] = {x: tuple(kinv ** m * v for v in vec)
+                     for x, vec in data.items()}
+    return values
+
+
+def _exact_fields(v):
+    return (v.m, v.num, v.den) if isinstance(v, Cyclo) else (type(v), v)
+
+
+@pytest.mark.parametrize("kappa", [F(-3, 2), Cyclo.zeta(3) + 2])
+@pytest.mark.parametrize("tower, depth", [(dist.QTower(2), 4),
+                                          (dist.QTower(3), 3),
+                                          (dist.AbstractTower(3, 2), 3)])
+def test_build_mu_is_the_literal_push_down(kappa, tower, depth):
+    """One kappa^{-M} scale of the plain sums gives, field for field, the
+    values of scaling by kappa^{-1} at every level and by kappa^{-m}."""
+    sym = make_symbol(random.Random(depth), tower.p, depth, kappa, d=2,
+                      tower=tower)
+    for m0 in (1, 2):
+        got = dist.build_mu(sym, m0).values
+        want = _build_mu_reference(sym, m0)
+        assert list(got) == sorted(want)
+        for m, level in want.items():
+            assert {x: [_exact_fields(v) for v in vec]
+                    for x, vec in got[m].items()} == {
+                x: [_exact_fields(v) for v in vec]
+                for x, vec in level.items()}, m
 
 
 def test_relation_random_grid():
@@ -133,6 +174,38 @@ def test_dirac_integration():
         assert dist.integrate_character(mu, chi)[0] == chi.value(x0)
 
 
+def _char_power_reference(tower, chi, x):
+    """The exponent of chi(x) by the per-element rule: chi.power(u) on the
+    rational part, plus j c N/h for the class-group part."""
+    if isinstance(tower, dist.QTower):
+        return chi.power(x)
+    (j, fin), (c, u) = chi, x
+    big = tower.char_order(chi)
+    return (j * c * (big // tower.h)
+            + fin.power(u) * (big // fin.order())) % big
+
+
+@pytest.mark.parametrize("tower, depth", [
+    (dist.QTower(2), 4), (dist.QTower(3), 3), (dist.QTower(5), 2),
+    (dist.AbstractTower(3, 2), 2), (dist.AbstractTower(3, 4), 2)])
+def test_char_powers_are_the_per_element_exponents(tower, depth):
+    """At every level m from the character's own level to the depth, the
+    table lists, in elements(m) order, the reference exponent k < N, and
+    zeta_N^k is the character's Cyclo value."""
+    for s in range(1, depth + 1):
+        for chi in tower.characters(s):
+            big = tower.char_order(chi)
+            for m in range(s, depth + 1):
+                ks = tower.char_powers(chi, m)
+                elements = tower.elements(m)
+                assert ks == [_char_power_reference(tower, chi, x)
+                              for x in elements]
+                assert all(0 <= k < big for k in ks)
+                for x, k in zip(elements, ks):
+                    assert Cyclo.zeta(big, k) == _char_value_reference(
+                        tower, chi, x)
+
+
 def test_fourier_inversion():
     rng = random.Random(7)
     for p in (2, 3, 5):
@@ -142,11 +215,12 @@ def test_fourier_inversion():
 
 
 class _OffByOneTower(dist.QTower):
-    """A rational tower whose char_power is one too large at x = 2."""
+    """A rational tower whose exponent table is one too large at x = 2."""
 
-    def char_power(self, chi, m, x):
-        k = super().char_power(chi, m, x)
-        return k + 1 if x == 2 else k
+    def char_powers(self, chi, m):
+        ks = super().char_powers(chi, m)
+        return [k + 1 if x == 2 else k
+                for x, k in zip(self.elements(m), ks)]
 
 
 def test_fourier_inversion_fails_on_wrong_character_exponents():
@@ -171,6 +245,28 @@ def test_abstract_tower():
     assert ok2
     x = (1, 2)
     assert tower.mul(2, x, tower.inv(2, x)) == tower.one(2)
+
+
+# Every character integral of AbstractTower(3, 2) at depth 3 for one seeded
+# symbol, pinned: no command prints the abstract tower's values.
+
+ABSTRACT_INTEGRALS = os.path.join(os.path.dirname(__file__), "data",
+                                  "abstract-tower-integrals.jsonl")
+
+
+def _abstract_tower_integrals():
+    """One JSON line per character (j, chi_fin) of C_3 = Z/2 x (Z/27)^*."""
+    tower = dist.AbstractTower(3, 2)
+    sym = make_symbol(random.Random(23), 3, 3, F(-3, 2), d=2, tower=tower)
+    mu = dist.build_mu(sym, 1)
+    return [json.dumps({"j": j, "exps": list(fin.exps), "integral": [
+                scalar_json(v) for v in dist.integrate_character(mu, (j, fin))]})
+            for j, fin in tower.characters(3)]
+
+
+def test_abstract_tower_integrals_match_the_golden():
+    with open(ABSTRACT_INTEGRALS) as fh:
+        assert _abstract_tower_integrals() == fh.read().splitlines()
 
 
 def test_kappa_hat_examples():

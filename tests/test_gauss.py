@@ -49,6 +49,30 @@ def test_conductor_exponent():
     assert conds == [0, 1, 2, 2, 2, 2]
 
 
+def _conductor_scan(chi):
+    """The smallest t with chi(u) = 1 at every unit u = 1 mod p^t, read
+    off the Cyclo values."""
+    mod = chi.p ** chi.s
+    units = [u for u in range(1, mod) if u % chi.p]
+    return next(t for t in range(chi.s + 1)
+                if all(chi.value(u) == 1 for u in units
+                       if u % chi.p ** t == 1 % chi.p ** t))
+
+
+@pytest.mark.parametrize("chi_p", [None, Cyclo.zeta(4), Cyclo.rational(3)])
+def test_memoised_conductor_is_the_fresh_scan(chi_p):
+    """Every character mod p^s <= 27: the kept exponent is the scan's, on
+    first use and after."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        s = 1
+        while p ** s <= 27:
+            for chi in gauss.all_characters(p, s, chi_p):
+                want = _conductor_scan(chi)
+                assert chi.conductor_exponent() == want, (p, s, chi)
+                assert chi.conductor_exponent() == want, (p, s, chi)
+            s += 1
+
+
 def test_gauss_sum_rejects_trivial():
     trivial = next(c for c in gauss.all_characters(5, 1) if c.is_trivial())
     with pytest.raises(ValueError):

@@ -425,6 +425,28 @@ def test_v1_squared_regression():
         assert all(c == 1 for _, c in sq.pairs())
 
 
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+def test_convolve_with_an_invariant_right_factor_ignores_representatives(n, p):
+    """Against a left K_I-invariant right factor (each V_nu), a product is
+    unchanged when every left representative g is replaced by g k, k a
+    random element of K_I, though the representatives themselves move."""
+    ctx = _ctx(n, p)
+    rng = random.Random(31 * n + p)
+    left = hecke.expand_V(ctx, 1) + hecke.expand_U(ctx, 1).scale(3)
+    moved = hecke.CosetSum(ctx, [(g * hecke._random_iwahori(ctx, rng), c)
+                                 for g, c in left.pairs()], folded=True)
+    assert moved == left
+    assert any(a.num != b.num for (a, _), (b, _)
+               in zip(left.pairs(), moved.pairs()))
+    for nu in range(n + 1):
+        right = hecke.expand_V(ctx, nu)
+        assert moved * right == left * right, nu
+    # V_1 with the weight i + 1 on its i-th coset is not invariant
+    weighted = hecke.CosetSum(ctx, [(g, i + 1) for i, (g, _)
+                                    in enumerate(hecke.expand_V(ctx, 1).pairs())])
+    assert not moved * weighted == left * weighted
+
+
 def test_eps_T1_pinned():
     ctx = _ctx()
     t1 = hecke.eps_T(ctx, 1)
