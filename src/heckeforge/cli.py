@@ -245,6 +245,10 @@ def cmd_integrate(args):
     return EXIT_PASS
 
 
+# argparse reads -3/5 after a space as an option
+KAPPA_HELP = "a fraction such as 2 or 3/5; write a negative one as --kappa=-3/5"
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="heckeforge",
@@ -303,14 +307,14 @@ def build_parser():
     k.add_argument("--s", type=int, required=True)
     k.add_argument("--nu", type=int, required=True)
     k.add_argument("--nu-min", type=int, required=True)
-    k.add_argument("--kappa", required=True)
+    k.add_argument("--kappa", required=True, help=KAPPA_HELP)
     k.set_defaults(fn=cmd_kappa_hat)
 
     i = csub.add_parser("integrate")
     i.add_argument("--p", type=int, default=3)
     i.add_argument("--depth", type=int, default=2)
     i.add_argument("--conductor", type=int, default=1)
-    i.add_argument("--kappa", default="2")
+    i.add_argument("--kappa", default="2", help=KAPPA_HELP)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--from-json",
                    help="integrate a serialized distribution instead of a "

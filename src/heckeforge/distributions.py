@@ -21,7 +21,7 @@ from math import lcm, prod
 
 from heckeforge.exact import (Cyclo, is_prime, scalar, scalar_from_json,
                               scalar_json, vp)
-from heckeforge.gauss import MAX_MODULUS, all_characters
+from heckeforge.gauss import MAX_MODULUS, all_characters, check_modulus
 from heckeforge.modules import full_dual_roots, kappa_of
 
 
@@ -349,13 +349,13 @@ def fourier_inversion_check(mu, m, chi_p=None):
     return True, None
 
 
-def kappa_hat(n, s, nu, nu_min, kappa_pair):
+def kappa_hat(n, s, nu, nu_min):
     """The interpolation constant
     N(f_chi)^{n(n-1)(n-2)/6 + (nu - nu_min) n(n-1)/2} (kappa kappa')^{-s}
     with N(f_chi) = p^s passed in via its exponent bookkeeping.
 
-    Returns (value, exponents) where exponents records the power of
-    N(f_chi) both by the formula and by an independent binomial route.
+    Returns the exponents: the power of N(f_chi), both by the formula and
+    by an independent binomial route, and the power -s of kappa kappa'.
     """
     from math import comb
 
@@ -367,7 +367,10 @@ def kappa_hat(n, s, nu, nu_min, kappa_pair):
 
 
 def kappa_hat_value(n, p, s, nu, nu_min, kappa_pair):
-    info = kappa_hat(n, s, nu, nu_min, kappa_pair)
+    """(value, exponents) of kappa_hat at N(f_chi) = p^s; p and s are
+    checked as a character's modulus is (gauss.check_modulus)."""
+    check_modulus(p, s)
+    info = kappa_hat(n, s, nu, nu_min)
     nfchi = Fraction(p) ** s
     base = nfchi ** info["nfchi_exponent"]
     kp = scalar(kappa_pair)
@@ -444,13 +447,11 @@ def verify_inversekappa(n, q, lam_full, lam_prime_full):
     return kappa == kd * eta_n ** (n - 1) * eta_prime ** n
 
 
-def check_functional_equation(mu, mu_dual, n, value_vee=None):
+def check_functional_equation(mu, mu_dual, n):
     """(mu(x))^vee = mu_dual(x^vee) at every stored coset and level, in the
     component form tau_nu -> tau_{-nu}; plus the eigenvalue relation when
     both distributions carry eigen metadata."""
     dual_nus, reindex = value_vee_reindexer(mu.nus)
-    if value_vee is not None:
-        reindex = value_vee
     if tuple(mu_dual.nus) != dual_nus:
         return {"ok": False, "witness": "component index sets do not match",
                 "kappa_relation_ok": None}

@@ -15,6 +15,9 @@ sum of zeta_n^k * v (a character integral), is one `Cyclo.root_sum`: the
 integer numerators are added at their exponents and reduced once, with no
 product per term.  No floating point anywhere.
 
+phi(m), Phi_m (from binomials), the smallest conductor of an element and
+gauss's primitive roots all come from one memoised `_prime_factors(m)`.
+
 This module alone decides what an exact scalar is (`scalar`, `as_rational`)
 and how one is written to JSON (`scalar_json`, `scalar_from_json`).  Other
 modules use plain operators: Cyclo's reflected operators take an int or a
@@ -23,7 +26,8 @@ Fraction on the left, so `1 / x` and `x / y` need no branch on the type.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf, lcm
+from itertools import combinations
+from math import gcd, inf, lcm, prod
 from typing import NamedTuple
 
 PADIC_INFINITY = inf
@@ -37,15 +41,33 @@ class PadicVal(NamedTuple):
         return int(self.value)
 
 
-def is_prime(p):
-    if p < 2:
-        return False
+# The largest p that is_prime tests: its trial division takes about 0.1 s
+# in pure Python, so a larger p raises ValueError instead of running long.
+MAX_PRIME = 10 ** 12
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(m):
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    out = []
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
         d += 1
-    return True
+    if m > 1:
+        out.append(m)
+    return tuple(out)
+
+
+def is_prime(p):
+    """Whether the int p is prime; a p above MAX_PRIME raises ValueError."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p = {p} exceeds MAX_PRIME = {MAX_PRIME}, the "
+                         f"bound of the trial-division primality test")
+    return _prime_factors(p) == (p,)
 
 
 def vp(x, p):
@@ -81,44 +103,34 @@ def padic_valuation(x, p):
 
 @lru_cache(maxsize=None)
 def euler_phi(m):
-    result = m
-    mm = m
-    d = 2
-    while d * d <= mm:
-        if mm % d == 0:
-            while mm % d == 0:
-                mm //= d
-            result -= result // d
-        d += 1
-    if mm > 1:
-        result -= result // mm
-    return result
-
-
-def _int_poly_div_exact(a, b):
-    """Exact division of integer polynomials (b monic up to leading 1/-1)."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    lead = b[-1]
-    out = [0] * (da - db + 1)
-    for i in range(da - db, -1, -1):
-        q = a[i + db] // lead
-        out[i] = q
-        if q:
-            for j, y in enumerate(b):
-                a[i + j] -= q * y
-    if any(a[db:]) or any(a[:db]):
-        raise ArithmeticError("division not exact")
-    return out
+    """m times the product of (1 - 1/q) over the primes q | m."""
+    for q in _prime_factors(m):
+        m = m // q * (q - 1)
+    return m
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
-    """Coefficients (low to high) of the m-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _int_poly_div_exact(poly, cyclotomic_poly(d))
+    """Coefficients (low to high) of the m-th cyclotomic polynomial.
+
+    Phi_m is the product of (x^(m/k) - 1)^mu(k) over the squarefree k | m
+    (Arnold and Monagan, Math. Comp. 80, 2011): the binomials with
+    mu(k) = 1 are multiplied in first, and those with mu(k) = -1 are then
+    divided out exactly, each in one strided pass."""
+    primes = _prime_factors(m)
+    ups, downs = [], []
+    for r in range(len(primes) + 1):
+        for ks in combinations(primes, r):
+            (downs if r % 2 else ups).append(m // prod(ks))
+    poly = [1]
+    for e in ups:  # poly * (x^e - 1)
+        prev, poly = poly, [0] * e + poly
+        for i, c in enumerate(prev):
+            poly[i] -= c
+    for e in downs:  # poly / (x^e - 1) = -poly * (1 + x^e + x^2e + ...)
+        poly = [-c for c in poly[:len(poly) - e]]
+        for i in range(e, len(poly)):
+            poly[i] += poly[i - e]
     return tuple(poly)
 
 
@@ -364,20 +376,21 @@ class Cyclo:
         return Fraction(self.num[0], self.den)
 
     def reduced(self):
-        """Canonical representative at the smallest conductor d | m.
+        """Canonical representative at the smallest conductor f | m.
 
-        Each d is screened exactly by Galois theory: x lies in Q(zeta_d) if
-        and only if sigma_a(x) = x for every a prime to m with a = 1 mod d.
-        The first d that passes is the conductor, and _descend reads the
-        coordinates of x over Q(zeta_d) off in integers."""
+        Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so f divides
+        every d | m with x in Q(zeta_d) and is reached one prime at a
+        time: for each prime q | m, step down from d to d/q while _descend
+        (the one membership test) finds x in Q(zeta_{d/q}).  A q that
+        misses at d misses at every divisor of d, so it is not retried."""
         if self.is_rational():
             return Cyclo.rational(self.as_rational()) if self.m != 1 else self
-        for d in sorted(_divisors(self.m)):
-            if d == self.m:
-                break
-            if _fixed_by_units_mod(self, d):
-                return _descend(self, d)
-        return self
+        x = self
+        for q in _prime_factors(self.m):
+            while (x.m % q == 0
+                   and (down := _descend(x, x.m // q)) is not None):
+                x = down
+        return x
 
     def __bool__(self):
         return any(self.num)
@@ -451,34 +464,6 @@ def scalar_from_json(v, where):
         raise ValueError(f"{where}: not a scalar: {v!r}") from exc
 
 
-def _divisors(m):
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return out
-
-
-def _fixed_by_units_mod(x, d):
-    """Is x fixed by every sigma_a: zeta_m -> zeta_m^a with a prime to m
-    and a = 1 mod d (d | m), i.e. does x lie in Q(zeta_d)?"""
-    m = x.m
-    for a in range(1 + d, m, d):
-        if gcd(a, m) != 1:
-            continue
-        coeffs = [0] * m
-        for i, c in enumerate(x.num):
-            if c:
-                coeffs[i * a % m] = c
-        if _reduce_mod_cyclotomic(m, coeffs) != x.num:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _constant_terms(m):
     """The zeta^0 coefficient of the reduced zeta_m^k, for k < m."""
@@ -486,7 +471,7 @@ def _constant_terms(m):
 
 
 def _descend(x, d):
-    """Rewrite x, which lies in Q(zeta_d) (d | m), at conductor d.
+    """x rewritten at conductor d | m, or None when x is not in Q(zeta_d).
 
     Split m = n1 n2 with d | n1, every prime of n1 / d dividing d, and
     n2 prime to n1.  Then zeta_m^i = zeta_{n1}^{i e1} zeta_{n2}^{i e2} with
@@ -494,7 +479,7 @@ def _descend(x, d):
     over Q(zeta_{n1}), so an x in Q(zeta_{n1}) is its zeta_{n2}^0 coordinate.
     Since Phi_{n1}(y) = Phi_d(y^(n1/d)), an x in Q(zeta_d) has its
     zeta_{n1} power-basis coefficients at the multiples of n1/d.  The
-    result must lift back to x."""
+    result is x exactly when it lifts back to x."""
     m = x.m
     n2 = m // d
     g = gcd(n2, d)
@@ -509,9 +494,7 @@ def _descend(x, d):
         if c:
             coeffs[i * e1 % n1] += c * const[i * e2 % n2]
     down = _cyclo(d, _reduce_mod_cyclotomic(n1, coeffs)[::n1 // d], x.den)
-    if down.lift(m) != x:
-        raise ArithmeticError(f"{x!r} does not lie in Q(zeta_{d})")
-    return down
+    return down if down.lift(m) == x else None
 
 
 def _scaled_sub(a, ka, b, kb, shift):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from heckeforge.exact import Cyclo, is_prime, vp
+from heckeforge.exact import Cyclo, _prime_factors, is_prime, vp
 
 # The largest modulus p^s whose unit group is enumerated, and the largest
 # conductor lcm(order of chi, p^t) at which a classical Gauss sum is formed;
@@ -31,16 +31,25 @@ from heckeforge.exact import Cyclo, is_prime, vp
 MAX_MODULUS = 2500
 
 
-def unit_group_generators(p, s):
-    """Generators (g, order) of (Z/p^s)^*, for a prime p, s >= 1 and
-    p^s <= MAX_MODULUS."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+def check_modulus(p, s):
+    """Raise ValueError unless s >= 1, p^s <= MAX_MODULUS and p is prime;
+    the bounds come first, and p^s is not formed where 2^s > MAX_MODULUS."""
     if s < 1:
         raise ValueError(f"s = {s} must be at least 1")
+    if p > 1 and s >= MAX_MODULUS.bit_length():
+        raise ValueError(f"p^s = {p}^{s} exceeds MAX_MODULUS = {MAX_MODULUS}")
+    if p > 1 and p ** s > MAX_MODULUS:
+        raise ValueError(f"p^s = {p ** s} exceeds MAX_MODULUS = {MAX_MODULUS}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
+def unit_group_generators(p, s):
+    """Generators (g, order) of (Z/p^s)^*, for (p, s) that check_modulus
+    accepts.  For odd p the one generator is the least unit g mod p^s
+    with g^(phi/q) != 1 for every prime q of phi = phi(p^s)."""
+    check_modulus(p, s)
     mod = p ** s
-    if mod > MAX_MODULUS:
-        raise ValueError(f"p^s = {mod} exceeds MAX_MODULUS = {MAX_MODULUS}")
     if p == 2:
         if s == 1:
             return []
@@ -48,17 +57,10 @@ def unit_group_generators(p, s):
             return [(3, 2)]
         return [(mod - 1, 2), (5, 2 ** (s - 2))]
     phi = (p - 1) * p ** (s - 1)
-    for g in range(2, mod):
-        if g % p == 0:
-            continue
-        seen = 1
-        x = g
-        while x != 1:
-            x = x * g % mod
-            seen += 1
-        if seen == phi:
-            return [(g, phi)]
-    raise ArithmeticError("no primitive root found")
+    qs = _prime_factors(phi)
+    g = next(g for g in range(2, mod)
+             if g % p and all(pow(g, phi // q, mod) != 1 for q in qs))
+    return [(g, phi)]
 
 
 @lru_cache(maxsize=None)
@@ -237,15 +239,16 @@ def gauss_sum(chi, tau=None):
     return chi.chi_p ** (-t) * tau
 
 
-def gauss_sum_oracle(chi, extra=1):
-    """Independent route to G(chi): sum chi(g) psi(g / p^t) over units at a
-    level deeper than the conductor, then divide out the fiber count.
+def gauss_sum_oracle(chi):
+    """Independent route to G(chi): sum chi(g) psi(g / p^t) over units at
+    level t + 1, one deeper than the conductor, then divide out the fiber
+    count p.
     Exercises a longer summation with a different grouping of terms."""
     t = chi.conductor_exponent()
     if t == 0:
         raise ValueError("character has trivial conductor")
-    acc = _unit_sum(chi, Fraction(1, chi.p ** t), t + extra)
-    return chi.chi_p ** (-t) * acc * Fraction(1, chi.p ** extra)
+    acc = _unit_sum(chi, Fraction(1, chi.p ** t), t + 1)
+    return chi.chi_p ** (-t) * acc * Fraction(1, chi.p)
 
 
 def _unit_sum(chi, c, level):

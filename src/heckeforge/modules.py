@@ -229,9 +229,6 @@ class SlopeData(NamedTuple):
     slope: object  # int or infinity
     ordinary: bool
     finite: bool
-    # Whittaker-normalization condition at the identity: carried as an
-    # opaque caller-supplied flag, never computed here
-    whittaker_normalized: bool = True
 
 
 def kappa_of(lam, q):
@@ -241,7 +238,7 @@ def kappa_of(lam, q):
         (x ** (n - nu) for nu, x in enumerate(lam, 1)), start=Fraction(1))
 
 
-def slope_data(lam, lam_prime, nu_min, q, p, whittaker_normalized=True):
+def slope_data(lam, lam_prime, nu_min, q, p):
     """Slope bookkeeping for a pair of root tuples of length n-1 each."""
     if len(lam) != len(lam_prime):
         raise ValueError("root tuples must have equal length n-1")
@@ -250,11 +247,9 @@ def slope_data(lam, lam_prime, nu_min, q, p, whittaker_normalized=True):
     kappa_p = kappa_of(lam_prime, Fraction(q))
     prod = kappa * kappa_p
     if prod == 0:
-        return SlopeData(kappa, kappa_p, nu_min, PADIC_INFINITY, False, False,
-                         whittaker_normalized)
+        return SlopeData(kappa, kappa_p, nu_min, PADIC_INFINITY, False, False)
     slope = vp(prod, p) - nu_min * (n * (n - 1) // 2)
-    return SlopeData(kappa, kappa_p, nu_min, slope, slope == 0, True,
-                     whittaker_normalized)
+    return SlopeData(kappa, kappa_p, nu_min, slope, slope == 0, True)
 
 
 def verify_recisums(n_max):

@@ -715,3 +715,52 @@ def test_integrate_names_a_conductor_no_character_has(capsys):
                              "--depth", "2", "--conductor", "1")
     assert (code, out) == (2, "")
     assert err == "error: no character has conductor 2^1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gauss-sum", "--p", "1000000000000000003"],
+     "error: p^s = 1000000000000000003 exceeds MAX_MODULUS = 2500"),
+    (["gauss-sum", "--p", "3", "--s", "1000000000"],
+     "error: p^s = 3^1000000000 exceeds MAX_MODULUS = 2500"),
+    (["hecke-expand", "--n", "2", "--p", "1000000000000000003", "--op", "V0"],
+     "error: p = 1000000000000000003 exceeds MAX_PRIME = 1000000000000"),
+    (["kappa-hat", "--n", "3", "--p", "3", "--s", "1000000000", "--nu", "1",
+      "--nu-min", "0", "--kappa", "2"],
+     "error: p^s = 3^1000000000 exceeds MAX_MODULUS = 2500"),
+], ids=["gauss-sum-p", "gauss-sum-s", "hecke-expand-p", "kappa-hat-s"])
+def test_compute_refuses_a_huge_p_or_s_at_once(argv, message):
+    """The bounds on p and s are checked before any trial division or
+    p^s is formed; each of these ran for minutes before."""
+    proc = _run_child("compute", *argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_kappa_hat_checks_p_and_s(capsys):
+    for argv, message in ([("--p", "4", "--s", "1"), "p = 4 is not prime"],
+                          [("--p", "3", "--s", "0"), "s = 0 must be at least 1"],
+                          [("--p", "7", "--s", "5"), "p^s = 16807 exceeds"]):
+        code, out, err = run_cli(capsys, "compute", "kappa-hat", "--n", "3",
+                                 *argv, "--nu", "1", "--nu-min", "0",
+                                 "--kappa", "2")
+        assert (code, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["integrate", "--p", "2", "--depth", "2", "--conductor", "2"],
+    ["kappa-hat", "--n", "3", "--p", "2", "--s", "1", "--nu", "1",
+     "--nu-min", "0"],
+])
+def test_negative_kappa_needs_the_equals_form(command, capsys, monkeypatch):
+    """argparse reads -3/5 after a space as an option; --kappa=-3/5 works,
+    and the help of --kappa says so."""
+    proc = _run_child("compute", *command, "--kappa", "-3/5", timeout=30)
+    assert proc.returncode == 2
+    assert "argument --kappa: expected one argument" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    proc = _run_child("compute", *command, "--kappa=-3/5", timeout=30)
+    assert proc.returncode == 0 and proc.stdout
+    monkeypatch.setenv("COLUMNS", "200")  # no line break inside the help
+    code, help_text, _ = run_cli(capsys, "compute", command[0], "--help")
+    assert code == 0 and "--kappa=-3/5" in help_text

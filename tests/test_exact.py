@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge.exact import (MAX_CONDUCTOR, Cyclo, PadicVal, _divisors,
-                              as_rational, cyclotomic_poly, euler_phi,
-                              padic_valuation, scalar, scalar_from_json,
-                              scalar_json, vp)
+from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, PadicVal,
+                              _prime_factors, as_rational, cyclotomic_poly,
+                              euler_phi, is_prime, padic_valuation, scalar,
+                              scalar_from_json, scalar_json, vp)
+
+
+def _divisors(m):
+    """The divisors of m, ascending, by testing every d <= m."""
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def test_root_of_unity_inverse():
@@ -41,6 +46,47 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_poly(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     assert euler_phi(27) == 18
+
+
+# References for the factorization-based exact layer: each shares no code
+# with the implementation it checks.
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polys_multiply_to_x_m_minus_1():
+    """prod over d | m of Phi_d = x^m - 1, for every m <= 400."""
+    for m in range(1, 401):
+        acc = [1]
+        for d in _divisors(m):
+            acc = _poly_mul(acc, cyclotomic_poly(d))
+        assert acc == [-1] + [0] * (m - 1) + [1], m
+
+
+def test_euler_phi_counts_the_units():
+    for m in range(1, 601):
+        assert euler_phi(m) == sum(1 for a in range(1, m + 1)
+                                   if gcd(a, m) == 1), m
+
+
+def test_prime_factors_match_brute_force():
+    primes = [q for q in range(2, 3001)
+              if all(q % d for d in range(2, q))]
+    for m in range(1, 3001):
+        assert _prime_factors(m) == tuple(q for q in primes if m % q == 0), m
+    assert [p for p in range(-3, 3001) if is_prime(p)] == primes
+
+
+def test_is_prime_refuses_above_its_bound():
+    assert is_prime(999999999989)  # the largest prime below 10^12
+    assert not is_prime(MAX_PRIME)
+    with pytest.raises(ValueError, match="exceeds MAX_PRIME"):
+        is_prime(MAX_PRIME + 1)
 
 
 def _random_cyclo(rng):
@@ -261,7 +307,7 @@ def _reference_to_json(x):
     if x.is_rational():
         small = Cyclo.rational(x.as_rational())
     else:
-        small = next((down for d in sorted(_divisors(x.m))[:-1]
+        small = next((down for d in _divisors(x.m)[:-1]
                       if (down := _reference_descend(x, d)) is not None), x)
     return {"m": small.m, "coeffs": [str(c) for c in small.c]}
 
@@ -279,6 +325,43 @@ def test_reduced_finds_the_smallest_conductor():
     assert genuine.lift(506).to_json() == genuine.to_json()
     assert Cyclo.zeta(22).reduced() == Cyclo.zeta(11, 6) * -1
     assert Cyclo.zeta(22).reduced().m == 11
+
+
+def _gauss_period(m, gens):
+    """The sum of zeta_m^h over the subgroup of (Z/m)^* that gens
+    generate."""
+    group, todo = {1}, [1]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            if (k := h * g % m) not in group:
+                group.add(k)
+                todo.append(k)
+    return sum((Cyclo.zeta(m, h) for h in group), Cyclo.rational(0))
+
+
+@pytest.mark.parametrize("m", [105, 210])
+def test_reduced_matches_the_reference_on_gauss_periods(m):
+    """The period of the units that are 1 mod d lies in Q(zeta_d); with
+    -1 or 2 added to the group, it lies in a subfield of Q(zeta_d) that
+    for most d is not cyclotomic."""
+    conductors = set()
+    for d in _divisors(m):
+        kernel = [a for a in range(1, m) if gcd(a, m) == 1 and a % d == 1 % d]
+        for extra in ([], [m - 1], [2]):
+            x = _gauss_period(m, kernel + extra)
+            assert x.to_json() == _reference_to_json(x)
+            conductors.add(x.reduced().m)
+    assert conductors == {1, 3, 5, 7, 15, 21, 35, 105}
+
+
+def test_zeta_3_descends_from_210_in_several_steps():
+    up = Cyclo.zeta(3).lift(210)
+    assert up.m == 210
+    assert up.reduced().m == 3 and up.reduced() == Cyclo.zeta(3)
+    assert up.to_json() == {"m": 3, "coeffs": ["0", "1"]}
+    # 1350 = 2 3^3 5^2: the primes 3 and 5 each take two steps
+    assert Cyclo.zeta(3).lift(1350).to_json() == up.to_json()
 
 
 @PROPERTY

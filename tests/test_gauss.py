@@ -26,6 +26,41 @@ def test_unit_group_generators():
     assert order == 6
 
 
+def _order(g, mod):
+    k, x = 1, g
+    while x != 1:
+        x, k = x * g % mod, k + 1
+    return k
+
+
+def test_primitive_root_is_the_least_unit_of_full_order():
+    """For every odd p^s <= MAX_MODULUS the generator is the least unit
+    whose order, counted power by power, is phi(p^s)."""
+    checked = 0
+    for p in range(3, gauss.MAX_MODULUS + 1, 2):
+        if any(p % d == 0 for d in range(3, p, 2)):
+            continue
+        s = 1
+        while p ** s <= gauss.MAX_MODULUS:
+            mod, phi = p ** s, (p - 1) * p ** (s - 1)
+            least = next(g for g in range(2, mod)
+                         if g % p and _order(g, mod) == phi)
+            assert gauss.unit_group_generators(p, s) == [(least, phi)]
+            checked, s = checked + 1, s + 1
+    assert checked == 391
+
+
+def test_unit_group_generators_check_bounds_first():
+    with pytest.raises(ValueError, match="s = 0 must be at least 1"):
+        gauss.unit_group_generators(3, 0)
+    with pytest.raises(ValueError, match=r"p\^s = 3\^1000000000 exceeds"):
+        gauss.unit_group_generators(3, 10 ** 9)
+    with pytest.raises(ValueError, match=r"p\^s = 10{22} exceeds"):
+        gauss.unit_group_generators(10 ** 22, 1)
+    with pytest.raises(ValueError, match="p = 1 is not prime"):
+        gauss.unit_group_generators(1, 10 ** 9)
+
+
 def test_character_group_complete():
     for (p, s) in ((2, 1), (2, 2), (2, 3), (3, 2), (5, 1)):
         chars = gauss.all_characters(p, s)
