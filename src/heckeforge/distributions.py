@@ -17,12 +17,12 @@ that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from heckeforge.exact import (Cyclo, is_prime, scalar, scalar_from_json,
                               scalar_json, vp)
 from heckeforge.gauss import MAX_MODULUS, all_characters, check_modulus
-from heckeforge.modules import full_dual_roots, kappa_of
+from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
 
 class QTower:
@@ -59,8 +59,8 @@ class QTower:
     def minus_one(self, m):
         return self.p ** m - 1
 
-    def characters(self, m, chi_p=None):
-        return all_characters(self.p, m, chi_p)
+    def characters(self, m):
+        return all_characters(self.p, m)
 
     def char_order(self, chi):
         return chi.order()
@@ -107,12 +107,9 @@ class AbstractTower:
     def minus_one(self, m):
         return (0, self._q.minus_one(m))
 
-    def characters(self, m, chi_p=None):
-        out = []
-        for j in range(self.h):
-            for chi in self._q.characters(m, chi_p):
-                out.append((j, chi))
-        return out
+    def characters(self, m):
+        return [(j, chi) for j in range(self.h)
+                for chi in self._q.characters(m)]
 
     def char_order(self, chi):
         """lcm(h, order of the finite part): the conductor at which each
@@ -133,13 +130,17 @@ class AbstractTower:
 
 
 class Distribution:
-    """Level-indexed values on tower cosets, each a tuple indexed by nus."""
+    """Level-indexed values on tower cosets, each a tuple indexed by nus.
 
-    def __init__(self, tower, nus, values, eigen=None):
+    `eigen` starts as None; a caller that knows the eigenvalue data
+    assigns it a dict (kappa, and eta_n, eta_prime for the distribution
+    whose functional equation is checked) after building."""
+
+    def __init__(self, tower, nus, values):
         self.tower = tower
         self.nus = tuple(nus)
         self.values = {m: dict(level) for m, level in values.items()}
-        self.eigen = eigen  # optional dict: kappa, eta_n, eta_prime, n
+        self.eigen = None
 
     @property
     def levels(self):
@@ -320,7 +321,7 @@ def _vector_sum(vecs):
     return acc
 
 
-def fourier_inversion_check(mu, m, chi_p=None):
+def fourier_inversion_check(mu, m):
     """sum over all characters chi of C(p^m) of chi(x0)^{-1} * integral of
     chi d(mu) equals |C(p^m)| * mu(x0 + p^m), for every x0.
 
@@ -330,7 +331,7 @@ def fourier_inversion_check(mu, m, chi_p=None):
     `check_distribution_relation` is the check that tests the
     distribution."""
     tower = mu.tower
-    chars = tower.characters(m, chi_p)
+    chars = tower.characters(m)
     elements = tower.elements(m)
     vecs = [mu.values[m][x] for x in elements]
     orders = [tower.char_order(chi) for chi in chars]
@@ -366,11 +367,22 @@ def kappa_hat(n, s, nu, nu_min):
     return {"nfchi_exponent": e_formula, "kappa_exponent": -s, "audit": e_audit}
 
 
+# p^(s |e|) < 2^13000 has at most 3914 decimal digits, under the 4300 that
+# Python turns into a string by default, with room left for kappa^s
+MAX_KAPPA_HAT_BITS = 13_000
+
+
 def kappa_hat_value(n, p, s, nu, nu_min, kappa_pair):
     """(value, exponents) of kappa_hat at N(f_chi) = p^s; p and s are
-    checked as a character's modulus is (gauss.check_modulus)."""
+    checked as a character's modulus is (gauss.check_modulus).  A power
+    p^(s e) above MAX_KAPPA_HAT_BITS is refused before it is formed."""
     check_modulus(p, s)
     info = kappa_hat(n, s, nu, nu_min)
+    if s * abs(info["nfchi_exponent"]) * p.bit_length() > MAX_KAPPA_HAT_BITS:
+        raise ValueError(
+            f"kappa-hat at n = {n}, nu = {nu}, nu-min = {nu_min}: the power "
+            f"of p = {p} has more than MAX_KAPPA_HAT_BITS = "
+            f"{MAX_KAPPA_HAT_BITS} bits")
     nfchi = Fraction(p) ** s
     base = nfchi ** info["nfchi_exponent"]
     kp = scalar(kappa_pair)
@@ -426,14 +438,14 @@ def dual_symbol(sym, n, kappa_dual):
 
 def dual_kappa_pair(n, q, lam_full, lam_prime_full):
     """kappa_{lam^vee} kappa_{lam'^vee} together with the eigenvalue data
-    (eta_n, eta'_{n-1}) entering the kappa-inversion relation."""
+    (eta_n, eta'_{n-1}) entering the kappa-inversion relation, each the
+    `HeckeRoots.eta` of its roots."""
     q = Fraction(q)
     lam_vee = full_dual_roots(lam_full, q)[: n - 1]
     lam_p_vee = full_dual_roots(lam_prime_full, q)
     kd = kappa_of(lam_vee, q) * kappa_of(lam_p_vee, q)
-    eta_n = q ** (-(n * (n - 1) // 2)) * prod(lam_full, start=Fraction(1))
-    eta_prime = (q ** (-((n - 1) * (n - 2) // 2))
-                 * prod(lam_prime_full, start=Fraction(1)))
+    eta_n = HeckeRoots(lam_full, q).eta(n)
+    eta_prime = HeckeRoots(lam_prime_full, q).eta(n - 1)
     return kd, eta_n, eta_prime
 
 

@@ -337,24 +337,11 @@ def eps_T(ctx, nu):
     return _expand(ctx, "T", nu)
 
 
-def expand_operator(ctx, tag, validate=False):
+def expand_operator(ctx, tag):
     """Expand a Hecke operator tag: 'V0'..'Vn', 'U1'..'Un', 'Vp', "Vp'",
-    'T0'..'Tn', each through the one triangular enumeration.
-
-    With validate=True the decomposition is checked for disjointness and
-    randomized coverage; a failure raises with the uncovered sample."""
-    out = _expand(ctx, *_parse_tag(tag))
-    if validate:
-        ok, pair = check_disjoint(out)
-        if not ok:
-            raise ArithmeticError(f"{tag}: representatives {pair} coincide")
-        failures, witness = check_coverage(ctx, tag, samples=50, seed=0,
-                                           want_witness=True)
-        if failures:
-            raise ArithmeticError(
-                f"{tag}: {failures} coverage failures; uncovered sample "
-                f"{witness.rows() if witness is not None else None}")
-    return out
+    'T0'..'Tn', each through the one triangular enumeration.  The
+    decomposition is checked by check_disjoint and check_coverage."""
+    return _expand(ctx, *_parse_tag(tag))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +419,12 @@ def _random_unit(rng, p, mod):
     return u
 
 
-def _random_iwahori(ctx, rng, depth=3):
+def _random_iwahori(ctx, rng):
     """Random element of K_I as unipotent * diagonal-unit * lower-congruent,
-    multiplied out as one flat integer product: the diagonal scales the
-    unipotent's columns."""
+    entries drawn mod p^3 and multiplied out as one flat integer product:
+    the diagonal scales the unipotent's columns."""
     n, p, r = ctx.n, ctx.p, ctx.r
-    mod = p ** depth
+    mod = p ** 3
     low = p ** r
     up = [int(i == j) for i in range(n) for j in range(n)]
     lo = list(up)
@@ -451,10 +438,11 @@ def _random_iwahori(ctx, rng, depth=3):
     return RatMat(n, kernels.mat_mul(ud, lo, n), 1, normalized=True)
 
 
-def _random_triangular_unit(ctx, rng, depth=3):
-    """Random element of K_B (integral upper triangular, unit diagonal)."""
+def _random_triangular_unit(ctx, rng):
+    """Random element of K_B (integral upper triangular, unit diagonal),
+    entries drawn mod p^3."""
     n, p = ctx.n, ctx.p
-    mod = p ** depth
+    mod = p ** 3
     num = [0] * (n * n)
     for i in range(n):
         num[i * n + i] = _random_unit(rng, p, mod)
@@ -476,14 +464,13 @@ def check_disjoint(cs):
     return (True, None) if found is None else (False, found)
 
 
-def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
+def check_coverage(ctx, tag, samples=200, seed=0):
     """Randomized coverage: k * g lies in exactly one listed coset.
 
     For the V-family k is drawn from the full Iwahori subgroup; U_i and
     T_nu live in the triangular monoid, so k is drawn from K_B there
     (a full-Iwahori translate can leave the monoid at level r >= 1).
-    Returns the failure count, or (count, first offending probe) with
-    want_witness=True.
+    Returns the number of the `samples` probes that fail.
     """
     rng = random.Random(seed)
     cs = expand_operator(ctx, tag)
@@ -493,15 +480,8 @@ def check_coverage(ctx, tag, samples=200, seed=0, want_witness=False):
     sampler = (_random_triangular_unit if kind in ("U", "T")
                else _random_iwahori)
     counts = _multiset(key for _, key, _ in cs.terms)
-    failures = 0
-    witness = None
-    for _ in range(samples):
-        probe = sampler(ctx, rng) * g0
-        if counts.get(cs._key(probe)) != 1:
-            failures += 1
-            if witness is None:
-                witness = probe
-    return (failures, witness) if want_witness else failures
+    return sum(counts.get(cs._key(sampler(ctx, rng) * g0)) != 1
+               for _ in range(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +582,7 @@ def gl2_satake_regression(p):
             consistent)
 
 
-def shintani_lfactor(alphas, betas, var="T"):
+def shintani_lfactor(alphas, betas):
     """Denominator polynomial of the unramified Rankin-Selberg Euler factor:
     prod_{i,j} (1 - alpha_i beta_j T), coefficients exact scalars."""
     alphas = [Cyclo._coerce(a) for a in alphas]
@@ -610,7 +590,7 @@ def shintani_lfactor(alphas, betas, var="T"):
     if not all(alphas) or not all(betas):
         raise ValueError("Satake parameters must be nonzero scalars")
     out = LaurentPoly.const(1)
-    t = lvar(var)
+    t = lvar("T")
     for a in alphas:
         for b in betas:
             out = out * (lconst(1) - lconst(a * b) * t)

@@ -1,10 +1,12 @@
 """The verification suites behind `heckeforge verify`.
 
 Each case is a named deterministic check (seeded RNG per case) returning
-pass/fail plus a serializable witness.  The cases of a suite live in their
-own module, `heckeforge.suites.<suite>` (`-` written `_`), imported only
-when that suite runs.  Cases run one at a time in case-id order, and each
-is reported as a JSON-ready dict as soon as it ends.
+pass/fail plus a serializable witness.  A grid case is one function
+registered once per grid point, and the params `case()` records for the
+point reach it as keyword arguments after the rng.  The cases of a suite
+live in their own module, `heckeforge.suites.<suite>` (`-` written `_`),
+imported only when that suite runs.  Cases run one at a time in case-id
+order, and each is reported as a JSON-ready dict as soon as it ends.
 """
 
 import importlib
@@ -19,6 +21,9 @@ _REGISTRY = {s: [] for s in SUITES}
 
 
 def case(suite, name, **params):
+    """Register fn as case `<suite>/<name>`; the runner calls
+    fn(rng, **params), so a case without params is fn(rng).  The params
+    n, p and r are also what the range filter of run_suite reads."""
     def deco(fn):
         _REGISTRY[suite].append((suite, f"{suite}/{name}", fn, params))
         return fn
@@ -65,7 +70,7 @@ def run_suite(suites=None, seed=0, include_corrupted_fixture=False,
     unknown = selected - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    # (case id, suite, fn, witness): fn None is a skip with that witness
+    # (case id, suite, fn, params, witness): fn None is a skip, else a run
     work = []
     for (s, cid, fn, params) in _entries(selected, include_corrupted_fixture):
         if ((n_values is not None and "n" in params
@@ -74,17 +79,17 @@ def run_suite(suites=None, seed=0, include_corrupted_fixture=False,
                     and params["p"] not in p_values)
                 or (r_values is not None and "n" in params
                     and params.get("r", 1) not in r_values)):
-            work.append((cid, s, None, "outside configured n/p ranges"))
+            work.append((cid, s, None, {}, "outside configured n/p ranges"))
         else:
-            work.append((cid, s, fn, None))
+            work.append((cid, s, fn, params, None))
     for s in sorted(set(SUITES) - selected):
-        work.append((f"{s}/(all)", s, None, None))
+        work.append((f"{s}/(all)", s, None, {}, None))
     work.sort(key=lambda item: item[0])
     return _run(work, seed)
 
 
 def _run(work, seed):
-    for cid, s, fn, witness in work:
+    for cid, s, fn, params, witness in work:
         if fn is None:
             yield {"suite": s, "case": cid, "status": "skip",
                    "witness": witness, "ms": 0}
@@ -92,7 +97,7 @@ def _run(work, seed):
         rng = random.Random(f"{seed}:{cid}")
         t0 = time.perf_counter()
         try:
-            status, witness = fn(rng)
+            status, witness = fn(rng, **params)
         except Exception as exc:  # a crash is a failure with a witness
             status, witness = "fail", {"exception": repr(exc)}
         ms = round((time.perf_counter() - t0) * 1000, 3)

@@ -6,8 +6,8 @@ from heckeforge import distributions as dist
 from heckeforge.suite import _ok, case
 
 
-def _random_symbol(rng, p, M, kappa, tower=None, d=2):
-    tower = tower or dist.QTower(p)
+def _random_symbol(rng, p, M, kappa, d=2):
+    tower = dist.QTower(p)
     nus = list(range(d))
     base = {}
     for x in tower.elements(M):

@@ -23,34 +23,31 @@ def _case_involution(rng):
     return _ok(True)
 
 
-def _fe_case(p, n):
-    def fn(rng):
-        q = Fraction(p)
-        lam = [Fraction(v) for v in rng.sample([1, 2, 3, 5, 7], n)]
-        lamp = [Fraction(v) for v in rng.sample([1, 2, 3, 5, 7], n - 1)]
-        kappa = (modules.kappa_of(lam[: n - 1], q)
-                 * modules.kappa_of(lamp, q))
-        kd, eta_n, eta_p = dist.dual_kappa_pair(n, q, lam, lamp)
-        tower = dist.QTower(p)
-        nus = [-1, 0, 1]
-        base = {x: tuple(Fraction(rng.randrange(-6, 7)) for _ in nus)
-                for x in tower.elements(3)}
-        sym = dist.EigenSymbol(tower, kappa, 3, base, nus)
-        sym_dual = dist.dual_symbol(sym, n, kd)
-        mu = dist.build_mu(sym, 1)
-        mu.eigen = {"kappa": kappa, "eta_n": eta_n, "eta_prime": eta_p}
-        mu_dual = dist.build_mu(sym_dual, 1)
-        mu_dual.eigen = {"kappa": kd}
-        out = dist.check_functional_equation(mu, mu_dual, n)
-        return _ok(out["ok"] and out["kappa_relation_ok"],
-                   {"witness": str(out["witness"]),
-                    "kappa": out["kappa_relation_ok"]})
-    return fn
+def _fe_case(rng, n, p):
+    q = Fraction(p)
+    lam = [Fraction(v) for v in rng.sample([1, 2, 3, 5, 7], n)]
+    lamp = [Fraction(v) for v in rng.sample([1, 2, 3, 5, 7], n - 1)]
+    kappa = modules.kappa_of(lam[: n - 1], q) * modules.kappa_of(lamp, q)
+    kd, eta_n, eta_p = dist.dual_kappa_pair(n, q, lam, lamp)
+    tower = dist.QTower(p)
+    nus = [-1, 0, 1]
+    base = {x: tuple(Fraction(rng.randrange(-6, 7)) for _ in nus)
+            for x in tower.elements(3)}
+    sym = dist.EigenSymbol(tower, kappa, 3, base, nus)
+    sym_dual = dist.dual_symbol(sym, n, kd)
+    mu = dist.build_mu(sym, 1)
+    mu.eigen = {"kappa": kappa, "eta_n": eta_n, "eta_prime": eta_p}
+    mu_dual = dist.build_mu(sym_dual, 1)
+    mu_dual.eigen = {"kappa": kd}
+    out = dist.check_functional_equation(mu, mu_dual, n)
+    return _ok(out["ok"] and out["kappa_relation_ok"],
+               {"witness": str(out["witness"]),
+                "kappa": out["kappa_relation_ok"]})
 
 
 for _p, _n in ((3, 2), (3, 3), (5, 2), (5, 3)):
     case("functional-equation", f"synthetic-p{_p}-n{_n}", n=_n, p=_p)(
-        _fe_case(_p, _n))
+        _fe_case)
 
 
 @case("functional-equation", "self-dual-fixture")

@@ -8,53 +8,47 @@ from heckeforge.matrices import GlnContext
 from heckeforge.suite import _ok, case
 
 
-def _grits_case(n, p):
-    def fn(rng):
-        ok, details = hecke.verify_gritsenko(GlnContext(n, p, 1))
-        return _ok(ok, {"coefficient": details["coefficient"]} if details else None)
-    return fn
+def _grits_case(rng, n, p):
+    ok, details = hecke.verify_gritsenko(GlnContext(n, p, 1))
+    return _ok(ok, {"coefficient": details["coefficient"]} if details else None)
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-    case("hecke", f"gritsenko-n{_n}-p{_p}", n=_n, p=_p)(_grits_case(_n, _p))
+    case("hecke", f"gritsenko-n{_n}-p{_p}", n=_n, p=_p)(_grits_case)
 
 
-def _vcount_case(n, p):
-    def fn(rng):
-        ctx = GlnContext(n, p, 1)
-        for nu in range(n + 1):
-            cs = hecke.expand_V(ctx, nu)
-            if len(cs) != p ** (nu * (n - nu)):
-                return _ok(False, {"op": f"V{nu}", "count": len(cs)})
-            ok, pair = hecke.check_disjoint(cs)
-            if not ok:
-                return _ok(False, {"op": f"V{nu}", "overlap": pair})
-        vp_sum = hecke.expand_Vp(ctx)
-        want = p ** ((n + 1) * n * (n - 1) // 6)
-        if len(vp_sum) != want:
-            return _ok(False, {"op": "Vp", "count": len(vp_sum)})
-        ok, pair = hecke.check_disjoint(vp_sum)
-        return _ok(ok, {"op": "Vp", "overlap": pair} if not ok else None)
-    return fn
+def _vcount_case(rng, n, p):
+    ctx = GlnContext(n, p, 1)
+    for nu in range(n + 1):
+        cs = hecke.expand_V(ctx, nu)
+        if len(cs) != p ** (nu * (n - nu)):
+            return _ok(False, {"op": f"V{nu}", "count": len(cs)})
+        ok, pair = hecke.check_disjoint(cs)
+        if not ok:
+            return _ok(False, {"op": f"V{nu}", "overlap": pair})
+    vp_sum = hecke.expand_Vp(ctx)
+    want = p ** ((n + 1) * n * (n - 1) // 6)
+    if len(vp_sum) != want:
+        return _ok(False, {"op": "Vp", "count": len(vp_sum)})
+    ok, pair = hecke.check_disjoint(vp_sum)
+    return _ok(ok, {"op": "Vp", "overlap": pair} if not ok else None)
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2)):
-    case("hecke", f"v-counts-n{_n}-p{_p}", n=_n, p=_p)(_vcount_case(_n, _p))
+    case("hecke", f"v-counts-n{_n}-p{_p}", n=_n, p=_p)(_vcount_case)
 
 
-def _coverage_case(n, p, tag):
-    def fn(rng):
-        failures = hecke.check_coverage(GlnContext(n, p, 1), tag,
-                                        samples=200, seed=rng.randrange(2 ** 30))
-        return _ok(failures == 0, {"failures": failures})
-    return fn
+def _coverage_case(rng, n, p, tag):
+    failures = hecke.check_coverage(GlnContext(n, p, 1), tag,
+                                    samples=200, seed=rng.randrange(2 ** 30))
+    return _ok(failures == 0, {"failures": failures})
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2)):
     for _tag in (["V1", "Vp", "Vp'"] + [f"U{i}" for i in range(1, _n + 1)]
                  + [f"T{nu}" for nu in range(1, _n + 1)]):
-        case("hecke", f"coverage-n{_n}-p{_p}-{_tag}", n=_n, p=_p)(
-            _coverage_case(_n, _p, _tag))
+        case("hecke", f"coverage-n{_n}-p{_p}-{_tag}", n=_n, p=_p,
+             tag=_tag)(_coverage_case)
 
 
 @case("hecke", "unit-element")
@@ -86,16 +80,13 @@ def _case_u1u2(rng):
     return _ok(prod == want)
 
 
-def _commut_case(n, p):
-    def fn(rng):
-        ok, pair = hecke.verify_commutativity(GlnContext(n, p, 1))
-        return _ok(ok, {"pair": pair})
-    return fn
+def _commut_case(rng, n, p):
+    ok, pair = hecke.verify_commutativity(GlnContext(n, p, 1))
+    return _ok(ok, {"pair": pair})
 
 
 for _n, _p in ((2, 2), (3, 2)):
-    case("hecke", f"commutativity-n{_n}-p{_p}", n=_n, p=_p)(
-        _commut_case(_n, _p))
+    case("hecke", f"commutativity-n{_n}-p{_p}", n=_n, p=_p)(_commut_case)
 
 
 @case("hecke", "satake-display")
@@ -160,16 +151,14 @@ def _case_shintani(rng):
     return _ok(True)
 
 
-def _indices_case(n, p):
-    def fn(rng):
-        out = hecke.count_indices(GlnContext(n, p, 1))
-        honest_gamma = {2: p - 1, 3: p * p * (p - 1) ** 2}[n]
-        good = (out["unipotent_match"]
-                and out["gamma_index"] == honest_gamma
-                and out.get("gamma_ratio_ok", True))
-        return _ok(good, {k: v for k, v in out.items()})
-    return fn
+def _indices_case(rng, n, p):
+    out = hecke.count_indices(GlnContext(n, p, 1))
+    honest_gamma = {2: p - 1, 3: p * p * (p - 1) ** 2}[n]
+    good = (out["unipotent_match"]
+            and out["gamma_index"] == honest_gamma
+            and out.get("gamma_ratio_ok", True))
+    return _ok(good, {k: v for k, v in out.items()})
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-    case("hecke", f"indices-n{_n}-p{_p}", n=_n, p=_p)(_indices_case(_n, _p))
+    case("hecke", f"indices-n{_n}-p{_p}", n=_n, p=_p)(_indices_case)

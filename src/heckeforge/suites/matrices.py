@@ -90,14 +90,11 @@ def _case_family_zero(rng):
     return _ok(True)
 
 
-def _epim_case(n, p):
-    def fn(rng):
-        ok, witness = matrices.verify_epimorphism(GlnContext(n, p, 1))
-        return _ok(ok, {str(k): list(map(list, v)) for k, v in witness.items()}
-                   if isinstance(witness, dict) else witness)
-    return fn
+def _epim_case(rng, n, p):
+    ok, witness = matrices.verify_epimorphism(GlnContext(n, p, 1))
+    return _ok(ok, {str(k): list(map(list, v)) for k, v in witness.items()}
+               if isinstance(witness, dict) else witness)
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2), (3, 3)):
-    case("matrices", f"epimorphism-n{_n}-p{_p}", n=_n, p=_p)(
-        _epim_case(_n, _p))
+    case("matrices", f"epimorphism-n{_n}-p{_p}", n=_n, p=_p)(_epim_case)

@@ -82,8 +82,8 @@ def _case_random_pure(rng):
     return _ok(True)
 
 
-def _random_pure_pair(rng, nmax=5):
-    n = rng.randrange(2, nmax + 1)
+def _random_pure_pair(rng):
+    n = rng.randrange(2, 6)
     w = rng.randrange(-4, 10)
     half = [rng.randrange(-8, 9) for _ in range((n + 1) // 2)]
     mu = _pure_completion(half, w, n)

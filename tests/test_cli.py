@@ -700,6 +700,10 @@ def test_compute_hecke_expand_matches_the_golden_outputs(capsys, monkeypatch):
     _assert_golden_outputs(capsys, monkeypatch, "hecke-expand", "{}")
 
 
+def test_compute_kappa_hat_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "kappa-hat")
+
+
 def test_integrate_takes_its_character_without_the_dual_group():
     """Building all 2162 characters mod 47^2 took past 100 s; the lazy
     loop stops at the first one of conductor 47^2."""
@@ -734,6 +738,22 @@ def test_compute_refuses_a_huge_p_or_s_at_once(argv, message):
     proc = _run_child("compute", *argv, timeout=10)
     assert proc.returncode == 2
     assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("n, nu", [("40", "1"), ("400", "1"),
+                                   ("3", "-1000000000")])
+def test_kappa_hat_refuses_a_huge_power_at_once(n, nu):
+    """p^(s e), e = n(n-1)(n-2)/6 + (nu - nu_min) n(n-1)/2, is bounded
+    before it is formed, so the message names n and nu, not Python's
+    limit on int-to-string conversion."""
+    proc = _run_child("compute", "kappa-hat", "--n", n, "--p", "3", "--s",
+                      "1", f"--nu={nu}", "--nu-min", "0", "--kappa", "2",
+                      timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        f"error: kappa-hat at n = {n}, nu = {nu}, nu-min = 0: ")
+    assert "MAX_KAPPA_HAT_BITS" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 

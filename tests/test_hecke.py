@@ -287,8 +287,10 @@ def test_vp_lists_each_coset_once_at_every_level(n, p, r):
     once and together covering the double coset."""
     ctx = _ctx(n, p, r)
     for tag in ("Vp", "Vp'"):
-        cs = hecke.expand_operator(ctx, tag, validate=True)
+        cs = hecke.expand_operator(ctx, tag)
         assert len(cs) == p ** ((n + 1) * n * (n - 1) // 6), tag
+        assert hecke.check_disjoint(cs) == (True, None), tag
+        assert hecke.check_coverage(ctx, tag, samples=50, seed=0) == 0, tag
 
 
 def _equal_reference(a, b, ctx):
@@ -626,9 +628,10 @@ def test_disjointness_and_coverage():
 
 def test_expand_operator_validation():
     ctx = GlnContext(2, 3, 1)
-    cs = hecke.expand_operator(ctx, "V1", validate=True)
+    cs = hecke.expand_operator(ctx, "V1")
     assert len(cs) == 3
-    # a broken listing is reported with the uncovered sample
+    assert hecke.check_disjoint(cs) == (True, None)
+    assert hecke.check_coverage(ctx, "V1", samples=50, seed=0) == 0
     for tag in ("W9", ""):
         with pytest.raises(ValueError):
             hecke.expand_operator(ctx, tag)

@@ -1,6 +1,7 @@
 """The suite runner loads each suite's case module only when it runs, and
 the registry does not depend on the order those modules were loaded in."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -39,6 +40,15 @@ def test_registry_order_does_not_depend_on_load_order():
         (s for s, _, _ in fresh), key=suite.SUITES.index)
     assert fresh == [[s, cid, params]
                      for s, cid, _, params in suite.registry()]
+
+
+def test_each_case_takes_rng_and_exactly_its_recorded_params():
+    """The params case() records are the only way they reach a case: the
+    runner calls fn(rng, **params), and no closure carries a second copy."""
+    for _, cid, fn, params in suite.registry(True):
+        names = list(inspect.signature(fn).parameters)
+        assert names[0] == "rng", cid
+        assert sorted(names[1:]) == sorted(params), cid
 
 
 def _loaded(code, *argv):
