@@ -44,9 +44,6 @@ class QTower:
         return [x + k * mod for k in range(self.p)
                 if (x + k * mod) % self.p != 0]
 
-    def project(self, m, x):
-        return x % self.p ** (m - 1)
-
     def mul(self, m, x, y):
         return x * y % self.p ** m
 
@@ -90,10 +87,6 @@ class AbstractTower:
     def lifts(self, m, x):
         c, u = x
         return [(c, v) for v in self._q.lifts(m, u)]
-
-    def project(self, m, x):
-        c, u = x
-        return (c, self._q.project(m, u))
 
     def mul(self, m, x, y):
         return ((x[0] + y[0]) % self.h, self._q.mul(m, x[1], y[1]))
@@ -367,25 +360,32 @@ def kappa_hat(n, s, nu, nu_min):
     return {"nfchi_exponent": e_formula, "kappa_exponent": -s, "audit": e_audit}
 
 
-# p^(s |e|) < 2^13000 has at most 3914 decimal digits, under the 4300 that
-# Python turns into a string by default, with room left for kappa^s
+# A numerator or denominator below 2^13000 has at most 3914 decimal
+# digits, under the 4300 that Python turns into a string by default
 MAX_KAPPA_HAT_BITS = 13_000
 
 
 def kappa_hat_value(n, p, s, nu, nu_min, kappa_pair):
     """(value, exponents) of kappa_hat at N(f_chi) = p^s; p and s are
-    checked as a character's modulus is (gauss.check_modulus).  A power
-    p^(s e) above MAX_KAPPA_HAT_BITS is refused before it is formed."""
+    checked as a character's modulus is (gauss.check_modulus).
+
+    The value p^(s e) kappa^(-s) is refused before any power is formed
+    when s |e| bits(p) plus s times kappa's bits, those of its largest
+    numerator and of its denominator, pass MAX_KAPPA_HAT_BITS."""
     check_modulus(p, s)
     info = kappa_hat(n, s, nu, nu_min)
-    if s * abs(info["nfchi_exponent"]) * p.bit_length() > MAX_KAPPA_HAT_BITS:
+    kp = scalar(kappa_pair)
+    c = kp if isinstance(kp, Cyclo) else Cyclo.rational(kp)
+    kappa_bits = max(map(abs, c.num)).bit_length() + c.den.bit_length()
+    if (s * (abs(info["nfchi_exponent"]) * p.bit_length() + kappa_bits)
+            > MAX_KAPPA_HAT_BITS):
         raise ValueError(
-            f"kappa-hat at n = {n}, nu = {nu}, nu-min = {nu_min}: the power "
-            f"of p = {p} has more than MAX_KAPPA_HAT_BITS = "
-            f"{MAX_KAPPA_HAT_BITS} bits")
+            f"kappa-hat at n = {n}, nu = {nu}, nu-min = {nu_min}: "
+            f"p^(s e) kappa^(-s) with p = {p}, s = {s}, "
+            f"e = {info['nfchi_exponent']} and a kappa of {kappa_bits} bits "
+            f"has more than MAX_KAPPA_HAT_BITS = {MAX_KAPPA_HAT_BITS} bits")
     nfchi = Fraction(p) ** s
     base = nfchi ** info["nfchi_exponent"]
-    kp = scalar(kappa_pair)
     if kp == 0:
         raise ValueError("kappa kappa' = 0: kappa-hat needs a nonzero "
                          "eigenvalue (finite slope)")

@@ -3,9 +3,10 @@
 Right cosets g K_I are held by exact rational representatives, each with
 a canonical key, `kernels.iwahori_coset_key`: two representatives lie in
 one coset g K_I (level p^r) exactly when their keys are equal.  The key
-is the one coset-equality rule.  `CosetSum` folds, compares and counts
-through a dict on it, for folds, sum equality, disjointness, coverage and
-the index counts.  Each index is an orbit size: the number of cosets
+is the one coset-equality rule.  A `CosetSum` is one dict from that key
+to [rep, coeff], so every sum is folded; folds, sum equality,
+disjointness, coverage and the index counts all read it.  Each index is
+an orbit size: the number of cosets
 `CosetSum.orbit` reaches from one coset under left multiplication by
 generators of the group.  `spherical_convolve` folds modulo GL_n(Z_p),
 the same key at level r = 0.  Every operator expansion is one
@@ -27,38 +28,24 @@ from heckeforge.matrices import GlnContext, t_matrix
 from heckeforge.ratmat import RatMat
 
 
-def _multiset(items):
-    """{item: number of times it occurs}."""
-    counts = {}
-    for item in items:
-        counts[item] = counts.get(item, 0) + 1
-    return counts
-
-
 class CosetSum:
     """Formal integer (or rational) combination of right cosets, folded.
 
-    Each term is [rep, key, coeff] with coeff nonzero, key the canonical
-    `kernels.iwahori_coset_key` of rep K_I: two representatives lie in
-    one coset exactly when their keys are equal.  A key is formed once,
-    when its representative first enters a sum; sums built from stored
-    terms copy it along.  `_index` maps each key to the first term that
-    holds it, so a fold is one dict lookup per coset.  A sum built with
-    folded=True keeps its terms as given, repeated cosets included."""
+    `terms` is one insertion-ordered dict from the canonical coset key,
+    `kernels.iwahori_coset_key`, to [rep, coeff] with coeff nonzero: two
+    representatives lie in one coset exactly when their keys are equal,
+    so every sum holds each coset once and a fold is one dict lookup per
+    coset.  A key is formed once, when its representative first enters a
+    sum; sums built from stored terms copy it along.  `folded` is
+    accepted and ignored: every sum folds."""
 
-    __slots__ = ("ctx", "terms", "_index")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, pairs=(), folded=False):
         self.ctx = ctx
-        self.terms = []  # list of [rep, key, coeff]
-        self._index = {}
+        self.terms = {}  # coset key -> [rep, coeff]
         for rep, coeff in pairs:
-            if not folded:
-                self._accumulate(rep, coeff)
-            elif coeff:
-                term = [rep, self._key(rep), coeff]
-                self.terms.append(term)
-                self._index.setdefault(term[1], term)
+            self._accumulate(rep, coeff)
 
     def _key(self, rep):
         ctx = self.ctx
@@ -66,32 +53,28 @@ class CosetSum:
 
     def _accumulate(self, rep, coeff, key=None):
         """Add coeff * rep K_I, into the term of that coset if there is
-        one; a term whose coefficient cancels is dropped.  `key` is rep's
-        key when the caller already holds it."""
+        one; a coset whose coefficient cancels is deleted, and comes back
+        last if it is added again.  `key` is rep's key when the caller
+        already holds it."""
         if key is None:
             key = self._key(rep)
-        term = self._index.get(key)
+        term = self.terms.get(key)
         if term is None:
             if coeff:
-                term = [rep, key, coeff]
-                self.terms.append(term)
-                self._index[key] = term
+                self.terms[key] = [rep, coeff]
             return
-        term[2] += coeff
-        if not term[2]:
-            del self._index[key]
-            terms = self.terms
-            del terms[next(i for i, t in enumerate(terms) if t is term)]
+        term[1] += coeff
+        if not term[1]:
+            del self.terms[key]
 
     def pairs(self):
-        return [(rep, coeff) for rep, _, coeff in self.terms]
+        return [(rep, coeff) for rep, coeff in self.terms.values()]
 
     def _with_terms(self, terms):
-        """A sum over this context holding `terms`, indexed."""
+        """A sum over this context holding the key -> [rep, coeff] dict
+        `terms`."""
         out = CosetSum(self.ctx)
         out.terms = terms
-        for term in terms:
-            out._index.setdefault(term[1], term)
         return out
 
     @classmethod
@@ -99,7 +82,9 @@ class CosetSum:
         """The cosets x start K_I, x a word in `gens`, by breadth-first
         closure: each generator times each listed representative goes
         through `_accumulate`, coefficient 1, so a term's coefficient
-        counts the products that reached it, plus one for the start.
+        counts the products that reached it, plus one for the start.  The
+        representatives of new cosets are listed in the order they are
+        met.
 
         This is the orbit of start K_I under the closed group G that
         `gens` generate topologically, provided its stabiliser in G is
@@ -107,14 +92,16 @@ class CosetSum:
         dense subgroup that `gens` generate.  No inverses are needed: a
         generator permutes a finite orbit, and a permutation's inverse is
         one of its powers.  The search closes only on a finite orbit."""
-        out = cls(ctx, [(start, 1)], folded=True)
+        out = cls(ctx, [(start, 1)])
         terms = out.terms
-        done = 0
-        while done < len(terms):  # terms grows as new cosets are met
-            rep = terms[done][0]
-            done += 1
+        reps = [start]
+        for rep in reps:  # reps grows as new cosets are met
             for g in gens:
-                out._accumulate(g * rep, 1)
+                x = g * rep
+                size = len(terms)
+                out._accumulate(x, 1)
+                if len(terms) > size:
+                    reps.append(x)
         return out
 
     def __len__(self):
@@ -123,38 +110,37 @@ class CosetSum:
     def __add__(self, other):
         if not isinstance(other, CosetSum):
             return NotImplemented
-        out = self._with_terms([list(t) for t in self.terms])
-        for rep, key, coeff in other.terms:
+        out = self._with_terms({key: list(t) for key, t in self.terms.items()})
+        for key, (rep, coeff) in other.terms.items():
             out._accumulate(rep, coeff, key)
         return out
 
     def scale(self, c):
         if not c:
             return CosetSum(self.ctx)
-        return self._with_terms([[rep, key, c * k]
-                                 for rep, key, k in self.terms])
+        return self._with_terms({key: [rep, c * k]
+                                 for key, (rep, k) in self.terms.items()})
 
     def convolve(self, other):
         """Pairwise products of representatives, folded by coset key: a
         function of self's cosets only when `other` is left K_I-invariant
         (as an `expand_V` sum is), else of self's representatives too."""
         out = CosetSum(self.ctx)
-        for a, _, ca in self.terms:
-            for b, _, cb in other.terms:
+        for a, ca in self.terms.values():
+            for b, cb in other.terms.values():
                 out._accumulate(a * b, ca * cb)
         return out
 
     __mul__ = convolve
 
-    def _keyed_coeffs(self):
-        return _multiset((key, coeff) for _, key, coeff in self.terms)
-
     def __eq__(self, other):
-        """Multiset equality of (coset key, coefficient)."""
+        """Equal coset key -> coefficient maps."""
         if not isinstance(other, CosetSum):
             return NotImplemented
-        return (len(self.terms) == len(other.terms)
-                and self._keyed_coeffs() == other._keyed_coeffs())
+        theirs = other.terms
+        return (self.terms.keys() == theirs.keys()
+                and all(theirs[key][1] == coeff
+                        for key, (_, coeff) in self.terms.items()))
 
     def __repr__(self):
         return f"CosetSum({len(self)} cosets)"
@@ -266,12 +252,14 @@ def _triangular_reps(n, p, kind, k=None):
 
 
 def _expand(ctx, kind, k=None):
-    """The listed cosets, each with coefficient 1, keyed by
-    `kernels.hermite_key`: every listed matrix is a Hermite form."""
+    """The listed cosets, each added with coefficient 1 and keyed by
+    `kernels.hermite_key`: every listed matrix is a Hermite form.  A coset
+    listed twice folds to coefficient 2, which `check_disjoint` reports."""
     n, r = ctx.n, ctx.r
-    return CosetSum(ctx)._with_terms(
-        [[rep, kernels.hermite_key(rep.num, n, r), 1]
-         for rep in _triangular_reps(n, ctx.p, kind, k)])
+    out = CosetSum(ctx)
+    for rep in _triangular_reps(n, ctx.p, kind, k):
+        out._accumulate(rep, 1, kernels.hermite_key(rep.num, n, r))
+    return out
 
 
 def _parse_tag(tag):
@@ -452,20 +440,18 @@ def _random_triangular_unit(ctx, rng):
 
 
 def check_disjoint(cs):
-    """Every listed coset once, by key: (True, None), or (False, (i, j))
-    for the least i that shares its coset with a later term, and the
-    first such j."""
-    first = {}  # key -> index of its first term
-    found = None
-    for j, (_, key, _) in enumerate(cs.terms):
-        i = first.setdefault(key, j)
-        if i != j and (found is None or i < found[0]):
-            found = (i, j)
-    return (True, None) if found is None else (False, found)
+    """Every listed coset once: a sum folds a coset listed k times to
+    coefficient k, so (True, None) when every coefficient is 1, else
+    (False, (i, c)) for the first coset i of `cs.pairs()` with c != 1."""
+    for i, (_, coeff) in enumerate(cs.terms.values()):
+        if coeff != 1:
+            return False, (i, coeff)
+    return True, None
 
 
 def check_coverage(ctx, tag, samples=200, seed=0):
-    """Randomized coverage: k * g lies in exactly one listed coset.
+    """Randomized coverage: k * g lies in exactly one listed coset, one
+    whose coefficient is 1.
 
     For the V-family k is drawn from the full Iwahori subgroup; U_i and
     T_nu live in the triangular monoid, so k is drawn from K_B there
@@ -479,8 +465,8 @@ def check_coverage(ctx, tag, samples=200, seed=0):
     g0 = RatMat.diagonal([ctx.p ** x for x in g])
     sampler = (_random_triangular_unit if kind in ("U", "T")
                else _random_iwahori)
-    counts = _multiset(key for _, key, _ in cs.terms)
-    return sum(counts.get(cs._key(sampler(ctx, rng) * g0)) != 1
+    terms = cs.terms
+    return sum(terms.get(cs._key(sampler(ctx, rng) * g0), (None, 0))[1] != 1
                for _ in range(samples))
 
 
@@ -665,8 +651,11 @@ def count_indices(ctx):
     The unipotent index matches its formula exactly.  The counted gamma
     index falls short of the stated absolute formula by a factor that
     depends on p and on the level: 1/8 at (n, p, r) = (3, 2, 1), 4/27 at
-    (3, 3, 1) and 1/16 at (3, 2, 2), and (p-1)/p at n = 2, r = 1.  These
-    factors are counted, not proved.  At n = 2, `gamma_ratio_ok` compares
+    (3, 3, 1) and 1/16 at (3, 2, 2), and (p-1)/p at n = 2, r = 1.  Each
+    is vol(I_{n-1}(p^r)) = (1 - 1/p)^(n-1) p^(-r(n-1)(n-2)/2), the
+    additive Haar measure of I_{n-1}(p^r) in M_{n-1}(Z_p) of total mass
+    1, as the tests pin at the points they count.  These factors are
+    counted, not proved.  At n = 2, `gamma_ratio_ok` compares
     the counted indices at levels r and r + 1 with the factor p.  Both
     the count and the formula are returned so callers can compare either
     way.

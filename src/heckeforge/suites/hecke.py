@@ -130,8 +130,7 @@ def _case_restrict(rng):
         return _ok(False, {"reason": "images not distinguished"})
     t2 = hecke.eps_T(ctx, 2)
     want = matrices.RatMat.diagonal([Fraction(2), Fraction(2)])
-    return _ok(len(t2) == 1 and hecke.CosetSum(
-        ctx, [(want, 1)], folded=True) == t2)
+    return _ok(len(t2) == 1 and hecke.CosetSum(ctx, [(want, 1)]) == t2)
 
 
 @case("hecke", "shintani-degree")

@@ -757,6 +757,21 @@ def test_kappa_hat_refuses_a_huge_power_at_once(n, nu):
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+def test_kappa_hat_refuses_a_huge_kappa_at_once():
+    """kappa^s is bounded with p^(s e), before either power is formed, so
+    a 2000-digit kappa at s = 3 is refused by its bit length, not by
+    Python's limit on int-to-string conversion."""
+    proc = _run_child("compute", "kappa-hat", "--n", "3", "--p", "7", "--s",
+                      "3", "--nu", "0", "--nu-min", "0", "--kappa", "7" * 2000,
+                      timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "error: kappa-hat at n = 3, nu = 0, nu-min = 0: ")
+    assert "a kappa of 6645 bits" in proc.stderr
+    assert "MAX_KAPPA_HAT_BITS" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_kappa_hat_checks_p_and_s(capsys):
     for argv, message in ([("--p", "4", "--s", "1"), "p = 4 is not prime"],
                           [("--p", "3", "--s", "0"), "s = 0 must be at least 1"],
