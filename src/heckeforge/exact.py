@@ -44,6 +44,9 @@ class PadicVal(NamedTuple):
 # The largest p that is_prime tests: its trial division takes about 0.1 s
 # in pure Python, so a larger p raises ValueError instead of running long.
 MAX_PRIME = 10 ** 12
+# The most objects one call may list: cosets in hecke, interlacing weights,
+# twists and critical values in weights; each count is checked first.
+MAX_ENUMERATION = 100_000
 
 
 @lru_cache(maxsize=None)

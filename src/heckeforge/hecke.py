@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from heckeforge import kernels
-from heckeforge.exact import Cyclo, vp
+from heckeforge.exact import MAX_ENUMERATION, scalar, vp
 from heckeforge.laurent import LaurentPoly, lconst, lvar
 from heckeforge.matrices import GlnContext, t_matrix
 from heckeforge.ratmat import RatMat
@@ -149,10 +149,9 @@ class CosetSum:
 # ---------------------------------------------------------------------------
 # operator expansions
 
-# The most coset representatives (V_nu, V_p, V_p', U_i, T_nu) one
-# expansion may enumerate; each count has a closed form, checked before
-# enumerating, as gauss.MAX_MODULUS bounds gauss-sum.
-MAX_ENUMERATION = 100_000
+# MAX_ENUMERATION, imported from exact and read under this module's name,
+# bounds the cosets (V_nu, V_p, V_p', U_i, T_nu) one expansion may list;
+# each count has a closed form, checked before enumerating.
 # The most entries one listed matrix may hold: an operator with one coset
 # (V0, T0, U<n>, T<n>) passes the count at any n.
 MAX_MATRIX_ENTRIES = 100_000
@@ -571,8 +570,8 @@ def gl2_satake_regression(p):
 def shintani_lfactor(alphas, betas):
     """Denominator polynomial of the unramified Rankin-Selberg Euler factor:
     prod_{i,j} (1 - alpha_i beta_j T), coefficients exact scalars."""
-    alphas = [Cyclo._coerce(a) for a in alphas]
-    betas = [Cyclo._coerce(b) for b in betas]
+    alphas = [scalar(a) for a in alphas]
+    betas = [scalar(b) for b in betas]
     if not all(alphas) or not all(betas):
         raise ValueError("Satake parameters must be nonzero scalars")
     out = LaurentPoly.const(1)

@@ -10,18 +10,19 @@ zero constant is the empty polynomial.  These carry the symbolic side of
 the matrix identity checks; numeric evaluation hands off to RatMat.
 
 A matrix's determinant and the cofactors of its inverse are minors from
-one memoized Laplace expansion; a diagonal matrix is inverted entrywise.
+one memoized Laplace expansion, which skips a zero entry or sub-minor.
 No elimination runs over this ring: it would need multivariate division.
 
 A product with a single-term factor only shifts keys and scales
 coefficients.  Any other product packs each monomial into one int: the
 operands' variables get fixed places, exponents become signed digits in a
 base beyond any exponent the product reaches, and a monomial product is
-one int addition.  When every coefficient is a Fraction, the loop
-multiplies integer numerators over each operand's common denominator and
-forms one Fraction per result term; otherwise it multiplies the
-coefficients themselves.  Only the result keys are unpacked, so the
-stored form above is unchanged.
+one int addition.  Each operand is brought over the lcm of its Fraction
+denominators, so a Fraction enters the one loop as an int numerator and a
+Cyclo as itself times that lcm; plain `*` and `+` mix the two.  A result
+term is s over the product of the two lcms: a Fraction for an int s, a
+Cyclo for a Cyclo s.  Only the result keys are unpacked, so the stored
+form above is unchanged.
 """
 
 from fractions import Fraction
@@ -62,17 +63,22 @@ def _monomial_places(a, b):
     return names, {name: shift * i for i, name in enumerate(names)}, shift
 
 
-def _packed_terms(terms, offset, den):
-    """[(packed key, value)]: the values are integer numerators over `den`
-    if it is given, else the coefficients themselves."""
+def _packed_terms(terms, offset):
+    """(den, [(packed key, value)]): den is the lcm of the denominators of
+    the Fraction coefficients, and each value is its coefficient times den,
+    an int for a Fraction and a Cyclo for a Cyclo."""
+    den = lcm(*[v.denominator for v in terms.values() if type(v) is Fraction])
     out = []
     for k, v in terms.items():
         x = 0
         for name, e in k:
             x += e << offset[name]
-        out.append((x, v if den is None
-                    else v.numerator * (den // v.denominator)))
-    return out
+        if type(v) is Fraction:
+            v = v.numerator * (den // v.denominator)
+        elif den != 1:
+            v = v * den
+        out.append((x, v))
+    return den, out
 
 
 def _unpacked_key(x, names, shift):
@@ -191,14 +197,10 @@ class LaurentPoly:
                     t[mul_keys(k1, k2)] = v1 * v2
             return LaurentPoly._nonzero(t)
         names, offset, shift = _monomial_places(a, b)
-        da = db = None
-        if (all(type(v) is Fraction for v in a.values())
-                and all(type(v) is Fraction for v in b.values())):
-            da = lcm(*[v.denominator for v in a.values()])
-            db = lcm(*[v.denominator for v in b.values()])
+        da, pa = _packed_terms(a, offset)
+        db, pb = _packed_terms(b, offset)
         t = {}
-        pb = _packed_terms(b, offset, db)
-        for k1, v1 in _packed_terms(a, offset, da):
+        for k1, v1 in pa:
             for k2, v2 in pb:
                 k = k1 + k2
                 prod = v1 * v2
@@ -208,12 +210,10 @@ class LaurentPoly:
                     t[k] = s
                 else:
                     t.pop(k, None)
-        if da is None:
-            return LaurentPoly._nonzero(
-                {_unpacked_key(k, names, shift): s for k, s in t.items()})
         den = da * db
         return LaurentPoly._nonzero(
-            {_unpacked_key(k, names, shift): Fraction(s, den)
+            {_unpacked_key(k, names, shift):
+             Fraction(s, den) if type(s) is int else s / den if den != 1 else s
              for k, s in t.items()})
 
     __rmul__ = __mul__
@@ -341,20 +341,11 @@ class LaurentMatrix:
             rows.append(row)
         return LaurentMatrix(rows)
 
-    def __add__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return LaurentMatrix([[a + b for a, b in zip(r1, r2)]
-                              for r1, r2 in zip(self.entries, other.entries)])
-
     def __sub__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         return LaurentMatrix([[a - b for a, b in zip(r1, r2)]
                               for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return LaurentMatrix([[-a for a in row] for row in self.entries])
 
     def scale(self, c):
         c = LaurentPoly._coerce(c)
@@ -374,21 +365,22 @@ class LaurentMatrix:
         """minor(rows, cols): the determinant on those row and column
         tuples, expanded along the first row, one memo per matrix."""
         e = self.entries
+        one = LaurentPoly.const(1)
         cache = {}
 
         def minor(rows, cols):
             if not cols:
-                return LaurentPoly.const(1)
+                return one
             key = (rows, cols)
             got = cache.get(key)
             if got is not None:
                 return got
             row, rest = e[rows[0]], rows[1:]
-            acc = LaurentPoly.const(0)
+            acc = LaurentPoly()
             for idx, c in enumerate(cols):
                 a = row[c]
-                if a:
-                    term = a * minor(rest, cols[:idx] + cols[idx + 1:])
+                if a and (sub := minor(rest, cols[:idx] + cols[idx + 1:])):
+                    term = a * sub
                     acc = acc + (term if idx % 2 == 0 else -term)
             cache[key] = acc
             return acc
@@ -402,15 +394,10 @@ class LaurentMatrix:
     def inverse(self):
         """Exact inverse; requires det to be a unit (single monomial).
 
-        A diagonal matrix is inverted entrywise: its det is a unit exactly
-        when every diagonal entry is one.  Any other matrix takes its
-        adjugate over det, the cofactors sharing the det's memo."""
-        n, e = self.n, self.entries
-        if not any(e[i][j] for i in range(n) for j in range(n) if i != j):
-            diag = [e[i][i] for i in range(n)]
-            if not all(d.is_unit() for d in diag):
-                raise LaurentInversionError(self.det())
-            return LaurentMatrix.diagonal([d.unit_inverse() for d in diag])
+        The adjugate over det: each cofactor is a minor from the memo that
+        expanded det, so cofactors share its sub-minors.
+        A det that is not a unit raises LaurentInversionError holding it."""
+        n = self.n
         minor = self._minors()
         every = tuple(range(n))
         d = minor(every, every)
@@ -422,7 +409,7 @@ class LaurentMatrix:
             others = every[:i] + every[i + 1:]
             for j in range(n):
                 cof = minor(others, every[:j] + every[j + 1:])
-                rows[j][i] = (-cof if (i + j) % 2 else cof) * dinv
+                rows[j][i] = cof and (-cof if (i + j) % 2 else cof) * dinv
         return LaurentMatrix(rows)
 
     def to_ratmat(self):

@@ -319,11 +319,10 @@ def verify_inverseh(n, p=None, r=None, x=None, symbolic=True):
     rhs_scale = f ** (1 - n)
     jfn = LaurentMatrix.diagonal([f ** n] * (n - 1) + [lconst(1)])
     rhs = (jfn * d_matrix(n, lconst(sign) * xx ** (-1)) * hf).scale(rhs_scale)
-    diff = lhs - rhs
     ok = lhs == rhs
     details = {"ok": ok, "det_jd_nprime": (d.det() * nprime.det()) == lconst(1)}
     if not ok:
-        details["difference"] = diff
+        details["difference"] = lhs - rhs
     if not symbolic:
         details["w d n' w in I"] = (wn1 * d * nprime * wn1).to_ratmat().is_iwahori(p, r)
         details["n in I"] = ncorr.to_ratmat().is_iwahori(p, r)
@@ -335,11 +334,8 @@ def verify_inverseft(n, f=None):
     where iota(g) = w g^{-t} w with the GL_{n-1} long Weyl element."""
     m = n - 1
     ff = lvar("f") if f is None else lconst(f)
-    t = t_matrix(m, ff)
-    g = t.scale(ff)
-    wm = weyl_longest(m)
-    lhs = (wm * g.inverse().transpose() * wm).scale(ff ** n)
-    return lhs == g
+    g = t_matrix(m, ff).scale(ff)
+    return iota_involution(g).scale(ff ** n) == g
 
 
 def iota_involution(g):

@@ -25,13 +25,13 @@ def _vcount_case(rng, n, p):
             return _ok(False, {"op": f"V{nu}", "count": len(cs)})
         ok, pair = hecke.check_disjoint(cs)
         if not ok:
-            return _ok(False, {"op": f"V{nu}", "overlap": pair})
+            return _ok(False, {"op": f"V{nu}", "coset_and_coeff": pair})
     vp_sum = hecke.expand_Vp(ctx)
     want = p ** ((n + 1) * n * (n - 1) // 6)
     if len(vp_sum) != want:
         return _ok(False, {"op": "Vp", "count": len(vp_sum)})
     ok, pair = hecke.check_disjoint(vp_sum)
-    return _ok(ok, {"op": "Vp", "overlap": pair} if not ok else None)
+    return _ok(ok, {"op": "Vp", "coset_and_coeff": pair} if not ok else None)
 
 
 for _n, _p in ((2, 2), (2, 3), (3, 2)):

@@ -622,6 +622,14 @@ def test_hecke_expand_refuses_matrices_above_bound(op):
      "level 40: p^m = 3^40 exceeds MAX_MODULUS = 2500"),
     (["integrate", "--p", "7", "--depth", "5"],
      "level 5: p^m = 7^5 exceeds MAX_MODULUS = 2500"),
+    # unchecked, the branch ran past 20 s and the first critical past
+    # 10 s; the second has no twists but a strip of 2 * 10^8 - 1 values
+    (["branch", "--mu", ",".join(str(x) for x in range(30, -1, -2))],
+     "branch: 14348907 interlacing weights exceed MAX_ENUMERATION = 100000"),
+    (["critical", "--mu", "100000000,-100000000", "--nu", "0"],
+     "emb_set: 200000001 twists exceed MAX_ENUMERATION = 100000"),
+    (["critical", "--mu", "0,0,0", "--nu", "100000000,-100000000"],
+     "critical strip: 199999999 half-integers exceed MAX_ENUMERATION"),
 ])
 def test_compute_refuses_enumerations_above_bound(argv, message):
     proc = _run_child("compute", *argv, timeout=30)
@@ -702,6 +710,14 @@ def test_compute_hecke_expand_matches_the_golden_outputs(capsys, monkeypatch):
 
 def test_compute_kappa_hat_matches_the_golden_outputs(capsys, monkeypatch):
     _assert_golden_outputs(capsys, monkeypatch, "kappa-hat")
+
+
+def test_compute_branch_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "branch")
+
+
+def test_compute_critical_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "critical")
 
 
 def test_integrate_takes_its_character_without_the_dual_group():

@@ -98,6 +98,18 @@ def test_parity_violation():
     assert data["nu_min"] is None
 
 
+def test_lists_are_bounded_before_they_are_listed(monkeypatch):
+    """A list of MAX_ENUMERATION items is listed, one more is refused."""
+    assert len(weights.emb_set([0], [99999, 0])) == weights.MAX_ENUMERATION
+    with pytest.raises(ValueError, match="MAX_ENUMERATION"):
+        weights.emb_set([0], [100000, 0])
+    monkeypatch.setattr(weights, "MAX_ENUMERATION", 4)
+    assert len(weights.branch([2, 1, 0])) == 4
+    monkeypatch.setattr(weights, "MAX_ENUMERATION", 3)
+    with pytest.raises(ValueError, match="MAX_ENUMERATION = 3"):
+        weights.branch([2, 1, 0])
+
+
 def test_purity_required():
     with pytest.raises(ValueError):
         weights.critical_data([3, 2, 0], [1, -1])
