@@ -116,7 +116,8 @@ def cmd_gauss_sum(args):
     from heckeforge import gauss
     chi = gauss.primitive_character(args.p, args.s, args.order)
     if chi is None:
-        print("no character of that order and conductor", file=sys.stderr)
+        print("error: no character of that order and conductor",
+              file=sys.stderr)
         return EXIT_USAGE
     tau = gauss.classical_gauss_sum(chi)
     g = gauss.gauss_sum(chi, tau)
@@ -176,8 +177,8 @@ def cmd_critical(args):
     mu = [int(x) for x in args.mu.split(",")]
     nu = [int(x) for x in args.nu.split(",")]
     data = weights.critical_data(mu, nu)
-    table = [{"nu": t, "s": str(Fraction(1, 2) + t), "in_emb": True}
-             for t in data["emb"]]
+    table = [{"nu": int(s - Fraction(1, 2)), "s": str(s), "in_emb": True}
+             for s in data["critical_set"]]
     out = {
         "mu": mu, "nu": nu,
         "w": data["w"], "v": data["v"], "parity_ok": data["parity_ok"],

@@ -32,6 +32,8 @@ class QTower:
         self.p = p
 
     def elements(self, m):
+        if m < 1:
+            raise ValueError(f"level {m}: a tower level must be at least 1")
         # p^m >= 2^m, so m at or above the bound's bit length is too deep
         if m >= MAX_MODULUS.bit_length() or self.p ** m > MAX_MODULUS:
             raise ValueError(f"level {m}: p^m = {self.p}^{m} exceeds "

@@ -6,11 +6,13 @@ zeta^0..zeta^{phi(m)-1}, i.e. reduced modulo the m-th cyclotomic
 polynomial: a tuple of integer numerators over one positive denominator,
 with no common factor among them (the idiom of RatMat, and of FLINT/Antic
 number-field elements).  Products are taken in Z[x]/(x^m - 1) over the
-nonzero terms and reduced once; the reduction folds each high term down
-through the nonzero coefficients of Phi_m only (Phi_27 = x^18 + x^9 + 1
-has 3 of 19).  Cross-conductor arithmetic lifts both operands to the lcm
-conductor, so equality is literal equality of reduced integer vectors and
-denominators at a common conductor.  A weighted sum of roots of unity,
+nonzero terms and reduced once in `_cyclo`, where every result is formed,
+by folding each high term down through the nonzero coefficients of Phi_m
+only (Phi_27 = x^18 + x^9 + 1 has 3 of 19).  A product places each factor
+(a rational one at conductor 1) at its stride in the lcm conductor, with
+no lift.  Sums and equality lift both operands to the lcm conductor, so
+equality is literal equality of reduced integer vectors and denominators
+at a common conductor.  A weighted sum of roots of unity,
 sum of zeta_n^k * v (a character integral), is one `Cyclo.root_sum`: the
 integer numerators are added at their exponents and reduced once, with no
 product per term.  No floating point anywhere.
@@ -144,36 +146,34 @@ def _cyclotomic_tail(m):
     return tuple((j, -a) for j, a in enumerate(cyclotomic_poly(m)[:-1]) if a)
 
 
-def _reduce_mod_cyclotomic(m, coeffs):
-    """Reduce the integer coefficients of a polynomial in zeta_m (low to
-    high, any length) modulo Phi_m to its phi(m) power-basis coefficients.
+def _cyclo(m, acc, den=1):
+    """The Cyclo (sum of acc[e] zeta_m^e) / den, from a list of ints at
+    any exponents e >= 0 and a positive denominator; acc may be modified.
 
-    Each leading term is folded down through Phi_m's nonzero coefficients
-    only."""
+    Every Cyclo result is formed here: the terms at e >= m wrap down mod
+    x^m - 1, each leading term at or above phi(m) folds down through Phi_m's
+    nonzero coefficients only, and the common factor of the numerators and
+    den is divided out."""
     deg = euler_phi(m)
-    c = list(coeffs)
-    if len(c) < deg:
-        c.extend([0] * (deg - len(c)))
-    tail = _cyclotomic_tail(m)
-    for i in range(len(c) - 1, deg - 1, -1):
-        lead = c[i]
-        if lead:
-            base = i - deg
-            for j, a in tail:
-                c[base + j] += lead * a
-    return tuple(c[:deg])
-
-
-def _cyclo(m, num, den=1):
-    """The Cyclo num/den at conductor m, from a phi(m)-tuple of ints and a
-    positive denominator; divides out their common factor."""
+    acc += [0] * (deg - len(acc))
+    if len(acc) > deg:
+        for e in range(len(acc) - 1, m - 1, -1):
+            acc[e - m] += acc[e]
+        del acc[m:]
+        tail = _cyclotomic_tail(m)
+        for e in range(len(acc) - 1, deg - 1, -1):
+            if lead := acc[e]:
+                base = e - deg
+                for j, a in tail:
+                    acc[base + j] += lead * a
+        del acc[deg:]
     if den != 1:
-        g = gcd(den, *num)
+        g = gcd(den, *acc)
         if g != 1:
-            num = tuple(x // g for x in num)
+            acc = [x // g for x in acc]
             den //= g
     x = object.__new__(Cyclo)
-    x.m, x.num, x.den = m, num, den
+    x.m, x.num, x.den = m, tuple(acc), den
     return x
 
 
@@ -205,15 +205,12 @@ class Cyclo:
     @classmethod
     def rational(cls, x):
         x = Fraction(x)
-        return _cyclo(1, (x.numerator,), x.denominator)
+        return _cyclo(1, [x.numerator], x.denominator)
 
     @classmethod
     def zeta(cls, m, k=1):
         """zeta_m^k."""
-        k %= m
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        return _cyclo(m, _reduce_mod_cyclotomic(m, coeffs))
+        return _cyclo(m, [0] * (k % m) + [1])
 
     @classmethod
     def root_sum(cls, n, terms):
@@ -242,7 +239,7 @@ class Cyclo:
             for i, x in enumerate(v.num):
                 if x:
                     acc[(at + i * vstep) % big_m] += x * scale
-        return _cyclo(big_m, _reduce_mod_cyclotomic(big_m, acc), den)
+        return _cyclo(big_m, acc, den)
 
     @classmethod
     def _coerce(cls, x):
@@ -259,9 +256,9 @@ class Cyclo:
         if big_m % self.m != 0:
             raise ValueError("conductor must be a multiple")
         step = big_m // self.m
-        coeffs = [0] * ((len(self.num) - 1) * step + 1)
-        coeffs[::step] = self.num
-        return _cyclo(big_m, _reduce_mod_cyclotomic(big_m, coeffs), self.den)
+        acc = [0] * ((len(self.num) - 1) * step + 1)
+        acc[::step] = self.num
+        return _cyclo(big_m, acc, self.den)
 
     def _common(self, other):
         m = self.m * other.m // gcd(self.m, other.m)
@@ -274,13 +271,12 @@ class Cyclo:
         a, b = self._common(other)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
-        return _cyclo(a.m, tuple(x * fa + y * fb for x, y in zip(a.num, b.num)),
-                      den)
+        return _cyclo(a.m, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyclo(self.m, tuple(-x for x in self.num), self.den)
+        return _cyclo(self.m, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = Cyclo._coerce(other)
@@ -295,28 +291,27 @@ class Cyclo:
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        m = a.m
-        # the product in Z[x]/(x^m - 1) over the nonzero terms, reduced once
-        terms = [(j, y) for j, y in enumerate(b.num) if y]
-        prod = [0] * (2 * len(a.num) - 1)
-        for i, x in enumerate(a.num):
+        # zeta_m^i = zeta_M^(i M/m) at M = lcm of the conductors: each
+        # factor's nonzero terms are placed at that stride, not lifted, and
+        # the product is reduced once
+        big_m = lcm(self.m, other.m)
+        sa, sb = big_m // self.m, big_m // other.m
+        terms = [(j * sb, y) for j, y in enumerate(other.num) if y]
+        acc = [0] * ((len(self.num) - 1) * sa + (len(other.num) - 1) * sb + 1)
+        for i, x in enumerate(self.num):
             if x:
+                i *= sa
                 for j, y in terms:
-                    prod[i + j] += x * y
-        for k in range(m, len(prod)):
-            prod[k - m] += prod[k]
-        del prod[m:]
-        return _cyclo(m, _reduce_mod_cyclotomic(m, prod), a.den * b.den)
+                    acc[i + j] += x * y
+        return _cyclo(big_m, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended gcd with Phi_m over Z."""
+        """Multiplicative inverse at conductor m via extended gcd with Phi_m
+        over Z; for a rational num[0]/den it returns den/num[0] at once."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return Cyclo.rational(1 / self.as_rational())
         # rows (r, s) with s * num = r mod Phi_m, low to high; pseudo-division
         # keeps them integral, and each row is divided by its content
         r0, s0 = list(cyclotomic_poly(self.m)), [0]
@@ -338,8 +333,7 @@ class Cyclo:
             raise ZeroDivisionError("not invertible (zero divisor?)")
         if c < 0:
             c, s1 = -c, [-x for x in s1]
-        num = _reduce_mod_cyclotomic(self.m, s1)
-        return _cyclo(self.m, tuple(x * self.den for x in num), c)
+        return _cyclo(self.m, [x * self.den for x in s1], c)
 
     def __truediv__(self, other):
         other = Cyclo._coerce(other)
@@ -364,11 +358,9 @@ class Cyclo:
 
     def conj(self):
         """Complex conjugation zeta -> zeta^{-1}."""
-        m = self.m
-        coeffs = [0] * m
-        for i, x in enumerate(self.num):
-            coeffs[(m - i) % m] = x
-        return _cyclo(m, _reduce_mod_cyclotomic(m, coeffs), self.den)
+        # num[i] goes to exponent m - i, and num[0] wraps from m to 0
+        acc = [0] * (self.m + 1 - len(self.num)) + list(reversed(self.num))
+        return _cyclo(self.m, acc, self.den)
 
     def is_rational(self):
         return not any(self.num[1:])
@@ -470,7 +462,7 @@ def scalar_from_json(v, where):
 @lru_cache(maxsize=None)
 def _constant_terms(m):
     """The zeta^0 coefficient of the reduced zeta_m^k, for k < m."""
-    return tuple(_reduce_mod_cyclotomic(m, [0] * k + [1])[0] for k in range(m))
+    return tuple(_cyclo(m, [0] * k + [1]).num[0] for k in range(m))
 
 
 def _descend(x, d):
@@ -496,7 +488,7 @@ def _descend(x, d):
     for i, c in enumerate(x.num):
         if c:
             coeffs[i * e1 % n1] += c * const[i * e2 % n2]
-    down = _cyclo(d, _reduce_mod_cyclotomic(n1, coeffs)[::n1 // d], x.den)
+    down = _cyclo(d, list(_cyclo(n1, coeffs).num[::n1 // d]), x.den)
     return down if down.lift(m) == x else None
 
 

@@ -228,9 +228,11 @@ def _triangular_reps(n, p, kind, k=None):
     block; within a block the places run in row-major order, the last
     varying fastest.  The count is checked against MAX_ENUMERATION
     before any block's places are listed, then the n^2 entries of one
-    matrix against MAX_MATRIX_ENTRIES."""
-    what, _, blocks = _operator(n, p, kind, k)
-    _check_enumeration(what, p, (size for _, size in blocks()))
+    matrix against MAX_MATRIX_ENTRIES.  A rank n above MAX_MATRIX_ENTRIES
+    fails the latter before any list of length n is formed."""
+    if n <= MAX_MATRIX_ENTRIES:
+        what, _, blocks = _operator(n, p, kind, k)
+        _check_enumeration(what, p, (size for _, size in blocks()))
     if n * n > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{n} x {n} matrices: n^2 = {n * n} entries "
                          f"exceed MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}")

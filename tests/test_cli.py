@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from heckeforge import cli, suite
@@ -615,6 +615,19 @@ def test_hecke_expand_refuses_matrices_above_bound(op):
     assert not proc.stdout
 
 
+@pytest.mark.parametrize("op", ["V1", "Vp", "T2"])
+def test_hecke_expand_refuses_a_rank_above_the_matrix_bound(op):
+    """A rank past MAX_MATRIX_ENTRIES is refused in closed form: the
+    operator's lists of length n ran past any budget at n = 10^20."""
+    n = 10 ** 20
+    proc = _run_child("compute", "hecke-expand", "--n", str(n), "--p", "3",
+                      "--op", op, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {n} x {n} matrices: n^2 = {n * n} "
+                           "entries exceed MAX_MATRIX_ENTRIES = 100000\n")
+    assert not proc.stdout
+
+
 @pytest.mark.parametrize("argv, message", [
     (["satake", "--n", "60", "--nu", "30"],
      "C(n, nu) = C(60, 30) terms exceed MAX_ENUMERATION = 100000"),
@@ -630,6 +643,9 @@ def test_hecke_expand_refuses_matrices_above_bound(op):
      "emb_set: 200000001 twists exceed MAX_ENUMERATION = 100000"),
     (["critical", "--mu", "0,0,0", "--nu", "100000000,-100000000"],
      "critical strip: 199999999 half-integers exceed MAX_ENUMERATION"),
+    # p ** -1 is a float, which range() refused with a traceback
+    (["integrate", "--depth=-1"],
+     "level -1: a tower level must be at least 1"),
 ])
 def test_compute_refuses_enumerations_above_bound(argv, message):
     proc = _run_child("compute", *argv, timeout=30)
@@ -815,3 +831,72 @@ def test_negative_kappa_needs_the_equals_form(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # no line break inside the help
     code, help_text, _ = run_cli(capsys, "compute", command[0], "--help")
     assert code == 0 and "--kappa=-3/5" in help_text
+
+
+# A fuzz of every `compute` subcommand, run in process.  Each option takes
+# a small valid value, 0, a negative, a value of at least 10^20 or a
+# malformed string, spelled --opt=value so that a negative one parses.
+
+_INTS = ["1", "2", "3", "5", "0", "-1", "-7", str(10 ** 20), str(-10 ** 20),
+         str(10 ** 30 + 7)]
+_LISTS = ["3,1", "1,0,-1", "4,2,0", "0", "-2,-5", f"{10 ** 20},0"]
+_OPS = ["V1", "U1", "T1", "Vp", "Vp'", "V0", "T2"]
+_KAPPAS = ["2", "3/5", "-3/5", "0", str(10 ** 20)]
+_MALFORMED = ["abc", "1/0", "2.5", "", ","]
+# subcommand -> option -> (values, required)
+_COMPUTE = {
+    "gauss-sum": {"p": (_INTS, True), "s": (_INTS, False),
+                  "order": (_INTS, False)},
+    "hecke-expand": {"n": (_INTS, True), "p": (_INTS, True),
+                     "r": (_INTS, False), "op": (_OPS, True)},
+    "satake": {"n": (_INTS, True), "nu": (_INTS, True)},
+    "branch": {"mu": (_LISTS, True)},
+    "critical": {"mu": (_LISTS, True), "nu": (_LISTS, True)},
+    "kappa-hat": {"n": (_INTS, True), "p": (_INTS, True), "s": (_INTS, True),
+                  "nu": (_INTS, True), "nu-min": (_INTS, True),
+                  "kappa": (_KAPPAS, True)},
+    "integrate": {"p": (_INTS, False), "depth": (_INTS, False),
+                  "conductor": (_INTS, False), "kappa": (_KAPPAS, False),
+                  "seed": (_INTS, False), "from-json": (_INTS, False)},
+}
+
+
+@st.composite
+def _compute_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMPUTE)))
+    argv = ["compute", command]
+    for opt, (values, required) in _COMPUTE[command].items():
+        if required or draw(st.booleans()):
+            value = draw(st.sampled_from(values + _MALFORMED))
+            argv.append(f"--{opt}={value}")
+    return argv
+
+
+def _single_error(err):
+    """Empty, one `error: ` line, or argparse's usage lines ending in its
+    one `<prog>: error: ` line."""
+    lines = err.splitlines()
+    if len(lines) < 2:
+        return not lines or lines[0].startswith("error: ")
+    return (lines[0].startswith("usage: ") and ": error: " in lines[-1]
+            and not any("error" in line for line in lines[:-1]))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_compute_argv())
+@example(["compute", "integrate", "--depth=-1"])
+def test_compute_fuzz_exits_0_or_2_without_traceback(tmp_path, argv):
+    """Any argument vector exits 0 or 2, and prints at most one error line
+    and no traceback; --from-json names a file in an empty directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert _single_error(err.getvalue()), (argv, err.getvalue())

@@ -516,3 +516,20 @@ def test_root_sum_of_all_roots_is_zero_at_the_lcm():
     # zeta_3^2 / 2 + zeta_3^{-1} = (3/2) zeta_3^2
     got = Cyclo.root_sum(3, [(2, Fraction(1, 2)), (-1, 1)])
     assert got == Cyclo.zeta(3, 2) * Fraction(3, 2)
+
+
+@PROPERTY
+@given(cyclos(), st.one_of(st.integers(-50, 50), RATIONALS).filter(bool))
+def test_rational_operand_acts_on_each_coefficient(x, r):
+    """x * r, r * x and x / r scale each power-basis coefficient, x + r and
+    x - r move the zeta^0 one, all at x's conductor; the reference builds
+    each from x.c through the constructor, sharing no code with the
+    product loop."""
+    c, q = x.c, Fraction(r)
+    scaled = Cyclo(x.m, [a * q for a in c])
+    assert (x * r).m == x.m
+    for got, want in ((x * r, scaled), (r * x, scaled),
+                      (x / r, Cyclo(x.m, [a / q for a in c])),
+                      (x + r, Cyclo(x.m, [c[0] + q, *c[1:]])),
+                      (x - r, Cyclo(x.m, [c[0] - q, *c[1:]]))):
+        assert (got.m, got.num, got.den) == (want.m, want.num, want.den)
