@@ -246,8 +246,21 @@ def cmd_integrate(args):
     return EXIT_PASS
 
 
-# argparse reads -3/5 after a space as an option
-KAPPA_HELP = "a fraction such as 2 or 3/5; write a negative one as --kappa=-3/5"
+KAPPA_HELP = "a fraction such as 2, 3/5 or -3/5"
+
+
+def _join_negative_kappa(argv):
+    """argv with each `--kappa V` whose V is a '-' and a digit written as
+    `--kappa=V`.  argparse reads a V such as -3/5 after a space as an
+    option, since its negative-number pattern has no '/', and would leave
+    --kappa without its argument."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--kappa" and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] = f"--kappa={a}"
+        else:
+            out.append(a)
+    return out
 
 
 def build_parser():
@@ -328,7 +341,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(
+            _join_negative_kappa(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

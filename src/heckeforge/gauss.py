@@ -10,8 +10,10 @@ additive character has psi(x) = zeta_{p^t}^e.
 
 Every character sum sees a character only through these exponents: a term
 chi(a) psi(x) is zeta_L^(k L/N + e L/p^t) over L = lcm(N, p^t), so a Gauss,
-oracle or twisted sum is one `exact.Cyclo.root_sum`, and chi(a)^{-1} in the
-closed form of the twisted sum is the exponent -k.  `MultChar.value` and
+oracle or twisted sum adds 1 per term into a length-L histogram of
+exponents, which `exact._cyclo` reduces once: no Fraction, Cyclo or term
+list per unit.  chi(a)^{-1} in the closed form of the twisted sum is the
+exponent -k, one `exact.Cyclo.root_sum`.  `MultChar.value` and
 `AddChar.value` form one Cyclo.zeta each, as a per-term reference.
 """
 
@@ -20,14 +22,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from heckeforge.exact import Cyclo, _prime_factors, is_prime, vp
+from heckeforge.exact import Cyclo, _cyclo, _prime_factors, is_prime, vp
 
 # The largest modulus p^s whose unit group is enumerated, and the largest
 # conductor lcm(order of chi, p^t) at which a classical Gauss sum is formed;
 # larger inputs raise ValueError.  At this bound the slowest `compute
 # gauss-sum` inputs tried (p = 1249 with order 2, p = 823 with order 3) take
-# about 1.4 s on 2 cores, where p = 311 with order 2 ran for minutes while
-# character values were stored at the generator's order.
+# 0.15-0.2 s and 0.26-0.37 s on 2 cores, most of it the two dense products
+# g * g and tau * conj(tau), where p = 311 with order 2 ran for minutes
+# while character values were stored at the generator's order.
 MAX_MODULUS = 2500
 
 
@@ -224,7 +227,7 @@ def classical_gauss_sum(chi):
     if conductor > MAX_MODULUS:
         raise ValueError(f"the Gauss sum lives at conductor {conductor}, "
                          f"above MAX_MODULUS = {MAX_MODULUS}")
-    return _unit_sum(chi, Fraction(1, pt), t)
+    return _unit_sum(chi, pt, 1, t)
 
 
 def gauss_sum(chi, tau=None):
@@ -247,21 +250,26 @@ def gauss_sum_oracle(chi):
     t = chi.conductor_exponent()
     if t == 0:
         raise ValueError("character has trivial conductor")
-    acc = _unit_sum(chi, Fraction(1, chi.p ** t), t + 1)
+    acc = _unit_sum(chi, chi.p ** t, 1, t + 1)
     return chi.chi_p ** (-t) * acc * Fraction(1, chi.p)
 
 
-def _unit_sum(chi, c, level):
-    """sum over units g mod p^level of chi(g) psi(c g), one Cyclo.root_sum.
+def _unit_sum(chi, pt, e, level):
+    """sum over units g mod p^level of chi(g) psi(c g), for the c with
+    psi(c) = zeta_{p^t}^e, given as pt = p^t and e.
 
-    With chi(g) = zeta_N^k and psi(c) = zeta_{p^t}^e, the term is
-    zeta_L^(k L/N + e g L/p^t) over L = lcm(N, p^t)."""
+    With chi(g) = zeta_N^k, the term is zeta_L^(k L/N + e g L/p^t) over
+    L = lcm(N, p^t): each term adds 1 to a length-L histogram of these
+    exponents, which `_cyclo` reduces once."""
     p, n = chi.p, chi.order()
-    pt, e = _additive_exponent(p, c)
     big = lcm(n, pt)
     kstep, estep = big // n, e * (big // pt)
-    return Cyclo.root_sum(big, [(chi.power(g) * kstep + g * estep, 1)
-                                for g in range(1, p ** level) if g % p])
+    powers, mod = chi.powers, p ** chi.s
+    hist = [0] * big
+    for g in range(1, p ** level):
+        if g % p:
+            hist[(powers[g % mod] * kstep + g * estep) % big] += 1
+    return _cyclo(big, hist)
 
 
 def twisted_sum(chi, c, level):
@@ -282,7 +290,7 @@ def twisted_sum(chi, c, level):
     v = vp(c, chi.p) if c else 0
     if v < -level:
         raise ValueError(f"c = {c} has v_p(c) = {v} below -level = {-level}")
-    acc = _unit_sum(chi, c, level)
+    acc = _unit_sum(chi, *_additive_exponent(chi.p, c), level)
     closed = twisted_sum_closed(chi, c, level)
     if not acc == closed:
         raise ArithmeticError("closed form disagrees with direct summation")

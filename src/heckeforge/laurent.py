@@ -213,7 +213,8 @@ class LaurentPoly:
         den = da * db
         return LaurentPoly._nonzero(
             {_unpacked_key(k, names, shift):
-             Fraction(s, den) if type(s) is int else s / den if den != 1 else s
+             Fraction(s, den) if type(s) is int
+             else s * Fraction(1, den) if den != 1 else s
              for k, s in t.items()})
 
     __rmul__ = __mul__

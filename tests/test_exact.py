@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, PadicVal,
-                              _prime_factors, as_rational, cyclotomic_poly,
-                              euler_phi, is_prime, padic_valuation, scalar,
-                              scalar_from_json, scalar_json, vp)
+                              _cyclo, _prime_factors, as_rational,
+                              cyclotomic_poly, euler_phi, is_prime,
+                              padic_valuation, scalar, scalar_from_json,
+                              scalar_json, vp)
 
 
 def _divisors(m):
@@ -164,11 +165,12 @@ RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def _dense_reduce(m, coeffs):
-    """Reduce Fraction coefficients modulo Phi_m by dense long division."""
+    """Reduce int or Fraction coefficients modulo Phi_m by dense long
+    division; ints stay ints, as Phi_m is monic."""
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
-    c = [Fraction(x) for x in coeffs]
-    c += [Fraction(0)] * max(0, deg - len(c))
+    c = list(coeffs)
+    c += [0] * max(0, deg - len(c))
     for i in range(len(c) - 1, deg - 1, -1):
         lead = c[i]
         for j in range(deg + 1):
@@ -252,6 +254,40 @@ def test_cyclo_arithmetic_matches_dense_reference(case):
     assert (a + b).lift(big_m).c == tuple(
         x + y for x, y in zip(_dense_lift(a, big_m), _dense_lift(b, big_m)))
     assert (a == b) == (_dense_lift(a, big_m) == _dense_lift(b, big_m))
+
+
+def _reduction_cases():
+    """(m, coefficients) for every m <= 120 at three lengths (below phi(m),
+    in [phi(m), m) and 3m), and m = 210, 506, 1806 at length m."""
+    rng = random.Random(1806)
+    for m in range(1, 121):
+        phi = euler_phi(m)
+        for n in (rng.randrange(phi), rng.randrange(phi, max(phi + 1, m)),
+                  3 * m):
+            yield m, [rng.randint(-9, 9) for _ in range(n)]
+    for m in (210, 506, 1806):
+        yield m, [rng.randint(-9, 9) for _ in range(m)]
+
+
+def test_reduction_matches_dense_division():
+    """_cyclo reduces by wrapping mod x^m - 1, then the least prime's block
+    of (x^m - 1)/(x^(m/q) - 1), then the fold through Phi_m; the dense
+    long division shares none of that.  The inputs, and ten times them
+    (a content shared with den), cover every branch: m = 1 and prime
+    powers have no block step, and the lengths in [phi(m), m) end both at
+    or below m - m/q (no top block) and above it (a partial one)."""
+    seen = set()
+    for m, f in _reduction_cases():
+        want = _dense_reduce(m, f)
+        primes = _prime_factors(m)
+        if len(primes) > 1 and euler_phi(m) <= len(f) < m:
+            seen.add(len(f) > m - m // primes[0])
+        for scale in (1, 10):
+            for den in (1, 6, 35):
+                x = _cyclo(m, [scale * c for c in f], den)
+                assert x.m == m and x.den > 0 and gcd(x.den, *x.num) == 1
+                assert x.c == tuple(Fraction(scale * c, den) for c in want), m
+    assert seen == {False, True}
 
 
 @PROPERTY
