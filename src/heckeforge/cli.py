@@ -20,7 +20,10 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
 def _list(val):
-    return [x.strip() for x in val.split(",") if x.strip()]
+    items = [x.strip() for x in val.split(",") if x.strip()]
+    if not items:
+        raise ValueError("expected at least one comma-separated value")
+    return items
 
 
 def _int_list(val):
@@ -54,9 +57,9 @@ def parse_config(path):
     The keys are _CONFIG_KEYS: suites (comma separated, each one of
     suite.SUITES), n / p / r (comma-separated values restricting the
     parameter-grid cases), seed (int), corrupted_distribution_fixture
-    (true/false).  Each value comes back converted.  An unknown key or a
-    value that does not convert is a ValueError naming the line and the
-    key.
+    (true/false).  Each value comes back converted.  An unknown key, an
+    empty list or a value that does not convert is a ValueError naming
+    the line and the key.
     """
     out = {}
     with open(path) as fh:

@@ -7,7 +7,7 @@ glues a finite cyclic class-group part onto it.  Values live in E^d with d
 components indexed by the embedding integers nu; everything is exact.
 An eigenvalue is inverted as `1 / exact.scalar(kappa)`, and values are
 serialized by `exact.scalar_json` and read back by `scalar_from_json`.
-A tower level m is enumerated only while p^m <= gauss.MAX_MODULUS.
+A tower's p is prime; level m is listed only while p^m <= gauss.MAX_MODULUS.
 
 A character integral is formed on exponents: each tower gives the order N
 of a character and, once per level m, the k with chi(x) = zeta_N^k over
@@ -19,8 +19,8 @@ that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
 from fractions import Fraction
 from math import lcm
 
-from heckeforge.exact import (Cyclo, is_prime, scalar, scalar_from_json,
-                              scalar_json, vp)
+from heckeforge.exact import (Cyclo, check_bound, check_prime, power_within,
+                              scalar, scalar_from_json, scalar_json, vp)
 from heckeforge.gauss import MAX_MODULUS, all_characters, check_modulus
 from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
@@ -29,16 +29,16 @@ class QTower:
     """Levels m >= 1 with C(p^m) = (Z/p^m)^* and reduction transitions."""
 
     def __init__(self, p):
+        check_prime(p)
         self.p = p
 
     def elements(self, m):
         if m < 1:
             raise ValueError(f"level {m}: a tower level must be at least 1")
-        # p^m >= 2^m, so m at or above the bound's bit length is too deep
-        if m >= MAX_MODULUS.bit_length() or self.p ** m > MAX_MODULUS:
-            raise ValueError(f"level {m}: p^m = {self.p}^{m} exceeds "
-                             f"MAX_MODULUS = {MAX_MODULUS}")
-        return [a for a in range(self.p ** m) if a % self.p != 0]
+        pm = power_within(self.p, m, MAX_MODULUS)
+        what = f"level {m}: p^m = {self.p}^{m}" + (f" = {pm}" if pm else "")
+        check_bound(what, pm, "MAX_MODULUS", MAX_MODULUS)
+        return [a for a in range(pm) if a % self.p != 0]
 
     def lifts(self, m, x):
         """Preimages of x in C(p^{m+1}); kernel order p for m >= 1."""
@@ -168,8 +168,6 @@ class Distribution:
         _require(obj, "p", int, "distribution")
         _require(obj, "nus", list, "distribution")
         _require(obj, "levels", list, "distribution")
-        if not is_prime(obj["p"]):
-            raise ValueError(f"distribution: p = {obj['p']} is not prime")
         tower = QTower(obj["p"])
         d = len(obj["nus"])
         values = {}
@@ -372,22 +370,20 @@ def kappa_hat_value(n, p, s, nu, nu_min, kappa_pair):
     checked as a character's modulus is (gauss.check_modulus).
 
     The value p^(s e) kappa^(-s) is refused before any power is formed
-    when s |e| bits(p) plus s times kappa's bits, those of its largest
-    numerator and of its denominator, pass MAX_KAPPA_HAT_BITS."""
+    when s (|e| bits(p) + bits(kappa)), bits(kappa) those of its largest
+    numerator and of its denominator, passes MAX_KAPPA_HAT_BITS."""
     check_modulus(p, s)
     info = kappa_hat(n, s, nu, nu_min)
+    e = info["nfchi_exponent"]
     kp = scalar(kappa_pair)
     c = kp if isinstance(kp, Cyclo) else Cyclo.rational(kp)
     kappa_bits = max(map(abs, c.num)).bit_length() + c.den.bit_length()
-    if (s * (abs(info["nfchi_exponent"]) * p.bit_length() + kappa_bits)
-            > MAX_KAPPA_HAT_BITS):
-        raise ValueError(
-            f"kappa-hat at n = {n}, nu = {nu}, nu-min = {nu_min}: "
-            f"p^(s e) kappa^(-s) with p = {p}, s = {s}, "
-            f"e = {info['nfchi_exponent']} and a kappa of {kappa_bits} bits "
-            f"has more than MAX_KAPPA_HAT_BITS = {MAX_KAPPA_HAT_BITS} bits")
-    nfchi = Fraction(p) ** s
-    base = nfchi ** info["nfchi_exponent"]
+    bits = s * (abs(e) * p.bit_length() + kappa_bits)
+    check_bound(f"kappa-hat at n = {n}, nu = {nu}, nu-min = {nu_min}: "
+                f"p^(s e) kappa^(-s) with p = {p}, s = {s}, e = {e} and a "
+                f"kappa of {kappa_bits} bits: s (|e| bits(p) + bits(kappa)) "
+                f"= {bits}", bits, "MAX_KAPPA_HAT_BITS", MAX_KAPPA_HAT_BITS)
+    base = Fraction(p) ** (s * e)
     if kp == 0:
         raise ValueError("kappa kappa' = 0: kappa-hat needs a nonzero "
                          "eigenvalue (finite slope)")

@@ -74,11 +74,31 @@ def _prime_factors(m):
     return tuple(out)
 
 
+def power_within(p, e, bound):
+    """|p|^e for an int e >= 0, or None unformed where |p| >= 2 and e is at
+    least bound's bit length, as |p|^e >= 2^e > bound there."""
+    p = abs(p)
+    return None if p > 1 and e >= bound.bit_length() else p ** e
+
+
+def check_bound(what, count, name, bound):
+    """count, or ValueError "<what> exceeds <name> = <bound>" where it (or
+    None, a power power_within left unformed) passes bound.  `what` names
+    the quantity by its value if formed, else by its closed form."""
+    if count is None or count > bound:
+        raise ValueError(f"{what} exceeds {name} = {bound}")
+    return count
+
+
+def check_prime(p):
+    """Raise ValueError "p = <p> is not prime" unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def is_prime(p):
     """Whether the int p is prime; a p above MAX_PRIME raises ValueError."""
-    if p > MAX_PRIME:
-        raise ValueError(f"p = {p} exceeds MAX_PRIME = {MAX_PRIME}, the "
-                         f"bound of the trial-division primality test")
+    check_bound(f"p = {p}", p, "MAX_PRIME", MAX_PRIME)
     return _prime_factors(p) == (p,)
 
 
@@ -108,8 +128,7 @@ def vp(x, p):
 
 def padic_valuation(x, p):
     """Exact valuation as a PadicVal; rejects non-prime p."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     return PadicVal(p, vp(x, p))
 
 

@@ -22,10 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from heckeforge.exact import Cyclo, _cyclo, _prime_factors, is_prime, vp
+from heckeforge.exact import (Cyclo, _cyclo, _prime_factors, check_bound,
+                              check_prime, power_within, vp)
 
 # The largest modulus p^s whose unit group is enumerated, and the largest
-# conductor lcm(order of chi, p^t) at which a classical Gauss sum is formed;
+# conductor lcm(order of chi, p^t) at which any Gauss sum of chi is formed;
 # larger inputs raise ValueError.  At this bound the slowest `compute
 # gauss-sum` inputs tried (p = 1249 with order 2, p = 823 with order 3) take
 # 0.15-0.2 s and 0.26-0.37 s on 2 cores, most of it the two dense products
@@ -36,15 +37,12 @@ MAX_MODULUS = 2500
 
 def check_modulus(p, s):
     """Raise ValueError unless s >= 1, p^s <= MAX_MODULUS and p is prime;
-    the bounds come first, and p^s is not formed where 2^s > MAX_MODULUS."""
+    the bound comes first, checked by `exact.check_bound`."""
     if s < 1:
         raise ValueError(f"s = {s} must be at least 1")
-    if p > 1 and s >= MAX_MODULUS.bit_length():
-        raise ValueError(f"p^s = {p}^{s} exceeds MAX_MODULUS = {MAX_MODULUS}")
-    if p > 1 and p ** s > MAX_MODULUS:
-        raise ValueError(f"p^s = {p ** s} exceeds MAX_MODULUS = {MAX_MODULUS}")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    ps = power_within(p, s, MAX_MODULUS)
+    check_bound(f"p^s = {ps or f'{p}^{s}'}", ps, "MAX_MODULUS", MAX_MODULUS)
+    check_prime(p)
 
 
 def unit_group_generators(p, s):
@@ -193,8 +191,7 @@ class AddChar:
     """The standard additive character: trivial on Z_p, a/p^t -> zeta_{p^t}^a."""
 
     def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError("p must be prime")
+        check_prime(p)
         self.p = p
 
     def value(self, x):
@@ -214,29 +211,32 @@ def _additive_exponent(p, x):
     return pt, scaled.numerator * pow(scaled.denominator, -1, pt) % pt
 
 
+def _conductor_exponent(chi):
+    """The conductor exponent t >= 1 of chi, once lcm(N, p^t), N its
+    order, where its Gauss sums are formed, is checked by MAX_MODULUS."""
+    t = chi.conductor_exponent()
+    if t == 0:
+        raise ValueError("character has trivial conductor")
+    big = lcm(chi.order(), chi.p ** t)
+    check_bound(f"the Gauss sum's conductor lcm(N, p^t) = {big}", big,
+                "MAX_MODULUS", MAX_MODULUS)
+    return t
+
+
 def classical_gauss_sum(chi):
     """tau(chi) = sum over units mod the conductor of chi(a) zeta^a.
 
     This is the chi(f_chi)-normalized part: chi(f_chi) G(chi) = tau(chi).
     """
-    t = chi.conductor_exponent()
-    if t == 0:
-        raise ValueError("character has trivial conductor")
-    pt = chi.p ** t
-    conductor = lcm(chi.order(), pt)
-    if conductor > MAX_MODULUS:
-        raise ValueError(f"the Gauss sum lives at conductor {conductor}, "
-                         f"above MAX_MODULUS = {MAX_MODULUS}")
-    return _unit_sum(chi, pt, 1, t)
+    t = _conductor_exponent(chi)
+    return _unit_sum(chi, chi.p ** t, 1, t)
 
 
 def gauss_sum(chi, tau=None):
     """The normalized Gauss sum G(chi) = chi(p)^{-t} tau(chi), the full sum
     of chi(a/f) psi(a/f) over a mod the conductor f = p^t.  `tau` is
     tau(chi) when the caller already holds it."""
-    t = chi.conductor_exponent()
-    if t == 0:
-        raise ValueError("character has trivial conductor")
+    t = _conductor_exponent(chi)
     if tau is None:
         tau = classical_gauss_sum(chi)
     return chi.chi_p ** (-t) * tau
@@ -247,9 +247,7 @@ def gauss_sum_oracle(chi):
     level t + 1, one deeper than the conductor, then divide out the fiber
     count p.
     Exercises a longer summation with a different grouping of terms."""
-    t = chi.conductor_exponent()
-    if t == 0:
-        raise ValueError("character has trivial conductor")
+    t = _conductor_exponent(chi)
     acc = _unit_sum(chi, chi.p ** t, 1, t + 1)
     return chi.chi_p ** (-t) * acc * Fraction(1, chi.p)
 
@@ -281,9 +279,7 @@ def twisted_sum(chi, c, level):
     A c with v_p(c) < -level raises ValueError: psi(c gamma) is then not
     a function of gamma mod p^level.
     """
-    t = chi.conductor_exponent()
-    if t == 0:
-        raise ValueError("character has trivial conductor")
+    t = _conductor_exponent(chi)
     if level < t:
         raise ValueError("level must be at least the conductor exponent")
     c = Fraction(c)

@@ -22,7 +22,8 @@ import re
 from fractions import Fraction
 
 from heckeforge import kernels
-from heckeforge.exact import MAX_ENUMERATION, scalar, vp
+from heckeforge.exact import (MAX_ENUMERATION, check_bound, power_within,
+                              scalar, vp)
 from heckeforge.laurent import LaurentPoly, lconst, lvar
 from heckeforge.matrices import GlnContext, t_matrix
 from heckeforge.ratmat import RatMat
@@ -151,26 +152,10 @@ class CosetSum:
 
 # MAX_ENUMERATION, imported from exact and read under this module's name,
 # bounds the cosets (V_nu, V_p, V_p', U_i, T_nu) one expansion may list;
-# each count has a closed form, checked before enumerating.
-# The most entries one listed matrix may hold: an operator with one coset
-# (V0, T0, U<n>, T<n>) passes the count at any n.
+# their count, a sum of block sizes p^e, is checked block by block first.
+# The most entries one listed matrix may hold, a bound of its own: an
+# operator with one coset (V0, T0, U<n>, T<n>) passes the count at any n.
 MAX_MATRIX_ENTRIES = 100_000
-
-
-def _check_enumeration(what, p, exponents):
-    """Raise ValueError if `what` would enumerate more than MAX_ENUMERATION
-    matrices, sum(p^e for e in exponents) of them.  The sum stops once it
-    passes the bound, and p^e >= 2^e is formed only for e below the
-    bound's bit length."""
-    total = 0
-    for e in exponents:
-        if e >= MAX_ENUMERATION.bit_length():
-            total = MAX_ENUMERATION + 1
-        else:
-            total += p ** e
-        if total > MAX_ENUMERATION:
-            raise ValueError(f"{what} exceed MAX_ENUMERATION = "
-                             f"{MAX_ENUMERATION}")
 
 
 def _operator(n, p, kind, k=None):
@@ -232,10 +217,13 @@ def _triangular_reps(n, p, kind, k=None):
     fails the latter before any list of length n is formed."""
     if n <= MAX_MATRIX_ENTRIES:
         what, _, blocks = _operator(n, p, kind, k)
-        _check_enumeration(what, p, (size for _, size in blocks()))
-    if n * n > MAX_MATRIX_ENTRIES:
-        raise ValueError(f"{n} x {n} matrices: n^2 = {n * n} entries "
-                         f"exceed MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}")
+        total = 0
+        for _, size in blocks():
+            pe = power_within(p, size, MAX_ENUMERATION)
+            total = check_bound(what, None if pe is None else total + pe,
+                                "MAX_ENUMERATION", MAX_ENUMERATION)
+    check_bound(f"{n} x {n} matrices: n^2 = {n * n} entries", n * n,
+                "MAX_MATRIX_ENTRIES", MAX_MATRIX_ENTRIES)
     for e, _ in blocks():
         diag = [p ** x for x in e]
         base = [0] * (n * n)
@@ -479,10 +467,10 @@ def satake(n, nu):
     if not 0 <= nu <= n:
         raise ValueError("0 <= nu <= n required")
     # C(n, nu) >= n for 0 < nu < n, so a large n needs no binomial
-    if ((n > MAX_ENUMERATION and 0 < nu < n)
-            or math.comb(n, nu) > MAX_ENUMERATION):
-        raise ValueError(f"satake: C(n, nu) = C({n}, {nu}) terms exceed "
-                         f"MAX_ENUMERATION = {MAX_ENUMERATION}")
+    terms = None if n > MAX_ENUMERATION and 0 < nu < n else math.comb(n, nu)
+    check_bound(f"satake: C(n, nu) = C({n}, {nu})"
+                + ("" if terms is None else f" = {terms}") + " terms", terms,
+                "MAX_ENUMERATION", MAX_ENUMERATION)
     # one term per nu-subset, keyed directly: adding terms one by one is
     # quadratic in C(n, nu)
     q = [("q", nu * (nu + 1) // 2)] if nu else []

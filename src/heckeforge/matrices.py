@@ -9,7 +9,7 @@ checks; the equality statements are checked literally.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from heckeforge.exact import is_prime, vp
+from heckeforge.exact import check_prime, vp
 from heckeforge.laurent import LaurentMatrix, LaurentPoly, lconst, lvar
 from heckeforge.ratmat import RatMat, j_embed
 
@@ -25,8 +25,7 @@ class GlnContext:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("rank must be >= 2")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        check_prime(self.p)
         if self.r < 1:
             raise ValueError("level must be >= 1")
 

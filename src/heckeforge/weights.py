@@ -4,19 +4,13 @@ critical strip.
 Weights are weakly decreasing integer tuples; several real embeddings are
 supported as a list of such tuples (the default constructors wrap a single
 one).  Everything is exact integer/Fraction arithmetic, and every list
-has its closed-form length checked against MAX_ENUMERATION first.
+has its closed-form length checked first, by `exact.check_bound` against
+MAX_ENUMERATION read under this module's name.
 """
 
 from fractions import Fraction
 
-from heckeforge.exact import MAX_ENUMERATION
-
-
-def _check_count(what, count, things):
-    """Raise ValueError if `what` would list more than MAX_ENUMERATION."""
-    if count > MAX_ENUMERATION:
-        raise ValueError(f"{what}: {count} {things} exceed MAX_ENUMERATION "
-                         f"= {MAX_ENUMERATION}")
+from heckeforge.exact import MAX_ENUMERATION, check_bound
 
 
 def _as_embeddings(mu):
@@ -69,7 +63,9 @@ def branch(mu):
     n = len(w)
     if n < 2:
         raise ValueError("need rank >= 2")
-    _check_count("branch", branch_count(w), "interlacing weights")
+    count = branch_count(w)
+    check_bound(f"branch: {count} interlacing weights", count,
+                "MAX_ENUMERATION", MAX_ENUMERATION)
     out = [[]]
     for i in range(n - 1):
         out = [pref + [v] for pref in out
@@ -108,7 +104,8 @@ def emb_set(nu, mu):
             hi = b if hi is None else min(hi, b)
     if lo is None or lo > hi:
         return []
-    _check_count("emb_set", hi - lo + 1, "twists")
+    check_bound(f"emb_set: {hi - lo + 1} twists", hi - lo + 1,
+                "MAX_ENUMERATION", MAX_ENUMERATION)
     return list(range(lo, hi + 1))
 
 
@@ -156,7 +153,8 @@ def critical_data(mu, nu):
     s_min = Fraction(1, 2) + nu_min
     s_max = Fraction(1, 2) + w + v - nu_min
     # the strip from s_min to s_max holds `best` half-integers
-    _check_count("critical strip", best, "half-integers")
+    check_bound(f"critical strip: {best} half-integers", best,
+                "MAX_ENUMERATION", MAX_ENUMERATION)
     strip = []
     t = s_min
     while t <= s_max:

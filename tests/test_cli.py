@@ -20,6 +20,31 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@contextlib.contextmanager
+def _deadline(seconds, what):
+    """Fail the test naming `what` if the body runs past `seconds`, so
+    that a hang in process fails instead of stalling the run.  The alarm
+    raises pytest.fail's exception, which neither cli.main nor the verify
+    runner catches."""
+    def too_slow(signum, frame):
+        pytest.fail(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_deadline_fails_a_hang():
+    with pytest.raises(pytest.fail.Exception, match=r"\['spin'\] ran past"):
+        with _deadline(0.05, ["spin"]):
+            while True:
+                pass
+
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["suite", "case", "status", "witness", "ms"],
@@ -362,7 +387,8 @@ def test_gauss_sum_rejects_conductor_above_bound(capsys):
     code, _, err = run_cli(capsys, "compute", "gauss-sum", "--p", "101",
                            "--order", "100")
     assert code == 2
-    assert "conductor 10100" in err and "MAX_MODULUS" in err
+    assert err == ("error: the Gauss sum's conductor lcm(N, p^t) = 10100 "
+                   "exceeds MAX_MODULUS = 2500\n")
 
 
 def test_gauss_sum_reduces_to_the_smallest_conductor(capsys):
@@ -421,19 +447,9 @@ def _level(m, xs, value=("0",)):
 def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
-
-    def too_slow(signum, frame):
-        pytest.fail("--from-json took more than 5 s to reject its input")
-
-    # pytest.fail raises an exception that cli.main does not catch
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+    with _deadline(5, "--from-json"):
         code, _, err = run_cli(capsys, "compute", "integrate",
                                "--from-json", str(path))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert err.startswith("error: ") and field in err
 
@@ -477,6 +493,13 @@ def test_config_rejects_unknown_key(tmp_path):
     ("suites = gauss, bogus",
      "suites: unknown suite 'bogus'; known: matrices, hecke, projections, "
      "gauss, weights, distributions, functional-equation"),
+    # an empty list used to read as no filter (suites) or as a filter
+    # that skips every grid case (n, p, r)
+    ("suites =", "suites: expected at least one comma-separated value"),
+    ("suites = ,", "suites: expected at least one comma-separated value"),
+    ("n =", "n: expected at least one comma-separated value"),
+    ("p = , ,", "p: expected at least one comma-separated value"),
+    ("r = # none", "r: expected at least one comma-separated value"),
 ])
 def test_config_rejects_bad_values(capsys, tmp_path, line, message):
     cfg = tmp_path / "suite.cfg"
@@ -488,7 +511,7 @@ def test_config_rejects_bad_values(capsys, tmp_path, line, message):
 
 _FLAG_SPELLINGS = {True: ("true", "TRUE", "yes", "Yes", "1"),
                    False: ("false", "False", "no", "NO", "0")}
-_INTS = st.lists(st.integers(-10**6, 10**6), max_size=4)
+_INTS = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4)
 _CONFIG_VALUES = {
     "suites": st.lists(st.sampled_from(suite.SUITES), min_size=1,
                        max_size=4),
@@ -610,7 +633,7 @@ def test_hecke_expand_refuses_matrices_above_bound(op):
                       "--op", op, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == ("error: 100000 x 100000 matrices: n^2 = "
-                           "10000000000 entries exceed MAX_MATRIX_ENTRIES = "
+                           "10000000000 entries exceeds MAX_MATRIX_ENTRIES = "
                            "100000\n")
     assert not proc.stdout
 
@@ -624,25 +647,26 @@ def test_hecke_expand_refuses_a_rank_above_the_matrix_bound(op):
                       "--op", op, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr == (f"error: {n} x {n} matrices: n^2 = {n * n} "
-                           "entries exceed MAX_MATRIX_ENTRIES = 100000\n")
+                           "entries exceeds MAX_MATRIX_ENTRIES = 100000\n")
     assert not proc.stdout
 
 
 @pytest.mark.parametrize("argv, message", [
     (["satake", "--n", "60", "--nu", "30"],
-     "C(n, nu) = C(60, 30) terms exceed MAX_ENUMERATION = 100000"),
+     "satake: C(n, nu) = C(60, 30) = 118264581564861424 terms exceeds "
+     "MAX_ENUMERATION = 100000"),
     (["integrate", "--p", "3", "--depth", "40"],
      "level 40: p^m = 3^40 exceeds MAX_MODULUS = 2500"),
     (["integrate", "--p", "7", "--depth", "5"],
-     "level 5: p^m = 7^5 exceeds MAX_MODULUS = 2500"),
+     "level 5: p^m = 7^5 = 16807 exceeds MAX_MODULUS = 2500"),
     # unchecked, the branch ran past 20 s and the first critical past
     # 10 s; the second has no twists but a strip of 2 * 10^8 - 1 values
     (["branch", "--mu", ",".join(str(x) for x in range(30, -1, -2))],
-     "branch: 14348907 interlacing weights exceed MAX_ENUMERATION = 100000"),
+     "branch: 14348907 interlacing weights exceeds MAX_ENUMERATION = 100000"),
     (["critical", "--mu", "100000000,-100000000", "--nu", "0"],
-     "emb_set: 200000001 twists exceed MAX_ENUMERATION = 100000"),
+     "emb_set: 200000001 twists exceeds MAX_ENUMERATION = 100000"),
     (["critical", "--mu", "0,0,0", "--nu", "100000000,-100000000"],
-     "critical strip: 199999999 half-integers exceed MAX_ENUMERATION"),
+     "critical strip: 199999999 half-integers exceeds MAX_ENUMERATION"),
     # p ** -1 is a float, which range() refused with a traceback
     (["integrate", "--depth=-1"],
      "level -1: a tower level must be at least 1"),
@@ -734,6 +758,21 @@ def test_compute_branch_matches_the_golden_outputs(capsys, monkeypatch):
 
 def test_compute_critical_matches_the_golden_outputs(capsys, monkeypatch):
     _assert_golden_outputs(capsys, monkeypatch, "critical")
+
+
+def test_compute_refusals_match_the_golden_lines(capsys):
+    """Each line of compute-refusals.args, one `compute` invocation per
+    input bound, exits 2 at once with the same line of
+    compute-refusals.txt and prints nothing else (the CI workflow runs the
+    installed command against it too)."""
+    with open(os.path.join(DATA, "compute-refusals.args")) as fh:
+        invocations = [line.split() for line in fh if line.strip()]
+    with open(os.path.join(DATA, "compute-refusals.txt")) as fh:
+        golden = fh.read().splitlines()
+    assert len(invocations) == len(golden)
+    for argv, want in zip(invocations, golden):
+        with _deadline(10, argv):
+            assert run_cli(capsys, "compute", *argv) == (2, "", want + "\n")
 
 
 def test_integrate_takes_its_character_without_the_dual_group():
@@ -887,16 +926,83 @@ def _single_error(err):
 @given(_compute_argv())
 @example(["compute", "integrate", "--depth=-1"])
 def test_compute_fuzz_exits_0_or_2_without_traceback(tmp_path, argv):
-    """Any argument vector exits 0 or 2, and prints at most one error line
-    and no traceback; --from-json names a file in an empty directory."""
+    """Any argument vector exits 0 or 2 within 10 s, and prints at most
+    one error line and no traceback; --from-json names a file in an empty
+    directory."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(tmp_path)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            with _deadline(10, argv):
+                code = cli.main(argv)
     finally:
         os.chdir(cwd)
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert _single_error(err.getvalue()), (argv, err.getvalue())
+
+
+# A fuzz of `verify --config`, run in process.  A file holds `suites` and
+# up to three other keys, known (cli._CONFIG_KEYS) or not (`jobs` among
+# them); each value is valid, empty, malformed, negative or at least
+# 10^20.  A valid suite is one of the three whose cases take tens of ms
+# in all, so `suites` is always drawn: without it every suite runs.
+
+_FAST_SUITES = ["weights", "distributions", "functional-equation"]
+_VALID_VALUES = {
+    "suites": st.lists(st.sampled_from(_FAST_SUITES), min_size=1,
+                       max_size=3).map(", ".join),
+    "n": st.sampled_from(["2", "3", "2, 3"]),
+    "p": st.sampled_from(["2", "3", "2, 3, 5"]),
+    "r": st.sampled_from(["1", "1, 2"]),
+    "seed": st.sampled_from(["0", "5"]),
+    "corrupted_distribution_fixture": st.sampled_from(["true", "no"]),
+}
+_ODD_VALUES = ["", ",", "abc", "1.5", "2,x", "-3", "-1, -7", str(10 ** 20),
+               f"2, {10 ** 20}", str(-10 ** 30)]
+_UNKNOWN_KEYS = ["jobs", "suite", "threads"]
+
+
+@st.composite
+def _verify_config(draw):
+    """The text of a config file."""
+    others = sorted(set(cli._CONFIG_KEYS) - {"suites"}) + _UNKNOWN_KEYS
+    keys = ["suites"] + draw(st.lists(st.sampled_from(others), unique=True,
+                                      max_size=3))
+    lines = []
+    for key in keys:
+        valid = _VALID_VALUES.get(key, st.just("2"))
+        value = draw(st.one_of(valid, st.sampled_from(_ODD_VALUES)))
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_verify_config())
+@example("suites = ,\n")
+@example("suites = distributions\ncorrupted_distribution_fixture = true\n")
+def test_verify_config_fuzz_exits_0_1_or_2_without_traceback(
+        tmp_path, monkeypatch, text):
+    """Any config file exits within 10 s and prints no traceback: 2 with
+    one error line naming the file, or else 1 exactly when a case of the
+    report failed, and 0 otherwise."""
+    monkeypatch.delenv("HECKE_FORGE_SEED", raising=False)
+    cfg, report = tmp_path / "fuzz.cfg", tmp_path / "report.jsonl"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with _deadline(10, text):
+            code = cli.main(["verify", "--config", str(cfg),
+                             "--json-out", str(report)])
+    err = err.getvalue()
+    assert "Traceback" not in err and not out.getvalue(), text
+    if code == 2:
+        assert err.startswith(f"error: {cfg}:"), (text, err)
+        assert err.count("\n") == 1, (text, err)
+        return
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    failed = sum(rec["status"] == "fail" for rec in records)
+    assert (code, err) == ((1, f"{failed} case(s) failed\n") if failed
+                           else (0, "")), text

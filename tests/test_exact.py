@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, PadicVal,
                               _cyclo, _prime_factors, as_rational,
-                              cyclotomic_poly, euler_phi, is_prime,
-                              padic_valuation, scalar, scalar_from_json,
+                              check_bound, check_prime, cyclotomic_poly,
+                              euler_phi, is_prime, padic_valuation,
+                              power_within, scalar, scalar_from_json,
                               scalar_json, vp)
 
 
@@ -88,6 +89,44 @@ def test_is_prime_refuses_above_its_bound():
     assert not is_prime(MAX_PRIME)
     with pytest.raises(ValueError, match="exceeds MAX_PRIME"):
         is_prime(MAX_PRIME + 1)
+
+
+def test_check_bound_passes_the_bound_and_refuses_one_more():
+    assert check_bound("x = 7", 7, "MAX_X", 7) == 7
+    with pytest.raises(ValueError) as refused:
+        check_bound("x = 8", 8, "MAX_X", 7)
+    assert str(refused.value) == "x = 8 exceeds MAX_X = 7"
+    with pytest.raises(ValueError, match="^p\\^s = 3\\^9 exceeds MAX_X = 7$"):
+        check_bound("p^s = 3^9", None, "MAX_X", 7)
+
+
+def test_power_within_forms_only_below_the_bit_length():
+    """2^11 = 2048 is formed under 2500, whose bit length is 12; 2^12 and
+    3^(10^9) are not, and |p| <= 1 is formed at any exponent."""
+    assert power_within(2, 11, 2500) == 2048
+    assert power_within(-7, 4, 2500) == 2401
+    assert power_within(7, 5, 2500) == 16807
+    for p, e in ((2, 12), (3, 10 ** 9), (-10 ** 20, 10 ** 9)):
+        assert power_within(p, e, 2500) is None
+    assert [power_within(p, 10 ** 9, 2500) for p in (-1, 0, 1)] == [1, 0, 1]
+    # the pair (3, 10^9) is refused at once, by its closed form
+    with pytest.raises(ValueError) as refused:
+        check_bound("p^s = 3^1000000000", power_within(3, 10 ** 9, 2500),
+                    "MAX_MODULUS", 2500)
+    assert str(refused.value) == ("p^s = 3^1000000000 exceeds "
+                                  "MAX_MODULUS = 2500")
+
+
+def test_check_prime_names_p():
+    check_prime(2)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError) as refused:
+            check_prime(p)
+        assert str(refused.value) == f"p = {p} is not prime"
+    with pytest.raises(ValueError) as refused:
+        check_prime(MAX_PRIME + 1)
+    assert str(refused.value) == ("p = 1000000000001 exceeds "
+                                  "MAX_PRIME = 1000000000000")
 
 
 def _random_cyclo(rng):

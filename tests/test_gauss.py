@@ -164,6 +164,26 @@ def test_deeper_level_oracle():
             assert gauss.gauss_sum(chi) == gauss.gauss_sum_oracle(chi)
 
 
+def test_every_gauss_sum_refuses_a_conductor_above_the_bound():
+    """p = 53 with a character of order 52 has conductor lcm(52, 53) =
+    2756 > MAX_MODULUS: the oracle and the twisted sum refuse it with
+    gauss_sum's message, where the oracle used to form it."""
+    chi = gauss.primitive_character(53, 1, 52)
+    message = ("the Gauss sum's conductor lcm(N, p^t) = 2756 exceeds "
+               "MAX_MODULUS = 2500")
+    for refused in (gauss.classical_gauss_sum, gauss.gauss_sum,
+                    gauss.gauss_sum_oracle,
+                    lambda c: gauss.twisted_sum(c, Fraction(1, 53), 1)):
+        with pytest.raises(ValueError) as exc:
+            refused(chi)
+        assert str(exc.value) == message
+
+
+def test_additive_character_refuses_a_non_prime():
+    with pytest.raises(ValueError, match="^p = 9 is not prime$"):
+        gauss.AddChar(9)
+
+
 def test_twisted_sum_examples():
     chi3 = quadratic_char(3)
     assert gauss.twisted_sum(chi3, Fraction(1), 2) == 0
