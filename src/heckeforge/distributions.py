@@ -14,37 +14,54 @@ of a character and, once per level m, the k with chi(x) = zeta_N^k over
 elements(m) (`char_powers`); each component is one `Cyclo.root_sum` over
 that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
 `build_mu` sums the base data down and scales each sum once, by kappa^-M.
+
+Tables once: every per-level table of a tower (its elements, the lifts
+that push values down one level, its characters and a character's
+exponent table) is built on first use by a module-level `lru_cache`
+builder and shared, as a tuple or a read-only mapping, by every tower
+with the same key.  The keys are (p, m) for QTower(p) and (p, h, m) for
+AbstractTower(p, h), and for an exponent table (p, s, exponent vector, m)
+of the character mod p^s, with h and j for the abstract tower; p is in
+every key.  A tower holds only p (and h), and the consumers below read
+its tables through its methods.  No value is cached: a `Distribution`'s
+values are read afresh by every check, so a value changed in place is
+seen.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from heckeforge.exact import (Cyclo, check_bound, check_prime, power_within,
                               scalar, scalar_from_json, scalar_json, vp)
-from heckeforge.gauss import MAX_MODULUS, all_characters, check_modulus
+from heckeforge.gauss import (MAX_MODULUS, MultChar, all_characters,
+                              check_modulus)
 from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
 
 class QTower:
-    """Levels m >= 1 with C(p^m) = (Z/p^m)^* and reduction transitions."""
+    """Levels m >= 1 with C(p^m) = (Z/p^m)^* and reduction transitions.
+
+    Each per-level table is built once, on first use, and shared by every
+    QTower(p): `elements(m)` and `characters(m)` (tuples) and `lifts(m)`
+    (a read-only mapping) by (p, m), and `char_powers(chi, m)` (a tuple)
+    by (p, s, exponent vector, m) of the character chi mod p^s.  A tower
+    holds only p."""
 
     def __init__(self, p):
         check_prime(p)
         self.p = p
 
     def elements(self, m):
-        if m < 1:
-            raise ValueError(f"level {m}: a tower level must be at least 1")
-        pm = power_within(self.p, m, MAX_MODULUS)
-        what = f"level {m}: p^m = {self.p}^{m}" + (f" = {pm}" if pm else "")
-        check_bound(what, pm, "MAX_MODULUS", MAX_MODULUS)
-        return [a for a in range(pm) if a % self.p != 0]
+        """(Z/p^m)^*, ascending; a level below 1 or with p^m above
+        MAX_MODULUS raises ValueError on every call."""
+        return _units(self.p, m)
 
-    def lifts(self, m, x):
-        """Preimages of x in C(p^{m+1}); kernel order p for m >= 1."""
-        mod = self.p ** m
-        return [x + k * mod for k in range(self.p)
-                if (x + k * mod) % self.p != 0]
+    def lifts(self, m):
+        """Each x of elements(m) -> its p preimages x + k p^m in
+        elements(m + 1), k ascending: the kernel of reduction has order p."""
+        return _unit_lifts(self.p, m)
 
     def mul(self, m, x, y):
         return x * y % self.p ** m
@@ -59,16 +76,18 @@ class QTower:
         return self.p ** m - 1
 
     def characters(self, m):
-        return all_characters(self.p, m)
+        return _unit_characters(self.p, m)
 
     def char_order(self, chi):
         return chi.order()
 
     def char_powers(self, chi, m):
         """The k with chi(x) = zeta_N^k, N = char_order(chi), over
-        elements(m), read off chi's own table."""
-        table, mod = chi.powers, self.p ** chi.s
-        return [table[x % mod] for x in self.elements(m)]
+        elements(m), read off the unit-to-exponent table of the character
+        mod p^s with chi's exponents; a character of another prime raises
+        ValueError."""
+        _check_same_prime(chi, self.p)
+        return _unit_powers(self.p, chi.s, chi.exps, m)
 
     def char_conductor_level(self, chi):
         return max(chi.conductor_exponent(), 1)
@@ -76,19 +95,26 @@ class QTower:
 
 class AbstractTower:
     """C_m = Z/h x (Z/p^m)^*: a finite-group generalization with a cyclic
-    class-group part of order h; transitions are identity x reduction."""
+    class-group part of order h >= 1; transitions are identity x reduction.
+
+    Its tables are built once from those of QTower(p) and shared by every
+    AbstractTower(p, h): `elements(m)`, `lifts(m)` and `characters(m)` by
+    (p, h, m), and `char_powers((j, chi), m)` by (p, h, j, s, exponent
+    vector, m).  An h that is not an int >= 1 raises ValueError."""
 
     def __init__(self, p, h):
+        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+            raise ValueError(f"h = {h!r}: the class-group order must be an "
+                             "int >= 1")
         self.p = p
         self.h = h
         self._q = QTower(p)
 
     def elements(self, m):
-        return [(c, u) for c in range(self.h) for u in self._q.elements(m)]
+        return _class_elements(self.p, self.h, m)
 
-    def lifts(self, m, x):
-        c, u = x
-        return [(c, v) for v in self._q.lifts(m, u)]
+    def lifts(self, m):
+        return _class_lifts(self.p, self.h, m)
 
     def mul(self, m, x, y):
         return ((x[0] + y[0]) % self.h, self._q.mul(m, x[1], y[1]))
@@ -103,8 +129,7 @@ class AbstractTower:
         return (0, self._q.minus_one(m))
 
     def characters(self, m):
-        return [(j, chi) for j in range(self.h)
-                for chi in self._q.characters(m)]
+        return _class_characters(self.p, self.h, m)
 
     def char_order(self, chi):
         """lcm(h, order of the finite part): the conductor at which each
@@ -115,13 +140,84 @@ class AbstractTower:
         """The k with chi(x) = zeta_N^k over elements(m): zeta_h^{jc}
         chi_fin(u) is zeta_N^(jc N/h + k_fin N/N_fin)."""
         j, fin = chi
-        big = self.char_order(chi)
-        cstep, fstep = j * (big // self.h), big // fin.order()
-        return [(c * cstep + k * fstep) % big for c in range(self.h)
-                for k in self._q.char_powers(fin, m)]
+        _check_same_prime(fin, self.p)
+        return _class_powers(self.p, self.h, j % self.h, fin.s, fin.exps,
+                             fin.order(), m)
 
     def char_conductor_level(self, chi):
         return max(chi[1].conductor_exponent(), 1)
+
+
+# ---------------------------------------------------------------------------
+# the per-level tables: each builder runs once per key, and its tuple or
+# read-only mapping is shared by every tower that asks for that key
+
+@lru_cache(maxsize=None)
+def _units(p, m):
+    """(Z/p^m)^*, ascending, after the level check; a refused level raises
+    on every call, as an exception is not cached."""
+    if m < 1:
+        raise ValueError(f"level {m}: a tower level must be at least 1")
+    pm = power_within(p, m, MAX_MODULUS)
+    what = f"level {m}: p^m = {p}^{m}" + (f" = {pm}" if pm else "")
+    check_bound(what, pm, "MAX_MODULUS", MAX_MODULUS)
+    return tuple(a for a in range(pm) if a % p)
+
+
+@lru_cache(maxsize=None)
+def _unit_lifts(p, m):
+    """x -> its preimages in (Z/p^{m+1})^*, read off the units there."""
+    lifts, mod = {x: [] for x in _units(p, m)}, p ** m
+    for y in _units(p, m + 1):
+        lifts[y % mod].append(y)
+    return MappingProxyType({x: tuple(ys) for x, ys in lifts.items()})
+
+
+@lru_cache(maxsize=None)
+def _unit_characters(p, m):
+    return tuple(all_characters(p, m))
+
+
+@lru_cache(maxsize=None)
+def _unit_powers(p, s, exps, m):
+    """The exponent table over _units(p, m) of the character mod p^s with
+    these generator exponents, from its unit-to-exponent table."""
+    table, mod = MultChar(p, s, exps).powers, p ** s
+    return tuple(table[x % mod] for x in _units(p, m))
+
+
+@lru_cache(maxsize=None)
+def _class_elements(p, h, m):
+    return tuple((c, u) for c in range(h) for u in _units(p, m))
+
+
+@lru_cache(maxsize=None)
+def _class_lifts(p, h, m):
+    return MappingProxyType({
+        (c, u): tuple((c, v) for v in vs)
+        for c in range(h) for u, vs in _unit_lifts(p, m).items()})
+
+
+@lru_cache(maxsize=None)
+def _class_characters(p, h, m):
+    return tuple((j, chi) for j in range(h) for chi in _unit_characters(p, m))
+
+
+@lru_cache(maxsize=None)
+def _class_powers(p, h, j, s, exps, order, m):
+    """AbstractTower.char_powers; order, that of the character mod p^s,
+    is fixed by p, s and exps."""
+    big = lcm(h, order)
+    cstep, fstep = j * (big // h), big // order
+    return tuple((c * cstep + k * fstep) % big for c in range(h)
+                 for k in _unit_powers(p, s, exps, m))
+
+
+def _check_same_prime(chi, p):
+    """Raise ValueError unless the character mod chi.p^s lives on p's tower."""
+    if chi.p != p:
+        raise ValueError(f"a character mod {chi.p}^{chi.s} on the tower of "
+                         f"p = {p}: the primes {chi.p} and {p} differ")
 
 
 class Distribution:
@@ -241,8 +337,8 @@ def build_mu(sym, m0):
     values = {}
     for m in range(sym.base_level, m0 - 1, -1):
         if m < sym.base_level:
-            sums = {x: _vector_sum(sums[y] for y in tower.lifts(m, x))
-                    for x in tower.elements(m)}
+            sums = {x: _vector_sum(sums[y] for y in ys)
+                    for x, ys in tower.lifts(m).items()}
         values[m] = {x: tuple(scale * v for v in vec)
                      for x, vec in sums.items()}
     return Distribution(tower, sym.nus, dict(reversed(values.items())))
@@ -257,8 +353,9 @@ def check_distribution_relation(mu):
     for m, m1 in zip(levels, levels[1:]):
         if m1 != m + 1:
             raise ValueError("stored levels must be consecutive")
+        lifts, deeper = mu.tower.lifts(m), mu.values[m1]
         for x, vec in mu.values[m].items():
-            acc = _vector_sum(mu.values[m1][y] for y in mu.tower.lifts(m, x))
+            acc = _vector_sum(deeper[y] for y in lifts[x])
             if any(a != b for a, b in zip(acc, vec)):
                 return False, (x, m)
     return True, None

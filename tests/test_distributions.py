@@ -2,13 +2,14 @@ import json
 import os
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeforge import distributions as dist
-from heckeforge import modules
+from heckeforge import gauss, modules
 from heckeforge.exact import Cyclo, scalar_json
 
 
@@ -50,7 +51,7 @@ def _build_mu_reference(sym, m0):
     for m in range(sym.base_level, m0 - 1, -1):
         if m < sym.base_level:
             data = {x: tuple(kinv * sum(col) for col in zip(
-                        *(data[y] for y in tower.lifts(m, x))))
+                        *(data[y] for y in tower.lifts(m)[x])))
                     for x in tower.elements(m)}
         values[m] = {x: tuple(kinv ** m * v for v in vec)
                      for x, vec in data.items()}
@@ -198,7 +199,7 @@ def test_char_powers_are_the_per_element_exponents(tower, depth):
             for m in range(s, depth + 1):
                 ks = tower.char_powers(chi, m)
                 elements = tower.elements(m)
-                assert ks == [_char_power_reference(tower, chi, x)
+                assert list(ks) == [_char_power_reference(tower, chi, x)
                               for x in elements]
                 assert all(0 <= k < big for k in ks)
                 for x, k in zip(elements, ks):
@@ -425,6 +426,163 @@ def test_tower_levels_stop_at_the_modulus_bound(p, deepest):
                                   "exceeds MAX_MODULUS = 2500")
     with pytest.raises(ValueError, match="MAX_MODULUS"):
         tower.elements(10 ** 9)
+
+
+# The per-level tables are built once, shared by every equal tower and
+# equal to a fresh enumeration.  Elements and lifts are checked at every
+# level up to the MAX_MODULUS bound; characters and exponent tables
+# up to a smaller depth, since the characters of (Z/3^7)^* alone hold
+# 1458 unit-to-exponent tables of 1458 entries each.
+
+TABLE_TOWERS = pytest.mark.parametrize("key, bound, depth", [
+    (("Q", 2), 11, 8), (("Q", 3), 7, 5), (("Q", 5), 4, 3),
+    (("A", 3, 2), 7, 4), (("A", 3, 4), 7, 3)],
+    ids=["QTower(2)", "QTower(3)", "QTower(5)", "AbstractTower(3,2)",
+         "AbstractTower(3,4)"])
+
+
+def _tower(key):
+    return dist.QTower(key[1]) if key[0] == "Q" else dist.AbstractTower(*key[1:])
+
+
+def _units_reference(p, m):
+    return [a for a in range(1, p ** m) if a % p]
+
+
+def _elements_reference(tower, m):
+    units = _units_reference(tower.p, m)
+    if isinstance(tower, dist.QTower):
+        return units
+    return [(c, u) for c in range(tower.h) for u in units]
+
+
+def _lifts_reference(tower, m, x):
+    step = tower.p ** m
+    if isinstance(tower, dist.QTower):
+        return tuple(x + k * step for k in range(tower.p))
+    c, u = x
+    return tuple((c, u + k * step) for k in range(tower.p))
+
+
+def _same_character(tower, chi):
+    """An equal character built afresh: the tables are keyed by value."""
+    if isinstance(tower, dist.QTower):
+        return gauss.MultChar(chi.p, chi.s, chi.exps)
+    j, fin = chi
+    return j, gauss.MultChar(fin.p, fin.s, fin.exps)
+
+
+def _character_key(chi):
+    if isinstance(chi, tuple):
+        j, fin = chi
+        return j, fin.p, fin.s, fin.exps
+    return chi.p, chi.s, chi.exps
+
+
+@TABLE_TOWERS
+def test_level_tables_are_built_once_and_shared(key, bound, depth):
+    tower, fresh = _tower(key), _tower(key)
+    for m in range(1, bound + 1):
+        elements = tower.elements(m)
+        assert isinstance(elements, tuple)
+        assert elements is tower.elements(m) is fresh.elements(m)
+        assert list(elements) == _elements_reference(tower, m)
+        if m < bound:
+            lifts = tower.lifts(m)
+            assert isinstance(lifts, MappingProxyType)
+            assert lifts is tower.lifts(m) is fresh.lifts(m)
+            assert dict(lifts) == {x: _lifts_reference(tower, m, x)
+                                   for x in elements}
+            with pytest.raises(TypeError):
+                lifts[elements[0]] = ()
+    with pytest.raises(ValueError, match="exceeds MAX_MODULUS"):
+        tower.elements(bound + 1)
+    # the lifts of the deepest level would lie past the bound
+    with pytest.raises(ValueError, match="exceeds MAX_MODULUS"):
+        tower.lifts(bound)
+
+
+@TABLE_TOWERS
+def test_character_tables_are_built_once_and_shared(key, bound, depth):
+    tower, fresh = _tower(key), _tower(key)
+    h = getattr(tower, "h", None)
+    for m in range(1, depth + 1):
+        chars = tower.characters(m)
+        assert isinstance(chars, tuple)
+        assert chars is tower.characters(m) is fresh.characters(m)
+        want = [_character_key(c) for c in gauss.all_characters(tower.p, m)]
+        if h is not None:
+            want = [(j, *c) for j in range(h) for c in want]
+        assert [_character_key(c) for c in chars] == want
+    for s in range(1, depth + 1):
+        for chi in tower.characters(s):
+            for m in range(s, depth + 1):
+                ks = tower.char_powers(chi, m)
+                assert isinstance(ks, tuple)
+                assert ks is tower.char_powers(chi, m)
+                assert ks is fresh.char_powers(_same_character(tower, chi), m)
+                assert list(ks) == [_char_power_reference(tower, chi, x)
+                                    for x in tower.elements(m)]
+
+
+@pytest.mark.parametrize("tower", [dist.QTower(3), dist.AbstractTower(3, 2)])
+def test_no_value_is_cached_on_a_distribution(tower):
+    """The checks read mu.values afresh: a value changed in place after an
+    integral changes the next integral, and breaks the relation."""
+    mu = dist.build_mu(make_symbol(random.Random(11), 3, 3, F(2), d=2,
+                                   tower=tower), 1)
+    chi = next(c for c in tower.characters(3)
+               if tower.char_conductor_level(c) == 3)
+    before = dist.integrate_character(mu, chi)
+    assert dist.check_distribution_relation(mu) == (True, None)
+    x = tower.elements(3)[1]
+    vec = list(mu.values[3][x])
+    vec[1] += 1
+    mu.values[3][x] = tuple(vec)
+    after = dist.integrate_character(mu, chi)
+    assert after[0] == before[0] and after[1] != before[1]
+    assert dist.check_distribution_relation(mu)[0] is False
+
+
+class _ForeignCharacters(dist.QTower):
+    """A rational tower at p = 3 whose characters are those mod 5."""
+
+    def characters(self, m):
+        return tuple(gauss.all_characters(5, m))
+
+
+@pytest.mark.parametrize("q, order", [(5, 4), (5, 2), (7, 6), (7, 3)])
+def test_a_character_of_another_prime_is_refused(q, order):
+    chi = next(c for c in gauss.all_characters(q, 1) if c.order() == order)
+    message = (f"a character mod {q}^1 on the tower of p = 3: the primes "
+               f"{q} and 3 differ")
+    rational = dist.build_mu(make_symbol(random.Random(12), 3, 2, F(2)), 1)
+    abstract = dist.build_mu(make_symbol(random.Random(12), 3, 2, F(2),
+                                         tower=dist.AbstractTower(3, 2)), 1)
+    refusals = [(rational.tower.char_powers, chi, 1),
+                (dist.integrate_character, rational, chi),
+                (abstract.tower.char_powers, (1, chi), 1),
+                (dist.integrate_character, abstract, (1, chi)),
+                (dist.integrate_character, abstract, (0, chi))]
+    for fn, *args in refusals:
+        with pytest.raises(ValueError) as refused:
+            fn(*args)
+        assert str(refused.value) == message, (fn, args)
+    foreign = dist.Distribution(_ForeignCharacters(3), rational.nus,
+                                rational.values)
+    with pytest.raises(ValueError) as refused:
+        dist.fourier_inversion_check(foreign, 1)
+    assert str(refused.value) == ("a character mod 5^1 on the tower of p = 3: "
+                                  "the primes 5 and 3 differ")
+
+
+@pytest.mark.parametrize("h", [0, -1, -7, 1.0, 2.5, True, "2", None])
+def test_abstract_tower_refuses_a_class_group_order_below_1(h):
+    """An h < 1 has no elements, so every check would pass vacuously."""
+    with pytest.raises(ValueError) as refused:
+        dist.AbstractTower(3, h)
+    assert str(refused.value) == (f"h = {h!r}: the class-group order must "
+                                  "be an int >= 1")
 
 
 def test_kappa_hat_rejects_a_zero_eigenvalue():
