@@ -22,10 +22,11 @@ builder and shared, as a tuple or a read-only mapping, by every tower
 with the same key.  The keys are (p, m) for QTower(p) and (p, h, m) for
 AbstractTower(p, h), and for an exponent table (p, s, exponent vector, m)
 of the character mod p^s, with h and j for the abstract tower; p is in
-every key.  A tower holds only p (and h), and the consumers below read
-its tables through its methods.  No value is cached: a `Distribution`'s
-values are read afresh by every check, so a value changed in place is
-seen.
+every key.  A level's exponent table is read off `gauss._exponents`, the
+table shared by every character mod p^s with those exponents.  A tower
+holds only p (and h), and the consumers below read its tables through its
+methods.  No value is cached: a `Distribution`'s values are read afresh by
+every check, so a value changed in place is seen.
 """
 
 from fractions import Fraction
@@ -35,7 +36,7 @@ from types import MappingProxyType
 
 from heckeforge.exact import (Cyclo, check_bound, check_prime, power_within,
                               scalar, scalar_from_json, scalar_json, vp)
-from heckeforge.gauss import (MAX_MODULUS, MultChar, all_characters,
+from heckeforge.gauss import (MAX_MODULUS, _exponents, all_characters,
                               check_modulus)
 from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
@@ -83,7 +84,7 @@ class QTower:
 
     def char_powers(self, chi, m):
         """The k with chi(x) = zeta_N^k, N = char_order(chi), over
-        elements(m), read off the unit-to-exponent table of the character
+        elements(m), read off the shared exponent table of the characters
         mod p^s with chi's exponents; a character of another prime raises
         ValueError."""
         _check_same_prime(chi, self.p)
@@ -181,8 +182,8 @@ def _unit_characters(p, m):
 @lru_cache(maxsize=None)
 def _unit_powers(p, s, exps, m):
     """The exponent table over _units(p, m) of the character mod p^s with
-    these generator exponents, from its unit-to-exponent table."""
-    table, mod = MultChar(p, s, exps).powers, p ** s
+    these generator exponents, read off the shared `gauss._exponents`."""
+    table, mod = _exponents(p, s, exps), p ** s
     return tuple(table[x % mod] for x in _units(p, m))
 
 

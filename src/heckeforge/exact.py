@@ -491,9 +491,11 @@ def scalar_from_json(v, where):
     outside 1..MAX_CONDUCTOR, raises ValueError naming `where`."""
     if isinstance(v, dict) and "m" in v:
         m = v["m"]
-        if type(m) is not int or not 1 <= m <= MAX_CONDUCTOR:
+        if type(m) is not int or m < 1:
             raise ValueError(f"{where}: field 'm' = {m!r} must be an int from "
                              f"1 to MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+        check_bound(f"{where}: field 'm' = {m}", m, "MAX_CONDUCTOR",
+                    MAX_CONDUCTOR)
     try:
         return Cyclo.from_json(v) if isinstance(v, dict) else Fraction(v)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

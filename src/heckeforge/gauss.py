@@ -1,11 +1,11 @@
 """Finite-order characters of (Z/p^s)^*, normalized Gauss sums and the
 twisted character-sum engine, all in exact cyclotomic arithmetic.
 
-A character is stored by its images on the standard generators of the unit
-group ((-1, 5) for p = 2, s >= 3; a primitive root otherwise) plus a chosen
-value at the uniformizer.  Through a discrete-log table, built once per
-(p, s), it keeps for each unit u the exponent k with chi(u) = zeta_N^k, N
-the order of chi (`MultChar.powers`); it keeps no Cyclo per exponent.  The
+A character is its exponents on the standard generators of the unit group
+((-1, 5) for p = 2, s >= 3; a primitive root otherwise), a chosen value at
+the uniformizer, and nothing per unit: the k with chi(u) = zeta_N^k, N its
+order, is read off one table `_exponents` shared per (p, s, exponents) and
+built on a first sum; the conductor is a closed form in the exponents.  The
 additive character has psi(x) = zeta_{p^t}^e.
 
 Every character sum sees a character only through these exponents: a term
@@ -84,28 +84,34 @@ def _dlog_table(p, s):
     return gens, table
 
 
+@lru_cache(maxsize=None)
+def _exponents(p, s, exps):
+    """For each u < p^s, the k with chi(u) = zeta_N^k (0 off the units), N
+    the order of chi with these reduced exponents e_i: the discrete logs of
+    u weighted by e_i N/o_i, o_i the generator orders.  Shared, as a tuple,
+    by every MultChar(p, s, exps), whatever its chi_p."""
+    gens, dlog = _dlog_table(p, s)
+    n = _character_order(exps, gens)
+    weights = [e * n // order for e, (_, order) in zip(exps, gens)]
+    table = [0] * p ** s
+    for unit, logs in dlog.items():
+        table[unit] = sum(w * d for w, d in zip(weights, logs)) % n
+    return tuple(table)
+
+
 class MultChar:
     """Character of (Z/p^s)^* extended to Q_p^* by a value at p."""
 
     def __init__(self, p, s, gen_exponents, chi_p=None):
         self.p = p
         self.s = s
-        self.gens, self._dlog = _dlog_table(p, s)
+        self.gens = _dlog_table(p, s)[0]
         self.exps = tuple(e % order for e, (_, order)
                           in zip(gen_exponents, self.gens))
         if len(self.exps) != len(self.gens):
             raise ValueError("one exponent per generator")
         self.chi_p = Cyclo.rational(1) if chi_p is None else chi_p
-        # chi(unit) = zeta_L^j over the group exponent L; the order N
-        # divides L, so j is a multiple of L/N and chi(unit) = zeta_N^k
-        big_l = lcm(*(order for _, order in self.gens))
         self._order = _character_order(self.exps, self.gens)
-        step = big_l // self._order
-        self.powers = {  # unit mod p^s -> k
-            unit: sum(e * k * (big_l // order) for e, k, (_, order)
-                      in zip(dlog, self.exps, self.gens)) % big_l // step
-            for unit, dlog in self._dlog.items()}
-        self._conductor = None
 
     def value(self, a):
         """chi(a) = zeta_N^k as one Cyclo at the conductor N/gcd(k, N) of
@@ -123,25 +129,24 @@ class MultChar:
             # a denominator divisible by p leaves no unit to look up
             a = (a.numerator * pow(a.denominator, -1, mod)
                  if a.denominator % self.p else 0)
-        k = self.powers.get(a % mod)
-        if k is None:
+        if a % self.p == 0:
             raise ValueError("argument is not a p-unit")
-        return k
+        return _exponents(self.p, self.s, self.exps)[a % mod]
 
     def conductor_exponent(self):
-        """Smallest t with chi trivial on units congruent to 1 mod p^t;
-        scanned on first use and kept."""
-        if self._conductor is None:
-            for t in range(self.s + 1):
-                pt = self.p ** t
-                if not any(k for u, k in self.powers.items()
-                           if u % pt == 1 % pt):
-                    break
-            self._conductor = t
-        return self._conductor
+        """Smallest t with chi trivial on units = 1 mod p^t: 0 for trivial
+        chi, else s - v_p(e), e the last exponent, or 2 at p = 2 if e = 0.
+        As unit_group_generators orders them, a power of the last generator
+        generates the units = 1 mod p^t, t >= 1 (t >= 2 at p = 2)."""
+        e, t = self.exps[-1] if self.exps else 0, self.s
+        if e == 0:  # trivial, or at p = 2 nontrivial only on -1
+            return 2 if any(self.exps) else 0
+        while e % self.p == 0:
+            e, t = e // self.p, t - 1
+        return t
 
     def is_trivial(self):
-        return not any(self.powers.values())
+        return not any(self.exps)
 
     def order(self):
         return self._order
@@ -262,7 +267,7 @@ def _unit_sum(chi, pt, e, level):
     p, n = chi.p, chi.order()
     big = lcm(n, pt)
     kstep, estep = big // n, e * (big // pt)
-    powers, mod = chi.powers, p ** chi.s
+    powers, mod = _exponents(p, chi.s, chi.exps), p ** chi.s
     hist = [0] * big
     for g in range(1, p ** level):
         if g % p:

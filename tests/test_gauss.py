@@ -95,17 +95,16 @@ def _conductor_scan(chi):
 
 
 @pytest.mark.parametrize("chi_p", [None, Cyclo.zeta(4), Cyclo.rational(3)])
-def test_memoised_conductor_is_the_fresh_scan(chi_p):
-    """Every character mod p^s <= 27: the kept exponent is the scan's, on
-    first use and after."""
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        s = 1
-        while p ** s <= 27:
-            for chi in gauss.all_characters(p, s, chi_p):
-                want = _conductor_scan(chi)
-                assert chi.conductor_exponent() == want, (p, s, chi)
-                assert chi.conductor_exponent() == want, (p, s, chi)
-            s += 1
+def test_closed_form_conductor_is_the_scan(chi_p):
+    """Every character mod p^s <= 27, and mod 2^5, 2^6, 3^4 and 7^2: the
+    closed form in the last exponent is the scan's, on its p = 2, e = 0
+    branch and at every valuation of e."""
+    moduli = [(p, s) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+              for s in range(1, 5) if p ** s <= 27]
+    for p, s in moduli + [(2, 5), (2, 6), (3, 4), (7, 2)]:
+        for chi in gauss.all_characters(p, s, chi_p):
+            want = _conductor_scan(chi)
+            assert chi.conductor_exponent() == want, (p, s, chi)
 
 
 def test_gauss_sum_rejects_trivial():
@@ -372,4 +371,32 @@ def test_power_takes_a_p_unit_fraction():
 def test_discrete_log_table_is_built_once_per_modulus():
     chars = gauss.all_characters(7, 2)
     derived = [chars[1].inverse(), chars[1] * chars[2]]
-    assert len({id(chi._dlog) for chi in chars + derived}) == 1
+    gens = gauss._dlog_table(7, 2)[0]
+    assert all(chi.gens is gens for chi in chars + derived)
+
+
+def test_characters_share_one_exponent_table(monkeypatch):
+    """Building the 1458 characters mod 3^7 forms no exponent table and
+    leaves no attribute of phi(3^7) entries; sums of two characters with
+    the same exponents and different chi_p read one tuple."""
+    before = gauss._exponents.cache_info().currsize
+    chars = gauss.all_characters(3, 7)
+    assert gauss._exponents.cache_info().currsize == before
+    assert len(chars) == 1458
+    for chi in chars:
+        sizes = [len(v) for v in vars(chi).values() if hasattr(v, "__len__")]
+        assert max(sizes) <= len(chi.gens), vars(chi)
+    read, real = [], gauss._exponents
+
+    def recording(*key):
+        read.append(real(*key))
+        return read[-1]
+
+    monkeypatch.setattr(gauss, "_exponents", recording)
+    plain = gauss.MultChar(7, 2, (5,))
+    twisted = gauss.MultChar(7, 2, (5,), Cyclo.zeta(4))
+    for chi in (plain, twisted):
+        gauss.classical_gauss_sum(chi)
+        chi.power(3)
+    assert len(read) == 4 and all(table is read[0] for table in read)
+    assert len(read[0]) == 49
