@@ -15,11 +15,12 @@ through the nonzero coefficients of Phi_m only (Phi_27 = x^18 + x^9 + 1
 has 3 of 19).  At m = 2498 the fold runs 1 step instead of 1249, and a
 length-m reduction went from about 90 ms to 0.2 ms on 2 cores.  At a
 prime power the block is Phi_m itself, and the fold alone runs.  A
-product places each factor (a rational one at conductor 1) at its stride
-in the lcm conductor, with no lift.  Sums and equality lift both operands
-to the lcm conductor, so equality is literal equality of reduced integer
-vectors and denominators at a common conductor.  A weighted sum of roots
-of unity, sum of zeta_n^k * v (a character integral), is one
+product, sum, difference or lift places each operand (a rational one at
+conductor 1) at its stride in the lcm conductor and reduces once.
+Equality is literal equality of the reduced fields, canonical at one
+conductor, once y is lifted to x's (if its conductor divides x's, as a
+rational's does); otherwise x == y is a zero x - y.  A weighted sum of
+roots of unity, sum of zeta_n^k * v (a character integral), is one
 `Cyclo.root_sum`: the integer numerators are added at their exponents and
 reduced once, with no product per term.  No floating point anywhere.
 
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, inf, lcm, prod
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 PADIC_INFINITY = inf
@@ -102,28 +103,28 @@ def is_prime(p):
     return _prime_factors(p) == (p,)
 
 
+def vp_int(x, p):
+    """p-adic valuation of a nonzero int, of either sign."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def vp(x, p):
     """p-adic valuation of an int, Fraction or Cyclo; vp(0) = +inf.
 
-    For a Cyclo this is the minimum of the coefficient valuations in the
-    power basis (Z[zeta_m] is the maximal order, so this detects
-    p-integrality exactly).
+    Read off the integer numerators and denominator, with no Fraction.  For
+    a Cyclo this is the least coefficient valuation in the power basis
+    (Z[zeta_m] is the maximal order, so this detects p-integrality
+    exactly): that of the numerators' gcd, less that of den.
     """
     if isinstance(x, Cyclo):
-        vals = [vp(c, p) for c in x.c]
-        return min(vals) if vals else PADIC_INFINITY
-    x = Fraction(x)
-    if x == 0:
-        return PADIC_INFINITY
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+        num, den = gcd(*x.num), x.den
+    else:
+        num, den = x.numerator, x.denominator
+    return vp_int(num, p) - vp_int(den, p) if num else PADIC_INFINITY
 
 
 def padic_valuation(x, p):
@@ -290,29 +291,36 @@ class Cyclo:
             return cls.rational(x)
         return None
 
+    def _placed(self, step, scale):
+        """The numerators times scale, the i-th at exponent i * step."""
+        acc = [0] * ((len(self.num) - 1) * step + 1)
+        acc[::step] = self.num if scale == 1 else [x * scale for x in self.num]
+        return acc
+
     def lift(self, big_m):
         """Rewrite in Q(zeta_{big_m}); requires m | big_m."""
         if big_m == self.m:
             return self
         if big_m % self.m != 0:
             raise ValueError("conductor must be a multiple")
-        step = big_m // self.m
-        acc = [0] * ((len(self.num) - 1) * step + 1)
-        acc[::step] = self.num
-        return _cyclo(big_m, acc, self.den)
+        return _cyclo(big_m, self._placed(big_m // self.m, 1), self.den)
 
-    def _common(self, other):
-        m = self.m * other.m // gcd(self.m, other.m)
-        return self.lift(m), other.lift(m)
-
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other: both placed in the lcm conductor over the
+        lcm denominator, added, and reduced once."""
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        return _cyclo(a.m, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
+        big_m, den = lcm(self.m, other.m), lcm(self.den, other.den)
+        a = self._placed(big_m // self.m, den // self.den)
+        b = other._placed(big_m // other.m, sign * (den // other.den))
+        if len(a) < len(b):
+            a, b = b, a
+        a[:len(b)] = map(add, a, b)
+        return _cyclo(big_m, a, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -320,13 +328,11 @@ class Cyclo:
         return _cyclo(self.m, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        other = Cyclo._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = Cyclo._coerce(other)
+        return NotImplemented if other is None else other._plus(self, -1)
 
     def __mul__(self, other):
         other = Cyclo._coerce(other)
@@ -383,7 +389,8 @@ class Cyclo:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Cyclo._coerce(other) * self.inverse()
+        other = Cyclo._coerce(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __pow__(self, k):
         if k < 0:
@@ -435,8 +442,10 @@ class Cyclo:
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        return a.num == b.num and a.den == b.den
+        if self.m % other.m == 0:
+            other = other.lift(self.m)
+            return self.num == other.num and self.den == other.den
+        return not self._plus(other, -1)
 
     def __repr__(self):
         if self.is_rational():

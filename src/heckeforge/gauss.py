@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from heckeforge.exact import (Cyclo, _cyclo, _prime_factors, check_bound,
-                              check_prime, power_within, vp)
+                              check_prime, power_within, vp, vp_int)
 
 # The largest modulus p^s whose unit group is enumerated, and the largest
 # conductor lcm(order of chi, p^t) at which any Gauss sum of chi is formed;
@@ -138,12 +138,10 @@ class MultChar:
         chi, else s - v_p(e), e the last exponent, or 2 at p = 2 if e = 0.
         As unit_group_generators orders them, a power of the last generator
         generates the units = 1 mod p^t, t >= 1 (t >= 2 at p = 2)."""
-        e, t = self.exps[-1] if self.exps else 0, self.s
+        e = self.exps[-1] if self.exps else 0
         if e == 0:  # trivial, or at p = 2 nontrivial only on -1
             return 2 if any(self.exps) else 0
-        while e % self.p == 0:
-            e, t = e // self.p, t - 1
-        return t
+        return self.s - vp_int(e, self.p)
 
     def is_trivial(self):
         return not any(self.exps)
@@ -209,11 +207,10 @@ def _additive_exponent(p, x):
     x, and (1, 0) for x in Z_p."""
     x = Fraction(x)
     v = vp(x, p)
-    if x == 0 or v >= 0:
+    if v >= 0:
         return 1, 0
-    pt = p ** -v
-    scaled = x * pt  # a p-unit
-    return pt, scaled.numerator * pow(scaled.denominator, -1, pt) % pt
+    pt = p ** -v  # x pt = numerator / (denominator / pt), a p-unit
+    return pt, x.numerator * pow(x.denominator // pt, -1, pt) % pt
 
 
 def _conductor_exponent(chi):
@@ -288,7 +285,7 @@ def twisted_sum(chi, c, level):
     if level < t:
         raise ValueError("level must be at least the conductor exponent")
     c = Fraction(c)
-    v = vp(c, chi.p) if c else 0
+    v = vp(c, chi.p)
     if v < -level:
         raise ValueError(f"c = {c} has v_p(c) = {v} below -level = {-level}")
     acc = _unit_sum(chi, *_additive_exponent(chi.p, c), level)
@@ -302,7 +299,7 @@ def twisted_sum_closed(chi, c, level):
     t = chi.conductor_exponent()
     c = Fraction(c)
     p = chi.p
-    if c == 0 or vp(c, p) != -t:
+    if vp(c, p) != -t:
         return Cyclo.rational(0)
     # chi(a)^{-1} for c = a p^{-t} is zeta_N^{-k}
     k = chi.power(c * Fraction(p) ** t)

@@ -485,19 +485,16 @@ def satake_halfdensity_at(pairs, n, p):
     For a rep with diagonal p-valuations (d_1..d_n) the contribution is
     coeff * prod X_i^{d_i} * Q^{-sum d_i (n+1-2i)} where Q^2 = q.  This is
     the transform that is an algebra homomorphism, used as the independent
-    oracle for convolution.
+    oracle for convolution.  A zero diagonal entry raises ValueError.
     """
     out = LaurentPoly.const(0)
     for rep, coeff in pairs:
-        rows = rep.rows()
         term = LaurentPoly.const(coeff)
         qexp = 0
         for i in range(n):
-            d = rows[i][i]
-            v = 0
-            while d.numerator % p == 0 and d.denominator == 1:
-                d /= p
-                v += 1
+            v = vp(rep.entry(i, i), p)
+            if v == math.inf:
+                raise ValueError(f"satake: a rep's entry ({i}, {i}) is 0")
             term = term * lvar(f"X{i+1}", v)
             qexp -= v * (n + 1 - 2 * (i + 1))
         out = out + term * lvar("Q", qexp)

@@ -4,8 +4,9 @@ pure Python.
 Matrices are flat row-major sequences (lists or tuples) of Python ints of
 length n*n; results are lists.  A rational matrix is a pair (num, den)
 representing num/den with den a positive int.  No Fraction is formed
-anywhere: valuations of entries x/den are read off x and den.  The coset
-engine folds through iwahori_coset_key, a canonical tuple of ints per
+anywhere: valuations of entries x/den are read off x and den, by
+`exact.vp_int`, or inline where a pivot loop keeps the unit part too.  The
+coset engine folds through iwahori_coset_key, a canonical tuple of ints per
 coset g K_I, so equal cosets meet in one dict entry.  The key's cost
 follows its input: an upper triangular numerator needs no elimination
 and no back-substitution, and hermite_key reads the key of a numerator
@@ -17,19 +18,10 @@ coset engine and its only implementation.  One fraction-free elimination
 
 import functools
 
+from heckeforge.exact import vp_int
+
 # the one implementation, as the benchmark's probe reports it
 BACKEND = "python"
-
-
-def vp_int(x, p):
-    """p-adic valuation of a nonzero integer."""
-    if x < 0:
-        x = -x
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def mat_mul(a, b, n):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import gcd, inf
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeforge import exact
 from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, PadicVal,
                               _cyclo, _prime_factors, as_rational,
                               check_bound, check_prime, cyclotomic_poly,
@@ -40,6 +42,44 @@ def test_cross_conductor_identities():
     assert Cyclo.zeta(2) == -1
     assert Cyclo.zeta(6) == -(Cyclo.zeta(3) ** 2)
     assert Cyclo.zeta(4) ** 2 == -1
+    # one element held at two conductors, zeta_3 = zeta_6^2 = zeta_6 - 1
+    z3, z6 = Cyclo.zeta(3), Cyclo.zeta(6)
+    assert z3.lift(6) == z3 and z3 == z3.lift(6) and not z3.lift(6) != z3
+    assert z3 == z6 - 1 and z6 - z3 == 1 and 1 - z6 == -z3
+    assert z3 != z6 and Fraction(1, 2) != z3 and z3 + Fraction(1, 2) != z6
+
+
+def test_sum_difference_and_lift_reduce_once(monkeypatch):
+    """+, - (either way round), cross-conductor == and lift place their
+    operands in the lcm conductor and call _cyclo once: none lifts an
+    operand, or negates one, before the sum, and == lifts at most one."""
+    a = Cyclo(4, [Fraction(1, 2), Fraction(3)])
+    b = Cyclo(6, [Fraction(-2, 3), Fraction(5, 9)])
+    up = a.lift(12)
+    calls = []
+
+    def counting(m, acc, den=1):
+        calls.append(m)
+        return reduce(m, acc, den)
+
+    reduce = exact._cyclo
+    monkeypatch.setattr(exact, "_cyclo", counting)
+    for op in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a,
+               lambda: a == b, lambda: a != b, lambda: a.lift(12),
+               lambda: up == a, lambda: a == up):
+        calls.clear()
+        op()
+        assert calls == [12]
+
+
+def test_reflected_operators_name_the_written_operator():
+    """A float on the left of - or / is refused naming that operator, not
+    a + it was rewritten to or a product with None."""
+    z = Cyclo.zeta(3)
+    with pytest.raises(TypeError, match=r"for -: 'float' and 'Cyclo'"):
+        2.5 - z
+    with pytest.raises(TypeError, match=r"for /: 'float' and 'Cyclo'"):
+        2.5 / z
 
 
 def test_cyclotomic_polynomials():
@@ -188,6 +228,16 @@ def test_cyclo_valuation_is_content():
     assert vp(Cyclo.zeta(5), 3) == 0
 
 
+def _vp_reference(x, p):
+    """v_p of a nonzero Fraction, by dividing p out of it as a Fraction."""
+    v = 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
 def test_serialization_roundtrip():
     x = Cyclo(5, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 5)])
     blob = x.to_json()
@@ -266,6 +316,18 @@ def test_cyclo_is_normalised(x):
 
 
 @PROPERTY
+@given(cyclos(), st.sampled_from((2, 3, 5)), st.integers(-2, 3))
+def test_cyclo_valuation_matches_the_coefficient_reference(x, p, k):
+    """vp reads a Cyclo's integer numerators and denominator; the reference
+    takes the least v_p of its nonzero Fraction coefficients.  Scaling by
+    p^k gives numerators and denominators divisible by p."""
+    y = Cyclo(x.m, [a * Fraction(p) ** k for a in x.c])
+    want = min((_vp_reference(a, p) for a in y.c if a), default=inf)
+    assert vp(y, p) == want
+    assert vp(y.c[0], p) == (_vp_reference(y.c[0], p) if y.c[0] else inf)
+
+
+@PROPERTY
 @given(same_conductor(3))
 def test_cyclo_field_axioms(xs):
     a, b, c = xs
@@ -285,14 +347,26 @@ def test_cyclo_inverse(x):
 
 
 @PROPERTY
-@given(related(2))
-def test_cyclo_arithmetic_matches_dense_reference(case):
+@given(related(2), RATIONALS)
+def test_cyclo_arithmetic_matches_dense_reference(case, r):
+    """Products, sums, differences (either way round, with a rational
+    too) and equality across conductors and unequal denominators, against
+    the dense reference at the common multiple M; a also taken as held at
+    M."""
     big_m, (a, b) = case
-    assert a.lift(big_m).c == _dense_lift(a, big_m)
+    da, db = _dense_lift(a, big_m), _dense_lift(b, big_m)
+    dr = (r,) + (0,) * (euler_phi(big_m) - 1)
+    up = a.lift(big_m)
+    assert up.c == da
     assert (a * b).lift(big_m).c == _dense_mul(a, b, big_m)
-    assert (a + b).lift(big_m).c == tuple(
-        x + y for x, y in zip(_dense_lift(a, big_m), _dense_lift(b, big_m)))
-    assert (a == b) == (_dense_lift(a, big_m) == _dense_lift(b, big_m))
+    for got, want in ((a + b, map(add, da, db)), (a - b, map(sub, da, db)),
+                      (up - b, map(sub, da, db)), (b - up, map(sub, db, da)),
+                      (a - r, map(sub, da, dr)), (r - a, map(sub, dr, da)),
+                      (r + b, map(add, dr, db))):
+        assert got.lift(big_m).c == tuple(want)
+    for x, y, dx, dy in ((a, b, da, db), (b, a, db, da), (up, b, da, db),
+                         (a, up, da, da), (a, r, da, dr), (r, a, dr, da)):
+        assert (x == y) == (dx == dy) and (x != y) == (dx != dy)
 
 
 def _reduction_cases():

@@ -14,6 +14,7 @@ from heckeforge import hecke, kernels
 from heckeforge.laurent import lconst, lvar
 from heckeforge.matrices import GlnContext, h_matrix
 from heckeforge.ratmat import RatMat, SingularMatrixError, j_embed
+from test_cli import _deadline
 
 
 def _ctx(n=2, p=2, r=1):
@@ -754,6 +755,19 @@ def test_satake_gl2_convolution_regression():
         assert c02 == 1
         assert c11 == p + 1
         assert consistent
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[3, 1], [0, 0]],
+                                  [[1, 0, 0], [0, 0, 1], [0, 1, 1]]])
+def test_satake_transform_refuses_a_zero_diagonal_entry(rows):
+    """v_p of a zero diagonal entry is +inf: the transform raises at once
+    instead of dividing p out of 0 forever or giving an infinite
+    exponent."""
+    rep = RatMat.from_rows(rows)
+    with _deadline(5, rows):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=r"entry \((\d), \1\) is 0"):
+                hecke.satake_halfdensity_at([(rep, 1)], len(rows), p)
 
 
 def test_shintani_examples():

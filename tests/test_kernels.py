@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckeforge import kernels
+from heckeforge import exact, kernels
 from heckeforge.exact import vp
 
 
@@ -147,9 +147,17 @@ def test_iwahori_membership_agrees():
 
 
 def test_vp_int():
+    """kernels reads the one integer valuation, exact.vp_int, which takes
+    either sign."""
+    assert kernels.vp_int is exact.vp_int
     assert kernels.vp_int(24, 2) == 3
     assert kernels.vp_int(-54, 3) == 3
     assert kernels.vp_int(7, 5) == 0
+    assert kernels.vp_int(-1, 2) == 0 and kernels.vp_int(-3 << 40, 2) == 40
+    for p in (2, 3, 5):
+        for x in range(1, 300):
+            want = max(k for k in range(9) if x % p ** k == 0)
+            assert kernels.vp_int(-x, p) == kernels.vp_int(x, p) == want
 
 
 def _boundary_target(rng, n, p, r, vd, fail_last):

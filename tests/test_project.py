@@ -63,3 +63,49 @@ def test_bound_and_prime_refusals_are_raised_in_exact_only():
                 offending.append(f"{os.path.relpath(path, ROOT)}:"
                                  f"{node.lineno}")
     assert not offending
+
+
+def _divides_out(loop):
+    """Whether a while loop tests `... % q` and divides by the same q in
+    its body: a loop that takes a valuation by hand."""
+    mods = {ast.dump(node.right) for node in ast.walk(loop.test)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)}
+    divs = {ast.dump(node.right if isinstance(node, ast.BinOp)
+                     else node.value)
+            for stmt in loop.body for node in ast.walk(stmt)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, (ast.Div, ast.FloorDiv))}
+    return bool(mods & divs)
+
+
+def test_valuations_are_taken_in_exact_only():
+    """Outside exact.py no function is named vp*, and no while loop tests
+    `% p` and divides by p, but the pivot loops of kernels._eliminate and
+    _triangular_columns, which keep the unit part as well: every other
+    p-adic valuation is exact.vp or exact.vp_int."""
+    package = os.path.join(ROOT, "src", "heckeforge")
+    paths = sorted(glob.glob(os.path.join(package, "**", "*.py"),
+                             recursive=True))
+    assert os.path.join(package, "kernels.py") in paths
+    kept = {("kernels.py", "_eliminate"), ("kernels.py", "_triangular_columns")}
+    offending, seen = [], set()
+    for path in paths:
+        name = os.path.basename(path)
+        if name == "exact.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name.startswith("vp"):
+                    offending.append(f"{name}:{node.lineno} def {node.name}")
+                if (name, node.name) in kept:
+                    seen.add((name, node.name))
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+        offending += [f"{name}:{node.lineno} while"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.While) and _divides_out(node)
+                      and node.lineno not in allowed]
+    assert seen == kept
+    assert not offending
