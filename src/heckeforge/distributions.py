@@ -13,7 +13,7 @@ A character integral is formed on exponents: each tower gives the order N
 of a character and, once per level m, the k with chi(x) = zeta_N^k over
 elements(m) (`char_powers`); each component is one `Cyclo.root_sum` over
 that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
-`build_mu` sums the base data down and scales each sum once, by kappa^-M.
+`build_mu` sums split base data down and joins each with kappa^-M once.
 
 Tables once: every per-level table of a tower (its elements, the lifts
 that push values down one level, its characters and a character's
@@ -34,8 +34,9 @@ from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 
-from heckeforge.exact import (Cyclo, check_bound, check_prime, power_within,
-                              scalar, scalar_from_json, scalar_json, vp)
+from heckeforge.exact import (Cyclo, check_bound, check_prime, join,
+                              power_within, scalar, scalar_from_json,
+                              scalar_json, split, vp)
 from heckeforge.gauss import (MAX_MODULUS, _exponents, all_characters,
                               check_modulus)
 from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
@@ -230,7 +231,7 @@ class Distribution:
 
     def __init__(self, tower, nus, values):
         self.tower = tower
-        self.nus = tuple(nus)
+        self.nus = _distinct(nus, "distribution")
         self.values = {m: dict(level) for m, level in values.items()}
         self.eigen = None
 
@@ -258,15 +259,15 @@ class Distribution:
     def from_json(cls, obj):
         """Rebuild a rational-model distribution from its serialization.
 
-        p must be prime, the levels consecutive from some m >= 1, each
-        level must list every coset of QTower(p).elements(m) once, and
-        each value must have one scalar per nu; anything else raises a
-        ValueError that names the field."""
+        p must be prime, the nus distinct, the levels consecutive from some
+        m >= 1, each level must list every coset of QTower(p).elements(m)
+        once, and each value must have one scalar per nu; anything else
+        raises a ValueError that names the field."""
         _require(obj, "p", int, "distribution")
         _require(obj, "nus", list, "distribution")
         _require(obj, "levels", list, "distribution")
         tower = QTower(obj["p"])
-        d = len(obj["nus"])
+        d = len(_distinct(obj["nus"], "distribution"))
         values = {}
         for i, level in enumerate(obj["levels"]):
             where = f"levels[{i}]"
@@ -295,6 +296,13 @@ class Distribution:
         return cls(tower, obj["nus"], values)
 
 
+def _distinct(nus, where):
+    """nus as a tuple; a repeated nu (nu -> -nu would merge) raises."""
+    if any(nu in nus[:i] for i, nu in enumerate(nus)):
+        raise ValueError(f"{where}: field 'nus' = {list(nus)} repeats a nu")
+    return tuple(nus)
+
+
 def _require(obj, key, kind, where):
     """Check that the JSON object `obj` has field `key` of type `kind`."""
     if not isinstance(obj, dict):
@@ -317,7 +325,7 @@ class EigenSymbol:
         self.kappa = kappa
         self.base_level = base_level
         self.base_data = dict(base_data)
-        self.nus = tuple(nus)
+        self.nus = _distinct(nus, "eigen-symbol")
         d = len(self.nus)
         for x in tower.elements(base_level):
             if x not in self.base_data:
@@ -329,20 +337,29 @@ class EigenSymbol:
 def build_mu(sym, m0):
     """values mu(x + p^m) = kappa^{-m} B_m(x) = kappa^{-M} S_m(x) for
     m0 <= m <= M, the base level: S_m(x) sums the base data over the
-    descendants of x."""
+    descendants of x, on the base data split over one denominator."""
     if m0 < 1 or m0 > sym.base_level:
         raise ValueError("need 1 <= m0 <= base level")
     tower = sym.tower
-    scale = (1 / scalar(sym.kappa)) ** sym.base_level
-    sums = sym.base_data
+    sums, den, knum = _split_vectors(sym.base_data,
+                                     (1 / scalar(sym.kappa)) ** sym.base_level)
     values = {}
     for m in range(sym.base_level, m0 - 1, -1):
         if m < sym.base_level:
             sums = {x: _vector_sum(sums[y] for y in ys)
                     for x, ys in tower.lifts(m).items()}
-        values[m] = {x: tuple(scale * v for v in vec)
+        values[m] = {x: tuple(join(s * knum, den) for s in vec)
                      for x, vec in sums.items()}
     return Distribution(tower, sym.nus, dict(reversed(values.items())))
+
+
+def _split_vectors(data, scale):
+    """({x: items}, den, num): each v * scale is join(item * num, den)."""
+    sden, (num,) = split([scale])
+    den, items = split([v for vec in data.values() for v in vec])
+    items = iter(items)
+    return ({x: tuple(next(items) for _ in vec) for x, vec in data.items()},
+            den * sden, num)
 
 
 def check_distribution_relation(mu):
@@ -521,14 +538,14 @@ def dual_symbol(sym, n, kappa_dual):
     push-down bookkeeping reproduce mu_dual(x^vee) = (mu(x))^vee exactly;
     without it the two sides differ by (kappa/kappa_dual)^M.
     """
-    tower = sym.tower
-    M = sym.base_level
+    tower, M = sym.tower, sym.base_level
     dual_nus, reindex = value_vee_reindexer(sym.nus)
-    scale = (1 / scalar(sym.kappa)) ** M * kappa_dual ** M
-    base = {}
-    for x in tower.elements(M):
-        src = sym.base_data[involution_vee(tower, M, x, n)]
-        base[x] = tuple(scale * v for v in reindex(src))
+    vecs, den, num = _split_vectors(
+        {x: reindex(sym.base_data[involution_vee(tower, M, x, n)])
+         for x in tower.elements(M)},
+        (1 / scalar(sym.kappa)) ** M * kappa_dual ** M)
+    base = {x: tuple(join(s * num, den) for s in vec)
+            for x, vec in vecs.items()}
     return EigenSymbol(tower, kappa_dual, M, base, dual_nus)
 
 

@@ -27,10 +27,12 @@ reduced once, with no product per term.  No floating point anywhere.
 phi(m), Phi_m (from binomials), the smallest conductor of an element and
 gauss's primitive roots all come from one memoised `_prime_factors(m)`.
 
-This module alone decides what an exact scalar is (`scalar`, `as_rational`)
-and how one is written to JSON (`scalar_json`, `scalar_from_json`).  Other
-modules use plain operators: Cyclo's reflected operators take an int or a
-Fraction on the left, so `1 / x` and `x / y` need no branch on the type.
+This module alone decides what an exact scalar is (`scalar`, `as_rational`),
+how one is written to JSON (`scalar_json`, `scalar_from_json`), and how
+scalars go over one denominator and back with no Cyclo product (`split`,
+`join`).  Other modules use plain operators: Cyclo's reflected operators
+take an int or a Fraction on the left, so `1 / x` and `x / y` need no
+branch on the type.
 """
 
 from fractions import Fraction
@@ -234,10 +236,8 @@ class Cyclo:
         if len(c) != phi:
             raise ValueError(f"need {phi} coefficients for conductor {m}")
         # over the lcm of reduced denominators the numerators are coprime to it
-        den = lcm(*(x.denominator for x in c))
-        self.m = m
-        self.num = tuple(x.numerator * (den // x.denominator) for x in c)
-        self.den = den
+        self.den, num = split(c)
+        self.m, self.num = m, tuple(num)
 
     @property
     def c(self):
@@ -459,6 +459,22 @@ class Cyclo:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["m"], [Fraction(s) for s in obj["coeffs"]])
+
+
+def split(values):
+    """(den, items): den is the lcm of the values' denominators, and each
+    item is its value times den, an int for an int or a Fraction and a
+    den-1 Cyclo, formed from the scaled numerators, for a Cyclo."""
+    den = lcm(*[v.den if type(v) is Cyclo else v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) if type(v) is not Cyclo
+                 else _cyclo(v.m, [x * (den // v.den) for x in v.num])
+                 if den != 1 else v for v in values]
+
+
+def join(s, den):
+    """s / den for an int or a Cyclo s, with no inverse and no product."""
+    return (_cyclo(s.m, list(s.num), s.den * den) if type(s) is Cyclo
+            else Fraction(s, den))
 
 
 _ZERO = Fraction(0)

@@ -17,18 +17,17 @@ A product with a single-term factor only shifts keys and scales
 coefficients.  Any other product packs each monomial into one int: the
 operands' variables get fixed places, exponents become signed digits in a
 base beyond any exponent the product reaches, and a monomial product is
-one int addition.  Each operand is brought over the lcm of its Fraction
-denominators, so a Fraction enters the one loop as an int numerator and a
-Cyclo as itself times that lcm; plain `*` and `+` mix the two.  A result
-term is s over the product of the two lcms: a Fraction for an int s, a
-Cyclo for a Cyclo s.  Only the result keys are unpacked, so the stored
-form above is unchanged.
+one int addition.  Each operand's coefficients are split over the lcm of
+their denominators (`exact.split`), so a Fraction enters the one loop as
+an int numerator and a Cyclo as a Cyclo of integer numerators; plain `*`
+and `+` mix the two.  A result term is s over the product of the two lcms
+(`exact.join`): a Fraction for an int s, a Cyclo for a Cyclo s.  Only the
+result keys are unpacked, so the stored form above is unchanged.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from heckeforge.exact import as_rational, scalar
+from heckeforge.exact import as_rational, join, scalar, split
 from heckeforge.ratmat import RatMat
 
 
@@ -64,19 +63,13 @@ def _monomial_places(a, b):
 
 
 def _packed_terms(terms, offset):
-    """(den, [(packed key, value)]): den is the lcm of the denominators of
-    the Fraction coefficients, and each value is its coefficient times den,
-    an int for a Fraction and a Cyclo for a Cyclo."""
-    den = lcm(*[v.denominator for v in terms.values() if type(v) is Fraction])
+    """(den, [(packed key, item)]), den and items from `exact.split`."""
+    den, values = split(list(terms.values()))
     out = []
-    for k, v in terms.items():
+    for k, v in zip(terms, values):
         x = 0
         for name, e in k:
             x += e << offset[name]
-        if type(v) is Fraction:
-            v = v.numerator * (den // v.denominator)
-        elif den != 1:
-            v = v * den
         out.append((x, v))
     return den, out
 
@@ -210,11 +203,8 @@ class LaurentPoly:
                     t[k] = s
                 else:
                     t.pop(k, None)
-        den = da * db
         return LaurentPoly._nonzero(
-            {_unpacked_key(k, names, shift):
-             Fraction(s, den) if type(s) is int
-             else s * Fraction(1, den) if den != 1 else s
+            {_unpacked_key(k, names, shift): join(s, da * db)
              for k, s in t.items()})
 
     __rmul__ = __mul__

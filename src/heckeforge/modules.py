@@ -14,11 +14,11 @@ vector the module returns is a list of Fractions.
 
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
-from heckeforge.exact import PADIC_INFINITY, as_rational, vp
+from heckeforge.exact import PADIC_INFINITY, as_rational, join, split, vp
 from heckeforge.ratmat import RatMat
 
 
@@ -31,16 +31,6 @@ def _ratmat(a):
     return RatMat.from_rows([[as_rational(x) for x in row] for row in a])
 
 
-def _split(vec):
-    """A rational vector as (integer numerators, one positive denominator)."""
-    den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
-
-
-def _join(xs, den):
-    return [Fraction(x, den) for x in xs]
-
-
 def _mv(a, xs):
     """a.num times the integer vector xs: the numerators of a xs over a.den."""
     n, num = a.n, a.num
@@ -49,17 +39,16 @@ def _mv(a, xs):
 
 def _combine(c1, a, c2, b, xs, den):
     """c1 A v - c2 B v for v = xs/den, as (numerators, denominator)."""
-    ax, bx = _mv(a, xs), _mv(b, xs)
-    s1 = c1.numerator * c2.denominator * b.den
-    s2 = c2.numerator * c1.denominator * a.den
-    return ([s1 * x - s2 * y for x, y in zip(ax, bx)],
-            c1.denominator * c2.denominator * a.den * b.den * den)
+    cden, (s1, s2) = split([c1, c2])
+    s1, s2 = s1 * b.den, s2 * a.den
+    return ([s1 * x - s2 * y for x, y in zip(_mv(a, xs), _mv(b, xs))],
+            cden * a.den * b.den * den)
 
 
 def mat_vec(a, vec):
     """The RatMat a applied to a rational vector."""
-    xs, den = _split(vec)
-    return _join(_mv(a, xs), a.den * den)
+    den, xs = split(vec)
+    return [join(x, a.den * den) for x in _mv(a, xs)]
 
 
 # -- the module itself -------------------------------------------------------
@@ -114,10 +103,10 @@ class HeckeModule:
     def apply_H(self, vec, lam):
         """H_p(lam) vec = prod_i (lam - U_i) vec via the factorization."""
         lam, one = as_rational(lam), self.V(0)
-        xs, den = _split(vec)
+        den, xs = split(vec)
         for u in self.U:
             xs, den = _combine(lam, one, Fraction(1), u, xs, den)
-        return _join(xs, den)
+        return [join(x, den) for x in xs]
 
     def contragredient(self):
         """The twisted module: U_i becomes q^{n-1} U_{n+1-i}^{-1}.
@@ -169,10 +158,11 @@ def dual_root(lam, q, n):
     return q ** (n - 1) / lam
 
 
-def _project_steps(xs, den, roots, module, normalize):
+def _project_steps(vec, roots, module, normalize):
     """Apply lam_i q^{1-j} V_{j-1} - V_j for each of the first m roots and
     each j != i+1 in 1..n, divided by its value on the eta-eigenspace when
-    normalize is set; (numerators, denominator) in and out."""
+    normalize is set; split over one denominator, and joined at the end."""
+    den, xs = split(vec)
     q_pow = [module.q ** (1 - j) for j in range(module.n + 1)]
     eta, one = cache(roots.eta), Fraction(1)
     for i in range(roots.m):
@@ -188,7 +178,7 @@ def _project_steps(xs, den, roots, module, normalize):
                                             f" at (i={i+1}, j={j})")
                 c1, c2 = c1 / denom, 1 / denom
             xs, den = _combine(c1, module.V(j - 1), c2, module.V(j), xs, den)
-    return _join(xs, den)
+    return [join(x, den) for x in xs]
 
 
 def project0(vec, roots, module):
@@ -197,7 +187,7 @@ def project0(vec, roots, module):
     for i in range(roots.m):
         if any(module.apply_H(vec, roots.lam[i])):
             raise ValueError(f"vector is not annihilated by H_p(lam_{i+1})")
-    return _project_steps(*_split(vec), roots, module, False)
+    return _project_steps(vec, roots, module, False)
 
 
 def project(vec, roots, module):
@@ -207,13 +197,13 @@ def project(vec, roots, module):
             lams[i] == lams[j]
             for i in range(len(lams)) for j in range(i + 1, len(lams))):
         raise ValueError("roots must be pairwise distinct and nonzero")
-    return _project_steps(*_split(vec), roots, module, True)
+    return _project_steps(vec, roots, module, True)
 
 
 def in_eigenspace(vec, roots, module):
     """Is vec a simultaneous V_{p,nu}-eigenvector with eigenvalues eta_nu
     for nu = 1..m?"""
-    xs, _ = _split(vec)
+    _, xs = split(vec)
     for nu in range(1, roots.m + 1):
         eta, v = as_rational(roots.eta(nu)), module.V(nu)
         a, b = eta.numerator * v.den, eta.denominator
@@ -279,11 +269,8 @@ class ProductModule:
         return _transpose(self.act_right(op, _transpose(vec)))
 
     def act_right(self, op, vec):
-        """vec op^T: the RatMat op on each row of vec, over one denominator."""
-        xs, den = _split([x for row in vec for x in row])
-        d = op.n
-        return [_join(_mv(op, xs[k:k + d]), op.den * den)
-                for k in range(0, len(xs), d)]
+        """vec op^T: the RatMat op on each row of vec."""
+        return [mat_vec(op, row) for row in vec]
 
     def U_p(self, vec):
         return self.act_right(self.right.Vp_prime(),

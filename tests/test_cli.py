@@ -443,6 +443,9 @@ def _level(m, xs, value=("0",)):
     ({"p": 3, "nus": [0], "levels": [_level(1, [1, 2], value=[
         {"m": 1000000000000000009, "coeffs": ["1"]}])]},
      "levels[0].cosets[0].value: field 'm' = 1000000000000000009"),
+    ({"p": 3, "nus": [0, 0],
+      "levels": [_level(1, [1, 2], value=["1", "2"])]},
+     "distribution: field 'nus' = [0, 0] repeats a nu"),
 ])
 def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
     path = tmp_path / "bad.json"

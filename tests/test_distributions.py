@@ -59,7 +59,8 @@ def _build_mu_reference(sym, m0):
 
 
 def _exact_fields(v):
-    return (v.m, v.num, v.den) if isinstance(v, Cyclo) else (type(v), v)
+    return ((Cyclo, v.m, v.num, v.den) if isinstance(v, Cyclo)
+            else (type(v), v))
 
 
 @pytest.mark.parametrize("kappa", [F(-3, 2), Cyclo.zeta(3) + 2])
@@ -636,7 +637,8 @@ def _fourier_reference(mu, m):
 
 
 def _fields(vec):
-    return [(v.m, v.num, v.den) for v in vec]
+    """Type, conductor, numerators and den of each entry."""
+    return [_exact_fields(v) for v in vec]
 
 
 # (tower, depth): rational towers at p = 2, 3, 5, 7 and abstract ones with
@@ -657,17 +659,23 @@ def _values(m):
                      st.integers(0, m - 1), SMALL, SMALL)
 
 
+KAPPAS = [F(2), F(1, 3), Cyclo.zeta(4) + 1]
+
+
 @st.composite
-def distributions(draw):
+def symbols(draw):
     """Base data of Fractions or of Cyclos at one conductor 4, 5, 7 or 9:
     none divides the order of every character of these towers, so the
     sums are lifted past the character's own conductor."""
     tower, depth = draw(st.sampled_from(REFERENCE_TOWERS))
     values = _values(draw(st.sampled_from([1, 4, 5, 7, 9])))
     base = {x: (draw(values), draw(values)) for x in tower.elements(depth)}
-    kappa = draw(st.sampled_from([F(2), F(1, 3), Cyclo.zeta(4) + 1]))
-    return dist.build_mu(dist.EigenSymbol(tower, kappa, depth, base, [0, 1]),
-                         1)
+    kappa = draw(st.sampled_from(KAPPAS))
+    return dist.EigenSymbol(tower, kappa, depth, base, [0, 1])
+
+
+def distributions():
+    return symbols().map(lambda sym: dist.build_mu(sym, 1))
 
 
 REFERENCE = settings(max_examples=25, deadline=None)
@@ -692,3 +700,63 @@ def test_fourier_inversion_matches_the_per_coset_path(mu):
     m = mu.levels[-1]
     assert (dist.fourier_inversion_check(mu, m) == _fourier_reference(mu, m)
             == (True, None))
+
+
+@REFERENCE
+@given(symbols())
+def test_build_mu_on_drawn_symbols_is_the_literal_push_down(sym):
+    for m0 in (1, sym.base_level):
+        got = dist.build_mu(sym, m0).values
+        want = _build_mu_reference(sym, m0)
+        assert list(got) == sorted(want)
+        for m, level in want.items():
+            assert {x: _fields(vec) for x, vec in got[m].items()} == {
+                x: _fields(vec) for x, vec in level.items()}, m
+
+
+@REFERENCE
+@given(symbols(), st.sampled_from([2, 3]), st.sampled_from(KAPPAS))
+def test_dual_symbol_on_drawn_symbols_is_the_literal_scale(sym, n, kd):
+    """base'(x) = (kd/k)^M vee(base(x^vee)), each value one product."""
+    tower, big_m = sym.tower, sym.base_level
+    dual = dist.dual_symbol(sym, n, kd)
+    nus, reindex = dist.value_vee_reindexer(sym.nus)
+    scale = (1 / sym.kappa) ** big_m * kd ** big_m
+    want = {x: _fields(scale * v for v in reindex(
+                sym.base_data[dist.involution_vee(tower, big_m, x, n)]))
+            for x in tower.elements(big_m)}
+    assert (dual.nus, dual.kappa, dual.base_level) == (nus, kd, big_m)
+    assert {x: _fields(vec) for x, vec in dual.base_data.items()} == want
+
+
+def test_build_mu_of_fractions_adds_and_multiplies_no_fractions(monkeypatch):
+    """An all-Fraction symbol is summed and scaled on int numerators: each
+    value is formed once, as a Fraction, with no Fraction product or sum."""
+    sym = make_symbol(random.Random(4), 3, 3, F(-2, 3), d=2)
+    want = _build_mu_reference(sym, 1)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counting(a, b, _op=getattr(F, name), _name=name):
+            calls.append(_name)
+            return _op(a, b)
+        monkeypatch.setattr(F, name, counting)
+    got = dist.build_mu(sym, 1).values
+    monkeypatch.undo()
+    assert not calls
+    assert {m: {x: _fields(vec) for x, vec in level.items()}
+            for m, level in got.items()} == {
+        m: {x: _fields(vec) for x, vec in level.items()}
+        for m, level in want.items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda t, base: dist.EigenSymbol(t, F(2), 2, base, [0, 0]),
+    lambda t, base: dist.Distribution(t, [1, -1, 1], {}),
+], ids=["eigen-symbol", "distribution"])
+def test_a_repeated_nu_is_refused(make):
+    """A repeated nu would send two components to one under nu -> -nu, and
+    the functional equation would never read one of them."""
+    tower = dist.QTower(3)
+    base = {x: (F(x), F(7 * x + 1)) for x in tower.elements(2)}
+    with pytest.raises(ValueError, match=r"field 'nus' = \[.*\] repeats a nu"):
+        make(tower, base)

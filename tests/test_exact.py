@@ -12,8 +12,8 @@ from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, PadicVal,
                               _cyclo, _prime_factors, as_rational,
                               check_bound, check_prime, cyclotomic_poly,
                               euler_phi, is_prime, padic_valuation,
-                              power_within, scalar, scalar_from_json,
-                              scalar_json, vp)
+                              join, power_within, scalar, scalar_from_json,
+                              scalar_json, split, vp)
 
 
 def _divisors(m):
@@ -682,3 +682,72 @@ def test_rational_operand_acts_on_each_coefficient(x, r):
                       (x + r, Cyclo(x.m, [c[0] + q, *c[1:]])),
                       (x - r, Cyclo(x.m, [c[0] - q, *c[1:]]))):
         assert (got.m, got.num, got.den) == (want.m, want.num, want.den)
+
+
+def _fields(x):
+    return (x.m, x.num, x.den) if isinstance(x, Cyclo) else (type(x), x)
+
+
+def test_split_brings_ints_and_fractions_over_one_denominator():
+    assert split([]) == (1, [])
+    assert split([0, Fraction(0), 3, -4]) == (1, [0, 0, 3, -4])
+    den, items = split([Fraction(1, 2), Fraction(-5, 3), 0, -7])
+    assert (den, items) == (6, [3, -10, 0, -42])
+    assert all(type(v) is int for v in items)
+    assert [_fields(join(v, den)) for v in items] == [
+        _fields(Fraction(1, 2)), _fields(Fraction(-5, 3)),
+        _fields(Fraction(0)), _fields(Fraction(-7))]
+
+
+def test_split_scales_a_cyclo_to_integer_numerators():
+    """A Cyclo's den enters the lcm, and its item keeps its conductor over
+    den 1; the join gives back the same fields."""
+    a = Cyclo(5, [Fraction(1, 2), Fraction(-3, 4), 0, Fraction(5)])
+    b = Cyclo.rational(Fraction(-2, 9))
+    values = [a, Fraction(1, 3), b, Cyclo.zeta(4, 3), 0]
+    den, items = split(values)
+    assert den == 36
+    assert _fields(items[0]) == (5, (18, -27, 0, 180), 1)
+    assert items[1] == 12 and items[4] == 0
+    assert _fields(items[2]) == (1, (-8,), 1)
+    assert _fields(items[3]) == (4, (0, -36), 1)
+    assert [_fields(join(v, den)) for v in items] == [
+        _fields(v) for v in (a, Fraction(1, 3), b, Cyclo.zeta(4, 3),
+                             Fraction(0))]
+    # all dens 1: each Cyclo is its own item
+    z = Cyclo.zeta(3)
+    assert split([z, 2])[1][0] is z
+
+
+def test_join_of_a_cyclo_forms_one_result(monkeypatch):
+    """join divides by den in the one _cyclo call that forms the result:
+    no inverse and no product."""
+    calls = []
+
+    def counting(m, acc, den=1):
+        calls.append((m, den))
+        return reduce(m, acc, den)
+
+    reduce = exact._cyclo
+    s = Cyclo(5, [Fraction(6), Fraction(-4), 0, Fraction(2, 3)])
+    monkeypatch.setattr(exact, "_cyclo", counting)
+    got = join(s, 10)
+    assert calls == [(5, 30)]
+    assert _fields(got) == _fields(Cyclo(5, [Fraction(3, 5), Fraction(-2, 5),
+                                             0, Fraction(1, 15)]))
+
+
+@PROPERTY
+@given(st.lists(SCALARS, max_size=6), st.integers(1, 40))
+def test_split_then_join_gives_each_value_back(values, extra):
+    """join(item, den) is the value, as a Fraction for an int or Fraction
+    and at its own conductor for a Cyclo; over a larger denominator too."""
+    den, items = split(values)
+    assert all(den % (v.den if isinstance(v, Cyclo) else v.denominator) == 0
+               for v in values)
+    for v, item in zip(values, items):
+        want = _fields(v if isinstance(v, Cyclo) else Fraction(v))
+        assert _fields(join(item, den)) == want
+        assert _fields(join(item * extra, den * extra)) == want
+        if isinstance(v, Cyclo):
+            assert item.m == v.m and item.den == 1

@@ -1,6 +1,8 @@
 """pyproject.toml alone declares the package: its console script must
 resolve to a callable and its package discovery must point at src/.  And
-every input bound and primality refusal is raised in one module."""
+every input bound and primality refusal is raised in one module, every
+valuation is taken in one module, and a vector is brought over one
+denominator in one module (and in RatMat.from_rows)."""
 
 import ast
 import glob
@@ -108,4 +110,30 @@ def test_valuations_are_taken_in_exact_only():
                       if isinstance(node, ast.While) and _divides_out(node)
                       and node.lineno not in allowed]
     assert seen == kept
+    assert not offending
+
+
+def test_common_denominators_are_taken_in_exact_only():
+    """Outside exact.py and ratmat.py no call to lcm reads a .denominator:
+    a vector of scalars is brought over one denominator by exact.split
+    and back by exact.join."""
+    package = os.path.join(ROOT, "src", "heckeforge")
+    paths = sorted(glob.glob(os.path.join(package, "**", "*.py"),
+                             recursive=True))
+    assert os.path.join(package, "exact.py") in paths
+    offending = []
+    for path in paths:
+        if os.path.basename(path) in ("exact.py", "ratmat.py"):
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None)) == "lcm"
+                    and any(isinstance(sub, ast.Attribute)
+                            and sub.attr == "denominator"
+                            for arg in node.args for sub in ast.walk(arg))):
+                offending.append(f"{os.path.relpath(path, ROOT)}:"
+                                 f"{node.lineno}")
     assert not offending
