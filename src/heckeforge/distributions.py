@@ -15,22 +15,21 @@ elements(m) (`char_powers`); each component is one `Cyclo.root_sum` over
 that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
 `build_mu` sums split base data down and joins each with kappa^-M once.
 
-Tables once: every per-level table of a tower (its elements, the lifts
-that push values down one level, its characters and a character's
-exponent table) is built on first use by a module-level `lru_cache`
-builder and shared, as a tuple or a read-only mapping, by every tower
-with the same key.  The keys are (p, m) for QTower(p) and (p, h, m) for
-AbstractTower(p, h), and for an exponent table (p, s, exponent vector, m)
-of the character mod p^s, with h and j for the abstract tower; p is in
-every key.  A level's exponent table is read off `gauss._exponents`, the
-table shared by every character mod p^s with those exponents.  A tower
-holds only p (and h), and the consumers below read its tables through its
-methods.  No value is cached: a `Distribution`'s values are read afresh by
-every check, so a value changed in place is seen.
+Tables once: a tower is a value, equal to another of its exact type with
+the same fields (p, and h) and hashed by them.  Each per-level table (its
+elements, the lifts that push values down one level, its characters and a
+character's exponent table) is a `functools.cache`d method, so it is built
+on first use and shared, as a tuple or a read-only mapping, by every equal
+tower; a subclass's tower is unequal and keeps entries of its own.  An
+exponent table is read off `gauss._exponents`, shared by every character
+mod p^s with those exponents.  The group law enters only through `vee`,
+the involution x -> (-1)^(n-1) x^(-1) of the functional equation.  No
+value is cached: a `Distribution`'s values are read afresh by every check,
+so a value changed in place is seen.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import lcm
 from types import MappingProxyType
 
@@ -43,53 +42,68 @@ from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
 
 class QTower:
-    """Levels m >= 1 with C(p^m) = (Z/p^m)^* and reduction transitions.
+    """Levels m >= 1 with C(p^m) = (Z/p^m)^* and reduction transitions;
+    a value, with tables shared by equal towers ("Tables once" above)."""
 
-    Each per-level table is built once, on first use, and shared by every
-    QTower(p): `elements(m)` and `characters(m)` (tuples) and `lifts(m)`
-    (a read-only mapping) by (p, m), and `char_powers(chi, m)` (a tuple)
-    by (p, s, exponent vector, m) of the character chi mod p^s.  A tower
-    holds only p."""
+    __slots__ = ("p",)
 
     def __init__(self, p):
         check_prime(p)
         self.p = p
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.p)
+
+    @cache
     def elements(self, m):
         """(Z/p^m)^*, ascending; a level below 1 or with p^m above
-        MAX_MODULUS raises ValueError on every call."""
-        return _units(self.p, m)
+        MAX_MODULUS raises ValueError on every call, as an exception is not
+        cached."""
+        if m < 1:
+            raise ValueError(f"level {m}: a tower level must be at least 1")
+        p = self.p
+        pm = power_within(p, m, MAX_MODULUS)
+        what = f"level {m}: p^m = {p}^{m}" + (f" = {pm}" if pm else "")
+        check_bound(what, pm, "MAX_MODULUS", MAX_MODULUS)
+        return tuple(a for a in range(pm) if a % p)
 
+    @cache
     def lifts(self, m):
         """Each x of elements(m) -> its p preimages x + k p^m in
         elements(m + 1), k ascending: the kernel of reduction has order p."""
-        return _unit_lifts(self.p, m)
+        lifts, mod = {x: [] for x in self.elements(m)}, self.p ** m
+        for y in self.elements(m + 1):
+            lifts[y % mod].append(y)
+        return MappingProxyType({x: tuple(ys) for x, ys in lifts.items()})
 
-    def mul(self, m, x, y):
-        return x * y % self.p ** m
-
-    def inv(self, m, x):
-        return pow(x, -1, self.p ** m)
-
-    def one(self, m):
-        return 1
-
-    def minus_one(self, m):
-        return self.p ** m - 1
-
+    @cache
     def characters(self, m):
-        return _unit_characters(self.p, m)
+        return tuple(all_characters(self.p, m))
+
+    def vee(self, m, x, n):
+        """x^vee = (-1)^(n-1) x^(-1) in elements(m)."""
+        pm = self.p ** m
+        y = pow(x, -1, pm)
+        return -y % pm if n % 2 == 0 else y
 
     def char_order(self, chi):
         return chi.order()
 
     def char_powers(self, chi, m):
         """The k with chi(x) = zeta_N^k, N = char_order(chi), over
-        elements(m), read off the shared exponent table of the characters
-        mod p^s with chi's exponents; a character of another prime raises
-        ValueError."""
+        elements(m); a character of another prime raises ValueError."""
         _check_same_prime(chi, self.p)
-        return _unit_powers(self.p, chi.s, chi.exps, m)
+        return self._powers(chi.s, chi.exps, m)
+
+    @cache
+    def _powers(self, s, exps, m):
+        """char_powers, read off `gauss._exponents`, the table shared by
+        every character mod p^s with these generator exponents."""
+        table, mod = _exponents(self.p, s, exps), self.p ** s
+        return tuple(table[x % mod] for x in self.elements(m))
 
     def char_conductor_level(self, chi):
         return max(chi.conductor_exponent(), 1)
@@ -99,39 +113,46 @@ class AbstractTower:
     """C_m = Z/h x (Z/p^m)^*: a finite-group generalization with a cyclic
     class-group part of order h >= 1; transitions are identity x reduction.
 
-    Its tables are built once from those of QTower(p) and shared by every
-    AbstractTower(p, h): `elements(m)`, `lifts(m)` and `characters(m)` by
-    (p, h, m), and `char_powers((j, chi), m)` by (p, h, j, s, exponent
-    vector, m).  An h that is not an int >= 1 raises ValueError."""
+    Its tables are built from those of QTower(p).  An h that is not an
+    int >= 1 raises ValueError."""
+
+    __slots__ = ("p", "h", "_q")
 
     def __init__(self, p, h):
         if not isinstance(h, int) or isinstance(h, bool) or h < 1:
             raise ValueError(f"h = {h!r}: the class-group order must be an "
                              "int >= 1")
+        self._q = QTower(p)
         self.p = p
         self.h = h
-        self._q = QTower(p)
 
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.p == self.p
+                and other.h == self.h)
+
+    def __hash__(self):
+        return hash((self.p, self.h))
+
+    @cache
     def elements(self, m):
-        return _class_elements(self.p, self.h, m)
+        return tuple((c, u) for c in range(self.h)
+                     for u in self._q.elements(m))
 
+    @cache
     def lifts(self, m):
-        return _class_lifts(self.p, self.h, m)
+        return MappingProxyType({
+            (c, u): tuple((c, v) for v in vs)
+            for c in range(self.h) for u, vs in self._q.lifts(m).items()})
 
-    def mul(self, m, x, y):
-        return ((x[0] + y[0]) % self.h, self._q.mul(m, x[1], y[1]))
-
-    def inv(self, m, x):
-        return ((-x[0]) % self.h, self._q.inv(m, x[1]))
-
-    def one(self, m):
-        return (0, 1)
-
-    def minus_one(self, m):
-        return (0, self._q.minus_one(m))
-
+    @cache
     def characters(self, m):
-        return _class_characters(self.p, self.h, m)
+        return tuple((j, chi) for j in range(self.h)
+                     for chi in self._q.characters(m))
+
+    def vee(self, m, x, n):
+        """(c, u)^vee = (-c, u^vee): the sign lies in the p-component."""
+        c, u = x
+        return -c % self.h, self._q.vee(m, u, n)
 
     def char_order(self, chi):
         """lcm(h, order of the finite part): the conductor at which each
@@ -143,76 +164,19 @@ class AbstractTower:
         chi_fin(u) is zeta_N^(jc N/h + k_fin N/N_fin)."""
         j, fin = chi
         _check_same_prime(fin, self.p)
-        return _class_powers(self.p, self.h, j % self.h, fin.s, fin.exps,
-                             fin.order(), m)
+        return self._powers(j % self.h, fin.s, fin.exps, fin.order(), m)
+
+    @cache
+    def _powers(self, j, s, exps, order, m):
+        """char_powers; order, that of the character mod p^s, is fixed by
+        p, s and exps."""
+        big = lcm(self.h, order)
+        cstep, fstep = j * (big // self.h), big // order
+        return tuple((c * cstep + k * fstep) % big for c in range(self.h)
+                     for k in self._q._powers(s, exps, m))
 
     def char_conductor_level(self, chi):
         return max(chi[1].conductor_exponent(), 1)
-
-
-# ---------------------------------------------------------------------------
-# the per-level tables: each builder runs once per key, and its tuple or
-# read-only mapping is shared by every tower that asks for that key
-
-@lru_cache(maxsize=None)
-def _units(p, m):
-    """(Z/p^m)^*, ascending, after the level check; a refused level raises
-    on every call, as an exception is not cached."""
-    if m < 1:
-        raise ValueError(f"level {m}: a tower level must be at least 1")
-    pm = power_within(p, m, MAX_MODULUS)
-    what = f"level {m}: p^m = {p}^{m}" + (f" = {pm}" if pm else "")
-    check_bound(what, pm, "MAX_MODULUS", MAX_MODULUS)
-    return tuple(a for a in range(pm) if a % p)
-
-
-@lru_cache(maxsize=None)
-def _unit_lifts(p, m):
-    """x -> its preimages in (Z/p^{m+1})^*, read off the units there."""
-    lifts, mod = {x: [] for x in _units(p, m)}, p ** m
-    for y in _units(p, m + 1):
-        lifts[y % mod].append(y)
-    return MappingProxyType({x: tuple(ys) for x, ys in lifts.items()})
-
-
-@lru_cache(maxsize=None)
-def _unit_characters(p, m):
-    return tuple(all_characters(p, m))
-
-
-@lru_cache(maxsize=None)
-def _unit_powers(p, s, exps, m):
-    """The exponent table over _units(p, m) of the character mod p^s with
-    these generator exponents, read off the shared `gauss._exponents`."""
-    table, mod = _exponents(p, s, exps), p ** s
-    return tuple(table[x % mod] for x in _units(p, m))
-
-
-@lru_cache(maxsize=None)
-def _class_elements(p, h, m):
-    return tuple((c, u) for c in range(h) for u in _units(p, m))
-
-
-@lru_cache(maxsize=None)
-def _class_lifts(p, h, m):
-    return MappingProxyType({
-        (c, u): tuple((c, v) for v in vs)
-        for c in range(h) for u, vs in _unit_lifts(p, m).items()})
-
-
-@lru_cache(maxsize=None)
-def _class_characters(p, h, m):
-    return tuple((j, chi) for j in range(h) for chi in _unit_characters(p, m))
-
-
-@lru_cache(maxsize=None)
-def _class_powers(p, h, j, s, exps, order, m):
-    """AbstractTower.char_powers; order, that of the character mod p^s,
-    is fixed by p, s and exps."""
-    big = lcm(h, order)
-    cstep, fstep = j * (big // h), big // order
-    return tuple((c * cstep + k * fstep) % big for c in range(h)
-                 for k in _unit_powers(p, s, exps, m))
 
 
 def _check_same_prime(chi, p):
@@ -297,7 +261,11 @@ class Distribution:
 
 
 def _distinct(nus, where):
-    """nus as a tuple; a repeated nu (nu -> -nu would merge) raises."""
+    """nus as a tuple; a nu that is not an int (bool included), or a
+    repeated nu (nu -> -nu would merge), raises."""
+    if not all(type(nu) is int for nu in nus):
+        raise ValueError(f"{where}: field 'nus' = {list(nus)} must hold "
+                         "ints only")
     if any(nu in nus[:i] for i, nu in enumerate(nus)):
         raise ValueError(f"{where}: field 'nus' = {list(nus)} repeats a nu")
     return tuple(nus)
@@ -506,15 +474,7 @@ def kappa_hat_value(n, p, s, nu, nu_min, kappa_pair):
 
 
 # ---------------------------------------------------------------------------
-# the involution and the functional equation
-
-def involution_vee(tower, m, x, n):
-    """x -> (-1)^{n-1} x^{-1}, with the sign inside the p-component."""
-    y = tower.inv(m, x)
-    if (n - 1) % 2 == 1:
-        y = tower.mul(m, tower.minus_one(m), y)
-    return y
-
+# the functional equation
 
 def value_vee_reindexer(nus):
     """The coordinate reindexing nu -> -nu on value vectors.
@@ -541,7 +501,7 @@ def dual_symbol(sym, n, kappa_dual):
     tower, M = sym.tower, sym.base_level
     dual_nus, reindex = value_vee_reindexer(sym.nus)
     vecs, den, num = _split_vectors(
-        {x: reindex(sym.base_data[involution_vee(tower, M, x, n)])
+        {x: reindex(sym.base_data[tower.vee(M, x, n)])
          for x in tower.elements(M)},
         (1 / scalar(sym.kappa)) ** M * kappa_dual ** M)
     base = {x: tuple(join(s * num, den) for s in vec)
@@ -586,7 +546,7 @@ def check_functional_equation(mu, mu_dual, n):
     tower = mu.tower
     for m in mu.levels:
         for x, vec in mu.values[m].items():
-            xv = involution_vee(tower, m, x, n)
+            xv = tower.vee(m, x, n)
             want = reindex(vec)
             got = mu_dual.values[m][xv]
             if any(a != b for a, b in zip(want, got)):

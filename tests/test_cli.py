@@ -446,6 +446,12 @@ def _level(m, xs, value=("0",)):
     ({"p": 3, "nus": [0, 0],
       "levels": [_level(1, [1, 2], value=["1", "2"])]},
      "distribution: field 'nus' = [0, 0] repeats a nu"),
+    ({"p": 3, "nus": ["a"], "levels": [_level(1, [1, 2])]},
+     "distribution: field 'nus' = ['a'] must hold ints only"),
+    ({"p": 3, "nus": [True], "levels": [_level(1, [1, 2])]},
+     "distribution: field 'nus' = [True] must hold ints only"),
+    ({"p": 3, "nus": [1.5], "levels": [_level(1, [1, 2])]},
+     "distribution: field 'nus' = [1.5] must hold ints only"),
 ])
 def test_integrate_rejects_malformed_json(capsys, tmp_path, blob, field):
     path = tmp_path / "bad.json"

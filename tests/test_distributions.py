@@ -245,8 +245,28 @@ def test_abstract_tower():
     assert ok
     ok2, _ = dist.fourier_inversion_check(mu, 2)
     assert ok2
-    x = (1, 2)
-    assert tower.mul(2, x, tower.inv(2, x)) == tower.one(2)
+
+
+def _vee_reference(tower, m, x, n):
+    """(-1)^(n-1) x^(-1), the sign in the p-component, by brute force."""
+    pm, sign = tower.p ** m, (-1) ** (n - 1)
+    if isinstance(tower, dist.QTower):
+        return next(y for y in range(pm) if x * y % pm == sign % pm)
+    c, u = x
+    return ((tower.h - c) % tower.h,
+            next(v for v in range(pm) if u * v % pm == sign % pm))
+
+
+@pytest.mark.parametrize("tower", [dist.QTower(3), dist.QTower(5),
+                                   dist.AbstractTower(3, 4)])
+def test_vee_is_the_involution_of_the_functional_equation(tower):
+    for m in (1, 2, 3):
+        elements = tower.elements(m)
+        for n in (2, 3):
+            image = [tower.vee(m, x, n) for x in elements]
+            assert image == [_vee_reference(tower, m, x, n)
+                             for x in elements]
+            assert [tower.vee(m, y, n) for y in image] == list(elements)
 
 
 # Every character integral of AbstractTower(3, 2) at depth 3 for one seeded
@@ -283,14 +303,13 @@ def test_kappa_hat_examples():
 
 def test_involution_examples():
     t5 = dist.QTower(5)
-    assert dist.involution_vee(t5, 1, 2, 2) == 2  # -2^{-1} = 2 mod 5
+    assert t5.vee(1, 2, 2) == 2  # -2^{-1} = 2 mod 5
     t3 = dist.QTower(3)
     for n in (2, 3, 4):
         for x in t3.elements(3):
-            y = dist.involution_vee(t3, 3, x, n)
-            assert dist.involution_vee(t3, 3, y, n) == x
+            assert t3.vee(3, t3.vee(3, x, n), n) == x
     # odd n: plain inverse
-    assert dist.involution_vee(t3, 2, 4, 3) == pow(4, -1, 9)
+    assert t3.vee(2, 4, 3) == pow(4, -1, 9)
 
 
 def test_value_vee_reindexer():
@@ -552,6 +571,32 @@ class _ForeignCharacters(dist.QTower):
         return tuple(gauss.all_characters(5, m))
 
 
+def test_towers_are_values_that_share_their_tables():
+    """Equal towers built afresh are equal, hash equal and return the same
+    table objects; a subclass's tower is unequal, and its tables neither
+    read nor fill the entries of the QTower it equals in fields."""
+    for make in (lambda: dist.QTower(3), lambda: dist.AbstractTower(3, 2)):
+        tower, fresh = make(), make()
+        assert tower is not fresh
+        assert tower == fresh and hash(tower) == hash(fresh)
+        for table in ("elements", "lifts", "characters"):
+            assert getattr(tower, table)(2) is getattr(fresh, table)(2)
+        chi = tower.characters(2)[-1]
+        assert tower.char_powers(chi, 2) is fresh.char_powers(chi, 2)
+    assert dist.AbstractTower(3, 2) != dist.AbstractTower(3, 4)
+    assert dist.AbstractTower(3, 2) != dist.QTower(3) != dist.QTower(5)
+    rational, foreign = dist.QTower(3), _ForeignCharacters(3)
+    assert foreign != rational and rational != foreign
+    elements = dist.QTower.elements
+    rational.elements(2)
+    misses = elements.cache_info().misses
+    ours = foreign.elements(2)
+    assert elements.cache_info().misses == misses + 1
+    assert ours == rational.elements(2) and ours is not rational.elements(2)
+    assert foreign.elements(2) is ours
+    assert foreign.characters(1) != rational.characters(1)
+
+
 @pytest.mark.parametrize("q, order", [(5, 4), (5, 2), (7, 6), (7, 3)])
 def test_a_character_of_another_prime_is_refused(q, order):
     chi = next(c for c in gauss.all_characters(q, 1) if c.order() == order)
@@ -723,7 +768,7 @@ def test_dual_symbol_on_drawn_symbols_is_the_literal_scale(sym, n, kd):
     nus, reindex = dist.value_vee_reindexer(sym.nus)
     scale = (1 / sym.kappa) ** big_m * kd ** big_m
     want = {x: _fields(scale * v for v in reindex(
-                sym.base_data[dist.involution_vee(tower, big_m, x, n)]))
+                sym.base_data[tower.vee(big_m, x, n)]))
             for x in tower.elements(big_m)}
     assert (dual.nus, dual.kappa, dual.base_level) == (nus, kd, big_m)
     assert {x: _fields(vec) for x, vec in dual.base_data.items()} == want
@@ -760,3 +805,19 @@ def test_a_repeated_nu_is_refused(make):
     base = {x: (F(x), F(7 * x + 1)) for x in tower.elements(2)}
     with pytest.raises(ValueError, match=r"field 'nus' = \[.*\] repeats a nu"):
         make(tower, base)
+
+
+@pytest.mark.parametrize("nus", [["a"], [True], [1.5], [0, False]])
+@pytest.mark.parametrize("make", [
+    lambda t, base, nus: dist.EigenSymbol(t, F(2), 2, base, nus),
+    lambda t, base, nus: dist.Distribution(t, nus, {}),
+], ids=["eigen-symbol", "distribution"])
+def test_a_nu_that_is_not_an_int_is_refused(make, nus):
+    """nu -> -nu needs an int: a bool or a float would be reindexed, and a
+    str would raise a bare TypeError in the functional equation."""
+    tower = dist.QTower(3)
+    base = {x: (F(x),) * len(nus) for x in tower.elements(2)}
+    with pytest.raises(ValueError) as refused:
+        make(tower, base, nus)
+    assert str(refused.value).endswith(
+        f"field 'nus' = {nus!r} must hold ints only")

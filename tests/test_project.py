@@ -2,13 +2,16 @@
 resolve to a callable and its package discovery must point at src/.  And
 every input bound and primality refusal is raised in one module, every
 valuation is taken in one module, and a vector is brought over one
-denominator in one module (and in RatMat.from_rows)."""
+denominator in one module (and in RatMat.from_rows).  The Gauss and
+distribution modules load no dataclasses or inspect at import."""
 
 import ast
 import glob
 import importlib
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -137,3 +140,24 @@ def test_common_denominators_are_taken_in_exact_only():
                 offending.append(f"{os.path.relpath(path, ROOT)}:"
                                  f"{node.lineno}")
     assert not offending
+
+
+def _modules_loaded(code):
+    """The module names in sys.modules after `code` runs in a fresh
+    interpreter with src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(out.stdout.split())
+
+
+def test_gauss_and_distributions_import_no_dataclasses_or_inspect():
+    """Either would add start-up time and memory to every process that
+    builds a tower.  What `site` loads differs between machines, so a bare
+    interpreter is the baseline."""
+    bare = _modules_loaded("pass")
+    loaded = _modules_loaded(
+        "import heckeforge.gauss, heckeforge.distributions")
+    assert "heckeforge.distributions" in loaded
+    assert not {"dataclasses", "inspect"} & (loaded - bare)
