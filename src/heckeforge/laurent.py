@@ -23,6 +23,9 @@ an int numerator and a Cyclo as a Cyclo of integer numerators; plain `*`
 and `+` mix the two.  A result term is s over the product of the two lcms
 (`exact.join`): a Fraction for an int s, a Cyclo for a Cyclo s.  Only the
 result keys are unpacked, so the stored form above is unchanged.
+
+`truncated_product` gives only the terms below a degree in one variable
+of a product of several factors, for congruences modulo a power of it.
 """
 
 from fractions import Fraction
@@ -274,8 +277,7 @@ class LaurentPoly:
 
     def min_degree_in(self, name):
         """Minimal exponent of `name` over all terms (0 if absent everywhere)."""
-        degs = [dict(k).get(name, 0) for k in self.terms]
-        return min(degs) if degs else 0
+        return min((_degree(k, name) for k in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -288,6 +290,37 @@ class LaurentPoly:
 
 
 lvar, lconst = LaurentPoly.var, LaurentPoly.const
+
+
+def _degree(key, name):
+    """The exponent of `name` in a monomial key, 0 if it is absent."""
+    for n, e in key:
+        if n == name:
+            return e
+    return 0
+
+
+def truncated_product(factors, name, k):
+    """The terms of name-degree < k of the product of `factors`, exactly.
+
+    The factors are multiplied in order.  A term of a partial product whose
+    degree reaches k minus the least degrees of the factors still to come
+    lands at degree >= k, so each partial product keeps only the terms
+    below that bound.  With negative exponents the bound exceeds k, and
+    cutting each factor at k alone would be wrong: at k = 2, f^-1 (f^2 + 1)
+    keeps the f that f^2 contributes."""
+    def below(p, bound):
+        return LaurentPoly._nonzero({key: v for key, v in p.terms.items()
+                                     if _degree(key, name) < bound})
+
+    factors = [LaurentPoly._coerce(x) for x in factors]
+    lows = [x.min_degree_in(name) for x in factors]
+    rest = sum(lows)
+    out = below(LaurentPoly.const(1), k - rest)
+    for x, low in zip(factors, lows):
+        rest -= low
+        out = below(out * x, k - rest)
+    return out
 
 
 class LaurentMatrix:

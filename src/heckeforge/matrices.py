@@ -6,28 +6,49 @@ prime power.  The congruence statements (mod f*p) become exact valuation
 checks; the equality statements are checked literally.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from heckeforge.exact import check_prime, vp
-from heckeforge.laurent import LaurentMatrix, LaurentPoly, lconst, lvar
+from heckeforge.laurent import (LaurentMatrix, LaurentPoly, lconst, lvar,
+                                truncated_product)
 from heckeforge.ratmat import RatMat, j_embed
 
 
-@dataclass(frozen=True)
 class GlnContext:
-    """Rank, prime, Iwahori level; f defaults to p^r, uniformizer to p."""
+    """Rank, prime, Iwahori level; f defaults to p^r, uniformizer to p.
 
-    n: int
-    p: int
-    r: int = 1
+    A value: immutable, equal by exact type and (n, p, r), hashed by them."""
 
-    def __post_init__(self):
-        if self.n < 2:
+    __slots__ = ("n", "p", "r")
+
+    def __init__(self, n, p, r=1):
+        if n < 2:
             raise ValueError("rank must be >= 2")
-        check_prime(self.p)
-        if self.r < 1:
+        check_prime(p)
+        if r < 1:
             raise ValueError("level must be >= 1")
+        for name, value in (("n", n), ("p", p), ("r", r)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.p, self.r)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.n, self.p, self.r) == (other.n, other.p, other.r))
+
+    def __hash__(self):
+        return hash((self.n, self.p, self.r))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}"
+                f"(n={self.n!r}, p={self.p!r}, r={self.r!r})")
 
     @property
     def f(self):
@@ -220,7 +241,9 @@ def family_symbolic(n):
 
     Returns the pieces plus the two mod-f^2 congruence checks: the block
     columns agree with h^(1) up to terms in (f^2), and with the linear
-    truncation d'_i = 2 - v_i we get det(d) det(d') - 1 in (f^2).
+    truncation d'_i = 2 - v_i we get det(d) det(d') - 1 in (f^2).  The
+    second is `det_pair_ok`: it forms only the terms of f-degree < 2 of
+    det(d) det(d'), never the full product.
     """
     f = lvar("f")
     us = [lvar(f"u{i+1}") for i in range(n - 1)]
@@ -249,13 +272,19 @@ def family_symbolic(n):
         (probe.entries[i][j] - h1.entries[i][j]).min_degree_in("f") >= 2
         for i in range(n) for j in range(n - 1)
         if (probe.entries[i][j] - h1.entries[i][j]))
-    det_pair = d.det() * d_prime.det() - lconst(1)
-    det_ok = (not det_pair) or det_pair.min_degree_in("f") >= 2
     return {
         "h(u,w)": h_uw, "u^-": u_minus, "w^-": w_minus,
         "d(u,w)": d, "d'(u,w)": d_prime, "last_column": last_col,
-        "columns_ok": diff_ok, "det_pair_ok": det_ok,
+        "columns_ok": diff_ok, "det_pair_ok": det_pair_ok(d, d_prime),
     }
+
+
+def det_pair_ok(d, d_prime):
+    """det(d) det(d') - 1 in (f^2) for diagonal LaurentMatrix d and d':
+    the terms of f-degree < 2 of the product of their diagonal entries,
+    from `truncated_product`, are exactly 1."""
+    diagonal = [g.entries[i][i] for g in (d, d_prime) for i in range(g.n)]
+    return truncated_product(diagonal, "f", 2) == 1
 
 
 def verify_epimorphism(ctx):

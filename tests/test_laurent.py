@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heckeforge.exact import Cyclo
 from heckeforge.laurent import (LaurentInversionError, LaurentMatrix,
-                                LaurentPoly, lconst, lvar)
+                                LaurentPoly, lconst, lvar, truncated_product)
 from heckeforge.matrices import d_matrix, h_matrix
 
 
@@ -319,3 +319,22 @@ def test_products_that_cancel(p, q):
     assert_same_terms((s * d).terms, reference_product(s, d))
     assert s * d == p * p - q * q
     assert not p * (q - q) and not (q - q) * p
+
+
+@PROPERTY
+@given(st.lists(st.one_of(RATIONAL_POLYS, MIXED_POLYS), max_size=4),
+       st.integers(-2, 3))
+# cutting each factor at f-degree 2 would drop the f^2 that gives f
+@example([lvar("f", -1), lvar("f", 2) + 1], 2)
+# ... and the f^3 that gives f
+@example([lvar("f", 3) + lvar("u1"), lvar("f", -2) - 1], 2)
+def test_truncated_product_matches_reference(factors, k):
+    """The terms of f-degree < k of the product, against the full product
+    taken pair by pair."""
+    full = {(): Fraction(1)}
+    for x in factors:
+        full = reference_product(LaurentPoly(full), x)
+    want = {key: v for key, v in full.items() if dict(key).get("f", 0) < k}
+    got = truncated_product(factors, "f", k).terms
+    assert got == want
+    assert all(type(got[key]) is type(v) for key, v in want.items())

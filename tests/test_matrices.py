@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from heckeforge.exact import vp
 from heckeforge.laurent import LaurentMatrix, lconst, lvar
 from heckeforge.matrices import (GlnContext, build_distribution_family,
-                                 family_symbolic, h_matrix, h_one,
+                                 det_pair_ok, family_symbolic, h_matrix, h_one,
                                  iota_involution, j_delta, t_matrix,
                                  verify_epimorphism, verify_inverseft,
                                  verify_inverseh, w_tilde, weyl_longest)
@@ -125,12 +127,28 @@ def test_family_symbolic_congruences():
 @pytest.mark.parametrize("n, sizes", [(4, (62, 49, 418)),
                                       (5, (330, 247, 5410))])
 def test_family_det_pair_matches_reference_product(n, sizes):
-    """det(d) det(d'), the family's largest product, term for term."""
+    """det(d) det(d'), the family's largest product, term for term.
+
+    `det_pair_ok` forms only this product's terms of f-degree < 2; the full
+    product stays here as the Laurent reference."""
     fam = family_symbolic(n)
     det_d, det_dp = fam["d(u,w)"].det(), fam["d'(u,w)"].det()
     prod = det_d * det_dp
     assert (len(det_d.terms), len(det_dp.terms), len(prod.terms)) == sizes
     assert_same_terms(prod.terms, reference_product(det_d, det_dp))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_pair_check_fails_on_a_planted_f_term(n):
+    """u1 f added to one diagonal entry of d' puts u1 f, times a unit, into
+    det(d) det(d') - 1, so the mod-f^2 check must fail."""
+    fam = family_symbolic(n)
+    d, d_prime = fam["d(u,w)"], fam["d'(u,w)"]
+    assert det_pair_ok(d, d_prime)
+    for i in range(n - 1):
+        entries = [d_prime[j, j] for j in range(n - 1)]
+        entries[i] = entries[i] + lvar("u1") * lvar("f")
+        assert not det_pair_ok(d, LaurentMatrix.diagonal(entries)), i
 
 
 def test_epimorphism_surjective():
@@ -180,3 +198,18 @@ def test_inverseh_rejects_rank_two():
 def test_context_rejects_bad_parameters(n, p, r):
     with pytest.raises(ValueError):
         GlnContext(n, p, r)
+
+
+def test_context_is_a_value():
+    ctx = GlnContext(3, 2)
+    assert ctx == GlnContext(3, 2, 1) and hash(ctx) == hash(GlnContext(3, 2, 1))
+    assert ctx != GlnContext(3, 2, 2) and ctx != (3, 2, 1)
+    assert repr(ctx) == "GlnContext(n=3, p=2, r=1)"
+    assert (ctx.f, ctx.pi) == (Fraction(2), Fraction(2))
+    for name in ("n", "p", "r", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 5)
+    with pytest.raises(AttributeError):
+        del ctx.n
+    assert (ctx.n, ctx.p, ctx.r) == (3, 2, 1)
+    assert copy.copy(ctx) == pickle.loads(pickle.dumps(ctx)) == ctx

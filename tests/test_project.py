@@ -2,10 +2,11 @@
 resolve to a callable and its package discovery must point at src/.  And
 every input bound and primality refusal is raised in one module, every
 valuation is taken in one module, and a vector is brought over one
-denominator in one module (and in RatMat.from_rows).  The Gauss and
-distribution modules load no dataclasses or inspect at import."""
+denominator in one module (and in RatMat.from_rows).  No math module,
+CLI or verify suite module loads dataclasses or inspect at import."""
 
 import ast
+import functools
 import glob
 import importlib
 import os
@@ -152,12 +153,23 @@ def _modules_loaded(code):
     return set(out.stdout.split())
 
 
-def test_gauss_and_distributions_import_no_dataclasses_or_inspect():
+@functools.cache
+def _bare_modules():
+    return _modules_loaded("pass")
+
+
+_SUITES = os.path.join(ROOT, "src", "heckeforge", "suites")
+
+
+@pytest.mark.parametrize("module", [
+    "heckeforge.gauss", "heckeforge.distributions", "heckeforge.hecke",
+    "heckeforge.matrices", "heckeforge.cli",
+    *sorted(f"heckeforge.suites.{name[:-3]}" for name in os.listdir(_SUITES)
+            if name.endswith(".py") and name != "__init__.py")])
+def test_module_imports_no_dataclasses_or_inspect(module):
     """Either would add start-up time and memory to every process that
-    builds a tower.  What `site` loads differs between machines, so a bare
-    interpreter is the baseline."""
-    bare = _modules_loaded("pass")
-    loaded = _modules_loaded(
-        "import heckeforge.gauss, heckeforge.distributions")
-    assert "heckeforge.distributions" in loaded
-    assert not {"dataclasses", "inspect"} & (loaded - bare)
+    builds a tower, a `GlnContext` or a verify suite.  What `site` loads
+    differs between machines, so a bare interpreter is the baseline."""
+    loaded = _modules_loaded(f"import {module}")
+    assert module in loaded
+    assert not {"dataclasses", "inspect"} & (loaded - _bare_modules())
