@@ -9,11 +9,13 @@ An eigenvalue is inverted as `1 / exact.scalar(kappa)`, and values are
 serialized by `exact.scalar_json` and read back by `scalar_from_json`.
 A tower's p is prime; level m is listed only while p^m <= gauss.MAX_MODULUS.
 
-A character integral is formed on exponents: each tower gives the order N
-of a character and, once per level m, the k with chi(x) = zeta_N^k over
-elements(m) (`char_powers`); each component is one `Cyclo.root_sum` over
-that table, and Fourier inversion weights by chi(x0)^{-1} through -k.
-`build_mu` sums split base data down and joins each with kappa^-M once.
+A level is stored as integer numerators over one denominator (the form of
+`exact.split`): the checks compare numerators cross-multiplied by the
+levels' denominators, and `exact.join` runs only where a value leaves
+(`values`, JSON, witnesses).  A character integral is formed on exponents:
+each tower gives the order N of a character and, once per level m, the k
+with chi(x) = zeta_N^k over elements(m) (`char_powers`); each component is
+one `exact.exponent_sum`, and Fourier inversion weights by chi(x0)^-1 as -k.
 
 Tables once: a tower is a value, equal to another of its exact type with
 the same fields (p, and h) and hashed by them.  Each per-level table (its
@@ -23,18 +25,20 @@ on first use and shared, as a tuple or a read-only mapping, by every equal
 tower; a subclass's tower is unequal and keeps entries of its own.  An
 exponent table is read off `gauss._exponents`, shared by every character
 mod p^s with those exponents.  The group law enters only through `vee`,
-the involution x -> (-1)^(n-1) x^(-1) of the functional equation.  No
-value is cached: a `Distribution`'s values are read afresh by every check,
-so a value changed in place is seen.
+the involution x -> (-1)^(n-1) x^(-1) of the functional equation.  Nothing
+is cached on a `Distribution`: its split levels are its values, which
+every check reads afresh, so a value written in place is seen.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import lcm
 from types import MappingProxyType
 
-from heckeforge.exact import (Cyclo, check_bound, check_prime, join,
-                              power_within, scalar, scalar_from_json,
+from heckeforge.exact import (Cyclo, check_bound, check_prime, exponent_sum,
+                              join, power_within, scalar, scalar_from_json,
                               scalar_json, split, vp)
 from heckeforge.gauss import (MAX_MODULUS, _exponents, all_characters,
                               check_modulus)
@@ -187,7 +191,9 @@ def _check_same_prime(chi, p):
 
 
 class Distribution:
-    """Level-indexed values on tower cosets, each a tuple indexed by nus.
+    """Level-indexed values on tower cosets, each a tuple indexed by nus,
+    stored split: `numerators[m]` = (den, {x: vector}), read and written
+    through `values[m]`.
 
     `eigen` starts as None; a caller that knows the eigenvalue data
     assigns it a dict (kappa, and eta_n, eta_prime for the distribution
@@ -196,12 +202,16 @@ class Distribution:
     def __init__(self, tower, nus, values):
         self.tower = tower
         self.nus = _distinct(nus, "distribution")
-        self.values = {m: dict(level) for m, level in values.items()}
+        self.numerators = {m: _split_level(lv) for m, lv in values.items()}
         self.eigen = None
 
     @property
+    def values(self):
+        return {m: _Level(self.numerators, m) for m in self.numerators}
+
+    @property
     def levels(self):
-        return sorted(self.values)
+        return sorted(self.numerators)
 
     def value(self, m, x):
         return self.values[m][x]
@@ -260,6 +270,45 @@ class Distribution:
         return cls(tower, obj["nus"], values)
 
 
+class _Level(Mapping):
+    """Level m of a store {m: (den, {x: vector})}, as value tuples."""
+
+    def __init__(self, store, m):
+        self.store, self.m = store, m
+
+    def __getitem__(self, x):
+        den, level = self.store[self.m]
+        return tuple(join(s, den) for s in level[x])
+
+    def __iter__(self):
+        return iter(self.store[self.m][1])
+
+    def __len__(self):
+        return len(self.store[self.m][1])
+
+    def __setitem__(self, x, vec):
+        (den, level), (vden, items) = self.store[self.m], split(vec)
+        big = lcm(den, vden)
+        self.store[self.m] = big, {**{y: tuple(s * (big // den) for s in v)
+                                      for y, v in level.items()},
+                                   x: tuple(s * (big // vden) for s in items)}
+
+
+def _split_level(level):
+    """(den, {x: vector}) for a mapping of value tuples, as `exact.split`
+    gives them; a `_Level` as stored (a write replaces a level's dict)."""
+    if isinstance(level, _Level):
+        return level.store[level.m]
+    den, items = split([v for vec in level.values() for v in vec])
+    items = iter(items)
+    return den, {x: tuple(islice(items, len(vec))) for x, vec in level.items()}
+
+
+def _differ(a, da, b, db):
+    """Whether the vectors of numerators a / da and b / db differ."""
+    return tuple(s * db for s in a) != tuple(s * da for s in b)
+
+
 def _distinct(nus, where):
     """nus as a tuple; a nu that is not an int (bool included), or a
     repeated nu (nu -> -nu would merge), raises."""
@@ -292,42 +341,44 @@ class EigenSymbol:
         self.tower = tower
         self.kappa = kappa
         self.base_level = base_level
-        self.base_data = dict(base_data)
         self.nus = _distinct(nus, "eigen-symbol")
-        d = len(self.nus)
+        self.numerators = {base_level: _split_level(base_data)}
+        base = self.numerators[base_level][1]
         for x in tower.elements(base_level):
-            if x not in self.base_data:
+            if x not in base:
                 raise ValueError(f"missing base datum at {x}")
-            if len(self.base_data[x]) != d:
+            if len(base[x]) != len(self.nus):
                 raise ValueError("component count mismatch")
+
+    @property
+    def base_data(self):
+        return _Level(self.numerators, self.base_level)
 
 
 def build_mu(sym, m0):
     """values mu(x + p^m) = kappa^{-m} B_m(x) = kappa^{-M} S_m(x) for
     m0 <= m <= M, the base level: S_m(x) sums the base data over the
-    descendants of x, on the base data split over one denominator."""
+    descendants of x, on numerators over one denominator."""
     if m0 < 1 or m0 > sym.base_level:
         raise ValueError("need 1 <= m0 <= base level")
-    tower = sym.tower
-    sums, den, knum = _split_vectors(sym.base_data,
-                                     (1 / scalar(sym.kappa)) ** sym.base_level)
-    values = {}
-    for m in range(sym.base_level, m0 - 1, -1):
-        if m < sym.base_level:
-            sums = {x: _vector_sum(sums[y] for y in ys)
-                    for x, ys in tower.lifts(m).items()}
-        values[m] = {x: tuple(join(s * knum, den) for s in vec)
-                     for x, vec in sums.items()}
-    return Distribution(tower, sym.nus, dict(reversed(values.items())))
+    tower, big_m = sym.tower, sym.base_level
+    store = {big_m: _scaled(sym.numerators[big_m],
+                            (1 / scalar(sym.kappa)) ** big_m)}
+    for m in range(big_m - 1, m0 - 1, -1):
+        den, sums = store[m + 1]
+        store[m] = den, {x: _vector_sum(sums[y] for y in ys)
+                         for x, ys in tower.lifts(m).items()}
+    return Distribution(tower, sym.nus, {m: _Level(store, m)
+                                         for m in sorted(store)})
 
 
-def _split_vectors(data, scale):
-    """({x: items}, den, num): each v * scale is join(item * num, den)."""
-    sden, (num,) = split([scale])
-    den, items = split([v for vec in data.values() for v in vec])
-    items = iter(items)
-    return ({x: tuple(next(items) for _ in vec) for x, vec in data.items()},
-            den * sden, num)
+def _scaled(level, scale):
+    """The split level (den, {x: vector}) times the scalar scale; a Cyclo
+    numerator 1 still multiplies, placing each value at its conductor."""
+    (sden, (num,)), (den, vectors) = split([scale]), level
+    if type(num) is not int or num != 1:
+        vectors = {x: tuple(s * num for s in v) for x, v in vectors.items()}
+    return den * sden, vectors
 
 
 def check_distribution_relation(mu):
@@ -339,10 +390,11 @@ def check_distribution_relation(mu):
     for m, m1 in zip(levels, levels[1:]):
         if m1 != m + 1:
             raise ValueError("stored levels must be consecutive")
-        lifts, deeper = mu.tower.lifts(m), mu.values[m1]
-        for x, vec in mu.values[m].items():
+        lifts, (den, level) = mu.tower.lifts(m), mu.numerators[m]
+        dden, deeper = mu.numerators[m1]
+        for x, vec in level.items():
             acc = _vector_sum(deeper[y] for y in lifts[x])
-            if any(a != b for a, b in zip(acc, vec)):
+            if _differ(vec, den, acc, dden):
                 return False, (x, m)
     return True, None
 
@@ -351,10 +403,12 @@ def check_boundedness(mu, p, floor=0):
     """Every stored coordinate has v_p >= floor (the integral-lattice
     normalization is the caller's floor parameter)."""
     for m in mu.levels:
-        for x, vec in mu.values[m].items():
-            for idx, v in enumerate(vec):
-                if v and vp(v, p) < floor:
-                    return False, (x, m, mu.nus[idx], v)
+        den, level = mu.numerators[m]
+        low = floor + vp(den, p)  # v_p(s / den) < floor
+        for x, vec in level.items():
+            for idx, s in enumerate(vec):
+                if s and vp(s, p) < low:
+                    return False, (x, m, mu.nus[idx], join(s, den))
     return True, None
 
 
@@ -369,7 +423,7 @@ def integrate_character(mu, chi):
         raise ValueError("character conductor exceeds the stored depth")
     m = max(lvl, levels[0])
     out = _integrate_at(mu, chi, m)
-    if m + 1 in mu.values:
+    if m + 1 in mu.numerators:
         deeper = _integrate_at(mu, chi, m + 1)
         if any(a != b for a, b in zip(out, deeper)):
             raise ArithmeticError("character integral is not level-stable")
@@ -378,15 +432,15 @@ def integrate_character(mu, chi):
 
 def _integrate_at(mu, chi, m):
     """The integral at level m, from the level's exponent table."""
-    tower, level = mu.tower, mu.values[m]
+    tower, (den, level) = mu.tower, mu.numerators[m]
     return _component_sums(tower.char_order(chi), tower.char_powers(chi, m),
-                           [level[x] for x in tower.elements(m)])
+                           [level[x] for x in tower.elements(m)], den)
 
 
-def _component_sums(n, ks, vecs):
-    """The entrywise sum of zeta_n^ks[i] * vecs[i]: one Cyclo.root_sum per
-    component."""
-    return tuple(Cyclo.root_sum(n, zip(ks, column)) for column in zip(*vecs))
+def _component_sums(n, ks, vecs, den):
+    """The entrywise sum of zeta_n^ks[i] * vecs[i] / den: one
+    `exact.exponent_sum` per component."""
+    return tuple(exponent_sum(n, ks, column, den) for column in zip(*vecs))
 
 
 def _vector_sum(vecs):
@@ -403,26 +457,24 @@ def fourier_inversion_check(mu, m):
 
     Fourier inversion holds for every function on a finite abelian group,
     so this checks the tower's character and exponent arithmetic
-    (`char_powers`, `char_order`, the root sums), not mu: any values pass.
-    `check_distribution_relation` is the check that tests the
+    (`char_powers`, `char_order`, the exponent sums), not mu: any values
+    pass.  `check_distribution_relation` is the check that tests the
     distribution."""
     tower = mu.tower
-    chars = tower.characters(m)
-    elements = tower.elements(m)
-    vecs = [mu.values[m][x] for x in elements]
+    chars, elements = tower.characters(m), tower.elements(m)
+    vecs = [mu.numerators[m][1][x] for x in elements]
     orders = [tower.char_order(chi) for chi in chars]
     tables = [tower.char_powers(chi, m) for chi in chars]
-    integrals = [_component_sums(n, ks, vecs) for n, ks in zip(orders, tables)]
-    # chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N} over L = lcm of the N;
-    # row i of zip(*inverse) holds the weights of x0 = elements[i]
+    integrals = [_component_sums(n, ks, vecs, 1)
+                 for n, ks in zip(orders, tables)]
+    # the integrals times den; chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N}
+    # over L = lcm of the N; row i of zip(*inverse) weights x0 = elements[i]
     big = lcm(*orders)
     inverse = [[-k * (big // n) for k in ks] for n, ks in zip(orders, tables)]
-    size = len(elements)
-    for x0, weights in zip(elements, zip(*inverse)):
-        acc = _component_sums(big, weights, integrals)
-        want = tuple(size * v for v in mu.values[m][x0])
-        if any(a != b for a, b in zip(acc, want)):
-            return False, x0
+    for x0, weights, vec in zip(elements, zip(*inverse), vecs):
+        for column, s in zip(zip(*integrals), vec):
+            if exponent_sum(big, (*weights, 0), (*column, -len(vecs) * s)):
+                return False, x0
     return True, None
 
 
@@ -492,21 +544,21 @@ def value_vee_reindexer(nus):
 
 
 def dual_symbol(sym, n, kappa_dual):
-    """Synthetic twisted eigen-symbol: base'(x) = (kd/k)^M vee(base(x^vee)).
+    """Synthetic twisted eigen-symbol: base'(x) = (kd/k)^M vee(base(x^vee)),
+    on the split base data.
 
     The scale (kappa_dual / kappa)^M at the base level M makes the
     push-down bookkeeping reproduce mu_dual(x^vee) = (mu(x))^vee exactly;
     without it the two sides differ by (kappa/kappa_dual)^M.
     """
-    tower, M = sym.tower, sym.base_level
+    tower, big_m = sym.tower, sym.base_level
     dual_nus, reindex = value_vee_reindexer(sym.nus)
-    vecs, den, num = _split_vectors(
-        {x: reindex(sym.base_data[tower.vee(M, x, n)])
-         for x in tower.elements(M)},
-        (1 / scalar(sym.kappa)) ** M * kappa_dual ** M)
-    base = {x: tuple(join(s * num, den) for s in vec)
-            for x, vec in vecs.items()}
-    return EigenSymbol(tower, kappa_dual, M, base, dual_nus)
+    den, level = sym.numerators[big_m]
+    base = _scaled((den, {x: reindex(level[tower.vee(big_m, x, n)])
+                          for x in tower.elements(big_m)}),
+                   (1 / scalar(sym.kappa)) ** big_m * kappa_dual ** big_m)
+    return EigenSymbol(tower, kappa_dual, big_m, _Level({big_m: base}, big_m),
+                       dual_nus)
 
 
 def dual_kappa_pair(n, q, lam_full, lam_prime_full):
@@ -543,20 +595,14 @@ def check_functional_equation(mu, mu_dual, n):
     if mu.levels != mu_dual.levels:
         return {"ok": False, "witness": "level ranges differ",
                 "kappa_relation_ok": None}
-    tower = mu.tower
     for m in mu.levels:
-        for x, vec in mu.values[m].items():
-            xv = tower.vee(m, x, n)
-            want = reindex(vec)
-            got = mu_dual.values[m][xv]
-            if any(a != b for a, b in zip(want, got)):
+        (den, level), (dden, dual) = mu.numerators[m], mu_dual.numerators[m]
+        for x, vec in level.items():
+            if _differ(reindex(vec), den, dual[mu.tower.vee(m, x, n)], dden):
                 return {"ok": False, "witness": (x, m),
                         "kappa_relation_ok": None}
-    kappa_ok = None
-    if mu.eigen and mu_dual.eigen:
-        eta_n = mu.eigen["eta_n"]
-        eta_prime = mu.eigen["eta_prime"]
-        kappa = mu.eigen["kappa"]
-        kd = mu_dual.eigen["kappa"]
-        kappa_ok = kappa == kd * eta_n ** (n - 1) * eta_prime ** n
+    kappa_ok, e = None, mu.eigen
+    if e and mu_dual.eigen:
+        kappa_ok = e["kappa"] == (mu_dual.eigen["kappa"] * e["eta_n"] ** (n - 1)
+                                  * e["eta_prime"] ** n)
     return {"ok": True, "witness": None, "kappa_relation_ok": kappa_ok}

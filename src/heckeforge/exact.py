@@ -21,8 +21,9 @@ Equality is literal equality of the reduced fields, canonical at one
 conductor, once y is lifted to x's (if its conductor divides x's, as a
 rational's does); otherwise x == y is a zero x - y.  A weighted sum of
 roots of unity, sum of zeta_n^k * v (a character integral), is one
-`Cyclo.root_sum`: the integer numerators are added at their exponents and
-reduced once, with no product per term.  No floating point anywhere.
+`exponent_sum` over numerators split over one denominator: they are
+added at their exponents and reduced once, with no product per term.
+No floating point anywhere.
 
 phi(m), Phi_m (from binomials), the smallest conductor of an element and
 gauss's primitive roots all come from one memoised `_prime_factors(m)`.
@@ -40,18 +41,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, inf, lcm, prod
 from operator import add, sub
-from typing import NamedTuple
 
 PADIC_INFINITY = inf
-
-
-class PadicVal(NamedTuple):
-    prime: int
-    value: object  # int or math.inf
-
-    def __int__(self):
-        return int(self.value)
-
 
 # The largest p that is_prime tests: its trial division takes about 0.1 s
 # in pure Python, so a larger p raises ValueError instead of running long.
@@ -127,12 +118,6 @@ def vp(x, p):
     else:
         num, den = x.numerator, x.denominator
     return vp_int(num, p) - vp_int(den, p) if num else PADIC_INFINITY
-
-
-def padic_valuation(x, p):
-    """Exact valuation as a PadicVal; rejects non-prime p."""
-    check_prime(p)
-    return PadicVal(p, vp(x, p))
 
 
 @lru_cache(maxsize=None)
@@ -257,31 +242,10 @@ class Cyclo:
     @classmethod
     def root_sum(cls, n, terms):
         """The sum of zeta_n^k * v over the pairs (k, v), each v an int, a
-        Fraction or a Cyclo at any conductor.
-
-        The result lies at M = lcm(n, the conductors of the v), where the
-        products Cyclo.zeta(n, k) * v and their sum would: the integer
-        numerators, over one common denominator, are added into a length-M
-        vector in Z[x]/(x^M - 1), which is reduced once.  One pass splits
-        the nonzero rational terms from the Cyclo terms."""
-        rats, cycs, big_m, den = [], [], n, 1
-        for k, v in terms:
-            if isinstance(v, Cyclo):
-                big_m, den = lcm(big_m, v.m), lcm(den, v.den)
-                cycs.append((k, v))
-            elif num := v.numerator:
-                rats.append((k, num, d := v.denominator))
-                den = lcm(den, d)
-        step = big_m // n
-        acc = [0] * big_m
-        for k, num, d in rats:  # no scaling when every denominator is 1
-            acc[k * step % big_m] += num if d == den else num * (den // d)
-        for k, v in cycs:
-            at, vstep, scale = k * step, big_m // v.m, den // v.den
-            for i, x in enumerate(v.num):
-                if x:
-                    acc[(at + i * vstep) % big_m] += x * scale
-        return _cyclo(big_m, acc, den)
+        Fraction or a Cyclo: `exponent_sum` over the values' `split`."""
+        ks, values = list(zip(*terms)) or ((), ())
+        den, items = split(values)
+        return exponent_sum(n, ks, items, den)
 
     @classmethod
     def _coerce(cls, x):
@@ -475,6 +439,34 @@ def join(s, den):
     """s / den for an int or a Cyclo s, with no inverse and no product."""
     return (_cyclo(s.m, list(s.num), s.den * den) if type(s) is Cyclo
             else Fraction(s, den))
+
+
+def exponent_sum(n, ks, items, den=1):
+    """(sum of zeta_n^k * s over zip(ks, items)) / den, for exponents k of
+    any sign and the items of `split`: ints and den-1 Cyclos.
+
+    The result lies at M = lcm(n, the Cyclos' conductors), where the
+    products zeta_n^k * s and their sum would: the ints are added into one
+    length-n histogram at k mod n, each Cyclo's numerators at their
+    exponents in Z[x]/(x^M - 1), with no product per term, and the whole
+    is reduced once."""
+    acc, cycs = [0] * n, []
+    for k, s in zip(ks, items):
+        if type(s) is int:
+            acc[k % n] += s
+        else:
+            cycs.append((k, s))
+    if not cycs:
+        return _cyclo(n, acc, den)
+    big_m = lcm(n, *(s.m for _, s in cycs))
+    out, step = [0] * big_m, big_m // n
+    out[::step] = acc
+    for k, s in cycs:
+        at, vstep = k * step, big_m // s.m
+        for i, x in enumerate(s.num):
+            if x:
+                out[(at + i * vstep) % big_m] += x
+    return _cyclo(big_m, out, den)
 
 
 _ZERO = Fraction(0)

@@ -275,11 +275,6 @@ def expand_Vp(ctx):
     return _expand(ctx, "Vp")
 
 
-def expand_Vp_prime(ctx):
-    """V_p': u pi t_(pi) K over the same u."""
-    return _expand(ctx, "Vp'")
-
-
 def expand_U(ctx, i):
     """U_i: the cosets u pi_i K_I over the p^(n-i) upper-unipotent u
     whose only off-diagonal entries lie in row i-1, each in range(p).

@@ -250,23 +250,6 @@ class LaurentPoly:
             raise ValueError("not constant")
         return self.terms[()]
 
-    def substitute(self, assign):
-        """Substitute scalars or polynomials for (some) variables."""
-        out = LaurentPoly.const(0)
-        for k, v in self.terms.items():
-            term = LaurentPoly.const(v)
-            for name, ex in k:
-                if name in assign:
-                    val = assign[name]
-                    if isinstance(val, LaurentPoly):
-                        term = term * val ** ex
-                    else:
-                        term = term * scalar(val) ** ex
-                else:
-                    term = term * LaurentPoly.var(name, ex)
-            out = out + term
-        return out
-
     def rename(self, mapping):
         """Rename variables (used for symmetry checks)."""
         t = {}

@@ -151,10 +151,6 @@ def dual_diag(n, x):
         [-x] + [lconst(-1)] * (n - 3) + [sign_last * x ** (-1)])
 
 
-def w_tilde(n):
-    return j_emb(weyl_longest(n - 1)) * weyl_longest(n)
-
-
 # ---------------------------------------------------------------------------
 # the family of matrices behind the distribution relation
 

@@ -73,20 +73,14 @@ def _case_dist_integrate(rng):
     mu = dist.build_mu(sym, 1)
     trivial = next(c for c in tower.characters(1) if c.is_trivial())
     total = dist.integrate_character(mu, trivial)
-    mass = None
-    for x in tower.elements(1):
-        v = mu.values[1][x]
-        mass = v if mass is None else tuple(a + b for a, b in zip(mass, v))
+    mass = dist._vector_sum(mu.values[1][x] for x in tower.elements(1))
     if total != mass:
         return _ok(False, {"case": "total-mass"})
     quad = next(c for c in tower.characters(2)
                 if c.conductor_exponent() == 2)
     got = dist.integrate_character(mu, quad)
-    brute = None
-    for x in tower.elements(2):
-        term = tuple(quad.value(x) * v for v in mu.values[2][x])
-        brute = term if brute is None else tuple(
-            a + b for a, b in zip(brute, term))
+    brute = dist._vector_sum(tuple(quad.value(x) * v for v in mu.values[2][x])
+                             for x in tower.elements(2))
     return _ok(all(a == b for a, b in zip(got, brute)), {"case": "deep-sum"})
 
 

@@ -47,12 +47,6 @@ def check_purity(mu):
     return False, None
 
 
-def contragredient_weight(mu):
-    embs = _as_embeddings(mu)
-    out = tuple(tuple(-x for x in reversed(w)) for w in embs)
-    return out if len(out) > 1 else out[0]
-
-
 def branch(mu):
     """All GL_{n-1} highest weights interlacing a single-embedding mu,
     in lexicographic order, each with multiplicity one."""
@@ -111,7 +105,7 @@ def emb_set(nu, mu):
 
 def langlands_parameter(mu, w):
     """l = 2(mu + rho_n) - (w) per embedding; rho half-sums doubled stay
-    integral: l_i = 2 mu_i + (n + 1 - 2(i+1) + 1) - w."""
+    integral: l_i = 2 mu_i + (n + 1 - 2(i+1)) - w."""
     embs = _as_embeddings(mu)
     n = len(embs[0])
     return [tuple(2 * wv[i] + (n + 1 - 2 * (i + 1)) - w for i in range(n))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heckeforge import distributions as dist
 from heckeforge import gauss, modules
-from heckeforge.exact import Cyclo, scalar_json
+from heckeforge.exact import Cyclo, scalar_json, vp
 
 
 def make_symbol(rng, p, M, kappa, d=1, tower=None):
@@ -821,3 +821,186 @@ def test_a_nu_that_is_not_an_int_is_refused(make, nus):
         make(tower, base, nus)
     assert str(refused.value).endswith(
         f"field 'nus' = {nus!r} must hold ints only")
+
+
+# The checks on split levels against per-term references on the values
+# read back as Fractions and Cyclos, as every check read them before the
+# levels were stored split.
+
+def _relation_reference(mu):
+    levels = mu.levels
+    for m in levels[:-1]:
+        lifts, deeper = mu.tower.lifts(m), mu.values[m + 1]
+        for x, vec in mu.values[m].items():
+            acc = _weighted_sum_reference((1, deeper[y]) for y in lifts[x])
+            if any(a != b for a, b in zip(acc, vec)):
+                return False, (x, m)
+    return True, None
+
+
+def _integrate_character_reference(mu, chi):
+    """The integral at the shallowest level above the conductor, or
+    "unstable" where the next stored level gives another."""
+    m = max(mu.tower.char_conductor_level(chi), mu.levels[0])
+    out = _integrate_reference(mu, chi, m)
+    if m + 1 in mu.values and any(
+            a != b for a, b in zip(out, _integrate_reference(mu, chi, m + 1))):
+        return "unstable"
+    return _fields(out)
+
+
+def _integrate_character_outcome(mu, chi):
+    try:
+        return _fields(dist.integrate_character(mu, chi))
+    except ArithmeticError:
+        return "unstable"
+
+
+def _functional_equation_reference(mu, mu_dual, n):
+    """The first (x, m) with (mu(x))^vee != mu_dual(x^vee), or None."""
+    _, reindex = dist.value_vee_reindexer(mu.nus)
+    for m in mu.levels:
+        for x, vec in mu.values[m].items():
+            got = mu_dual.values[m][mu.tower.vee(m, x, n)]
+            if any(a != b for a, b in zip(reindex(vec), got)):
+                return x, m
+    return None
+
+
+def _boundedness_reference(mu, p, floor):
+    for m in mu.levels:
+        for x, vec in mu.values[m].items():
+            for nu, v in zip(mu.nus, vec):
+                if v and vp(v, p) < floor:
+                    return False, (x, m, nu, v)
+    return True, None
+
+
+def _assert_checks_match_the_references(mu, mu_dual, n):
+    tower = mu.tower
+    if len(mu.levels) > 1:
+        assert (dist.check_distribution_relation(mu)
+                == _relation_reference(mu))
+    for m in mu.levels:
+        for chi in tower.characters(m):
+            assert (_fields(dist._integrate_at(mu, chi, m))
+                    == _fields(_integrate_reference(mu, chi, m)))
+            assert (_integrate_character_outcome(mu, chi)
+                    == _integrate_character_reference(mu, chi))
+        assert dist.fourier_inversion_check(mu, m) == _fourier_reference(mu, m)
+    assert (dist.check_functional_equation(mu, mu_dual, n)["witness"]
+            == _functional_equation_reference(mu, mu_dual, n))
+    for floor in (-1, 0, 1):
+        got = dist.check_boundedness(mu, tower.p, floor)
+        want = _boundedness_reference(mu, tower.p, floor)
+        assert got[:1] == want[:1] and str(got[1]) == str(want[1])
+        if not got[0]:
+            assert _fields(got[1][3:]) == _fields(want[1][3:])
+
+
+# A value added to one component: 1, denominators that no drawn value or
+# kappa has (7, 11), and a Cyclo that makes a rational level hold one
+BUMPS = st.sampled_from([F(1), F(1, 7), F(-5, 11), Cyclo.zeta(3)])
+
+
+@pytest.mark.parametrize("tower, depth", [
+    (dist.QTower(2), 3), (dist.QTower(3), 2),
+    (dist.AbstractTower(2, 2), 2), (dist.AbstractTower(3, 2), 2)])
+@pytest.mark.parametrize("conductor", [1, 4, 9],
+                         ids=["mixed-denominators", "cyclo-4", "cyclo-9"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_split_levels_match_the_per_term_references(tower, depth, conductor,
+                                                    data):
+    """Relation, integrals, Fourier inversion, functional equation and
+    boundedness on the split levels give what the per-term references
+    give on the values, before and after one value is bumped at one coset;
+    the relation and the functional equation reject the bump there."""
+    values = _values(conductor)
+    base = {x: (data.draw(values), data.draw(values))
+            for x in tower.elements(depth)}
+    sym = dist.EigenSymbol(tower, data.draw(st.sampled_from(KAPPAS)), depth,
+                           base, [0, 1])
+    n = data.draw(st.sampled_from([2, 3]))
+    mu = dist.build_mu(sym, 1)
+    mu_dual = dist.build_mu(
+        dist.dual_symbol(sym, n, data.draw(st.sampled_from(KAPPAS))), 1)
+    _assert_checks_match_the_references(mu, mu_dual, n)
+    m = data.draw(st.sampled_from(mu.levels))
+    x = data.draw(st.sampled_from(tower.elements(m)))
+    vec = list(mu.values[m][x])
+    vec[0] += data.draw(BUMPS)
+    mu.values[m][x] = tuple(vec)
+    assert dist.check_distribution_relation(mu)[0] is False
+    assert dist.check_functional_equation(mu, mu_dual, n)["witness"] == (x, m)
+    _assert_checks_match_the_references(mu, mu_dual, n)
+
+
+def test_a_write_with_a_new_denominator_is_seen_by_every_check():
+    """mu.values[m][x] = vec with a denominator the level lacks brings the
+    level over the lcm, and the next relation, integral, functional
+    equation and boundedness check read the written value."""
+    tower, n = dist.QTower(3), 2
+    sym = make_symbol(random.Random(36), 3, 3, F(2), d=2)
+    mu = dist.build_mu(sym, 1)
+    mu_dual = dist.build_mu(dist.dual_symbol(sym, n, F(5)), 1)
+    chi = next(c for c in tower.characters(2)
+               if tower.char_conductor_level(c) == 2)
+    before = dist._integrate_at(mu, chi, 2)
+    assert dist.check_distribution_relation(mu) == (True, None)
+    assert dist.check_functional_equation(mu, mu_dual, n)["ok"]
+    assert dist.check_boundedness(mu, 3) == (True, None)
+    x = tower.elements(2)[3]
+    den = mu.numerators[2][0]
+    assert den % 21
+    vec = mu.values[2][x]
+    written = (vec[0] + F(1, 21), vec[1])
+    mu.values[2][x] = written
+    assert mu.numerators[2][0] == den * 21
+    assert mu.values[2][x] == written
+    assert dist.check_distribution_relation(mu) == (False, (x % 3, 1))
+    after = dist._integrate_at(mu, chi, 2)
+    assert after[0] != before[0] and after[1] == before[1]
+    assert after == _integrate_reference(mu, chi, 2)
+    with pytest.raises(ArithmeticError, match="not level-stable"):
+        dist.integrate_character(mu, chi)
+    assert dist.check_functional_equation(mu, mu_dual, n)["witness"] == (x, 2)
+    assert dist.check_boundedness(mu, 3) == (False, (x, 2, 0, written[0]))
+    assert dist.fourier_inversion_check(mu, 2) == (True, None)
+
+
+def test_fourier_inversion_reads_a_written_value():
+    """Fourier inversion passes on any values, so it is shown a write
+    through a tower with one wrong exponent, at x = 2: with no mass at 2
+    only x0 = 2 fails; once a value is written there, x0 = 1 fails too."""
+    rng = random.Random(36)
+    tower = _OffByOneTower(3)
+    level = {x: (F(rng.randrange(1, 9)), F(rng.randrange(-9, 9)))
+             if x != 2 else (F(0), F(0)) for x in tower.elements(2)}
+    mu = dist.Distribution(tower, [0, 1], {2: level})
+    assert dist.fourier_inversion_check(mu, 2) == (False, 2)
+    mu.values[2][2] = (F(1, 7), F(0))
+    assert dist.fourier_inversion_check(mu, 2) == (False, 1)
+
+
+@REFERENCE
+@given(symbols().filter(lambda sym: isinstance(sym.tower, dist.QTower)))
+def test_json_round_trip_of_split_levels(sym):
+    """A distribution read back from its JSON has the same values, JSON
+    and check results; with Fraction base data its values are the literal
+    push-down's Fractions, field for field."""
+    mu = dist.build_mu(sym, 1)
+    back = dist.Distribution.from_json(mu.to_json())
+    assert back.values == mu.values and back.to_json() == mu.to_json()
+    if len(mu.levels) > 1:
+        assert (dist.check_distribution_relation(back)
+                == dist.check_distribution_relation(mu))
+    want = _build_mu_reference(sym, 1)
+    if all(type(v) is F for vec in sym.base_data.values() for v in vec) \
+            and type(sym.kappa) is F:
+        assert {m: {x: _fields(vec) for x, vec in back.values[m].items()}
+                for m in back.levels} == {
+            m: {x: _fields(vec) for x, vec in level.items()}
+            for m, level in want.items()}
+    else:
+        assert {m: dict(level) for m, level in back.values.items()} == want

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeforge import exact
-from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, PadicVal,
-                              _cyclo, _prime_factors, as_rational,
-                              check_bound, check_prime, cyclotomic_poly,
-                              euler_phi, is_prime, padic_valuation,
-                              join, power_within, scalar, scalar_from_json,
-                              scalar_json, split, vp)
+from heckeforge.exact import (MAX_CONDUCTOR, MAX_PRIME, Cyclo, _cyclo,
+                              _prime_factors, as_rational, check_bound,
+                              check_prime, cyclotomic_poly, euler_phi,
+                              exponent_sum, is_prime, join, power_within,
+                              scalar, scalar_from_json, scalar_json, split,
+                              vp)
 
 
 def _divisors(m):
@@ -204,12 +204,10 @@ def test_conjugation_is_ring_involution():
         assert a.conj().conj() == a
 
 
-def test_padic_valuation_examples():
-    assert padic_valuation(Fraction(24, 5), 2) == PadicVal(2, 3)
-    assert padic_valuation(0, 3).value == inf
-    assert padic_valuation(Fraction(9, 2), 3).value == 2
-    with pytest.raises(ValueError):
-        padic_valuation(Fraction(1), 4)
+def test_vp_examples():
+    assert vp(Fraction(24, 5), 2) == 3
+    assert vp(0, 3) == inf
+    assert vp(Fraction(9, 2), 3) == 2
 
 
 def test_valuation_is_multiplicative():
@@ -665,6 +663,32 @@ def test_root_sum_of_all_roots_is_zero_at_the_lcm():
     # zeta_3^2 / 2 + zeta_3^{-1} = (3/2) zeta_3^2
     got = Cyclo.root_sum(3, [(2, Fraction(1, 2)), (-1, 1)])
     assert got == Cyclo.zeta(3, 2) * Fraction(3, 2)
+
+
+@st.composite
+def exponent_sums(draw):
+    """An n, exponents of any sign, and the items of `split` over some den:
+    all ints, or ints and den-1 Cyclos at divisors of some M <= 60."""
+    big_m = draw(st.integers(1, 60))
+    divs = st.sampled_from(_divisors(big_m))
+    n = draw(divs)
+    values = (RATIONALS if draw(st.booleans())
+              else st.one_of(RATIONALS, divs.flatmap(cyclos)))
+    terms = draw(st.lists(st.tuples(st.integers(-2 * n, 2 * n), values),
+                          min_size=1, max_size=12))
+    den, items = split([v for _, v in terms])
+    return n, [k for k, _ in terms], items, den, terms
+
+
+@PROPERTY
+@given(exponent_sums())
+def test_exponent_sum_matches_the_per_term_path(case):
+    """exponent_sum over split items and their den is, field for field, the
+    per-term sum of zeta_n^k * v over the values themselves."""
+    n, ks, items, den, terms = case
+    got = exponent_sum(n, ks, items, den)
+    want = _root_sum_reference(n, terms)
+    assert (got.m, got.num, got.den) == (want.m, want.num, want.den)
 
 
 @PROPERTY

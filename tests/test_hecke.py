@@ -369,7 +369,7 @@ def test_expand_counts():
     assert len(hecke.expand_V(_ctx(3, 2), 1)) == 4
     assert len(hecke.expand_V(_ctx(3, 2), 2)) == 4
     assert len(hecke.expand_Vp(_ctx(3, 2))) == 16
-    assert len(hecke.expand_Vp_prime(_ctx(3, 2))) == 16
+    assert len(hecke.expand_operator(_ctx(3, 2), "Vp'")) == 16
     assert len(hecke.expand_U(_ctx(3, 2), 1)) == 4
     assert len(hecke.expand_U(_ctx(3, 2), 2)) == 2
     assert len(hecke.expand_U(_ctx(3, 2), 3)) == 1

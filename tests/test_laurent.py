@@ -20,15 +20,6 @@ def test_monomial_arithmetic():
     assert lconst(Fraction(1, 2)) * 2 == 1
 
 
-def test_substitution():
-    f, x = lvar("f"), lvar("x")
-    poly = f ** 2 * x - 3 * x + f ** -1
-    val = poly.substitute({"f": Fraction(2), "x": Fraction(5)})
-    assert val.constant_value() == Cyclo.rational(Fraction(4 * 5 - 15) + Fraction(1, 2))
-    partial = poly.substitute({"x": Fraction(1)})
-    assert partial == f ** 2 - 3 + f ** -1
-
-
 def test_unit_inverse_and_error():
     f = lvar("f")
     u = 3 * f ** -2
@@ -196,11 +187,6 @@ def test_mixed_cyclotomic_and_rational_coefficients():
     assert sq == (z * z * f ** 2 + Fraction(1, 4) * x ** 2 + 9 + z * f * x
                   - 6 * z * f - 3 * x)
     assert type(sq.terms[(("x", 2),)]) is Fraction
-    # substitute a Cyclo, an int and a Fraction, one with a negative power
-    val = (poly * x ** -1).substitute({"f": z, "x": 2})
-    assert val.constant_value() == (Cyclo.zeta(3, 2) - 2) / 2
-    val = poly.substitute({"f": Fraction(1, 3), "x": 4})
-    assert val.constant_value() == z / 3 - 1
     # unit_inverse inverts by the coefficient's type
     u = z * f ** 2
     assert u * u.unit_inverse() == 1

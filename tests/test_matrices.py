@@ -9,9 +9,9 @@ from heckeforge.exact import vp
 from heckeforge.laurent import LaurentMatrix, lconst, lvar
 from heckeforge.matrices import (GlnContext, build_distribution_family,
                                  det_pair_ok, family_symbolic, h_matrix, h_one,
-                                 iota_involution, j_delta, t_matrix,
+                                 iota_involution, j_delta, j_emb, t_matrix,
                                  verify_epimorphism, verify_inverseft,
-                                 verify_inverseh, w_tilde, weyl_longest)
+                                 verify_inverseh, weyl_longest)
 from heckeforge.ratmat import RatMat
 from test_laurent import assert_same_terms, reference_product
 
@@ -55,7 +55,7 @@ def test_j_delta_and_w_tilde():
     g = LaurentMatrix([[1, 2], [0, 1]])
     jd = j_delta(g, lconst(Fraction(3)), 2)
     assert jd.entries[2][2] == lconst(9)
-    wt = w_tilde(3).to_ratmat()
+    wt = (j_emb(weyl_longest(2)) * weyl_longest(3)).to_ratmat()
     wn = weyl_longest(3).to_ratmat()
     assert wt * wt.inv() == RatMat.identity(3)
     # w~ = j(w_{n-1}) w_n differs from w_n in the GL_{n-1} block

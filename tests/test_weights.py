@@ -76,6 +76,22 @@ def test_gl2_family():
         assert data["bijection_ok"] is True
 
 
+def test_langlands_parameter_is_twice_mu_plus_rho_less_w():
+    """l = 2(mu + rho_n) - w per embedding, against rho_n formed as
+    Fractions: rho_i = (n - 1)/2 - i for i = 0, ..., n - 1."""
+    assert weights.langlands_parameter([1, 0, -1], 0) == [(4, 0, -4)]
+    rng = random.Random(18)
+    for _ in range(50):
+        n = rng.randrange(1, 6)
+        embs = [sorted(rng.sample(range(-10, 11), n), reverse=True)
+                for _ in range(rng.randrange(1, 4))]
+        w = rng.randrange(-12, 13)
+        rho = [Fraction(n - 1, 2) - i for i in range(n)]
+        want = [tuple(2 * (m + r) - w for m, r in zip(mu, rho))
+                for mu in embs]
+        assert weights.langlands_parameter(embs, w) == want
+
+
 def test_critical_n3_example():
     data = weights.critical_data([1, 0, -1], [1, -1])
     assert data["emb"] == [0]
@@ -147,7 +163,3 @@ def _pure(half, w, n):
     if any(mu[i] <= mu[i + 1] for i in range(n - 1)):
         return None
     return mu
-
-
-def test_contragredient_weight():
-    assert weights.contragredient_weight([3, 1, -2]) == (2, -1, -3)
