@@ -403,6 +403,11 @@ class Cyclo:
         return any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # both reduced, den and denominator positive: a rational Cyclo
+            # at any conductor holds x as num = (x.numerator, 0, ...)
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator and not any(self.num[1:]))
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented

@@ -586,7 +586,7 @@ def count_unipotent_index(ctx):
     n = ctx.n
     gens = [_identity_with(n, i, j, 1)
             for i in range(n) for j in range(i + 1, n)]
-    start = t_matrix(n, lconst(ctx.f)).to_ratmat()
+    start = t_matrix(RatMat, n, ctx.f)
     return len(CosetSum.orbit(ctx, start, gens))
 
 
@@ -603,7 +603,6 @@ def count_gamma_index(ctx):
     under j lists every coset.  Returns (index, the orbit)."""
     from heckeforge.gauss import unit_group_generators
     from heckeforge.matrices import h_matrix
-    from heckeforge.ratmat import j_embed
 
     m, p, r = ctx.n - 1, ctx.p, ctx.r
     # (Z/p^2)^* for odd p, (Z/8)^* for p = 2: generators of these
@@ -612,8 +611,8 @@ def count_gamma_index(ctx):
     gens = [_identity_with(m, i, i, u) for i in range(m) for u in units]
     gens += [_identity_with(m, i, j, 1 if i < j else p ** r)
              for i in range(m) for j in range(m) if i != j]
-    start = h_matrix(ctx.n, lconst(ctx.f)).to_ratmat()
-    cosets = CosetSum.orbit(ctx, start, [j_embed(g) for g in gens])
+    start = h_matrix(RatMat, ctx.n, ctx.f)
+    cosets = CosetSum.orbit(ctx, start, [g.j_embed() for g in gens])
     return len(cosets), cosets
 
 

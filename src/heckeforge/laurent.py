@@ -7,7 +7,9 @@ is rational and a `Cyclo` once a cyclotomic scalar enters it, so the
 all-rational polynomials of the matrix identities never reach the
 cyclotomic product.  Coefficients meet through plain operators, and a
 zero constant is the empty polynomial.  These carry the symbolic side of
-the matrix identity checks; numeric evaluation hands off to RatMat.
+the matrix identity checks.  A LaurentMatrix shares its building names
+(from_rows, diagonal, entry, inverse, transpose, scale, det, j_embed)
+with `ratmat.RatMat`, so one builder serves both rings.
 
 A matrix's determinant and the cofactors of its inverse are minors from
 one memoized Laplace expansion, which skips a zero entry or sub-minor.
@@ -30,8 +32,7 @@ of a product of several factors, for congruences modulo a power of it.
 
 from fractions import Fraction
 
-from heckeforge.exact import as_rational, join, scalar, split
-from heckeforge.ratmat import RatMat
+from heckeforge.exact import join, scalar, split
 
 
 class LaurentInversionError(ArithmeticError):
@@ -319,6 +320,10 @@ class LaurentMatrix:
         self.entries = tuple(rows)
 
     @classmethod
+    def from_rows(cls, rows):
+        return cls(rows)
+
+    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -327,8 +332,7 @@ class LaurentMatrix:
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
+    def entry(self, i, j):
         return self.entries[i][j]
 
     def __mul__(self, other):
@@ -361,6 +365,11 @@ class LaurentMatrix:
     def transpose(self):
         n = self.n
         return LaurentMatrix([[self.entries[j][i] for j in range(n)] for i in range(n)])
+
+    def j_embed(self):
+        """Diagonal embedding GL_{n-1} -> GL_n, block diag(g, 1)."""
+        return LaurentMatrix([list(row) + [0] for row in self.entries]
+                             + [[0] * self.n + [1]])
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -418,12 +427,6 @@ class LaurentMatrix:
                 cof = minor(others, every[:j] + every[j + 1:])
                 rows[j][i] = cof and (-cof if (i + j) % 2 else cof) * dinv
         return LaurentMatrix(rows)
-
-    def to_ratmat(self):
-        """Evaluate a constant matrix to an exact rational matrix; a Cyclo
-        constant that is not rational raises ValueError."""
-        return RatMat.from_rows([[as_rational(a.constant_value()) for a in row]
-                                 for row in self.entries])
 
     def __repr__(self):
         return f"LaurentMatrix({[[repr(e) for e in row] for row in self.entries]})"

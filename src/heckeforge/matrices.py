@@ -1,17 +1,17 @@
 """Distinguished GL(n) matrices and the exact matrix-identity checks.
 
-Everything is built twice where it matters: once over a Laurent ring in the
-formal variables (f, x, u_i, w_i) and once over exact rationals with f a
-prime power.  The congruence statements (mod f*p) become exact valuation
+Each builder is written once and takes the matrix class: `LaurentMatrix`
+over a Laurent ring in the formal variables (f, x, u_i, w_i), or `RatMat`
+over exact rationals with f a prime power, so the numeric checks multiply
+only RatMats.  The congruence statements (mod f*p) become exact valuation
 checks; the equality statements are checked literally.
 """
 
 from fractions import Fraction
 
 from heckeforge.exact import check_prime, vp
-from heckeforge.laurent import (LaurentMatrix, LaurentPoly, lconst, lvar,
-                                truncated_product)
-from heckeforge.ratmat import RatMat, j_embed
+from heckeforge.laurent import LaurentMatrix, lvar, truncated_product
+from heckeforge.ratmat import RatMat
 
 
 class GlnContext:
@@ -60,99 +60,105 @@ class GlnContext:
 
 
 # ---------------------------------------------------------------------------
-# symbolic builders (LaurentMatrix); numeric callers build them from
-# constants and read them back with to_ratmat
+# builders: each takes the matrix class M, RatMat or LaurentMatrix, and
+# scalars of its ring (Fractions for RatMat, LaurentPolys for LaurentMatrix)
 
-def weyl_longest(n):
-    return LaurentMatrix([[1 if j == n - 1 - i else 0 for j in range(n)]
-                          for i in range(n)])
-
-
-def t_matrix(n, f):
-    """diag(f^{n-1}, ..., f, 1)."""
-    f = LaurentPoly._coerce(f)
-    return LaurentMatrix.diagonal([f ** (n - 1 - i) for i in range(n)])
+def weyl_longest(M, n):
+    return M.from_rows([[int(j == n - 1 - i) for j in range(n)] for i in range(n)])
 
 
-def h_one(n):
+def t_matrix(M, n, f):
+    """diag(f^{n-1}, ..., f, 1); t_(f)^{-1} is t_matrix(M, n, f ** -1)."""
+    return M.diagonal([f ** (n - 1 - i) for i in range(n)])
+
+
+def h_one(M, n):
     rows = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         rows[i][n - 2 - i] = 1  # w_{n-1} block
         rows[i][n - 1] = 1
     rows[n - 1][n - 1] = 1
-    return LaurentMatrix(rows)
+    return M.from_rows(rows)
 
 
-def h_matrix(n, f):
+def h_matrix(M, n, f):
     """h^(f) = t_(f)^{-1} h^(1) t_(f); entry (i,j) is h^(1)_{ij} f^{i-j}."""
-    t = t_matrix(n, f)
-    return t.inverse() * h_one(n) * t
+    return t_matrix(M, n, f ** -1) * h_one(M, n) * t_matrix(M, n, f)
 
 
-def j_emb(g):
-    """Diagonal embedding GL_{n-1} -> GL_n for LaurentMatrix."""
-    return j_delta(g, 1, 0)
+def d_matrix(M, n, x):
+    """diag(x, 1, ..., 1); d_(x)^{-1} is d_matrix(M, n, x ** -1)."""
+    return M.diagonal([x] + [1] * (n - 1))
 
 
-def j_delta(g, pi, delta):
-    """g in GL_n goes to diag(g, pi^delta) in GL_{n+1}."""
-    n = g.n + 1
-    pi = LaurentPoly._coerce(pi)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            rows[i][j] = g.entries[i][j]
-    rows[n - 1][n - 1] = pi ** delta
-    return LaurentMatrix(rows)
+def _unit_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def d_matrix(n, x):
-    """diag(x, 1, ..., 1)."""
-    return LaurentMatrix.diagonal([LaurentPoly._coerce(x)] + [lconst(1)] * (n - 1))
-
-
-def upper_unipotent(n, superdiag):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def upper_unipotent(M, n, superdiag):
+    rows = _unit_rows(n)
     for i, e in enumerate(superdiag):
         rows[i][i + 1] = e
-    return LaurentMatrix(rows)
+    return M.from_rows(rows)
 
 
-def corrector_matrix(n, f):
+def corrector_matrix(M, n, f):
     """Lower bidiagonal matrix with diagonal (-1, 1, ..., 1, -1), subdiagonal -f."""
-    f = LaurentPoly._coerce(f)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[0][0] = -1
-    rows[n - 1][n - 1] = lconst(-1)
+    rows = _unit_rows(n)
+    rows[0][0] = rows[n - 1][n - 1] = -1
     for i in range(1, n):
         rows[i][i - 1] = -f
-    return LaurentMatrix(rows)
+    return M.from_rows(rows)
 
 
-def conjugated_toeplitz(n, f, x):
+def conjugated_toeplitz(M, n, f, x):
     """d_(x)^{-1} * [upper Toeplitz in powers of f] * d_(x), size (n-1)."""
-    f = LaurentPoly._coerce(f)
     m = n - 1
-    rows = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    rows = _unit_rows(m)
     for i in range(m):
         for j in range(i + 1, m):
             rows[i][j] = f ** (j - i)
-    dx = d_matrix(m, x)
-    return dx.inverse() * LaurentMatrix(rows) * dx
+    return d_matrix(M, m, x ** -1) * M.from_rows(rows) * d_matrix(M, m, x)
 
 
-def dual_diag(n, x):
+def dual_diag(M, n, x):
     """diag(-x, -1, ..., -1, (-1)^n x^{-1}) in GL_{n-1}; needs n >= 3."""
     if n < 3:
         raise ValueError("the contragredient diagonal needs rank >= 3")
-    x = LaurentPoly._coerce(x)
-    sign_last = lconst(1) if n % 2 == 0 else lconst(-1)
-    return LaurentMatrix.diagonal(
-        [-x] + [lconst(-1)] * (n - 3) + [sign_last * x ** (-1)])
+    last = x ** -1 if n % 2 == 0 else -(x ** -1)
+    return M.diagonal([-x] + [-1] * (n - 3) + [last])
 
 
 # ---------------------------------------------------------------------------
 # the family of matrices behind the distribution relation
+
+def _family(M, n, f, us, ws):
+    """What both rings share of the family, from the n-1 superdiagonal
+    entries us of u in U_n and the n-2 entries ws of w in U_{n-1}: a dict
+    of h(u,w), u^-, w^-, the probe j(u^-) h(u,w) j(w^-), its last column
+    and the diagonal d holding that column's first n-1 entries in reverse
+    order, with the factors w, h^(1) and u^{-1}."""
+    w = upper_unipotent(M, n - 1, ws)
+    tf, tfi = t_matrix(M, n, f), t_matrix(M, n, f ** -1)
+    th = h_one(M, n)
+    u_inv = upper_unipotent(M, n, us).inverse()
+    h_uw = (tf * w.j_embed() * tfi) * th * (tf * u_inv * tfi)
+
+    m = n - 1
+    um, wm = _unit_rows(m), _unit_rows(m)
+    for k in range(1, m):
+        um[k][k - 1] = f * us[n - 2 - k]
+        if n - 2 - k < len(ws):
+            wm[k][k - 1] = -f * ws[n - 2 - k]
+    u_minus, w_minus = M.from_rows(um), M.from_rows(wm)
+    probe = u_minus.j_embed() * h_uw * w_minus.j_embed()
+    last_col = [probe.entry(i, n - 1) for i in range(n)]
+    return {
+        "h(u,w)": h_uw, "u^-": u_minus, "w^-": w_minus, "probe": probe,
+        "last_column": last_col, "d(u,w)": M.diagonal(last_col[-2::-1]),
+        "w": w, "h^(1)": th, "u^-1": u_inv,
+    }
+
 
 def build_distribution_family(ctx, u_sup, w_sup):
     """Exact construction of h(u,w), u^-, w^-, d, d', the correction matrix
@@ -160,50 +166,30 @@ def build_distribution_family(ctx, u_sup, w_sup):
 
     u_sup: n-1 superdiagonal entries of u in U_n; w_sup: n-2 entries for
     U_{n-1}.  Returns a dict of RatMat values plus the verified relations.
-    The diagonal d collects the last column of j(u^-) h(u,w) j(w^-) in
-    reverse order and d' is its exact entrywise inverse, which makes
+    d' is d's exact entrywise inverse, in reverse order, which makes
     det(d) det(d') = 1 hold literally.
     """
     n, p, r = ctx.n, ctx.p, ctx.r
     if len(u_sup) != n - 1 or len(w_sup) != n - 2:
         raise ValueError("need n-1 u-entries and n-2 w-entries")
-    f = ctx.f
-    pi = ctx.pi
-    u = upper_unipotent(n, [lconst(Fraction(e)) for e in u_sup]).to_ratmat()
-    w = upper_unipotent(n - 1, [lconst(Fraction(e)) for e in w_sup]).to_ratmat()
-    tf = t_matrix(n, f).to_ratmat()
-    tfi = tf.inv()
-    th = h_one(n).to_ratmat()
-    u_inv = u.inv()
-    h_uw = (tf * j_embed(w) * tfi) * th * (tf * u_inv * tfi)
-
-    m = n - 1
-    um_rows = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    wm_rows = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for k in range(1, m):
-        um_rows[k][k - 1] = f * Fraction(u_sup[n - 2 - k])
-        if n - 2 - k < len(w_sup):
-            wm_rows[k][k - 1] = -f * Fraction(w_sup[n - 2 - k])
-    u_minus = RatMat.from_rows(um_rows)
-    w_minus = RatMat.from_rows(wm_rows)
-
-    probe = j_embed(u_minus) * h_uw * j_embed(w_minus)
-    last_col = [probe.entry(i, n - 1) for i in range(n)]
-    d = RatMat.diagonal(list(reversed(last_col[:-1])))
+    f, pi = ctx.f, ctx.pi
+    fam = _family(RatMat, n, f, [Fraction(e) for e in u_sup],
+                  [Fraction(e) for e in w_sup])
+    probe, th, last_col = fam["probe"], fam["h^(1)"], fam["last_column"]
+    d, u_minus, w_minus = fam["d(u,w)"], fam["u^-"], fam["w^-"]
     d_prime = RatMat.diagonal([1 / v for v in last_col[:-1]])
 
-    reduced = j_embed(d_prime) * probe * j_embed(d)
-    n_corr = reduced.inv() * th
+    reduced = d_prime.j_embed() * probe * d.j_embed()
+    n_corr = reduced.inverse() * th
 
-    tfp = t_matrix(n, f * pi).to_ratmat()
-    tfpi = tfp.inv()
-    k_prime_big = (tfpi * j_embed(d_prime * u_minus) * tfp).inv()
-    k_mat = tfpi * (j_embed(w_minus * d) * n_corr) * tfp
+    tfp, tfpi = t_matrix(RatMat, n, f * pi), t_matrix(RatMat, n, 1 / (f * pi))
+    k_prime_big = (tfpi * (d_prime * u_minus).j_embed() * tfp).inverse()
+    k_mat = tfpi * ((w_minus * d).j_embed() * n_corr) * tfp
     k_prime = RatMat.from_rows([row[: n - 1] for row in k_prime_big.rows()[: n - 1]])
 
-    tpi = t_matrix(n, pi).to_ratmat()
-    lhs = tpi.inv() * j_embed(w) * (tfi * th * tf) * u_inv * tpi
-    rhs = k_prime_big * (tfpi * th * tfp) * k_mat.inv()
+    lhs = (t_matrix(RatMat, n, 1 / pi) * fam["w"].j_embed() * h_matrix(RatMat, n, f)
+           * fam["u^-1"] * t_matrix(RatMat, n, pi))
+    rhs = k_prime_big * (tfpi * th * tfp) * k_mat.inverse()
 
     fp_val = r + 1  # valuation of f*p
     corr_ok = all(
@@ -215,11 +201,9 @@ def build_distribution_family(ctx, u_sup, w_sup):
     det_pair = d.det() * d_prime.det()
     det_k = k_mat.det()
     det_kp = k_prime_big.det()
-    return {
-        "h(u,w)": h_uw, "u^-": u_minus, "w^-": w_minus,
-        "d(u,w)": d, "d'(u,w)": d_prime, "n": n_corr,
+    fam.update({
+        "d'(u,w)": d_prime, "n": n_corr,
         "k_{u,w}": k_mat, "k'_{u,w}": k_prime,
-        "last_column": last_col,
         "identity_ok": lhs == rhs,
         "correction_ok": corr_ok,
         "columns_ok": block_ok,
@@ -229,7 +213,8 @@ def build_distribution_family(ctx, u_sup, w_sup):
         "k'_iwahori": k_prime.is_iwahori(p, r),
         "det_relation_ok": vp(det_k - det_kp, p) >= fp_val,
         "det_k": det_k,
-    }
+    })
+    return fam
 
 
 def family_symbolic(n):
@@ -241,45 +226,26 @@ def family_symbolic(n):
     second is `det_pair_ok`: it forms only the terms of f-degree < 2 of
     det(d) det(d'), never the full product.
     """
-    f = lvar("f")
-    us = [lvar(f"u{i+1}") for i in range(n - 1)]
-    ws = [lvar(f"w{i+1}") for i in range(n - 2)]
-    u = upper_unipotent(n, us)
-    w = upper_unipotent(n - 1, ws)
-    tf = t_matrix(n, f)
-    tfi = LaurentMatrix.diagonal([f ** -(n - 1 - i) for i in range(n)])
-    h_uw = (tf * j_emb(w) * tfi) * h_one(n) * (tf * u.inverse() * tfi)
-
-    m = n - 1
-    um = [[lconst(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    wm = [[lconst(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for k in range(1, m):
-        um[k][k - 1] = f * us[n - 2 - k]
-        if n - 2 - k < len(ws):
-            wm[k][k - 1] = lconst(-1) * f * ws[n - 2 - k]
-    u_minus, w_minus = LaurentMatrix(um), LaurentMatrix(wm)
-    probe = j_emb(u_minus) * h_uw * j_emb(w_minus)
-    last_col = [probe.entries[i][n - 1] for i in range(n)]
-    d = LaurentMatrix.diagonal(list(reversed(last_col[:-1])))
-    d_prime = LaurentMatrix.diagonal([lconst(2) - v for v in last_col[:-1]])
-
-    h1 = h_one(n)
-    diff_ok = all(
-        (probe.entries[i][j] - h1.entries[i][j]).min_degree_in("f") >= 2
-        for i in range(n) for j in range(n - 1)
-        if (probe.entries[i][j] - h1.entries[i][j]))
-    return {
-        "h(u,w)": h_uw, "u^-": u_minus, "w^-": w_minus,
-        "d(u,w)": d, "d'(u,w)": d_prime, "last_column": last_col,
-        "columns_ok": diff_ok, "det_pair_ok": det_pair_ok(d, d_prime),
-    }
+    fam = _family(LaurentMatrix, n, lvar("f"),
+                  [lvar(f"u{i+1}") for i in range(n - 1)],
+                  [lvar(f"w{i+1}") for i in range(n - 2)])
+    probe, h1 = fam["probe"], fam["h^(1)"]
+    d_prime = LaurentMatrix.diagonal([2 - v for v in fam["last_column"][:-1]])
+    diffs = (probe.entry(i, j) - h1.entry(i, j)
+             for i in range(n) for j in range(n - 1))
+    fam.update({
+        "d'(u,w)": d_prime,
+        "columns_ok": all(x.min_degree_in("f") >= 2 for x in diffs if x),
+        "det_pair_ok": det_pair_ok(fam["d(u,w)"], d_prime),
+    })
+    return fam
 
 
 def det_pair_ok(d, d_prime):
     """det(d) det(d') - 1 in (f^2) for diagonal LaurentMatrix d and d':
     the terms of f-degree < 2 of the product of their diagonal entries,
     from `truncated_product`, are exactly 1."""
-    diagonal = [g.entries[i][i] for g in (d, d_prime) for i in range(g.n)]
+    diagonal = [g.entry(i, i) for g in (d, d_prime) for i in range(g.n)]
     return truncated_product(diagonal, "f", 2) == 1
 
 
@@ -321,52 +287,47 @@ def verify_inverseh(n, p=None, r=None, x=None, symbolic=True):
             = j(f^n 1_{n-1}) f^{1-n} d_((-1)^{n-1} x^{-1}) h^(f)
 
     together with its side conditions.  Symbolic mode works over the
-    Laurent ring in f and x; numeric mode needs (p, r, x).  Restricted to
-    n >= 3 (the diagonal d degenerates at n = 2).  Returns (ok, details);
-    on failure the difference matrix is included.
+    Laurent ring in f and x; numeric mode needs (p, r, x) and works in
+    RatMat.  Restricted to n >= 3 (the diagonal d degenerates at n = 2).
+    Returns (ok, details); on failure the difference matrix is included.
     """
     if n < 3:
         raise ValueError("identity restricted to n >= 3")
     if symbolic:
-        f, xx = lvar("f"), lvar("x")
+        M, f, xx = LaurentMatrix, lvar("f"), lvar("x")
     else:
-        f, xx = lconst(Fraction(p) ** r), lconst(Fraction(x))
-    wn = weyl_longest(n)
-    wn1 = weyl_longest(n - 1)
-    d = dual_diag(n, xx)
-    nprime = conjugated_toeplitz(n, f, xx)
-    ncorr = corrector_matrix(n, f)
-    hf = h_matrix(n, f)
-    dx = d_matrix(n, xx)
-    lhs = j_emb(wn1 * d * nprime) * (dx * hf).inverse().transpose() * wn * ncorr
+        M, f, xx = RatMat, Fraction(p) ** r, Fraction(x)
+    wn = weyl_longest(M, n)
+    wn1 = weyl_longest(M, n - 1)
+    d = dual_diag(M, n, xx)
+    nprime = conjugated_toeplitz(M, n, f, xx)
+    ncorr = corrector_matrix(M, n, f)
+    hf = h_matrix(M, n, f)
+    dx = d_matrix(M, n, xx)
+    lhs = (wn1 * d * nprime).j_embed() * (dx * hf).inverse().transpose() * wn * ncorr
     sign = 1 if (n - 1) % 2 == 0 else -1
-    rhs_scale = f ** (1 - n)
-    jfn = LaurentMatrix.diagonal([f ** n] * (n - 1) + [lconst(1)])
-    rhs = (jfn * d_matrix(n, lconst(sign) * xx ** (-1)) * hf).scale(rhs_scale)
+    jfn = M.diagonal([f ** n] * (n - 1) + [1])
+    rhs = (jfn * d_matrix(M, n, sign * xx ** -1) * hf).scale(f ** (1 - n))
     ok = lhs == rhs
-    details = {"ok": ok, "det_jd_nprime": (d.det() * nprime.det()) == lconst(1)}
+    details = {"ok": ok, "det_jd_nprime": d.det() * nprime.det() == 1}
     if not ok:
         details["difference"] = lhs - rhs
     if not symbolic:
-        details["w d n' w in I"] = (wn1 * d * nprime * wn1).to_ratmat().is_iwahori(p, r)
-        details["n in I"] = ncorr.to_ratmat().is_iwahori(p, r)
+        details["w d n' w in I"] = (wn1 * d * nprime * wn1).is_iwahori(p, r)
+        details["n in I"] = ncorr.is_iwahori(p, r)
     return ok and details["det_jd_nprime"], details
 
 
 def verify_inverseft(n, f=None):
     """t-matrix twist identity in GL_{n-1}: iota(t_(f) f) f^n = t_(f) f,
-    where iota(g) = w g^{-t} w with the GL_{n-1} long Weyl element."""
-    m = n - 1
-    ff = lvar("f") if f is None else lconst(f)
-    g = t_matrix(m, ff).scale(ff)
+    where iota(g) = w g^{-t} w with the GL_{n-1} long Weyl element.
+    Symbolic in f by default, in RatMat at a given rational f."""
+    M, ff = (LaurentMatrix, lvar("f")) if f is None else (RatMat, Fraction(f))
+    g = t_matrix(M, n - 1, ff).scale(ff)
     return iota_involution(g).scale(ff ** n) == g
 
 
 def iota_involution(g):
     """iota(g) = w_n g^{-t} w_n for a LaurentMatrix or RatMat."""
-    n = g.n
-    if isinstance(g, RatMat):
-        w = weyl_longest(n).to_ratmat()
-        return w * g.inv().transpose() * w
-    w = weyl_longest(n)
+    w = weyl_longest(type(g), g.n)
     return w * g.inverse().transpose() * w

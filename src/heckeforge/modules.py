@@ -77,7 +77,7 @@ class HeckeModule:
               for i in range(n)]
         if conjugator is not None:
             s = _ratmat(conjugator)
-            s_inv = s.inv()
+            s_inv = s.inverse()
             us = [s * u * s_inv for u in us]
         return cls(n, q, us)
 
@@ -116,11 +116,11 @@ class HeckeModule:
         Vp m^vee = V_n^{n-1} (Vp m)^vee are asserted.
         """
         scale = self.q ** (self.n - 1)
-        dual = HeckeModule(self.n, self.q, [u.inv().scale(scale)
+        dual = HeckeModule(self.n, self.q, [u.inverse().scale(scale)
                                             for u in reversed(self.U)])
         # V_nu m^vee = V_n (V_{n-nu} m)^vee with the outer V_n acting in
         # the twisted module, where it is V_n^{-1} of the original
-        vn_inv = self.V(self.n).inv()
+        vn_inv = self.V(self.n).inverse()
         for nu in range(self.n + 1):
             if dual.V(nu) != vn_inv * self.V(self.n - nu):
                 raise AssertionError(f"twisted V-relation fails at nu={nu}")

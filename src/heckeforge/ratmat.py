@@ -7,14 +7,16 @@ equality is literal.  All arithmetic is exact and integer-only: from_rows
 reads each entry's numerator and denominator (ints and Fractions both have
 them) without forming a Fraction, and the kernels take the `num` tuples
 as they are.  Fractions appear only at the edges: rows, entry and det
-return them, and scale accepts one.
+return them, and scale accepts one.  The matrix-building names (from_rows,
+diagonal, entry, inverse, transpose, scale, det, j_embed) are those of
+`laurent.LaurentMatrix`, so one builder serves both rings.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from heckeforge import kernels
-from heckeforge.kernels import SingularMatrixError  # raised by inv
+from heckeforge.kernels import SingularMatrixError  # raised by inverse
 
 
 def _normalize(num, den):
@@ -94,12 +96,21 @@ class RatMat:
                           self.den * other.den)
         return NotImplemented
 
+    def __sub__(self, other):
+        if not isinstance(other, RatMat):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError("size mismatch")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return RatMat(self.n, [x * a - y * b for x, y in zip(self.num, other.num)], den)
+
     def scale(self, c):
         c = Fraction(c)
         num = [x * c.numerator for x in self.num]
         return RatMat(self.n, num, self.den * c.denominator)
 
-    def inv(self):
+    def inverse(self):
         det, adj = kernels.det_adjugate(self.num, self.n)
         return RatMat(self.n, [x * self.den for x in adj], det)
 
@@ -111,6 +122,20 @@ class RatMat:
         n = self.n
         num = [self.num[j * n + i] for i in range(n) for j in range(n)]
         return RatMat(n, num, self.den, normalized=True)
+
+    def j_embed(self):
+        """Diagonal embedding GL_{n-1} -> GL_n, block diag(g, 1).
+
+        Built from num and den: the new corner entry is den/den, which
+        leaves the pair normalized."""
+        m = self.n
+        num = []
+        for i in range(m):
+            num.extend(self.num[i * m:(i + 1) * m])
+            num.append(0)
+        num.extend([0] * m)
+        num.append(self.den)
+        return RatMat(m + 1, num, self.den, normalized=True)
 
     def is_iwahori(self, p, r):
         """Membership in the Iwahori subgroup of level p^r (r=0: GL_n(Z_p))."""
@@ -127,17 +152,3 @@ class RatMat:
     def __repr__(self):
         return f"RatMat({self.rows()!r})"
 
-
-def j_embed(g):
-    """Diagonal embedding GL_{n-1} -> GL_n, block diag(g, 1).
-
-    Built from g.num and g.den: the new corner entry is den/den, which
-    leaves the pair normalized."""
-    m = g.n
-    num = []
-    for i in range(m):
-        num.extend(g.num[i * m:(i + 1) * m])
-        num.append(0)
-    num.extend([0] * m)
-    num.append(g.den)
-    return RatMat(m + 1, num, g.den, normalized=True)

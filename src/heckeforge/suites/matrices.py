@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from heckeforge import matrices
-from heckeforge.laurent import lvar
+from heckeforge.laurent import LaurentMatrix, lvar
 from heckeforge.matrices import GlnContext
 from heckeforge.suite import _ok, case
 
@@ -12,12 +12,12 @@ from heckeforge.suite import _ok, case
 def _case_hf_entries(rng):
     f = lvar("f")
     for n in range(2, 7):
-        h1 = matrices.h_one(n)
-        hf = matrices.h_matrix(n, f)
+        h1 = matrices.h_one(LaurentMatrix, n)
+        hf = matrices.h_matrix(LaurentMatrix, n, f)
         for i in range(n):
             for j in range(n):
-                want = h1.entries[i][j] * f ** (i - j)
-                if not hf.entries[i][j] == want:
+                want = h1.entry(i, j) * f ** (i - j)
+                if not hf.entry(i, j) == want:
                     return _ok(False, {"n": n, "entry": [i, j]})
     return _ok(True)
 
@@ -83,7 +83,7 @@ def _case_family_zero(rng):
         ctx = GlnContext(n, p, 1)
         fam = matrices.build_distribution_family(
             ctx, (0,) * (n - 1), (0,) * (n - 2))
-        if fam["h(u,w)"] != matrices.h_one(n).to_ratmat():
+        if fam["h(u,w)"] != matrices.h_one(matrices.RatMat, n):
             return _ok(False, {"n": n, "p": p})
         if not fam["identity_ok"]:
             return _ok(False, {"n": n, "p": p})

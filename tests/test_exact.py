@@ -4,7 +4,7 @@ from math import gcd, inf
 from operator import add, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeforge import exact
@@ -410,6 +410,56 @@ def test_cyclo_equal_across_conductors(case):
     assert up - x == 0
     assert up.conj() == x.conj()
     assert up * up == x * x
+
+
+def _eq_reference(x, r):
+    """x == r as it was: r coerced to a rational Cyclo, lifted to x's
+    conductor, and the fields compared."""
+    other = Cyclo.rational(r).lift(x.m)
+    return x.num == other.num and x.den == other.den
+
+
+@st.composite
+def rational_comparisons(draw):
+    """(x, r): r an int or a Fraction; x a rational Cyclo held at a
+    conductor up to 60, any Cyclo there, or r plus k zeta_m / r's
+    denominator, k != 0, whose num[0] and den are r's."""
+    r = draw(st.one_of(st.integers(-50, 50), RATIONALS))
+    m = draw(st.integers(1, 60))
+    zero = [0] * (euler_phi(m) - 1)
+    x = draw(st.sampled_from([
+        Cyclo(m, [r] + zero), draw(cyclos(m)),
+        Cyclo(m, [r, Fraction(draw(st.integers(1, 9)), Fraction(r).denominator)]
+              + zero[1:]) if zero else Cyclo.rational(r)]))
+    return x, r
+
+
+@PROPERTY
+@given(rational_comparisons())
+@example((Cyclo.rational(0), 0))
+@example((Cyclo(12, [0, 0, 0, 0]), Fraction(0)))
+@example((Cyclo(12, [Fraction(-3, 4), 0, 0, 0]), Fraction(-3, 4)))
+@example((Cyclo.zeta(12) * Cyclo.zeta(12).conj() * Fraction(3, 4), Fraction(3, 4)))
+@example((Cyclo(12, [Fraction(3, 4), Fraction(1, 4), 0, 0]), Fraction(3, 4)))
+@example((Cyclo(6, [0, 5]), 0))
+def test_eq_with_a_rational_matches_coerce_and_lift(case):
+    x, r = case
+    want = _eq_reference(x, r)
+    assert (x == r) is want and (r == x) is want and (x != r) is (not want)
+
+
+def test_eq_with_a_rational_reduces_nothing(monkeypatch):
+    """An int or a Fraction is compared with the numerators as they are:
+    no _cyclo reduction runs, at any conductor."""
+    xs = [Cyclo.rational(2), Cyclo(12, [Fraction(3, 4), 0, 0, 0]),
+          Cyclo(12, [Fraction(3, 4), Fraction(1, 4), 0, 0])]
+
+    def refuse(*args):
+        raise AssertionError("a _cyclo reduction")
+
+    monkeypatch.setattr(exact, "_cyclo", refuse)
+    assert [x == Fraction(3, 4) for x in xs] == [False, True, False]
+    assert [x == 2 for x in xs] == [True, False, False]
 
 
 @PROPERTY

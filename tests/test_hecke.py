@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeforge import hecke, kernels
-from heckeforge.laurent import lconst, lvar
+from heckeforge.laurent import lvar
 from heckeforge.matrices import GlnContext, h_matrix
-from heckeforge.ratmat import RatMat, SingularMatrixError, j_embed
+from heckeforge.ratmat import RatMat, SingularMatrixError
 from test_cli import _deadline
 
 
@@ -116,7 +116,7 @@ def test_cancelled_terms_are_dropped():
 
 def _same_coset_reference(g, h, ctx):
     """g K_I = h K_I, by the kernels' separate product and Iwahori test."""
-    gi = g.inv()
+    gi = g.inverse()
     prod = kernels.mat_mul(gi.num, h.num, ctx.n)
     return kernels.is_iwahori_scaled(prod, gi.den * h.den, ctx.n, ctx.p, ctx.r)
 
@@ -823,7 +823,7 @@ def _unipotent_index_by_fold(ctx):
             if all(d.num[k] % (mod * scale) == 0 for k, mod in checks):
                 break
         else:
-            inverses.append(u.inv())
+            inverses.append(u.inverse())
     return len(inverses)
 
 
@@ -848,12 +848,12 @@ def _gamma_index_by_enumeration(ctx):
     _iwahori_residues g counts towards |I|, and towards |K(f)| when
     h^{-1} j(g) h lies in K_I."""
     n, p, r = ctx.n, ctx.p, ctx.r
-    hf = h_matrix(n, lconst(ctx.f)).to_ratmat()
-    hfi = hf.inv()
+    hf = h_matrix(RatMat, n, ctx.f)
+    hfi = hf.inverse()
     count_i = count_k = 0
     for rows in _iwahori_residues(n - 1, p, r, p ** (n * r)):
         count_i += 1
-        if (hfi * j_embed(RatMat.from_rows(rows)) * hf).is_iwahori(p, r):
+        if (hfi * RatMat.from_rows(rows).j_embed() * hf).is_iwahori(p, r):
             count_k += 1
     assert count_i % count_k == 0
     return count_i // count_k, count_i, count_k

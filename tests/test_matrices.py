@@ -5,30 +5,34 @@ from fractions import Fraction
 
 import pytest
 
-from heckeforge.exact import vp
-from heckeforge.laurent import LaurentMatrix, lconst, lvar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckeforge import hecke, matrices
+from heckeforge.exact import as_rational, vp
+from heckeforge.laurent import LaurentMatrix, LaurentPoly, lconst, lvar
 from heckeforge.matrices import (GlnContext, build_distribution_family,
                                  det_pair_ok, family_symbolic, h_matrix, h_one,
-                                 iota_involution, j_delta, j_emb, t_matrix,
-                                 verify_epimorphism, verify_inverseft,
-                                 verify_inverseh, weyl_longest)
+                                 iota_involution, t_matrix, verify_epimorphism,
+                                 verify_inverseft, verify_inverseh,
+                                 weyl_longest)
 from heckeforge.ratmat import RatMat
 from test_laurent import assert_same_terms, reference_product
 
 
 def test_standard_matrices_numeric():
     ctx = GlnContext(3, 2, 1)
-    t = t_matrix(ctx.n, lconst(ctx.f)).to_ratmat()
+    t = t_matrix(RatMat, ctx.n, ctx.f)
     assert t == RatMat.diagonal([Fraction(4), Fraction(2), Fraction(1)])
-    h1 = h_one(ctx.n).to_ratmat()
+    h1 = h_one(RatMat, ctx.n)
     assert h1 == RatMat.from_rows([[0, 1, 1], [1, 0, 1], [0, 0, 1]])
-    w = weyl_longest(ctx.n).to_ratmat()
+    w = weyl_longest(RatMat, ctx.n)
     assert w == RatMat.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def test_h_f_by_conjugation():
     f = lvar("f")
-    hf = h_matrix(3, f)
+    hf = h_matrix(LaurentMatrix, 3, f)
     want = LaurentMatrix([
         [0, f ** -1, f ** -2],
         [f, 0, f ** -1],
@@ -37,27 +41,24 @@ def test_h_f_by_conjugation():
     assert hf == want
     # entry pattern h^(f)_{ij} = h^(1)_{ij} f^{i-j} for 2 <= n <= 6
     for n in range(2, 7):
-        h1 = h_one(n)
-        hfn = h_matrix(n, f)
+        h1 = h_one(LaurentMatrix, n)
+        hfn = h_matrix(LaurentMatrix, n, f)
         for i in range(n):
             for j in range(n):
-                assert hfn.entries[i][j] == h1.entries[i][j] * f ** (i - j)
+                assert hfn.entry(i, j) == h1.entry(i, j) * f ** (i - j)
 
 
 def test_t_f_det_and_inverse():
     f = lvar("f")
-    t = t_matrix(3, f)
+    t = t_matrix(LaurentMatrix, 3, f)
     assert t.det() == f ** 3
     assert t.inverse() == LaurentMatrix.diagonal([f ** -2, f ** -1, lconst(1)])
 
 
-def test_j_delta_and_w_tilde():
-    g = LaurentMatrix([[1, 2], [0, 1]])
-    jd = j_delta(g, lconst(Fraction(3)), 2)
-    assert jd.entries[2][2] == lconst(9)
-    wt = (j_emb(weyl_longest(2)) * weyl_longest(3)).to_ratmat()
-    wn = weyl_longest(3).to_ratmat()
-    assert wt * wt.inv() == RatMat.identity(3)
+def test_w_tilde_differs_from_w_n():
+    wt = weyl_longest(RatMat, 2).j_embed() * weyl_longest(RatMat, 3)
+    wn = weyl_longest(RatMat, 3)
+    assert wt * wt.inverse() == RatMat.identity(3)
     # w~ = j(w_{n-1}) w_n differs from w_n in the GL_{n-1} block
     assert wt != wn
 
@@ -93,7 +94,7 @@ def test_family_zero_parameters():
     # the block rows, first n-1 columns exactly those of h^(1)
     ctx = GlnContext(4, 3, 1)
     fam = build_distribution_family(ctx, (0, 0, 0), (0, 0))
-    h1 = h_one(4).to_ratmat()
+    h1 = h_one(RatMat, 4)
     assert fam["h(u,w)"] == h1
     assert fam["last_column"] == [Fraction(1)] * 4
     assert fam["identity_ok"] and fam["det_pair_ok"]
@@ -146,7 +147,7 @@ def test_det_pair_check_fails_on_a_planted_f_term(n):
     d, d_prime = fam["d(u,w)"], fam["d'(u,w)"]
     assert det_pair_ok(d, d_prime)
     for i in range(n - 1):
-        entries = [d_prime[j, j] for j in range(n - 1)]
+        entries = [d_prime.entry(j, j) for j in range(n - 1)]
         entries[i] = entries[i] + lvar("u1") * lvar("f")
         assert not det_pair_ok(d, LaurentMatrix.diagonal(entries)), i
 
@@ -188,6 +189,33 @@ def test_inverseh_numeric_samples():
         assert details["w d n' w in I"] and details["n in I"]
 
 
+@pytest.mark.parametrize("symbolic", [True, False])
+def test_inverseh_failure_returns_the_difference(monkeypatch, symbolic):
+    """A corrector with entry (0, 1) off by one breaks the identity: the
+    check fails and returns lhs - rhs, a matrix of the ring's class.  The
+    lhs ends in the corrector, so the difference is nonzero in column 1
+    and zero in every other column."""
+    real = matrices.corrector_matrix
+
+    def perturbed(M, n, f):
+        g = real(M, n, f)
+        rows = [[g.entry(i, j) for j in range(n)] for i in range(n)]
+        rows[0][1] = rows[0][1] + 1
+        return M.from_rows(rows)
+
+    monkeypatch.setattr(matrices, "corrector_matrix", perturbed)
+    n = 4
+    if symbolic:
+        ok, details = verify_inverseh(n, symbolic=True)
+    else:
+        ok, details = verify_inverseh(n, 3, 1, Fraction(2, 5), symbolic=False)
+    diff = details["difference"]
+    assert not ok and not details["ok"]
+    assert type(diff) is (LaurentMatrix if symbolic else RatMat)
+    assert any(diff.entry(i, 1) for i in range(n))
+    assert not any(diff.entry(i, j) for i in range(n) for j in range(n) if j != 1)
+
+
 def test_inverseh_rejects_rank_two():
     with pytest.raises(ValueError):
         verify_inverseh(2, symbolic=True)
@@ -213,3 +241,83 @@ def test_context_is_a_value():
         del ctx.n
     assert (ctx.n, ctx.p, ctx.r) == (3, 2, 1)
     assert copy.copy(ctx) == pickle.loads(pickle.dumps(ctx)) == ctx
+
+
+# ---------------------------------------------------------------------------
+# one set of builders for both rings
+
+def as_ratmat(m):
+    """A LaurentMatrix of rational constants read as a RatMat, entry by
+    entry: the reference the RatMat builders are checked against."""
+    return RatMat.from_rows([[as_rational(m.entry(i, j).constant_value())
+                              for j in range(m.n)] for i in range(m.n)])
+
+
+@st.composite
+def builder_points(draw):
+    """(n, f, x, us, ws) at 3 <= n <= 5: rationals that are units at a p
+    in {2, 3, 5}, n - 1 of them in us and n - 2 in ws."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(3, 5))
+    prime_to_p = st.integers(-30, 30).filter(lambda a: a % p)
+    unit = st.builds(Fraction, prime_to_p, prime_to_p.filter(lambda a: a > 0))
+    us = draw(st.lists(unit, min_size=n - 1, max_size=n - 1))
+    ws = draw(st.lists(unit, min_size=n - 2, max_size=n - 2))
+    return n, draw(unit), draw(unit), us, ws
+
+
+def _builders(M, c, n, f, x, us):
+    """Every builder over M, its scalars mapped into M's ring by c."""
+    return [weyl_longest(M, n), t_matrix(M, n, c(f)), h_one(M, n),
+            h_matrix(M, n, c(f)), matrices.d_matrix(M, n, c(x)),
+            matrices.upper_unipotent(M, n, [c(u) for u in us]),
+            matrices.corrector_matrix(M, n, c(f)),
+            matrices.conjugated_toeplitz(M, n, c(f), c(x)),
+            matrices.dual_diag(M, n, c(x))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(builder_points())
+def test_builders_agree_across_rings(point):
+    """Each builder over RatMat equals its LaurentMatrix of constants, and
+    so do their inverses, transposes, j-embeddings, scalings and
+    determinants, and the shared family core."""
+    n, f, x, us, ws = point
+    for got, want in zip(_builders(RatMat, Fraction, n, f, x, us),
+                         _builders(LaurentMatrix, lconst, n, f, x, us)):
+        assert got == as_ratmat(want)
+        assert got.inverse() == as_ratmat(want.inverse())
+        assert got.transpose() == as_ratmat(want.transpose())
+        assert got.j_embed() == as_ratmat(want.j_embed())
+        assert got.scale(x) == as_ratmat(want.scale(lconst(x)))
+        assert got.det() == as_rational(want.det().constant_value())
+    numeric = matrices._family(RatMat, n, f, us, ws)
+    constant = matrices._family(LaurentMatrix, n, lconst(f),
+                                [lconst(u) for u in us], [lconst(w) for w in ws])
+    assert numeric.keys() == constant.keys()
+    for key, got in numeric.items():
+        if key == "last_column":
+            assert got == [as_rational(v.constant_value()) for v in constant[key]]
+        else:
+            assert got == as_ratmat(constant[key]), key
+
+
+def test_numeric_checks_make_no_laurent_product(monkeypatch):
+    """The numeric checks build and multiply RatMats only: with every
+    Laurent product refused, each still returns its verdict."""
+    def refuse(*args):
+        raise AssertionError("a Laurent product")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    monkeypatch.setattr(LaurentMatrix, "__mul__", refuse)
+    with pytest.raises(AssertionError):
+        lvar("f") * lvar("x")
+    fam = build_distribution_family(GlnContext(3, 3, 1), (1, 2), (1,))
+    assert fam["identity_ok"] and fam["correction_ok"] and fam["det_pair_ok"]
+    ok, details = verify_inverseh(4, 3, 1, Fraction(2, 5), symbolic=False)
+    assert ok and details["w d n' w in I"] and details["n in I"]
+    assert verify_inverseft(4, f=Fraction(9))
+    ctx = GlnContext(3, 2, 1)
+    assert hecke.count_unipotent_index(ctx) == 16
+    assert hecke.count_gamma_index(ctx)[0] == 4

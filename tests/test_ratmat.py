@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeforge.ratmat import RatMat, SingularMatrixError, j_embed
+from heckeforge.ratmat import RatMat, SingularMatrixError
 
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 fractions =st.builds(Fraction, ints, st.integers(min_value=1, max_value=360))
@@ -68,7 +68,19 @@ def test_j_embed_is_block_diagonal(rows):
     m = g.n
     block = [[rows[i][j] if i < m and j < m else Fraction(int(i == j))
               for j in range(m + 1)] for i in range(m + 1)]
-    _same(j_embed(g), _reference(block))
+    _same(g.j_embed(), _reference(block))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(ints, fractions), min_size=2 * n,
+                                max_size=2 * n), min_size=n, max_size=n)))
+def test_difference_is_entrywise(rows):
+    """g - h against the Fraction reference of the entrywise difference."""
+    n = len(rows)
+    a, b = [row[:n] for row in rows], [row[n:] for row in rows]
+    want = [[Fraction(x) - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    _same(RatMat.from_rows(a) - RatMat.from_rows(b), _reference(want))
 
 
 def test_inverse_is_two_sided():
@@ -85,11 +97,11 @@ def test_inverse_is_two_sided():
             continue
         if g.det() == 0:
             with pytest.raises(SingularMatrixError):
-                g.inv()
+                g.inverse()
             continue
-        gi = g.inv()
+        gi = g.inverse()
         assert g * gi == RatMat.identity(n) == gi * g
         inverted.add(n)
     assert inverted == {1, 2, 3, 4, 5}
     with pytest.raises(SingularMatrixError):
-        RatMat.from_rows([[Fraction(1, 2), 1], [1, 2]]).inv()
+        RatMat.from_rows([[Fraction(1, 2), 1], [1, 2]]).inverse()

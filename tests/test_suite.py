@@ -65,7 +65,7 @@ def test_cli_import_loads_only_the_suite_runner():
 
 
 def test_hecke_import_loads_only_its_dependencies():
-    # the index counts import gauss, h_matrix and j_embed when called
+    # the index counts import gauss and h_matrix when called
     loaded = _loaded("import heckeforge.hecke")
     assert {m for m in loaded if m.startswith("heckeforge.")} == {
         "heckeforge.exact", "heckeforge.hecke", "heckeforge.kernels",
