@@ -240,14 +240,6 @@ class Cyclo:
         return _cyclo(m, [0] * (k % m) + [1])
 
     @classmethod
-    def root_sum(cls, n, terms):
-        """The sum of zeta_n^k * v over the pairs (k, v), each v an int, a
-        Fraction or a Cyclo: `exponent_sum` over the values' `split`."""
-        ks, values = list(zip(*terms)) or ((), ())
-        den, items = split(values)
-        return exponent_sum(n, ks, items, den)
-
-    @classmethod
     def _coerce(cls, x):
         if isinstance(x, Cyclo):
             return x

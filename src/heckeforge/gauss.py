@@ -13,7 +13,8 @@ chi(a) psi(x) is zeta_L^(k L/N + e L/p^t) over L = lcm(N, p^t), so a Gauss,
 oracle or twisted sum adds 1 per term into a length-L histogram of
 exponents, which `exact._cyclo` reduces once: no Fraction, Cyclo or term
 list per unit.  chi(a)^{-1} in the closed form of the twisted sum is the
-exponent -k, one `exact.Cyclo.root_sum`.  `MultChar.value` and
+exponent -k, one `exact.exponent_sum` over the `exact.split` of
+p^(level-t) tau(chi).  `MultChar.value` and
 `AddChar.value` form one Cyclo.zeta each, as a per-term reference.
 """
 
@@ -23,7 +24,8 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from heckeforge.exact import (Cyclo, _cyclo, _prime_factors, check_bound,
-                              check_prime, power_within, vp, vp_int)
+                              check_prime, exponent_sum, power_within, split,
+                              vp, vp_int)
 
 # The largest modulus p^s whose unit group is enumerated, and the largest
 # conductor lcm(order of chi, p^t) at which any Gauss sum of chi is formed;
@@ -303,8 +305,8 @@ def twisted_sum_closed(chi, c, level):
         return Cyclo.rational(0)
     # chi(a)^{-1} for c = a p^{-t} is zeta_N^{-k}
     k = chi.power(c * Fraction(p) ** t)
-    return Cyclo.root_sum(chi.order(), [
-        (-k, Fraction(p) ** (level - t) * classical_gauss_sum(chi))])
+    den, items = split([Fraction(p) ** (level - t) * classical_gauss_sum(chi)])
+    return exponent_sum(chi.order(), [-k], items, den)
 
 
 def birch_constants(n, q, r, s, chi):

@@ -16,15 +16,13 @@ one memoized Laplace expansion, which skips a zero entry or sub-minor.
 No elimination runs over this ring: it would need multivariate division.
 
 A product with a single-term factor only shifts keys and scales
-coefficients.  Any other product packs each monomial into one int: the
-operands' variables get fixed places, exponents become signed digits in a
-base beyond any exponent the product reaches, and a monomial product is
-one int addition.  Each operand's coefficients are split over the lcm of
-their denominators (`exact.split`), so a Fraction enters the one loop as
-an int numerator and a Cyclo as a Cyclo of integer numerators; plain `*`
-and `+` mix the two.  A result term is s over the product of the two lcms
-(`exact.join`): a Fraction for an int s, a Cyclo for a Cyclo s.  Only the
-result keys are unpacked, so the stored form above is unchanged.
+coefficients.  Any other product runs one loop over the pairs of terms,
+self's in the outer loop, merging keys with `_mul_keys` and dropping a
+sum that reaches zero.  Each operand's coefficients are split over the
+lcm of their denominators (`exact.split`), so a Fraction enters the loop
+as an int numerator and a Cyclo as a Cyclo of integer numerators; plain
+`*` and `+` mix the two.  A result term is s over the product of the two
+lcms (`exact.join`): a Fraction for an int s, a Cyclo for a Cyclo s.
 
 `truncated_product` gives only the terms below a degree in one variable
 of a product of several factors, for congruences modulo a power of it.
@@ -41,58 +39,6 @@ class LaurentInversionError(ArithmeticError):
     def __init__(self, det):
         self.det = det
         super().__init__(f"determinant is not a unit monomial: {det!r}")
-
-
-def _monomial_places(a, b):
-    """Places for packing the monomial keys of a product of the term dicts
-    a and b into ints: (names, offset, shift).
-
-    The variables get fixed places in sorted order, and a monomial packs to
-    the sum of exp << offset[name]: signed digits in base 2^shift, which
-    exceeds twice any exponent the product can reach.  So the packed key
-    of a product of monomials is the sum of their packed keys."""
-    names = set()
-    reach = 0
-    for t in (a, b):
-        top = 0
-        for k in t:
-            for name, e in k:
-                names.add(name)
-                if abs(e) > top:
-                    top = abs(e)
-        reach += top
-    names = sorted(names)
-    shift = (2 * reach + 1).bit_length()
-    return names, {name: shift * i for i, name in enumerate(names)}, shift
-
-
-def _packed_terms(terms, offset):
-    """(den, [(packed key, item)]), den and items from `exact.split`."""
-    den, values = split(list(terms.values()))
-    out = []
-    for k, v in zip(terms, values):
-        x = 0
-        for name, e in k:
-            x += e << offset[name]
-        out.append((x, v))
-    return den, out
-
-
-def _unpacked_key(x, names, shift):
-    """The sorted (name, exp) tuple that packs to x."""
-    base = 1 << shift
-    mask, half = base - 1, base >> 1
-    key = []
-    for name in names:
-        if not x:
-            break
-        d = x & mask
-        if d >= half:
-            d -= base
-        if d:
-            key.append((name, d))
-        x = (x - d) >> shift
-    return tuple(key)
 
 
 class LaurentPoly:
@@ -183,23 +129,22 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         a, b = self.terms, other.terms
+        mul_keys = self._mul_keys
         # a single-term factor only shifts keys and scales coefficients:
         # distinct keys stay distinct and no product of nonzero
         # coefficients vanishes
         if len(a) <= 1 or len(b) <= 1:
-            mul_keys = self._mul_keys
             t = {}
             for k1, v1 in a.items():
                 for k2, v2 in b.items():
                     t[mul_keys(k1, k2)] = v1 * v2
             return LaurentPoly._nonzero(t)
-        names, offset, shift = _monomial_places(a, b)
-        da, pa = _packed_terms(a, offset)
-        db, pb = _packed_terms(b, offset)
+        da, va = split(list(a.values()))
+        db, vb = split(list(b.values()))
         t = {}
-        for k1, v1 in pa:
-            for k2, v2 in pb:
-                k = k1 + k2
+        for k1, v1 in zip(a, va):
+            for k2, v2 in zip(b, vb):
+                k = mul_keys(k1, k2)
                 prod = v1 * v2
                 s = t.get(k)
                 s = prod if s is None else s + prod
@@ -207,9 +152,8 @@ class LaurentPoly:
                     t[k] = s
                 else:
                     t.pop(k, None)
-        return LaurentPoly._nonzero(
-            {_unpacked_key(k, names, shift): join(s, da * db)
-             for k, s in t.items()})
+        den = da * db
+        return LaurentPoly._nonzero({k: join(s, den) for k, s in t.items()})
 
     __rmul__ = __mul__
 
@@ -240,9 +184,7 @@ class LaurentPoly:
         other = LaurentPoly._coerce(other)
         if other is None:
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(v == other.terms[k] for k, v in self.terms.items())
+        return self.terms == other.terms
 
     def constant_value(self):
         if not self.terms:
@@ -252,10 +194,13 @@ class LaurentPoly:
         return self.terms[()]
 
     def rename(self, mapping):
-        """Rename variables (used for symmetry checks)."""
+        """Rename variables (used for symmetry checks); names sent to one
+        name have their exponents added."""
         t = {}
         for k, v in self.terms.items():
-            nk = tuple(sorted((mapping.get(name, name), ex) for name, ex in k))
+            nk = ()
+            for name, ex in k:
+                nk = self._mul_keys(nk, ((mapping.get(name, name), ex),))
             t[nk] = t.get(nk, 0) + v
         return LaurentPoly(t)
 

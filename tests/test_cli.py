@@ -769,6 +769,10 @@ def test_compute_critical_matches_the_golden_outputs(capsys, monkeypatch):
     _assert_golden_outputs(capsys, monkeypatch, "critical")
 
 
+def test_compute_satake_matches_the_golden_outputs(capsys, monkeypatch):
+    _assert_golden_outputs(capsys, monkeypatch, "satake")
+
+
 def test_compute_refusals_match_the_golden_lines(capsys):
     """Each line of compute-refusals.args, one `compute` invocation per
     input bound, exits 2 at once with the same line of

@@ -674,7 +674,7 @@ def test_scalar_from_json_bounds_the_conductor(m):
         scalar_from_json({"m": m, "coeffs": ["1"]}, "levels[0]")
 
 
-# Cyclo.root_sum against a per-term reference: each zeta_n^k * v a Cyclo
+# exponent_sum against a per-term reference: each zeta_n^k * v a Cyclo
 # product, then Cyclo sums lifted to a common conductor.
 
 def _root_sum_reference(n, terms):
@@ -685,33 +685,12 @@ def _root_sum_reference(n, terms):
     return acc
 
 
-@st.composite
-def root_sums(draw):
-    """An n and (k, v) pairs whose conductors divide some M <= 60 but not,
-    in general, n; v an int, a Fraction or a Cyclo."""
-    big_m = draw(st.integers(1, 60))
-    divs = st.sampled_from(_divisors(big_m))
-    n = draw(divs)
-    values = st.one_of(st.integers(-9, 9), RATIONALS, divs.flatmap(cyclos))
-    terms = draw(st.lists(st.tuples(st.integers(-2 * n, 2 * n), values),
-                          min_size=1, max_size=12))
-    return n, terms
-
-
-@PROPERTY
-@given(root_sums())
-def test_root_sum_matches_the_per_term_path(case):
-    n, terms = case
-    got = Cyclo.root_sum(n, terms)
-    want = _root_sum_reference(n, terms)
-    assert (got.m, got.num, got.den) == (want.m, want.num, want.den)
-
-
-def test_root_sum_of_all_roots_is_zero_at_the_lcm():
-    got = Cyclo.root_sum(6, [(k, Cyclo.zeta(4)) for k in range(6)])
+def test_exponent_sum_of_all_roots_is_zero_at_the_lcm():
+    got = exponent_sum(6, range(6), [Cyclo.zeta(4)] * 6)
     assert (got.m, got.num, got.den) == (12, (0,) * 4, 1)
     # zeta_3^2 / 2 + zeta_3^{-1} = (3/2) zeta_3^2
-    got = Cyclo.root_sum(3, [(2, Fraction(1, 2)), (-1, 1)])
+    den, items = split([Fraction(1, 2), 1])
+    got = exponent_sum(3, [2, -1], items, den)
     assert got == Cyclo.zeta(3, 2) * Fraction(3, 2)
 
 

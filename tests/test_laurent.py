@@ -171,6 +171,26 @@ def test_rename_symmetry():
     assert asym.rename({"X1": "X2", "X2": "X1"}) == -asym
 
 
+def test_rename_adds_the_exponents_of_names_sent_to_one():
+    x1, x2 = lvar("X1"), lvar("X2")
+    assert (x1 * x2).rename({"X2": "X1"}) == lvar("X1", 2)
+    assert (x1 * x2 ** -1).rename({"X2": "X1"}) == 1
+    # two terms whose keys merge into one add their coefficients
+    merged = (x1 * x2 ** 2 + 3 * x1 ** 2 * x2).rename({"X2": "X1"})
+    assert merged == 4 * lvar("X1", 3)
+
+
+def test_equality_compares_the_whole_term_dicts():
+    """Insertion order does not count, a Fraction equals the rational
+    Cyclo of its value, and one differing coefficient tells two apart."""
+    a = LaurentPoly({(("f", 1),): Fraction(3), (): Fraction(1, 2)})
+    b = LaurentPoly({(): Fraction(1, 2), (("f", 1),): Cyclo.rational(3)})
+    assert list(a.terms) != list(b.terms)
+    assert a == b and b == a
+    c = LaurentPoly({(): Fraction(1, 2), (("f", 1),): Cyclo.rational(4)})
+    assert a != c and c != a
+
+
 def test_mixed_cyclotomic_and_rational_coefficients():
     """Rational coefficients stay Fractions next to a Cyclo one, and agree
     with a twin whose every coefficient is a Cyclo."""
