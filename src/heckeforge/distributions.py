@@ -9,43 +9,70 @@ An eigenvalue is inverted as `1 / exact.scalar(kappa)`, and values are
 serialized by `exact.scalar_json` and read back by `scalar_from_json`.
 A tower's p is prime; level m is listed only while p^m <= gauss.MAX_MODULUS.
 
-A level is stored as integer numerators over one denominator (the form of
-`exact.split`): the checks compare numerators cross-multiplied by the
-levels' denominators, and `exact.join` runs only where a value leaves
+A level is stored as (den, columns): columns[c][i] is the int or den-1
+Cyclo numerator (`exact.split`) of component c at elements(m)[i].  The
+checks loop over aligned columns, comparing numerators cross-multiplied by
+the levels' denominators; `exact.join` runs only where a value leaves
 (`values`, JSON, witnesses).  A character integral is formed on exponents:
 each tower gives the order N of a character and, once per level m, the k
-with chi(x) = zeta_N^k over elements(m) (`char_powers`); each component is
-one `exact.exponent_sum`, and Fourier inversion weights by chi(x0)^-1 as -k.
+with chi(x) = zeta_N^k over elements(m) (`char_powers`); each column is
+one `exact.exponent_sum`.  Fourier inversion spreads each integral once to
+one conductor and weights it by chi(x0)^-1 as the exponent -k.
 
 Tables once: a tower is a value, equal to another of its exact type with
 the same fields (p, and h) and hashed by them.  Each per-level table (its
-elements, the lifts that push values down one level, its characters and a
-character's exponent table) is a `functools.cache`d method, so it is built
-on first use and shared, as a tuple or a read-only mapping, by every equal
+elements, the lifts that push values down one level, its characters, a
+character's exponent table, and three index tables: each element's
+position, the positions of each position's lifts one level up, and the
+positions of x^vee) is a `functools.cache`d method, so it is built on
+first use and shared, as a tuple or a read-only mapping, by every equal
 tower; a subclass's tower is unequal and keeps entries of its own.  An
 exponent table is read off `gauss._exponents`, shared by every character
 mod p^s with those exponents.  The group law enters only through `vee`,
 the involution x -> (-1)^(n-1) x^(-1) of the functional equation.  Nothing
-is cached on a `Distribution`: its split levels are its values, which
-every check reads afresh, so a value written in place is seen.
+is cached on a `Distribution`: its columns are its values, which every
+check reads afresh, so a value written in place is seen.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import count
 from math import lcm
 from types import MappingProxyType
 
-from heckeforge.exact import (Cyclo, check_bound, check_prime, exponent_sum,
-                              join, power_within, scalar, scalar_from_json,
-                              scalar_json, split, vp)
+from heckeforge.exact import (Cyclo, _cyclo, check_bound, check_prime,
+                              exponent_sum, join, power_within, scalar,
+                              scalar_from_json, scalar_json, split, vp)
 from heckeforge.gauss import (MAX_MODULUS, _exponents, all_characters,
                               check_modulus)
 from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
 
-class QTower:
+class _Positions:
+    """The index tables a tower reads off its elements, lifts and vee."""
+
+    __slots__ = ()
+
+    @cache
+    def positions(self, m):
+        """x -> its position in elements(m)."""
+        return MappingProxyType({x: i for i, x in enumerate(self.elements(m))})
+
+    @cache
+    def lift_positions(self, m):
+        """The positions in elements(m + 1) of the lifts of each x."""
+        at, lifts = self.positions(m + 1), self.lifts(m)
+        return tuple(tuple(map(at.get, lifts[x])) for x in self.elements(m))
+
+    @cache
+    def vee_positions(self, m, n):
+        """The position of vee(m, x, n) for each x of elements(m)."""
+        at = self.positions(m)
+        return tuple(at[self.vee(m, x, n)] for x in self.elements(m))
+
+
+class QTower(_Positions):
     """Levels m >= 1 with C(p^m) = (Z/p^m)^* and reduction transitions;
     a value, with tables shared by equal towers ("Tables once" above)."""
 
@@ -113,7 +140,7 @@ class QTower:
         return max(chi.conductor_exponent(), 1)
 
 
-class AbstractTower:
+class AbstractTower(_Positions):
     """C_m = Z/h x (Z/p^m)^*: a finite-group generalization with a cyclic
     class-group part of order h >= 1; transitions are identity x reduction.
 
@@ -192,8 +219,8 @@ def _check_same_prime(chi, p):
 
 class Distribution:
     """Level-indexed values on tower cosets, each a tuple indexed by nus,
-    stored split: `numerators[m]` = (den, {x: vector}), read and written
-    through `values[m]`.
+    stored as columns (`_columns`): `numerators[m]` = (den, columns), read
+    and written through `values[m]`.
 
     `eigen` starts as None; a caller that knows the eigenvalue data
     assigns it a dict (kappa, and eta_n, eta_prime for the distribution
@@ -202,12 +229,14 @@ class Distribution:
     def __init__(self, tower, nus, values):
         self.tower = tower
         self.nus = _distinct(nus, "distribution")
-        self.numerators = {m: _split_level(lv) for m, lv in values.items()}
+        self.numerators = {m: _columns(tower, m, level, len(self.nus), "value")
+                           for m, level in values.items()}
         self.eigen = None
 
     @property
     def values(self):
-        return {m: _Level(self.numerators, m) for m in self.numerators}
+        return {m: _Level(self.tower, self.numerators, m)
+                for m in self.numerators}
 
     @property
     def levels(self):
@@ -263,7 +292,7 @@ class Distribution:
                 cosets[c["x"]] = tuple(scalar_from_json(v, f"{at}.value")
                                        for v in c["value"])
             if (len(cosets) != len(level["cosets"])
-                    or set(cosets) != set(tower.elements(m))):
+                    or cosets.keys() != tower.positions(m).keys()):
                 raise ValueError(f"{where}: the cosets are not those of "
                                  f"(Z/{obj['p']}^{m})^*, each listed once")
             values[m] = cosets
@@ -271,42 +300,68 @@ class Distribution:
 
 
 class _Level(Mapping):
-    """Level m of a store {m: (den, {x: vector})}, as value tuples."""
+    """Level m of a store {m: (den, columns)} on a tower, as value tuples
+    by coset, in elements(m) order; a write splits the level afresh."""
 
-    def __init__(self, store, m):
-        self.store, self.m = store, m
+    def __init__(self, tower, store, m):
+        self.tower, self.store, self.m = tower, store, m
 
     def __getitem__(self, x):
-        den, level = self.store[self.m]
-        return tuple(join(s, den) for s in level[x])
+        den, columns = self.store[self.m]
+        i = self.tower.positions(self.m)[x]
+        return tuple([join(col[i], den) for col in columns])
 
     def __iter__(self):
-        return iter(self.store[self.m][1])
+        return iter(self.tower.elements(self.m))
 
     def __len__(self):
-        return len(self.store[self.m][1])
+        return len(self.tower.elements(self.m))
 
     def __setitem__(self, x, vec):
-        (den, level), (vden, items) = self.store[self.m], split(vec)
-        big = lcm(den, vden)
-        self.store[self.m] = big, {**{y: tuple(s * (big // den) for s in v)
-                                      for y, v in level.items()},
-                                   x: tuple(s * (big // vden) for s in items)}
+        self.store[self.m] = _columns(self.tower, self.m, {**self, x: vec},
+                                      len(self.store[self.m][1]), "value")
 
 
-def _split_level(level):
-    """(den, {x: vector}) for a mapping of value tuples, as `exact.split`
-    gives them; a `_Level` as stored (a write replaces a level's dict)."""
-    if isinstance(level, _Level):
+def _columns(tower, m, level, d, what):
+    """(den, columns) of a level {x: vector of d values} that lists each
+    coset of tower.elements(m) once, or ValueError naming the level and the
+    coset; a `_Level` of these elements as stored."""
+    elements, at = tower.elements(m), tower.positions(m)
+    if (isinstance(level, _Level) and len(level.store[level.m][1]) == d
+            and level.tower.elements(level.m) == elements):
         return level.store[level.m]
-    den, items = split([v for vec in level.values() for v in vec])
-    items = iter(items)
-    return den, {x: tuple(islice(items, len(vec))) for x, vec in level.items()}
+    for x, vec in level.items():
+        if x not in at:
+            raise ValueError(f"level {m}: {x} is not a coset of the level")
+        if len(vec) != d:
+            raise ValueError(f"level {m}: component count mismatch: the "
+                             f"{what} at {x} has {len(vec)} entries for {d} "
+                             "nus")
+    for x in elements:
+        if x not in level:
+            raise ValueError(f"level {m}: missing {what} at {x}")
+    den, items = split([v for x in elements for v in level[x]])
+    return den, tuple([tuple(items[c::d]) for c in range(d)])
 
 
-def _differ(a, da, b, db):
-    """Whether the vectors of numerators a / da and b / db differ."""
-    return tuple(s * db for s in a) != tuple(s * da for s in b)
+def _first_difference(columns, den, others, oden):
+    """The first position where columns / den and others / oden differ."""
+    if den != oden:
+        columns = [[s * oden for s in col] for col in columns]
+        others = [[s * den for s in col] for col in others]
+    return min((i for a, b in zip(columns, others) if a != b
+                for i, s, t in zip(count(), a, b) if s != t), default=None)
+
+
+def _permuted(column, perm):
+    """The column read at the positions perm (a tuple built from a list, as
+    below: one grown from a generator raised the peak memory)."""
+    return tuple([column[i] for i in perm])
+
+
+def _pushed(column, lifts):
+    """The column summed over each position's lifts, in order."""
+    return tuple([sum(map(column.__getitem__, ys)) for ys in lifts])
 
 
 def _distinct(nus, where):
@@ -333,7 +388,8 @@ def _require(obj, key, kind, where):
 
 class EigenSymbol:
     """Base data at a deep level plus the eigen-operator push-down rule:
-    B(x, level m) = kappa^{-1} sum of B over the lifts of x at m+1."""
+    B(x, level m) = kappa^{-1} sum of B over the lifts of x at m+1; the
+    base data is checked as a distribution's level is (`_columns`)."""
 
     def __init__(self, tower, kappa, base_level, base_data, nus):
         if not kappa:
@@ -342,43 +398,38 @@ class EigenSymbol:
         self.kappa = kappa
         self.base_level = base_level
         self.nus = _distinct(nus, "eigen-symbol")
-        self.numerators = {base_level: _split_level(base_data)}
-        base = self.numerators[base_level][1]
-        for x in tower.elements(base_level):
-            if x not in base:
-                raise ValueError(f"missing base datum at {x}")
-            if len(base[x]) != len(self.nus):
-                raise ValueError("component count mismatch")
+        self.numerators = {base_level: _columns(
+            tower, base_level, base_data, len(self.nus), "base datum")}
 
     @property
     def base_data(self):
-        return _Level(self.numerators, self.base_level)
+        return _Level(self.tower, self.numerators, self.base_level)
 
 
 def build_mu(sym, m0):
     """values mu(x + p^m) = kappa^{-m} B_m(x) = kappa^{-M} S_m(x) for
     m0 <= m <= M, the base level: S_m(x) sums the base data over the
-    descendants of x, on numerators over one denominator."""
+    descendants of x, column by column over the lift positions."""
     if m0 < 1 or m0 > sym.base_level:
         raise ValueError("need 1 <= m0 <= base level")
     tower, big_m = sym.tower, sym.base_level
     store = {big_m: _scaled(sym.numerators[big_m],
                             (1 / scalar(sym.kappa)) ** big_m)}
     for m in range(big_m - 1, m0 - 1, -1):
-        den, sums = store[m + 1]
-        store[m] = den, {x: _vector_sum(sums[y] for y in ys)
-                         for x, ys in tower.lifts(m).items()}
-    return Distribution(tower, sym.nus, {m: _Level(store, m)
+        den, columns = store[m + 1]
+        lifts = tower.lift_positions(m)
+        store[m] = den, tuple([_pushed(col, lifts) for col in columns])
+    return Distribution(tower, sym.nus, {m: _Level(tower, store, m)
                                          for m in sorted(store)})
 
 
 def _scaled(level, scale):
-    """The split level (den, {x: vector}) times the scalar scale; a Cyclo
+    """The level (den, columns) times the scalar scale; a Cyclo
     numerator 1 still multiplies, placing each value at its conductor."""
-    (sden, (num,)), (den, vectors) = split([scale]), level
+    (sden, (num,)), (den, columns) = split([scale]), level
     if type(num) is not int or num != 1:
-        vectors = {x: tuple(s * num for s in v) for x, v in vectors.items()}
-    return den * sden, vectors
+        columns = tuple([tuple([s * num for s in col]) for col in columns])
+    return den * sden, columns
 
 
 def check_distribution_relation(mu):
@@ -390,12 +441,12 @@ def check_distribution_relation(mu):
     for m, m1 in zip(levels, levels[1:]):
         if m1 != m + 1:
             raise ValueError("stored levels must be consecutive")
-        lifts, (den, level) = mu.tower.lifts(m), mu.numerators[m]
-        dden, deeper = mu.numerators[m1]
-        for x, vec in level.items():
-            acc = _vector_sum(deeper[y] for y in lifts[x])
-            if _differ(vec, den, acc, dden):
-                return False, (x, m)
+        (den, columns), (dden, deeper) = mu.numerators[m], mu.numerators[m1]
+        lifts = mu.tower.lift_positions(m)
+        at = _first_difference(columns, den,
+                               [_pushed(col, lifts) for col in deeper], dden)
+        if at is not None:
+            return False, (mu.tower.elements(m)[at], m)
     return True, None
 
 
@@ -403,12 +454,12 @@ def check_boundedness(mu, p, floor=0):
     """Every stored coordinate has v_p >= floor (the integral-lattice
     normalization is the caller's floor parameter)."""
     for m in mu.levels:
-        den, level = mu.numerators[m]
+        den, columns = mu.numerators[m]
         low = floor + vp(den, p)  # v_p(s / den) < floor
-        for x, vec in level.items():
-            for idx, s in enumerate(vec):
+        for x, vec in zip(mu.tower.elements(m), zip(*columns)):
+            for nu, s in zip(mu.nus, vec):
                 if s and vp(s, p) < low:
-                    return False, (x, m, mu.nus[idx], join(s, den))
+                    return False, (x, m, nu, join(s, den))
     return True, None
 
 
@@ -431,24 +482,11 @@ def integrate_character(mu, chi):
 
 
 def _integrate_at(mu, chi, m):
-    """The integral at level m, from the level's exponent table."""
-    tower, (den, level) = mu.tower, mu.numerators[m]
-    return _component_sums(tower.char_order(chi), tower.char_powers(chi, m),
-                           [level[x] for x in tower.elements(m)], den)
-
-
-def _component_sums(n, ks, vecs, den):
-    """The entrywise sum of zeta_n^ks[i] * vecs[i] / den: one
-    `exact.exponent_sum` per component."""
-    return tuple(exponent_sum(n, ks, column, den) for column in zip(*vecs))
-
-
-def _vector_sum(vecs):
-    """The entrywise sum of value vectors, added in order; None for none."""
-    acc = None
-    for vec in vecs:
-        acc = vec if acc is None else tuple(a + b for a, b in zip(acc, vec))
-    return acc
+    """The integral at level m: one `exact.exponent_sum` per column, over
+    the level's exponent table."""
+    tower, (den, columns) = mu.tower, mu.numerators[m]
+    n, ks = tower.char_order(chi), tower.char_powers(chi, m)
+    return tuple([exponent_sum(n, ks, col, den) for col in columns])
 
 
 def fourier_inversion_check(mu, m):
@@ -462,20 +500,37 @@ def fourier_inversion_check(mu, m):
     distribution."""
     tower = mu.tower
     chars, elements = tower.characters(m), tower.elements(m)
-    vecs = [mu.numerators[m][1][x] for x in elements]
+    columns = mu.numerators[m][1]
     orders = [tower.char_order(chi) for chi in chars]
     tables = [tower.char_powers(chi, m) for chi in chars]
-    integrals = [_component_sums(n, ks, vecs, 1)
-                 for n, ks in zip(orders, tables)]
-    # the integrals times den; chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N}
-    # over L = lcm of the N; row i of zip(*inverse) weights x0 = elements[i]
-    big = lcm(*orders)
-    inverse = [[-k * (big // n) for k in ks] for n, ks in zip(orders, tables)]
-    for x0, weights, vec in zip(elements, zip(*inverse), vecs):
-        for column, s in zip(zip(*integrals), vec):
-            if exponent_sum(big, (*weights, 0), (*column, -len(vecs) * s)):
+    # the integrals times den, spread once to L = lcm of orders and conductors
+    integrals = [[exponent_sum(n, ks, col) for n, ks in zip(orders, tables)]
+                 for col in columns]
+    big = lcm(*orders, *(s.m for row in integrals for s in row))
+    spread = [[_spread(s, big) for s in row] for row in integrals]
+    # chi(x0)^{-1} = zeta_N^{-k} is zeta_L^{-k L/N}, for x0 = elements[i]
+    inverse = [[-k * (big // n) % big for k in ks]
+               for n, ks in zip(orders, tables)]
+    size = len(elements)
+    for i, x0, weights in zip(count(), elements, zip(*inverse)):
+        for row, col in zip(spread, columns):
+            # terms at exponents below 2L, which `_cyclo` wraps mod L
+            out = [0] * (2 * big)
+            for w, terms in zip((*weights, 0),
+                                (*row, _spread(-size * col[i], big))):
+                for e, a in terms:
+                    out[w + e] += a
+            if _cyclo(big, out):
                 return False, x0
     return True, None
+
+
+def _spread(s, big):
+    """The nonzero terms (e, a) of an int or Cyclo s = sum a zeta_big^e."""
+    if type(s) is int:
+        return [(0, s)]
+    step = big // s.m
+    return [(e * step, a) for e, a in enumerate(s.num) if a]
 
 
 def kappa_hat(n, s, nu, nu_min):
@@ -545,7 +600,7 @@ def value_vee_reindexer(nus):
 
 def dual_symbol(sym, n, kappa_dual):
     """Synthetic twisted eigen-symbol: base'(x) = (kd/k)^M vee(base(x^vee)),
-    on the split base data.
+    on the base data's columns.
 
     The scale (kappa_dual / kappa)^M at the base level M makes the
     push-down bookkeeping reproduce mu_dual(x^vee) = (mu(x))^vee exactly;
@@ -553,12 +608,12 @@ def dual_symbol(sym, n, kappa_dual):
     """
     tower, big_m = sym.tower, sym.base_level
     dual_nus, reindex = value_vee_reindexer(sym.nus)
-    den, level = sym.numerators[big_m]
-    base = _scaled((den, {x: reindex(level[tower.vee(big_m, x, n)])
-                          for x in tower.elements(big_m)}),
+    (den, columns), perm = sym.numerators[big_m], tower.vee_positions(big_m, n)
+    columns = tuple([_permuted(col, perm) for col in reindex(columns)])
+    base = _scaled((den, columns),
                    (1 / scalar(sym.kappa)) ** big_m * kappa_dual ** big_m)
-    return EigenSymbol(tower, kappa_dual, big_m, _Level({big_m: base}, big_m),
-                       dual_nus)
+    return EigenSymbol(tower, kappa_dual, big_m,
+                       _Level(tower, {big_m: base}, big_m), dual_nus)
 
 
 def dual_kappa_pair(n, q, lam_full, lam_prime_full):
@@ -596,11 +651,13 @@ def check_functional_equation(mu, mu_dual, n):
         return {"ok": False, "witness": "level ranges differ",
                 "kappa_relation_ok": None}
     for m in mu.levels:
-        (den, level), (dden, dual) = mu.numerators[m], mu_dual.numerators[m]
-        for x, vec in level.items():
-            if _differ(reindex(vec), den, dual[mu.tower.vee(m, x, n)], dden):
-                return {"ok": False, "witness": (x, m),
-                        "kappa_relation_ok": None}
+        (den, columns), (dden, dual) = mu.numerators[m], mu_dual.numerators[m]
+        perm = mu.tower.vee_positions(m, n)
+        at = _first_difference(reindex(columns), den,
+                               [_permuted(col, perm) for col in dual], dden)
+        if at is not None:
+            return {"ok": False, "witness": (mu.tower.elements(m)[at], m),
+                    "kappa_relation_ok": None}
     kappa_ok, e = None, mu.eigen
     if e and mu_dual.eigen:
         kappa_ok = e["kappa"] == (mu_dual.eigen["kappa"] * e["eta_n"] ** (n - 1)

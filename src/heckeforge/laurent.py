@@ -33,6 +33,11 @@ from fractions import Fraction
 from heckeforge.exact import join, scalar, split
 
 
+def _is_one(p):
+    """Whether p is the constant Fraction 1, which a product leaves as is."""
+    return type(p.terms.get(())) is Fraction and p.terms == {(): 1}
+
+
 class LaurentInversionError(ArithmeticError):
     """Raised when a matrix determinant is not a unit of the Laurent ring."""
 
@@ -290,9 +295,10 @@ class LaurentMatrix:
             for j in range(n):
                 acc = LaurentPoly()
                 for k in range(n):
-                    a = self.entries[i][k]
-                    if a:
-                        acc = acc + a * other.entries[k][j]
+                    a, b = self.entries[i][k], other.entries[k][j]
+                    if a and b:
+                        acc = acc + (b if _is_one(a) else a if _is_one(b)
+                                     else a * b)
                 row.append(acc)
             rows.append(row)
         return LaurentMatrix(rows)

@@ -125,6 +125,26 @@ def test_corrupted_fixture_config(capsys, tmp_path):
     assert fails[0]["witness"] is not None
 
 
+CORRUPTED_CFG = os.path.join(os.path.dirname(__file__), "data",
+                             "verify-corrupted-seed5.cfg")
+
+
+def test_verify_corrupted_fixture_report_is_pinned(capsys, tmp_path):
+    """`verify --seed 5` with the corrupted-distribution fixture switched
+    on exits 1, and its report less `ms` is byte for byte the committed
+    one: the seed-5 records, and one fail record whose witness is the
+    coset (1, 1), where the distribution relation breaks after a value
+    is written in place (the CI workflow diffs the command's output)."""
+    out_path = tmp_path / "report.jsonl"
+    code, _, err = run_cli(capsys, "verify", "--config", CORRUPTED_CFG,
+                           "--seed", "5", "--json-out", str(out_path))
+    assert code == 1 and err == "1 case(s) failed\n"
+    got = "".join(re.sub(r', "ms": [0-9.eE+-]+\}$', "}", line) + "\n"
+                  for line in out_path.read_text().splitlines())
+    with open(CORRUPTED_CFG[:-len(".cfg")] + ".jsonl") as fh:
+        assert got == fh.read()
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2

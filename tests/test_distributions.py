@@ -1004,3 +1004,126 @@ def test_json_round_trip_of_split_levels(sym):
             for m, level in want.items()}
     else:
         assert {m: dict(level) for m, level in back.values.items()} == want
+
+
+# A level must list each coset of tower.elements(m) once, each with one
+# value per nu: given, written or as an eigen-symbol's base data.
+
+MALFORMED = [
+    (lambda: dist.Distribution(dist.QTower(3), [0], {1: {1: (F(1),)}}),
+     "level 1: missing value at 2"),
+    (lambda: dist.Distribution(dist.QTower(3), [0], {
+        1: {1: (F(1),), 2: (F(2),), 7: (F(3),)}}),
+     "level 1: 7 is not a coset of the level"),
+    (lambda: dist.Distribution(dist.QTower(3), [0, 1], {
+        1: {1: (F(1), F(2)), 2: (F(3),)}}),
+     "level 1: component count mismatch: the value at 2 has 1 entries for "
+     "2 nus"),
+    (lambda: dist.EigenSymbol(dist.AbstractTower(3, 2), F(2), 1, {
+        (0, 1): (F(1),), (0, 2): (F(1),), (1, 1): (F(1),)}, [0]),
+     "level 1: missing base datum at (1, 2)"),
+    (lambda: dist.EigenSymbol(dist.QTower(3), F(2), 1, {
+        1: (F(1),), 2: (F(1), F(1))}, [0]),
+     "level 1: component count mismatch: the base datum at 2 has 2 "
+     "entries for 1 nus"),
+]
+
+
+@pytest.mark.parametrize("make, message", MALFORMED)
+def test_a_malformed_level_is_refused(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("x, vec, message", [
+    (1, (F(5),), "level 1: component count mismatch: the value at 1 has 1 "
+                 "entries for 2 nus"),
+    (7, (F(5), F(1)), "level 1: 7 is not a coset of the level"),
+])
+def test_a_malformed_write_is_refused(x, vec, message):
+    """A write of a short vector, or at a key that is not a coset, is
+    refused and leaves the level as it was; Fourier inversion still reads
+    only the cosets."""
+    mu = dist.build_mu(make_symbol(random.Random(40), 3, 2, F(2), d=2), 1)
+    before = mu.to_json()
+    with pytest.raises(ValueError) as refused:
+        mu.values[1][x] = vec
+    assert str(refused.value) == message
+    assert mu.to_json() == before and 7 not in mu.values[1]
+    assert dist.fourier_inversion_check(mu, 1) == (True, None)
+
+
+@pytest.mark.parametrize("make", [lambda: dist.QTower(3),
+                                  lambda: dist.QTower(5),
+                                  lambda: dist.AbstractTower(3, 2)])
+def test_index_tables_are_built_once_and_shared(make):
+    """positions, lift_positions and vee_positions index elements(m) as
+    x -> position, the lifts' positions one level up and the positions of
+    x^vee; equal towers share them and a subclass's tower keeps its own."""
+    tower, fresh = make(), make()
+    for m in (1, 2):
+        elements, up = tower.elements(m), tower.elements(m + 1)
+        positions = tower.positions(m)
+        assert isinstance(positions, MappingProxyType)
+        assert positions is fresh.positions(m)
+        assert [positions[x] for x in elements] == list(range(len(elements)))
+        lifts = tower.lift_positions(m)
+        assert lifts is fresh.lift_positions(m)
+        assert [tuple(up[j] for j in js) for js in lifts] == [
+            _lifts_reference(tower, m, x) for x in elements]
+        for n in (2, 3):
+            vees = tower.vee_positions(m, n)
+            assert vees is fresh.vee_positions(m, n)
+            assert [elements[i] for i in vees] == [
+                _vee_reference(tower, m, x, n) for x in elements]
+    foreign = _ForeignCharacters(3)
+    assert foreign.positions(2) is not dist.QTower(3).positions(2)
+    assert foreign.positions(2) == dist.QTower(3).positions(2)
+
+
+def _given_in_order(mu, order):
+    """mu given afresh, each level a dict inserted in order(m)."""
+    return dist.Distribution(mu.tower, mu.nus, {
+        m: {x: mu.values[m][x] for x in order(m)} for m in mu.levels})
+
+
+def _check_results(mu, mu_dual, n):
+    tower = mu.tower
+    return {
+        "integrals": [_integrate_character_outcome(mu, chi)
+                      for m in mu.levels for chi in tower.characters(m)],
+        "fourier": [dist.fourier_inversion_check(mu, m) for m in mu.levels],
+        "relation": (dist.check_distribution_relation(mu)
+                     if len(mu.levels) > 1 else None),
+        "functional equation": dist.check_functional_equation(mu, mu_dual, n),
+        "json": mu.to_json(),
+    }
+
+
+@REFERENCE
+@given(symbols(), st.sampled_from([2, 3]), st.booleans(), st.data())
+def test_checks_do_not_depend_on_the_order_a_level_is_given_in(sym, n, bump,
+                                                               data):
+    """A distribution whose level dicts are given in shuffled insertion
+    order gives the integrals, Fourier inversion, relation (witness
+    included), functional equation and JSON of one given in element
+    order, on int- and Cyclo-valued levels, with or without one value
+    bumped so that the relation and the functional equation fail."""
+    tower = sym.tower
+    mu = dist.build_mu(sym, 1)
+    mu_dual = dist.build_mu(dist.dual_symbol(sym, n, F(5, 3)), 1)
+    if bump:
+        m = data.draw(st.sampled_from(mu.levels))
+        x = data.draw(st.sampled_from(tower.elements(m)))
+        mu.values[m][x] = (mu.values[m][x][0] + 1, *mu.values[m][x][1:])
+
+    def shuffled(m):
+        return data.draw(st.permutations(tower.elements(m)))
+
+    want = _check_results(_given_in_order(mu, tower.elements),
+                          _given_in_order(mu_dual, tower.elements), n)
+    got = _check_results(_given_in_order(mu, shuffled),
+                         _given_in_order(mu_dual, shuffled), n)
+    assert got == want
+    assert want["json"] == mu.to_json()

@@ -337,3 +337,44 @@ def test_truncated_product_matches_reference(factors, k):
     got = truncated_product(factors, "f", k).terms
     assert got == want
     assert all(type(got[key]) is type(v) for key, v in want.items())
+
+
+# A constant-1 entry (the unit entries of the unipotent, Weyl and diagonal
+# factors) or a zero entry forms no Laurent product in a matrix product.
+
+ENTRIES = st.one_of(st.just(0), st.just(1), st.just(Cyclo.rational(1)),
+                    MIXED_POLYS)
+
+
+@PROPERTY
+@given(st.lists(ENTRIES, min_size=8, max_size=8))
+def test_matrix_product_keeps_the_terms_of_the_full_products(entries):
+    """Each entry of a product has the keys, order and coefficient types of
+    the sum of the full products; a Cyclo 1 is not a unit factor, as a
+    product with it turns Fraction coefficients into Cyclos."""
+    a = LaurentMatrix([entries[0:2], entries[2:4]])
+    b = LaurentMatrix([entries[4:6], entries[6:8]])
+    got = a * b
+    for i in range(2):
+        for j in range(2):
+            want = LaurentPoly()
+            for k in range(2):
+                want = want + a.entries[i][k] * b.entries[k][j]
+            assert_same_terms(got.entries[i][j].terms, want.terms)
+
+
+def test_matrix_product_skips_unit_and_zero_factors(monkeypatch):
+    f, u = lvar("f"), lvar("u1")
+    a, b = LaurentMatrix([[1, f], [0, 1]]), LaurentMatrix([[1, 0], [u, 1]])
+    products = []
+    multiply = LaurentPoly.__mul__
+
+    def counting(p, q):
+        products.append((p, q))
+        return multiply(p, q)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    got = a * b
+    monkeypatch.undo()
+    assert products == [(f, u)]
+    assert got.entries == LaurentMatrix([[1 + f * u, f], [u, 1]]).entries
