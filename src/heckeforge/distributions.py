@@ -46,7 +46,6 @@ from heckeforge.exact import (Cyclo, _cyclo, check_bound, check_prime,
                               scalar_from_json, scalar_json, split, vp)
 from heckeforge.gauss import (MAX_MODULUS, _exponents, all_characters,
                               check_modulus)
-from heckeforge.modules import HeckeRoots, full_dual_roots, kappa_of
 
 
 class _Positions:
@@ -617,26 +616,9 @@ def dual_symbol(sym, n, kappa_dual):
 
 
 def dual_kappa_pair(n, q, lam_full, lam_prime_full):
-    """kappa_{lam^vee} kappa_{lam'^vee} together with the eigenvalue data
-    (eta_n, eta'_{n-1}) entering the kappa-inversion relation, each the
-    `HeckeRoots.eta` of its roots."""
-    q = Fraction(q)
-    lam_vee = full_dual_roots(lam_full, q)[: n - 1]
-    lam_p_vee = full_dual_roots(lam_prime_full, q)
-    kd = kappa_of(lam_vee, q) * kappa_of(lam_p_vee, q)
-    eta_n = HeckeRoots(lam_full, q).eta(n)
-    eta_prime = HeckeRoots(lam_prime_full, q).eta(n - 1)
-    return kd, eta_n, eta_prime
-
-
-def verify_inversekappa(n, q, lam_full, lam_prime_full):
-    """kappa = eta_n^{n-1} eta'^n kappa_dual, the eigenvalue relation the
-    functional equation consumes (stated there per level as
-    kappa(f) = zeta^{1-n} zeta'^{-n} kappa_dual(f))."""
-    q = Fraction(q)
-    kappa = kappa_of(lam_full[: n - 1], q) * kappa_of(lam_prime_full, q)
-    kd, eta_n, eta_prime = dual_kappa_pair(n, q, lam_full, lam_prime_full)
-    return kappa == kd * eta_n ** (n - 1) * eta_prime ** n
+    """`modules.dual_kappa_pair`, kept here for the benchmark's callers."""
+    from heckeforge import modules
+    return modules.dual_kappa_pair(n, q, lam_full, lam_prime_full)
 
 
 def check_functional_equation(mu, mu_dual, n):

@@ -6,10 +6,12 @@ one coset g K_I (level p^r) exactly when their keys are equal.  The key
 is the one coset-equality rule.  A `CosetSum` is one dict from that key
 to [rep, coeff], so every sum is folded; folds, sum equality,
 disjointness, coverage and the index counts all read it.  Each index is
-an orbit size: the number of cosets
-`CosetSum.orbit` reaches from one coset under left multiplication by
-generators of the group.  `spherical_convolve` folds modulo GL_n(Z_p),
-the same key at level r = 0.  Every operator expansion is one
+an orbit size: the number of cosets `CosetSum.orbit` reaches from one
+coset under left multiplication by generators of the group.  Coverage
+is an orbit too: an expansion lists exactly the cosets of its double
+coset when its key set is the orbit's, under `_group_generators` of
+K_I, of K_B or of GL_n(Z_p).  `spherical_convolve` folds modulo
+GL_n(Z_p), the same key at level r = 0.  Every operator expansion is one
 enumeration of upper triangular cosets, `_triangular_reps`, over the
 blocks that `_operator` describes; each listed matrix is a column
 Hermite form, keyed by `kernels.hermite_key`.
@@ -17,9 +19,9 @@ Hermite form, keyed by `kernels.hermite_key`.
 
 import itertools
 import math
-import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 from heckeforge import kernels
 from heckeforge.exact import (MAX_ENUMERATION, check_bound, power_within,
@@ -312,7 +314,8 @@ def eps_T(ctx, nu):
 def expand_operator(ctx, tag):
     """Expand a Hecke operator tag: 'V0'..'Vn', 'U1'..'Un', 'Vp', "Vp'",
     'T0'..'Tn', each through the one triangular enumeration.  The
-    decomposition is checked by check_disjoint and check_coverage."""
+    decomposition is checked by check_coverage, which runs
+    check_disjoint."""
     return _expand(ctx, *_parse_tag(tag))
 
 
@@ -384,45 +387,6 @@ def verify_gritsenko(ctx):
 # ---------------------------------------------------------------------------
 # coverage / disjointness validation
 
-def _random_unit(rng, p, mod):
-    u = rng.randrange(mod)
-    while u % p == 0:
-        u = rng.randrange(mod)
-    return u
-
-
-def _random_iwahori(ctx, rng):
-    """Random element of K_I as unipotent * diagonal-unit * lower-congruent,
-    entries drawn mod p^3 and multiplied out as one flat integer product:
-    the diagonal scales the unipotent's columns."""
-    n, p, r = ctx.n, ctx.p, ctx.r
-    mod = p ** 3
-    low = p ** r
-    up = [int(i == j) for i in range(n) for j in range(n)]
-    lo = list(up)
-    dg = [0] * n
-    for i in range(n):
-        dg[i] = _random_unit(rng, p, mod)
-        for j in range(i + 1, n):
-            up[i * n + j] = rng.randrange(mod)
-            lo[j * n + i] = low * rng.randrange(mod)
-    ud = [x * dg[k % n] for k, x in enumerate(up)]
-    return RatMat(n, kernels.mat_mul(ud, lo, n), 1, normalized=True)
-
-
-def _random_triangular_unit(ctx, rng):
-    """Random element of K_B (integral upper triangular, unit diagonal),
-    entries drawn mod p^3."""
-    n, p = ctx.n, ctx.p
-    mod = p ** 3
-    num = [0] * (n * n)
-    for i in range(n):
-        num[i * n + i] = _random_unit(rng, p, mod)
-        for j in range(i + 1, n):
-            num[i * n + j] = rng.randrange(mod)
-    return RatMat(n, num, 1, normalized=True)
-
-
 def check_disjoint(cs):
     """Every listed coset once: a sum folds a coset listed k times to
     coefficient k, so (True, None) when every coefficient is 1, else
@@ -433,25 +397,35 @@ def check_disjoint(cs):
     return True, None
 
 
-def check_coverage(ctx, tag, samples=200, seed=0):
-    """Randomized coverage: k * g lies in exactly one listed coset, one
-    whose coefficient is 1.
+def check_coverage(ctx, tag):
+    """The listed cosets of `tag` are exactly the cosets of its double
+    coset K g0 K, each listed once: (True, None), else (False, witness).
 
-    For the V-family k is drawn from the full Iwahori subgroup; U_i and
-    T_nu live in the triangular monoid, so k is drawn from K_B there
-    (a full-Iwahori translate can leave the monoid at level r >= 1).
-    Returns the number of the `samples` probes that fail.
-    """
-    rng = random.Random(seed)
-    cs = expand_operator(ctx, tag)
+    K is K_I for the V family (V_nu, V_p, V_p'), K_B (integral upper
+    triangular) for U_i, whose cosets live in the triangular monoid, and
+    GL_n(Z_p) for T_nu, keyed at level r = 0.  The cosets of K g0 K are
+    `CosetSum.orbit` of g0 K under `_group_generators` of K: they
+    generate a dense subgroup of K, and the stabiliser of g0 K is the
+    open subgroup K meet g0 K g0^-1, so the orbit is the whole double
+    coset.  The two key sets must be equal, and the witness is the first
+    coset in one and not the other, ("unreached", rep) for a listed coset
+    outside the orbit, then ("unlisted", rep) for a coset of the orbit
+    not listed.  Then `check_disjoint` of the listing decides, with its
+    witness."""
     kind, k = _parse_tag(tag)
-    g = _operator(ctx.n, ctx.p, kind, k)[1]
-    g0 = RatMat.diagonal([ctx.p ** x for x in g])
-    sampler = (_random_triangular_unit if kind in ("U", "T")
-               else _random_iwahori)
-    terms = cs.terms
-    return sum(terms.get(cs._key(sampler(ctx, rng) * g0), (None, 0))[1] != 1
-               for _ in range(samples))
+    n, p = ctx.n, ctx.p
+    if kind == "T":
+        ctx = _spherical_context(n, p)
+    listed = expand_operator(ctx, tag)
+    g0 = RatMat.diagonal([p ** x for x in _operator(n, p, kind, k)[1]])
+    orbit = CosetSum.orbit(ctx, g0, _group_generators(n, p, ctx.r,
+                                                      lower=kind != "U"))
+    for ours, theirs, side in ((listed, orbit, "unreached"),
+                               (orbit, listed, "unlisted")):
+        for key, (rep, _) in ours.terms.items():
+            if key not in theirs.terms:
+                return False, (side, rep)
+    return check_disjoint(listed)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +470,15 @@ def satake_halfdensity_at(pairs, n, p):
     return out
 
 
+def _spherical_context(n, p):
+    """A plain (n, p, r) context at level r = 0, whose `CosetSum` folds
+    modulo GL_n(Z_p): a `GlnContext` rejects r = 0 on purpose."""
+    return SimpleNamespace(n=n, p=p, r=0)
+
+
 def spherical_convolve(reps_a, reps_b, n, p):
-    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p):
-    the `CosetSum` fold at level r = 0, under a plain (n, p, r) context,
-    since a `GlnContext` rejects r = 0 on purpose."""
-    from types import SimpleNamespace
-    out = CosetSum(SimpleNamespace(n=n, p=p, r=0))
+    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p)."""
+    out = CosetSum(_spherical_context(n, p))
     for a in reps_a:
         for b in reps_b:
             out._accumulate(a * b, 1)
@@ -590,27 +567,35 @@ def count_unipotent_index(ctx):
     return len(CosetSum.orbit(ctx, start, gens))
 
 
+def _group_generators(n, p, r, lower=True):
+    """Generators of a dense subgroup of the level-p^r Iwahori subgroup
+    of GL_n(Z_p), by the Iwahori factorisation lower * diagonal * upper:
+    the unit diagonals at topological generators of Z_p^*, E_ij(1) for
+    i < j and E_ij(p^r) for i > j.  Without `lower`, the upper triangular
+    group K_B; at r = 0, GL_n(Z_p)."""
+    from heckeforge.gauss import unit_group_generators
+
+    # (Z/p^2)^* for odd p, (Z/8)^* for p = 2: generators of these
+    # generate Z_p^* topologically
+    units = [g for g, _ in unit_group_generators(p, 3 if p == 2 else 2)]
+    gens = [_identity_with(n, i, i, u) for i in range(n) for u in units]
+    gens += [_identity_with(n, i, j, 1 if i < j else p ** r)
+             for i in range(n) for j in range(n) if i < j or (lower and i > j)]
+    return gens
+
+
 def count_gamma_index(ctx):
     """[I_{n-1}(p^r) : K(f)] as the number of cosets j(g) h(f) K_I, g in
     the level-p^r Iwahori subgroup I_{n-1}(p^r) of GL_{n-1}(Z_p).
 
     K(f) = j^{-1}(h(f) K_I h(f)^{-1}) meet I_{n-1}(p^r) is the stabiliser
     of h(f) K_I under g -> j(g), open as h(f) K_I h(f)^{-1} is.  The
-    generators are the unit diagonals at topological generators of
-    Z_p^*, E_ij(1) for i < j and E_ij(p^r) for i > j; by the Iwahori
-    factorisation lower * diagonal * upper they generate a dense
-    subgroup of I_{n-1}(p^r), so `CosetSum.orbit` over their images
-    under j lists every coset.  Returns (index, the orbit)."""
-    from heckeforge.gauss import unit_group_generators
+    images under j of `_group_generators` of I_{n-1}(p^r) generate a
+    dense subgroup of j(I_{n-1}(p^r)), so `CosetSum.orbit` over them
+    lists every coset.  Returns (index, the orbit)."""
     from heckeforge.matrices import h_matrix
 
-    m, p, r = ctx.n - 1, ctx.p, ctx.r
-    # (Z/p^2)^* for odd p, (Z/8)^* for p = 2: generators of these
-    # generate Z_p^* topologically
-    units = [g for g, _ in unit_group_generators(p, 3 if p == 2 else 2)]
-    gens = [_identity_with(m, i, i, u) for i in range(m) for u in units]
-    gens += [_identity_with(m, i, j, 1 if i < j else p ** r)
-             for i in range(m) for j in range(m) if i != j]
+    gens = _group_generators(ctx.n - 1, ctx.p, ctx.r)
     start = h_matrix(RatMat, ctx.n, ctx.f)
     cosets = CosetSum.orbit(ctx, start, [g.j_embed() for g in gens])
     return len(cosets), cosets

@@ -38,6 +38,11 @@ def _is_one(p):
     return type(p.terms.get(())) is Fraction and p.terms == {(): 1}
 
 
+def _times(a, b):
+    """a * b for polynomials a and b, without the product when one is 1."""
+    return b if _is_one(a) else a if _is_one(b) else a * b
+
+
 class LaurentInversionError(ArithmeticError):
     """Raised when a matrix determinant is not a unit of the Laurent ring."""
 
@@ -165,11 +170,13 @@ class LaurentPoly:
     def __pow__(self, k):
         if k < 0:
             return self.unit_inverse() ** (-k)
-        out = LaurentPoly.const(1)
+        if not k:
+            return LaurentPoly.const(1)
+        out = None  # the product so far; no factor 1 is multiplied in
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
@@ -297,8 +304,7 @@ class LaurentMatrix:
                 for k in range(n):
                     a, b = self.entries[i][k], other.entries[k][j]
                     if a and b:
-                        acc = acc + (b if _is_one(a) else a if _is_one(b)
-                                     else a * b)
+                        acc = acc + _times(a, b)
                 row.append(acc)
             rows.append(row)
         return LaurentMatrix(rows)
@@ -338,6 +344,8 @@ class LaurentMatrix:
         def minor(rows, cols):
             if not cols:
                 return one
+            if len(cols) == 1:
+                return e[rows[0]][cols[0]]
             key = (rows, cols)
             got = cache.get(key)
             if got is not None:
@@ -347,7 +355,7 @@ class LaurentMatrix:
             for idx, c in enumerate(cols):
                 a = row[c]
                 if a and (sub := minor(rest, cols[:idx] + cols[idx + 1:])):
-                    term = a * sub
+                    term = _times(a, sub)
                     acc = acc + (term if idx % 2 == 0 else -term)
             cache[key] = acc
             return acc
@@ -376,7 +384,7 @@ class LaurentMatrix:
             others = every[:i] + every[i + 1:]
             for j in range(n):
                 cof = minor(others, every[:j] + every[j + 1:])
-                rows[j][i] = cof and (-cof if (i + j) % 2 else cof) * dinv
+                rows[j][i] = cof and _times(-cof if (i + j) % 2 else cof, dinv)
         return LaurentMatrix(rows)
 
     def __repr__(self):

@@ -299,6 +299,29 @@ def full_dual_roots(lam, q):
     return tuple(dual_root(lam[i], q, k) for i in range(k - 1, -1, -1))
 
 
+def dual_kappa_pair(n, q, lam_full, lam_prime_full):
+    """kappa_{lam^vee} kappa_{lam'^vee} together with the eigenvalue data
+    (eta_n, eta'_{n-1}) entering the kappa-inversion relation, each the
+    `HeckeRoots.eta` of its roots."""
+    q = Fraction(q)
+    lam_vee = full_dual_roots(lam_full, q)[: n - 1]
+    lam_p_vee = full_dual_roots(lam_prime_full, q)
+    kd = kappa_of(lam_vee, q) * kappa_of(lam_p_vee, q)
+    eta_n = HeckeRoots(lam_full, q).eta(n)
+    eta_prime = HeckeRoots(lam_prime_full, q).eta(n - 1)
+    return kd, eta_n, eta_prime
+
+
+def verify_inversekappa(n, q, lam_full, lam_prime_full):
+    """kappa = eta_n^{n-1} eta'^n kappa_dual, the eigenvalue relation the
+    functional equation consumes (stated there per level as
+    kappa(f) = zeta^{1-n} zeta'^{-n} kappa_dual(f))."""
+    q = Fraction(q)
+    kappa = kappa_of(lam_full[: n - 1], q) * kappa_of(lam_prime_full, q)
+    kd, eta_n, eta_prime = dual_kappa_pair(n, q, lam_full, lam_prime_full)
+    return kappa == kd * eta_n ** (n - 1) * eta_prime ** n
+
+
 def verify_dual_projection(pm, vec, lam_full, lam_prime_full):
     """Machine check of the contragredient projection statement.
 

@@ -27,7 +27,7 @@ def _fe_case(rng, n, p):
     lam = [Fraction(v) for v in rng.sample([1, 2, 3, 5, 7], n)]
     lamp = [Fraction(v) for v in rng.sample([1, 2, 3, 5, 7], n - 1)]
     kappa = modules.kappa_of(lam[: n - 1], q) * modules.kappa_of(lamp, q)
-    kd, eta_n, eta_p = dist.dual_kappa_pair(n, q, lam, lamp)
+    kd, eta_n, eta_p = modules.dual_kappa_pair(n, q, lam, lamp)
     tower = dist.QTower(p)
     nus = [-1, 0, 1]
     base = {x: tuple(Fraction(rng.randrange(-6, 7)) for _ in nus)
@@ -78,7 +78,7 @@ def _case_fe_corrupt(rng):
     lam = [Fraction(1), Fraction(2)]
     lamp = [Fraction(3)]
     kappa = modules.kappa_of(lam[:1], q) * modules.kappa_of(lamp, q)
-    kd, eta_n, eta_p = dist.dual_kappa_pair(n, q, lam, lamp)
+    kd, eta_n, eta_p = modules.dual_kappa_pair(n, q, lam, lamp)
     tower = dist.QTower(p)
     sym = _random_symbol(rng, p, 2, kappa, d=1)
     sym_dual = dist.dual_symbol(sym, n, kd)
@@ -104,6 +104,6 @@ def _case_fe_invkappa(rng):
         for _ in range(10):
             lam = [Fraction(rng.randrange(1, 10)) for _ in range(n)]
             lamp = [Fraction(rng.randrange(1, 10)) for _ in range(n - 1)]
-            if not dist.verify_inversekappa(n, 2, lam, lamp):
+            if not modules.verify_inversekappa(n, 2, lam, lamp):
                 return _ok(False, {"n": n})
     return _ok(True)

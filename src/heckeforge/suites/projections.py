@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-from heckeforge import distributions as dist
 from heckeforge import modules
 from heckeforge.exact import vp
 from heckeforge.suite import _ok, case
@@ -155,6 +154,6 @@ def _case_invkappa(rng):
         for _ in range(10):
             lam = [Fraction(rng.randrange(1, 9)) for _ in range(n)]
             lamp = [Fraction(rng.randrange(1, 9)) for _ in range(n - 1)]
-            if not dist.verify_inversekappa(n, 3, lam, lamp):
+            if not modules.verify_inversekappa(n, 3, lam, lamp):
                 return _ok(False, {"n": n, "lam": [str(x) for x in lam]})
     return _ok(True)

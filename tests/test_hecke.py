@@ -77,18 +77,48 @@ def test_check_disjoint_finds_a_coset_listed_twice():
     assert hecke.check_disjoint(cs) == (True, None)
 
 
-def test_coverage_counts_a_probe_in_two_cosets(monkeypatch):
+def _planted_coverage(monkeypatch, tag, pairs, n=2, p=2):
+    """check_coverage(tag) at (n, p, 1) with the listing replaced by
+    `pairs`, summed in whatever context the check passes."""
+    monkeypatch.setattr(hecke, "expand_operator",
+                        lambda ctx, tag: hecke.CosetSum(ctx, pairs))
+    return hecke.check_coverage(_ctx(n, p), tag)
+
+
+def _same_coset(ctx, g, h):
+    return hecke.CosetSum(ctx, [(g, 1)]) == hecke.CosetSum(ctx, [(h, 1)])
+
+
+def test_coverage_witnesses_a_planted_fault(monkeypatch):
+    """A coset left out of the V_1 listing is the first coset of the
+    orbit not listed; a coset of another double coset is listed and not
+    reached; a coset listed twice is check_disjoint's (index, coeff)."""
     ctx = _ctx()
-    v1 = hecke.expand_V(ctx, 1)
-    assert hecke.check_coverage(ctx, "V1", samples=20, seed=4) == 0
-    # every coset listed twice: each probe lies in two listed cosets
-    twice = hecke.CosetSum(ctx, v1.pairs() * 2)
-    monkeypatch.setattr(hecke, "expand_operator", lambda ctx, tag: twice)
-    assert hecke.check_coverage(ctx, "V1", samples=20, seed=4) == 20
-    # one coset left out: the probes in it lie in none
-    short = hecke.CosetSum(ctx, v1.pairs()[:1])
-    monkeypatch.setattr(hecke, "expand_operator", lambda ctx, tag: short)
-    assert 0 < hecke.check_coverage(ctx, "V1", samples=20, seed=4) < 20
+    v1 = hecke.expand_V(ctx, 1).pairs()
+    assert hecke.check_coverage(ctx, "V1") == (True, None)
+    (a, _), (b, _) = v1
+    ok, (side, rep) = _planted_coverage(monkeypatch, "V1", [(a, 1)])
+    assert (ok, side) == (False, "unlisted") and _same_coset(ctx, rep, b)
+    assert _planted_coverage(monkeypatch, "V1", v1 + [(_C, 1)]) == (
+        False, ("unreached", _C))
+    assert _planted_coverage(monkeypatch, "V1", v1 * 2) == (False, (0, 2))
+    assert _planted_coverage(monkeypatch, "V1", [(b, 1), (a, 1), (b, 1)]) == (
+        False, (0, 2))
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2)])
+def test_coverage_finds_every_t_coset_left_out(n, p, monkeypatch):
+    """T_nu is checked modulo GL_n(Z_p): whichever coset is left out of
+    its listing is the witness.  K_B-probes k g0 reach one coset of T_nu
+    only, so a sampled check from K_B passed such a listing."""
+    k_ctx = types.SimpleNamespace(n=n, p=p, r=0)
+    for nu in range(1, n):
+        listed = hecke.eps_T(_ctx(n, p), nu).pairs()
+        for i, (g, _) in enumerate(listed):
+            ok, (side, rep) = _planted_coverage(
+                monkeypatch, f"T{nu}", listed[:i] + listed[i + 1:], n, p)
+            assert (ok, side) == (False, "unlisted"), (nu, i)
+            assert _same_coset(k_ctx, rep, g), (nu, i)
 
 
 def test_equal_cosets_unequal_coefficients():
@@ -302,7 +332,7 @@ def test_vp_lists_each_coset_once_at_every_level(n, p, r):
         cs = hecke.expand_operator(ctx, tag)
         assert len(cs) == p ** ((n + 1) * n * (n - 1) // 6), tag
         assert hecke.check_disjoint(cs) == (True, None), tag
-        assert hecke.check_coverage(ctx, tag, samples=50, seed=0) == 0, tag
+        assert hecke.check_coverage(ctx, tag) == (True, None), tag
 
 
 def _coset_sums_reference(pairs, ctx):
@@ -428,7 +458,7 @@ def test_expand_U_beyond_the_brute_force():
         cs = hecke.expand_U(ctx, i)
         assert len(cs) == 3 ** (4 - i)
         assert hecke.check_disjoint(cs) == (True, None)
-        assert hecke.check_coverage(ctx, f"U{i}", samples=50, seed=i) == 0
+        assert hecke.check_coverage(ctx, f"U{i}") == (True, None)
 
 
 def test_unit_element():
@@ -464,7 +494,7 @@ def test_convolve_with_an_invariant_right_factor_ignores_representatives(n, p):
     ctx = _ctx(n, p)
     rng = random.Random(31 * n + p)
     left = hecke.expand_V(ctx, 1) + hecke.expand_U(ctx, 1).scale(3)
-    moved = hecke.CosetSum(ctx, [(g * hecke._random_iwahori(ctx, rng), c)
+    moved = hecke.CosetSum(ctx, [(g * _random_iwahori(ctx, rng), c)
                                  for g, c in left.pairs()])
     assert moved == left
     assert any(a.num != b.num for (a, _), (b, _)
@@ -643,6 +673,93 @@ def test_u_products_are_order_normalized():
     assert not (u2 * u1) == (u1 * u2)
 
 
+def _random_unit(rng, p, mod):
+    u = rng.randrange(mod)
+    while u % p == 0:
+        u = rng.randrange(mod)
+    return u
+
+
+def _random_iwahori(ctx, rng):
+    """A random element of K_I, unipotent * diagonal unit * lower
+    congruent, entries drawn mod p^3."""
+    n, p, r = ctx.n, ctx.p, ctx.r
+    mod = p ** 3
+    up = [[int(i == j) for j in range(n)] for i in range(n)]
+    lo = [list(row) for row in up]
+    dg = [[0] * n for _ in range(n)]
+    for i in range(n):
+        dg[i][i] = _random_unit(rng, p, mod)
+        for j in range(i + 1, n):
+            up[i][j] = rng.randrange(mod)
+            lo[j][i] = p ** r * rng.randrange(mod)
+    return (RatMat.from_rows(up) * RatMat.from_rows(dg)
+            * RatMat.from_rows(lo))
+
+
+def _random_triangular_unit(ctx, rng):
+    """A random element of K_B (integral upper triangular, unit
+    diagonal), entries drawn mod p^3."""
+    n, p = ctx.n, ctx.p
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = _random_unit(rng, p, p ** 3)
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randrange(p ** 3)
+    return RatMat.from_rows(rows)
+
+
+def _random_gl(ctx, rng):
+    """A random element of GL_n(Z_p): an integral matrix, entries drawn
+    mod p^3, with a unit determinant."""
+    n, p = ctx.n, ctx.p
+    while True:
+        g = RatMat.from_rows([[rng.randrange(p ** 3) for _ in range(n)]
+                              for _ in range(n)])
+        if g.det() % p:
+            return g
+
+
+_VERIFY_TAGS = [(n, p, tag) for n, p in ((2, 2), (2, 3), (3, 2))
+                for tag in ["V1", "Vp", "Vp'"]
+                + [f"U{i}" for i in range(1, n + 1)]
+                + [f"T{nu}" for nu in range(1, n + 1)]]
+
+
+@pytest.mark.parametrize("n, p, tag", _VERIFY_TAGS)
+def test_random_probes_lie_in_the_exact_orbit(n, p, tag):
+    """The sampled reference for check_coverage, on every tag that
+    `verify` checks: k g0 for 200 random k of K (K_I for the V family,
+    K_B for U_i, GL_n(Z_p) for T_nu, at level 0) lies in a coset of the
+    orbit of g0 under K's generators, and the probes reach every listed
+    coset."""
+    kind, k = hecke._parse_tag(tag)
+    ctx = _ctx(n, p)
+    sampler = {"V": _random_iwahori, "U": _random_triangular_unit,
+               "T": _random_gl}[kind[0]]
+    if kind == "T":
+        ctx = types.SimpleNamespace(n=n, p=p, r=0)
+    g0 = RatMat.diagonal([p ** x for x in hecke._operator(n, p, kind, k)[1]])
+    gens = hecke._group_generators(n, p, ctx.r, lower=kind != "U")
+    orbit = hecke.CosetSum.orbit(ctx, g0, gens)
+    assert hecke.check_coverage(_ctx(n, p), tag) == (True, None)
+    rng = random.Random(f"{n}:{p}:{tag}")
+    probed = hecke.CosetSum(ctx, [(sampler(ctx, rng) * g0, 1)
+                                  for _ in range(200)])
+    assert probed.terms.keys() <= orbit.terms.keys()
+    assert probed.terms.keys() == hecke.expand_operator(ctx, tag).terms.keys()
+
+
+@pytest.mark.parametrize("tag, count", [("Vp", 2 ** 10), ("T1", 15),
+                                        ("T2", 35)])
+def test_coverage_at_rank_four(tag, count):
+    """V_p, T_1 and T_2 at (n, p, r) = (4, 2, 1): 2^10, [4 choose 1]_2
+    and [4 choose 2]_2 cosets, exactly those of the double coset."""
+    ctx = _ctx(4, 2)
+    assert len(hecke.expand_operator(ctx, tag)) == count
+    assert hecke.check_coverage(ctx, tag) == (True, None)
+
+
 def test_disjointness_and_coverage():
     for (n, p) in ((2, 2), (3, 2)):
         ctx = GlnContext(n, p, 1)
@@ -650,9 +767,9 @@ def test_disjointness_and_coverage():
             cs = hecke.expand_operator(ctx, tag)
             ok, pair = hecke.check_disjoint(cs)
             assert ok, (tag, pair)
-            assert hecke.check_coverage(ctx, tag, samples=50, seed=1) == 0
-        assert hecke.check_coverage(ctx, "U1", samples=50, seed=2) == 0
-        assert hecke.check_coverage(ctx, "T1", samples=50, seed=3) == 0
+            assert hecke.check_coverage(ctx, tag) == (True, None)
+        assert hecke.check_coverage(ctx, "U1") == (True, None)
+        assert hecke.check_coverage(ctx, "T1") == (True, None)
 
 
 def test_expand_operator_validation():
@@ -660,7 +777,7 @@ def test_expand_operator_validation():
     cs = hecke.expand_operator(ctx, "V1")
     assert len(cs) == 3
     assert hecke.check_disjoint(cs) == (True, None)
-    assert hecke.check_coverage(ctx, "V1", samples=50, seed=0) == 0
+    assert hecke.check_coverage(ctx, "V1") == (True, None)
     for tag in ("W9", ""):
         with pytest.raises(ValueError):
             hecke.expand_operator(ctx, tag)

@@ -161,6 +161,21 @@ def _bare_modules():
 _SUITES = os.path.join(ROOT, "src", "heckeforge", "suites")
 
 
+@pytest.mark.parametrize("module, absent", [
+    ("heckeforge.distributions",
+     {"heckeforge.modules", "heckeforge.ratmat", "heckeforge.kernels"}),
+    ("heckeforge.suites.projections",
+     {"heckeforge.distributions", "heckeforge.gauss"}),
+    ("heckeforge.hecke", {"random"})])
+def test_module_loads_only_what_it_calls(module, absent):
+    """With no bytecode cache, each module a `verify` child imports is
+    compiled in that child, so a suite's process loads only the modules
+    its cases call."""
+    loaded = _modules_loaded(f"import {module}") - _bare_modules()
+    assert module in loaded
+    assert not absent & loaded
+
+
 @pytest.mark.parametrize("module", [
     "heckeforge.gauss", "heckeforge.distributions", "heckeforge.hecke",
     "heckeforge.matrices", "heckeforge.cli",
