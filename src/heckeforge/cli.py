@@ -51,6 +51,16 @@ _CONFIG_KEYS = {"suites": _suites, "n": _int_list, "p": _int_list,
                 "corrupted_distribution_fixture": _flag}
 
 
+def _read(path, parse):
+    """parse(fh) of the UTF-8 text file at `path`: a file that is not
+    UTF-8, or that `parse` rejects, is a ValueError naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def parse_config(path):
     """Flat key-value config: one `key = value` per line, '#' comments.
 
@@ -62,20 +72,19 @@ def parse_config(path):
     the line and the key.
     """
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = _CONFIG_KEYS[key](val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    for lineno, raw in enumerate(_read(path, list), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = _CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
@@ -218,8 +227,7 @@ def cmd_integrate(args):
     from heckeforge.gauss import primitive_character
 
     if args.from_json:
-        with open(args.from_json) as fh:
-            mu = dist.Distribution.from_json(json.load(fh))
+        mu = dist.Distribution.from_json(_read(args.from_json, json.load))
         ok, witness = dist.check_distribution_relation(mu)
         if not ok:
             print(f"error: input violates the distribution relation at "

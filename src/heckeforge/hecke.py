@@ -9,12 +9,14 @@ disjointness, coverage and the index counts all read it.  Each index is
 an orbit size: the number of cosets `CosetSum.orbit` reaches from one
 coset under left multiplication by generators of the group.  Coverage
 is an orbit too: an expansion lists exactly the cosets of its double
-coset when its key set is the orbit's, under `_group_generators` of
-K_I, of K_B or of GL_n(Z_p).  `spherical_convolve` folds modulo
-GL_n(Z_p), the same key at level r = 0.  Every operator expansion is one
-enumeration of upper triangular cosets, `_triangular_reps`, over the
-blocks that `_operator` describes; each listed matrix is a column
-Hermite form, keyed by `kernels.hermite_key`.
+coset when its key set is the orbit's, under the elementary matrices
+of `_group_generators`, which reach every coset of K_I, of K_B or of
+GL_n(Z_p) from a diagonal start.  At level r = 0 (`_spherical_context`)
+the same key folds modulo GL_n(Z_p), so one `CosetSum` serves the
+spherical cosets too.  Every operator expansion is one enumeration of
+upper triangular cosets, `_triangular_reps`, over the blocks that
+`_operator` describes; each listed matrix is a column Hermite form,
+keyed by `kernels.hermite_key`.
 """
 
 import itertools
@@ -263,10 +265,6 @@ def _parse_tag(tag):
     return indexed[1], int(indexed[2])
 
 
-def unit_coset(ctx):
-    return _expand(ctx, "V", 0)
-
-
 def expand_V(ctx, nu):
     """V_{p,nu}: block matrices [[pi 1_nu, A],[0, 1_{n-nu}]], A mod p."""
     return _expand(ctx, "V", nu)
@@ -290,24 +288,18 @@ def expand_U(ctx, i):
     return _expand(ctx, "U", i)
 
 
-def spherical_T_reps(n, p, nu):
-    """Triangular (row-style Hermite) right-coset representatives of the
-    spherical double coset K diag(1_{n-nu}, pi 1_nu) K.
-
-    Diagonal p^{e_i} with e in {0,1}^n, sum nu, and an entry in range(p)
-    at each (a, b) with a < b, e_a = 1 and e_b = 0; every other entry is
-    0.  These are the triangular forms whose reduction mod p has rank
-    n - nu, which pins the elementary divisor type: the rows with e = 0
-    reduce to unit vectors, so the rank is n - nu exactly when the
-    entries at e_a = e_b = 1 vanish.  There are [n choose nu]_p of them.
-    """
-    return list(_triangular_reps(n, p, "T", nu))
-
-
 def eps_T(ctx, nu):
-    """epsilon(T_nu) as an Iwahori coset sum: the triangular spherical
-    cosets g K read as cosets g K_I, distinct since K_I-equality implies
-    K-equality."""
+    """epsilon(T_nu) as an Iwahori coset sum: the triangular right-coset
+    representatives g of the spherical double coset K diag(1_{n-nu},
+    pi 1_nu) K, K = GL_n(Z_p), read as cosets g K_I, distinct since
+    K_I-equality implies K-equality.
+
+    Each has diagonal p^{e_i}, e in {0,1}^n summing to nu, and an entry
+    in range(p) at each (a, b), a < b, with e_a = 1 and e_b = 0; these
+    are the triangular forms whose reduction mod p has rank n - nu, and
+    there are [n choose nu]_p of them.  At a level-0 context
+    (`_spherical_context`) the same listing is the spherical one, folded
+    modulo K."""
     return _expand(ctx, "T", nu)
 
 
@@ -362,7 +354,7 @@ def gritsenko_sides(ctx):
     for nu in range(n + 1):
         lhs.append(eps_T(ctx, nu).scale(q ** (nu * (nu - 1) // 2)))
         if nu == 0:
-            rhs.append(unit_coset(ctx))
+            rhs.append(expand_V(ctx, 0))
             continue
         acc = None
         for comb in itertools.combinations(range(n), nu):
@@ -404,9 +396,12 @@ def check_coverage(ctx, tag):
     K is K_I for the V family (V_nu, V_p, V_p'), K_B (integral upper
     triangular) for U_i, whose cosets live in the triangular monoid, and
     GL_n(Z_p) for T_nu, keyed at level r = 0.  The cosets of K g0 K are
-    `CosetSum.orbit` of g0 K under `_group_generators` of K: they
-    generate a dense subgroup of K, and the stabiliser of g0 K is the
-    open subgroup K meet g0 K g0^-1, so the orbit is the whole double
+    `CosetSum.orbit` of g0 K under `_group_generators`, elementary
+    matrices only: K = N^- T N (N^- trivial for K_B, and SL_n(Z_p) =
+    N^- N up to closure at r = 0), and the unit diagonals T normalise
+    N, lie in K and commute with the diagonal g0, so k g0 K = n^- n g0 K.
+    The generators are dense in the group of the n^- n, and the
+    stabiliser of g0 K there is open, so the orbit is the whole double
     coset.  The two key sets must be equal, and the witness is the first
     coset in one and not the other, ("unreached", rep) for a listed coset
     outside the orbit, then ("unlisted", rep) for a coset of the orbit
@@ -476,15 +471,6 @@ def _spherical_context(n, p):
     return SimpleNamespace(n=n, p=p, r=0)
 
 
-def spherical_convolve(reps_a, reps_b, n, p):
-    """Convolution of spherical coset lists, folded modulo K = GL_n(Z_p)."""
-    out = CosetSum(_spherical_context(n, p))
-    for a in reps_a:
-        for b in reps_b:
-            out._accumulate(a * b, 1)
-    return out.pairs()
-
-
 def smith_type(rep, p):
     """p-local elementary divisor exponents of a rational matrix, sorted."""
     n = rep.n
@@ -504,19 +490,20 @@ def smith_type(rep, p):
 
 
 def gl2_satake_regression(p):
-    """T_1 * T_1 on GL_2: fold the spherical convolution, group by divisor
-    type, and check the half-density transform is multiplicative.
+    """T_1 * T_1 on GL_2: square eps(T_1) at level 0, a `CosetSum` folded
+    modulo GL_2(Z_p), group the product's cosets by divisor type, and
+    check the half-density transform is multiplicative.
 
     Returns (coeff of the (0,2) double coset, coeff of the central coset,
     transform_consistent).
     """
-    reps = spherical_T_reps(2, p, 1)
-    prod = spherical_convolve(reps, reps, 2, p)
+    t1 = eps_T(_spherical_context(2, p), 1)
+    prod = (t1 * t1).pairs()
     by_type = {}
     for rep, coeff in prod:
         t = smith_type(rep, p)
         by_type.setdefault(t, set()).add(coeff)
-    s_t1 = satake_halfdensity_at([(m, 1) for m in reps], 2, p)
+    s_t1 = satake_halfdensity_at(t1.pairs(), 2, p)
     s_prod = satake_halfdensity_at(prod, 2, p)
     consistent = (s_t1 * s_t1) == s_prod
     c02 = by_type.get((0, 2), set())
@@ -558,30 +545,22 @@ def count_unipotent_index(ctx):
 
     That open subgroup is the stabiliser of t_(f) K_I in U_n(Z_p):
     t_(f)^{-1} u t_(f) is upper unipotent, so it lies in K_I exactly when
-    it is integral.  The E_ij(1), i < j, generate U_n(Z), which is dense
-    in U_n(Z_p), so `CosetSum.orbit` over them lists every coset."""
-    n = ctx.n
-    gens = [_identity_with(n, i, j, 1)
-            for i in range(n) for j in range(i + 1, n)]
-    start = t_matrix(RatMat, n, ctx.f)
+    it is integral.  The upper generators of `_group_generators`, the
+    E_ij(1) for i < j, generate U_n(Z), which is dense in U_n(Z_p), so
+    `CosetSum.orbit` over them lists every coset."""
+    gens = _group_generators(ctx.n, ctx.p, ctx.r, lower=False)
+    start = t_matrix(RatMat, ctx.n, ctx.f)
     return len(CosetSum.orbit(ctx, start, gens))
 
 
 def _group_generators(n, p, r, lower=True):
-    """Generators of a dense subgroup of the level-p^r Iwahori subgroup
-    of GL_n(Z_p), by the Iwahori factorisation lower * diagonal * upper:
-    the unit diagonals at topological generators of Z_p^*, E_ij(1) for
-    i < j and E_ij(p^r) for i > j.  Without `lower`, the upper triangular
-    group K_B; at r = 0, GL_n(Z_p)."""
-    from heckeforge.gauss import unit_group_generators
-
-    # (Z/p^2)^* for odd p, (Z/8)^* for p = 2: generators of these
-    # generate Z_p^* topologically
-    units = [g for g, _ in unit_group_generators(p, 3 if p == 2 else 2)]
-    gens = [_identity_with(n, i, i, u) for i in range(n) for u in units]
-    gens += [_identity_with(n, i, j, 1 if i < j else p ** r)
-             for i in range(n) for j in range(n) if i < j or (lower and i > j)]
-    return gens
+    """The elementary matrices E_ij(1) for i < j and, with `lower`,
+    E_ij(p^r) for i > j, row by row: dense in the unipotent N(Z_p) and
+    N^-(p^r Z_p).  Their orbit of a diagonal g0 K is K g0 K / K for K_I,
+    for K_B without `lower`, and for GL_n(Z_p) at r = 0: no diagonal is
+    needed, as `check_coverage` shows."""
+    return [_identity_with(n, i, j, 1 if i < j else p ** r)
+            for i in range(n) for j in range(n) if i < j or (lower and i > j)]
 
 
 def count_gamma_index(ctx):
@@ -589,13 +568,21 @@ def count_gamma_index(ctx):
     the level-p^r Iwahori subgroup I_{n-1}(p^r) of GL_{n-1}(Z_p).
 
     K(f) = j^{-1}(h(f) K_I h(f)^{-1}) meet I_{n-1}(p^r) is the stabiliser
-    of h(f) K_I under g -> j(g), open as h(f) K_I h(f)^{-1} is.  The
-    images under j of `_group_generators` of I_{n-1}(p^r) generate a
-    dense subgroup of j(I_{n-1}(p^r)), so `CosetSum.orbit` over them
-    lists every coset.  Returns (index, the orbit)."""
+    of h(f) K_I under g -> j(g), open as h(f) K_I h(f)^{-1} is.  The unit
+    diagonals at topological generators of Z_p^*, then
+    `_group_generators` of I_{n-1}(p^r), generate a dense subgroup of
+    it, so `CosetSum.orbit` over their images under j lists every coset.
+    The diagonals are needed here, unlike in `check_coverage`: h(f) is
+    not diagonal, so they move its coset.  Returns (index, the orbit)."""
+    from heckeforge.gauss import unit_group_generators
     from heckeforge.matrices import h_matrix
 
-    gens = _group_generators(ctx.n - 1, ctx.p, ctx.r)
+    m, p = ctx.n - 1, ctx.p
+    # (Z/p^2)^* for odd p, (Z/8)^* for p = 2: generators of these
+    # generate Z_p^* topologically
+    units = [g for g, _ in unit_group_generators(p, 3 if p == 2 else 2)]
+    gens = [_identity_with(m, i, i, u) for i in range(m) for u in units]
+    gens += _group_generators(m, p, ctx.r)
     start = h_matrix(RatMat, ctx.n, ctx.f)
     cosets = CosetSum.orbit(ctx, start, [g.j_embed() for g in gens])
     return len(cosets), cosets

@@ -54,7 +54,7 @@ for _n, _p in ((2, 2), (2, 3), (3, 2)):
 def _case_unit(rng):
     ctx = GlnContext(2, 2, 1)
     v1 = hecke.expand_V(ctx, 1)
-    unit = hecke.unit_coset(ctx)
+    unit = hecke.expand_V(ctx, 0)
     return _ok(unit * v1 == v1 and v1 * unit == v1)
 
 

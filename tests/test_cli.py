@@ -496,6 +496,25 @@ def test_missing_path_exits_2_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, content, reason", [
+    (["verify", "--config"], b"\xffseed = 3\n",
+     "'utf-8' codec can't decode byte 0xff in position 0"),
+    (["compute", "integrate", "--from-json"], b"\xff{}",
+     "'utf-8' codec can't decode byte 0xff in position 0"),
+    (["compute", "integrate", "--from-json"], b"not json\n",
+     "Expecting value: line 1 column 1 (char 0)"),
+], ids=["config-not-utf8", "json-not-utf8", "not-json"])
+def test_unreadable_input_exits_2_naming_its_path(capsys, tmp_path, argv,
+                                                  content, reason):
+    """An input file that is not UTF-8, or not JSON where JSON is read, is
+    refused with its path and the reason, and no traceback."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {path}: {reason}") and err.count("\n") == 1
+
+
 def test_env_seed_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("HECKE_FORGE_SEED", "abc")
     code, out, err = run_cli(capsys, "verify", "--suite", "weights")

@@ -111,7 +111,7 @@ def test_coverage_finds_every_t_coset_left_out(n, p, monkeypatch):
     """T_nu is checked modulo GL_n(Z_p): whichever coset is left out of
     its listing is the witness.  K_B-probes k g0 reach one coset of T_nu
     only, so a sampled check from K_B passed such a listing."""
-    k_ctx = types.SimpleNamespace(n=n, p=p, r=0)
+    k_ctx = hecke._spherical_context(n, p)
     for nu in range(1, n):
         listed = hecke.eps_T(_ctx(n, p), nu).pairs()
         for i, (g, _) in enumerate(listed):
@@ -540,7 +540,7 @@ def _rank_mod_p(rows, p):
 
 
 def _spherical_T_reference(n, p, nu):
-    """The former enumeration of spherical_T_reps: every triangular form
+    """The former spherical enumeration of T_nu: every triangular form
     with diagonal p^e, e in {0,1}^n summing to nu, and an entry in
     range(p) right of each scaled pivot, kept when its reduction mod p
     has rank n - nu."""
@@ -568,10 +568,14 @@ def _gaussian_binomial(n, k, q):
 @pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 5)
                                   for p in (2, 3, 5)] + [(5, 2)])
 def test_spherical_T_reps_match_the_rank_filter(n, p):
-    """The direct construction lists the rank-filtered candidates, in
-    their order, and there are [n choose nu]_p of them."""
+    """eps(T_nu) at level 0, the spherical listing, holds the
+    rank-filtered candidates, in their order, each once, and there are
+    [n choose nu]_p of them."""
+    ctx = hecke._spherical_context(n, p)
     for nu in range(n + 1):
-        reps = [rep.rows() for rep in hecke.spherical_T_reps(n, p, nu)]
+        pairs = hecke.eps_T(ctx, nu).pairs()
+        assert all(c == 1 for _, c in pairs)
+        reps = [rep.rows() for rep, _ in pairs]
         assert reps == _spherical_T_reference(n, p, nu)
         assert len(reps) == _gaussian_binomial(n, nu, p)
 
@@ -634,9 +638,10 @@ def test_expansions_list_the_reference_enumerations(n, p, r):
         assert [(rep.num, rep.den) for rep, _ in pairs] == \
             _reference_expansion(n, p, tag), tag
     if r == 1:
+        k_ctx = hecke._spherical_context(n, p)
         for nu in range(n + 1):
-            assert [(rep.num, rep.den) for rep in
-                    hecke.spherical_T_reps(n, p, nu)] == \
+            assert [(rep.num, rep.den) for rep, _ in
+                    hecke.eps_T(k_ctx, nu).pairs()] == \
                 _reference_expansion(n, p, f"T{nu}"), nu
 
 
@@ -738,7 +743,7 @@ def test_random_probes_lie_in_the_exact_orbit(n, p, tag):
     sampler = {"V": _random_iwahori, "U": _random_triangular_unit,
                "T": _random_gl}[kind[0]]
     if kind == "T":
-        ctx = types.SimpleNamespace(n=n, p=p, r=0)
+        ctx = hecke._spherical_context(n, p)
     g0 = RatMat.diagonal([p ** x for x in hecke._operator(n, p, kind, k)[1]])
     gens = hecke._group_generators(n, p, ctx.r, lower=kind != "U")
     orbit = hecke.CosetSum.orbit(ctx, g0, gens)
@@ -1108,14 +1113,14 @@ FOLD_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
 def _fold_golden_lines():
     c32 = _ctx(3, 2)
     v1, v2 = hecke.expand_V(c32, 1), hecke.expand_V(c32, 2)
-    t1 = hecke.spherical_T_reps(2, 3, 1)
+    t1 = hecke.eps_T(hecke._spherical_context(2, 3), 1)
     cases = [
         ("V1*V2 n=3 p=2 r=1", (v1 * v2).pairs()),
         ("V2*V1 n=3 p=2 r=1", (v2 * v1).pairs()),
         ("eps_T2 n=3 p=3 r=1", hecke.eps_T(_ctx(3, 3), 2).pairs()),
         ("gamma-orbit n=3 p=2 r=2",
          hecke.count_gamma_index(_ctx(3, 2, 2))[1].pairs()),
-        ("spherical T1*T1 n=2 p=3", hecke.spherical_convolve(t1, t1, 2, 3)),
+        ("spherical T1*T1 n=2 p=3", (t1 * t1).pairs()),
     ]
     return "".join(json.dumps({"case": name, "cosets": [
         {"matrix": [[str(x) for x in row] for row in rep.rows()],

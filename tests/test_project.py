@@ -161,18 +161,29 @@ def _bare_modules():
 _SUITES = os.path.join(ROOT, "src", "heckeforge", "suites")
 
 
-@pytest.mark.parametrize("module, absent", [
-    ("heckeforge.distributions",
+_COVERAGE_CALLS = """
+from heckeforge import hecke
+from heckeforge.matrices import GlnContext
+for tag in ("V1", "T1"):
+    assert hecke.check_coverage(GlnContext(2, 2, 1), tag) == (True, None)
+"""
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import heckeforge.distributions",
      {"heckeforge.modules", "heckeforge.ratmat", "heckeforge.kernels"}),
-    ("heckeforge.suites.projections",
+    ("import heckeforge.suites.projections",
      {"heckeforge.distributions", "heckeforge.gauss"}),
-    ("heckeforge.hecke", {"random"})])
-def test_module_loads_only_what_it_calls(module, absent):
+    ("import heckeforge.hecke", {"random"}),
+    pytest.param(_COVERAGE_CALLS, {"heckeforge.gauss"},
+                 id="hecke.check_coverage-absent3")],
+    ids=lambda v: v.removeprefix("import ") if isinstance(v, str) else None)
+def test_module_loads_only_what_it_calls(code, absent):
     """With no bytecode cache, each module a `verify` child imports is
     compiled in that child, so a suite's process loads only the modules
-    its cases call."""
-    loaded = _modules_loaded(f"import {module}") - _bare_modules()
-    assert module in loaded
+    its cases call: after `code` runs, none of `absent` is loaded."""
+    loaded = _modules_loaded(code) - _bare_modules()
+    assert "heckeforge" in loaded
     assert not absent & loaded
 
 
